@@ -19,9 +19,6 @@ from tancert import (
     s_enc,
     sinc_enc,
     tan_enc,
-    tm_build,
-    tm_eval,
-    tm_mul,
 )
 
 x = Interval.point(1.0)
@@ -41,11 +38,3 @@ print(f"  s(0)    in {s_enc(zero)}   # tan x / x -> 1")
 hp = half_pi_enclosure()
 print(f"\nand the endpoint is no trouble either: p(pi/2) in {p_enc(hp)}")
 print(f"  (the exact value is (2/pi)^3 = {(2 / math.pi) ** 3:.12f})")
-
-print("\nTaylor models carry interval coefficients plus a remainder:")
-m = tm_build("cos", 0, 4, 0.25)
-print(f"  cos about 0, degree 4, radius 0.25: remainder {m.remainder}")
-sq = tm_mul(m, m)
-v = tm_eval(sq, Interval.point(0.1))
-print(f"  (cos model)^2 at 0.1 encloses cos^2(0.1): {v}")
-print(f"  true value {math.cos(0.1) ** 2:.12f}")

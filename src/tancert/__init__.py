@@ -22,7 +22,6 @@ from .interval import (
     split,
 )
 from .enclosures import SeriesTerm, cos_enc, p_enc, p_series_term, r_enc, s_enc, sinc_enc, tan_enc
-from .taylor import TaylorModel, tm_add, tm_build, tm_eval, tm_int_pow, tm_mul, tm_scale
 from .sequences import (
     SeqTerm,
     ShiftIdentityReport,
@@ -86,13 +85,6 @@ __all__ = [
     "tan_enc",
     "r_enc",
     "s_enc",
-    "TaylorModel",
-    "tm_build",
-    "tm_add",
-    "tm_mul",
-    "tm_scale",
-    "tm_int_pow",
-    "tm_eval",
     "t_seq",
     "u_seq",
     "a_seq",

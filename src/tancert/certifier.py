@@ -1,11 +1,16 @@
 """Branch-and-bound certification of the cataloged tangent inequalities.
 
 Each inequality is recast as strict positivity of an ENTIRE form F on
-(0, pi/2) — built only from cos, sinc, p, x, pi and rational constants,
-with no logs, fractional powers, or divisions.  The recasting steps all
-preserve positivity (multiplying by cos^k > 0 or x^k > 0, or raising two
-positive sides to the 5th power); each catalog entry records its own
-derivation.
+(0, pi/2) — built only from cos, sin, sinc, p, x, pi and rational
+constants, with no logs, fractional powers, or divisions by non-constants.
+The recasting steps all preserve positivity (multiplying by cos^k > 0 or
+x^k > 0, or raising two positive sides to the 5th power); each catalog
+entry records its own derivation.
+
+The catalog string `entire_form` is the only definition of F.  It is
+compiled once into an expression tree that two backends evaluate: outward-
+rounded intervals for box margins, and exact power series at 0 and at pi/2
+for the endpoint proofs.
 
 A certificate for F > 0 has three parts:
 
@@ -22,15 +27,18 @@ The resulting record is self-contained and re-checkable from disk.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
 from math import factorial
+from typing import Callable
 
 from .enclosures import cos_enc, p_enc, sinc_enc
-from .errors import CosNotPositive, DomainError, NotPositive, OrderMismatch
+from .errors import DomainError, NotPositive, OrderMismatch
 from .interval import (
     Interval,
     _HALF_PI_HI,
@@ -38,19 +46,13 @@ from .interval import (
     certainly_negative,
     certainly_positive,
     int_pow,
-    pi_enclosure,
     rational_enclosure,
     split,
 )
 from .sequences import phi_lemma_enc, t_seq
-from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sinc
+from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
 SCHEMA = "tancert-cert-v1"
-
-_PI_SQ = int_pow(pi_enclosure(), 2)
-_TWO_OVER_PI_4 = int_pow(Interval(2.0, 2.0) / pi_enclosure(), 4)
-_C_1_3 = rational_enclosure(Fraction(1, 3))
-_C_2_15 = rational_enclosure(Fraction(2, 15))
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +63,16 @@ _C_2_15 = rational_enclosure(Fraction(2, 15))
 class InequalitySpec:
     id: str
     statement: str
-    entire_form: str  # the normative division-free numerator F
+    entire_form: str  # the normative division-free F, in the form language
     derivation: str
     vanish_order_zero: int
     leading_coeff_zero: PiPoly
     vanish_order_half_pi: int = 0
     leading_coeff_half_pi: PiPoly | None = None
-    closed_at_half_pi: bool = False
+    # how box margins are computed: "direct" interval evaluation of the tree,
+    # "factored" x^k0 times the divided degree-40 series of the tree, or
+    # "phi" for the lemma's alternating series in T_n
+    evaluator: str = "direct"
 
 
 CATALOG: dict[str, InequalitySpec] = {
@@ -78,19 +83,19 @@ CATALOG: dict[str, InequalitySpec] = {
             entire_form="3*p - cos",
             statement="x + x^3/3 < tan x",
             derivation=(
-                "tan x - x - x^3/3 > 0; multiply by cos x > 0 and divide by x^3 > 0: "
-                "F = 3p - cos with p = (sin x - x cos x)/x^3 (after scaling by 3)."
+                "tan x - x - x^3/3 > 0; multiply by cos x > 0, divide by x^3 > 0 "
+                "and scale by 3, with p = (sin x - x cos x)/x^3."
             ),
             vanish_order_zero=2,
             leading_coeff_zero=PiPoly.rational(Fraction(2, 5)),
         ),
         InequalitySpec(
             id="prop1_upper",
-            entire_form="x*(x^2*sinc^3 - 3*sinc*cos^2 + 3*cos^3)",
+            entire_form="x*(x^2*sinc^3 - 3*(sinc*cos^2) + 3*cos^3)",
             statement="tan x < x + tan^3(x)/3",
             derivation=(
                 "tan^3(x)/3 + x - tan x > 0; multiply by 3 cos^3 x > 0 and write "
-                "sin = x sinc: F = x (x^2 sinc^3 - 3 sinc cos^2 + 3 cos^3)."
+                "sin = x sinc."
             ),
             vanish_order_zero=5,
             leading_coeff_zero=PiPoly.rational(Fraction(3, 5)),
@@ -101,31 +106,28 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="x^2 tan x < 3 (tan x - x)",
             derivation=(
                 "3(tan x - x) - x^2 tan x > 0; multiply by cos x > 0, divide by "
-                "x^3 > 0: F = 3p - sinc."
+                "x^3 > 0."
             ),
             vanish_order_zero=2,
             leading_coeff_zero=PiPoly.rational(Fraction(1, 15)),
         ),
         InequalitySpec(
             id="main_upper",
-            entire_form="sinc^6 - 243*p^5*cos",
+            entire_form="sinc^6 - 243*(p^5*cos)",
             statement="3 (tan x - x) < x^(9/5) tan^(6/5) x",
             derivation=(
                 "both sides positive, so equivalent to the 5th powers "
                 "243 (tan x - x)^5 < x^9 tan^6 x; multiply by cos^6 x > 0 and "
-                "divide by x^15 > 0: F = sinc^6 - 243 p^5 cos."
+                "divide by x^15 > 0."
             ),
             vanish_order_zero=4,
             leading_coeff_zero=PiPoly.rational(Fraction(2, 35)),
         ),
         InequalitySpec(
             id="bs_lower",
-            entire_form="x*sinc*(pi^2 - 4*x^2) - 8*x*cos",
+            entire_form="sin*(pi^2 - 4*x^2) - 8*(x*cos)",
             statement="8x / (pi^2 - 4x^2) < tan x",
-            derivation=(
-                "multiply by (pi^2 - 4x^2) cos x > 0: "
-                "F = x sinc (pi^2 - 4x^2) - 8x cos."
-            ),
+            derivation="multiply by (pi^2 - 4x^2) cos x > 0.",
             vanish_order_zero=1,
             leading_coeff_zero=PiPoly({2: 1, 0: -8}),
             vanish_order_half_pi=2,
@@ -133,12 +135,9 @@ CATALOG: dict[str, InequalitySpec] = {
         ),
         InequalitySpec(
             id="bs_upper",
-            entire_form="pi^2*x*cos - x*sinc*(pi^2 - 4*x^2)",
+            entire_form="pi^2*x*cos - sin*(pi^2 - 4*x^2)",
             statement="tan x < pi^2 x / (pi^2 - 4x^2)",
-            derivation=(
-                "multiply by (pi^2 - 4x^2) cos x > 0: "
-                "F = pi^2 x cos - x sinc (pi^2 - 4x^2)."
-            ),
+            derivation="multiply by (pi^2 - 4x^2) cos x > 0.",
             vanish_order_zero=3,
             leading_coeff_zero=PiPoly({0: 4, 2: Fraction(-1, 3)}),
             vanish_order_half_pi=1,
@@ -146,76 +145,128 @@ CATALOG: dict[str, InequalitySpec] = {
         ),
         InequalitySpec(
             id="qi_lower",
-            entire_form="x*sinc - (x + x^3/3)*cos - (2/15)*x^4*x*sinc",
+            entire_form="x*(sinc - (1 + x^2/3)*cos - (2/15)*x^4*sinc)",
             statement="x + x^3/3 + (2/15) x^4 tan x < tan x",
-            derivation=(
-                "multiply by cos x > 0 and write sin = x sinc: "
-                "F = x sinc - (x + x^3/3) cos - (2/15) x^5 sinc."
-            ),
+            derivation="multiply by cos x > 0 and write sin = x sinc.",
             vanish_order_zero=7,
             leading_coeff_zero=PiPoly.rational(Fraction(1, 105)),
+            evaluator="factored",
         ),
         InequalitySpec(
             id="qi_upper",
-            entire_form="(x + x^3/3)*cos + (2/pi)^4*x^4*x*sinc - x*sinc",
+            entire_form="(x + x^3/3)*cos + (2/pi)^4*x^4*sin - sin",
             statement="tan x < x + x^3/3 + (2/pi)^4 x^4 tan x",
-            derivation=(
-                "multiply by cos x > 0: "
-                "F = (x + x^3/3) cos + (2/pi)^4 x^5 sinc - x sinc."
-            ),
+            derivation="multiply by cos x > 0.",
             vanish_order_zero=5,
             leading_coeff_zero=PiPoly({-4: 16, 0: Fraction(-2, 15)}),
             vanish_order_half_pi=1,
             leading_coeff_half_pi=PiPoly({1: Fraction(1, 2), 3: Fraction(1, 24), -1: -8}),
+            evaluator="factored",
         ),
         InequalitySpec(
             id="lemma_phi",
-            entire_form="(9 - 24*x^2)*cos - 9*cos(3x) - 4*x*sin(3x)",
+            entire_form="(9 - 24*x^2)*cos - 9*(4*cos^3 - 3*cos) - 4*x*sin*(4*cos^2 - 1)",
             statement="(9 - 24x^2) cos x - 9 cos 3x - 4x sin 3x > 0 on (0, pi/2]",
-            derivation="already entire; F = phi via its alternating series in T_n.",
+            derivation=(
+                "already entire; written with cos 3x = 4 cos^3 - 3 cos and "
+                "sin 3x = sin (4 cos^2 - 1), and evaluated as phi via its "
+                "alternating series in T_n."
+            ),
             vanish_order_zero=8,
             leading_coeff_zero=PiPoly.rational(Fraction(32, 105)),
-            closed_at_half_pi=True,
+            evaluator="phi",
         ),
     ]
 }
 
 
 # ---------------------------------------------------------------------------
-# interval evaluation of the entire forms
+# the form language
 # ---------------------------------------------------------------------------
+# With ^ read as **, a form uses the leaves x, pi, integer literals, cos,
+# sin, sinc and p; +, - and *; powers by non-negative integer literals; and
+# division by a constant c*pi^k.  Constant parts fold exactly into PiPoly,
+# so a tree node is ("const", PiPoly), ("leaf", name), ("pow", node, k) or
+# (op, node, node) with op one of operator.add/sub/mul; a/c is a * (1/c).
 
-def _f_prop1_lower(x: Interval) -> Interval:
-    return p_enc(x).scale(3) - cos_enc(x)
-
-
-def _f_prop1_upper(x: Interval) -> Interval:
-    s = sinc_enc(x)
-    c = cos_enc(x)
-    inner = (
-        int_pow(x, 2) * int_pow(s, 3)
-        - (s * int_pow(c, 2)).scale(3)
-        + int_pow(c, 3).scale(3)
-    )
-    return x * inner
+_LEAVES = {"x", "cos", "sin", "sinc", "p"}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
-def _f_main_lower(x: Interval) -> Interval:
-    return p_enc(x).scale(3) - sinc_enc(x)
+def _tree(e: ast.expr) -> tuple:
+    if isinstance(e, ast.Name) and e.id in _LEAVES | {"pi"}:
+        return ("const", PiPoly.pi_power(1)) if e.id == "pi" else ("leaf", e.id)
+    if isinstance(e, ast.Constant) and type(e.value) is int:
+        return ("const", PiPoly.rational(e.value))
+    if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Pow):
+        a, k = _tree(e.left), e.right
+        if not (isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 0):
+            raise DomainError(f"exponent {ast.unparse(k)!r} is not a non-negative integer")
+        if a[0] == "const":
+            return ("const", reduce(operator.mul, [a[1]] * k.value, PiPoly.rational(1)))
+        return ("pow", a, k.value)
+    if isinstance(e, ast.BinOp) and type(e.op) in (ast.Div, *_OPS):
+        a, b = _tree(e.left), _tree(e.right)
+        op = _OPS.get(type(e.op), operator.mul)
+        if isinstance(e.op, ast.Div):
+            if b[0] != "const" or len(b[1].terms) != 1:
+                raise DomainError(f"divisor {ast.unparse(e.right)!r} is not a nonzero c*pi^k")
+            ((k, c),) = b[1].terms.items()
+            b = ("const", PiPoly.pi_power(-k, 1 / c))
+        return ("const", op(a[1], b[1])) if a[0] == b[0] == "const" else (op, a, b)
+    raise DomainError(f"{ast.unparse(e)!r} is outside the form language")
 
 
-def _f_main_upper(x: Interval) -> Interval:
-    return int_pow(sinc_enc(x), 6) - (int_pow(p_enc(x), 5) * cos_enc(x)).scale(243)
+@dataclass(frozen=True)
+class CompiledForm:
+    tree: tuple
+    names: frozenset  # the leaves the form uses
+    interval: Callable[[Interval], Interval]  # enclosure of F over a box
 
 
-def _f_bs_lower(x: Interval) -> Interval:
-    weight = _PI_SQ - int_pow(x, 2).scale(4)
-    return x * sinc_enc(x) * weight - (x * cos_enc(x)).scale(8)
+@cache
+def compile_form(text: str) -> CompiledForm:
+    """Parse an entire_form string once; raises DomainError outside the language."""
+    try:
+        expr = ast.parse(text.replace("^", "**"), mode="eval").body
+    except SyntaxError as exc:
+        raise DomainError(f"form {text!r}: {exc.msg}") from None
+    tree = _tree(expr)
+    body = _interval_node(tree)
+    names = frozenset(n.id for n in ast.walk(expr) if isinstance(n, ast.Name)) - {"pi"}
+    return CompiledForm(tree, names, lambda x: body(_BoxLeaves(x=x)))
 
 
-def _f_bs_upper(x: Interval) -> Interval:
-    weight = _PI_SQ - int_pow(x, 2).scale(4)
-    return _PI_SQ * x * cos_enc(x) - x * sinc_enc(x) * weight
+# Interval backend.  The enclosure functions are module globals looked up at call time.
+_BOX_LEAVES = {
+    "cos": lambda v: cos_enc(v["x"]),
+    "sinc": lambda v: sinc_enc(v["x"]),
+    "p": lambda v: p_enc(v["x"]),
+    "sin": lambda v: v["x"] * v["sinc"],
+}
+
+
+class _BoxLeaves(dict):
+    """Leaf enclosures over one box, given "x"; each is computed on first use."""
+
+    def __missing__(self, name):
+        value = self[name] = _BOX_LEAVES[name](self)
+        return value
+
+
+def _interval_node(node: tuple) -> Callable[[dict], Interval]:
+    kind = node[0]
+    if kind == "const":
+        enc = node[1].enclosure()
+        return lambda v: enc
+    if kind == "leaf":
+        name = node[1]
+        return lambda v: v[name]
+    if kind == "pow":
+        base, k = _interval_node(node[1]), node[2]
+        return lambda v: int_pow(base(v), k)
+    left, right = _interval_node(node[1]), _interval_node(node[2])
+    return lambda v: kind(left(v), right(v))
 
 
 # The qi margins scale like x^7/105 and x^5/32 near 0, so their difference
@@ -225,52 +276,34 @@ def _f_bs_upper(x: Interval) -> Interval:
 # series has exponential-type-6 coefficients whose interval Horner is far
 # wider than the composed product form.)
 _FACTORED_DEGREE = 40
-_factored_cache: dict[str, PowerSeries] = {}
+_factored_cache: dict[InequalitySpec, PowerSeries] = {}
 
 
-def _factored_series(inequality_id: str, k0: int) -> PowerSeries:
-    if inequality_id not in _factored_cache:
-        ps = form_series(inequality_id, "zero", _FACTORED_DEGREE, _HALF_PI_HI)
-        _factored_cache[inequality_id] = ps.divide_power(k0)
-    return _factored_cache[inequality_id]
-
-
-def _f_qi_lower(x: Interval) -> Interval:
-    return int_pow(x, 7) * _factored_series("qi_lower", 7).eval(x)
-
-
-def _f_qi_upper(x: Interval) -> Interval:
-    return int_pow(x, 5) * _factored_series("qi_upper", 5).eval(x)
-
-
-def _f_lemma_phi(x: Interval) -> Interval:
-    return phi_lemma_enc(x)
-
-
-_FORMS = {
-    "prop1_lower": _f_prop1_lower,
-    "prop1_upper": _f_prop1_upper,
-    "main_lower": _f_main_lower,
-    "main_upper": _f_main_upper,
-    "bs_lower": _f_bs_lower,
-    "bs_upper": _f_bs_upper,
-    "qi_lower": _f_qi_lower,
-    "qi_upper": _f_qi_upper,
-    "lemma_phi": _f_lemma_phi,
-}
+def _evaluator(spec: InequalitySpec) -> Callable[[Interval], Interval]:
+    if spec.evaluator == "direct":
+        return compile_form(spec.entire_form).interval
+    if spec.evaluator == "phi":
+        return phi_lemma_enc
+    if spec.evaluator != "factored":
+        raise DomainError(f"{spec.id}: unknown evaluator {spec.evaluator!r}")
+    if spec not in _factored_cache:
+        ps = form_series(spec.id, "zero", _FACTORED_DEGREE, _HALF_PI_HI)
+        _factored_cache[spec] = ps.divide_power(spec.vanish_order_zero)
+    quotient, k0 = _factored_cache[spec], spec.vanish_order_zero
+    return lambda x: int_pow(x, k0) * quotient.eval(x)
 
 
 def eval_form(inequality_id: str, x: Interval) -> Interval:
     """Enclosure of the entire-form numerator F over x."""
-    if inequality_id not in _FORMS:
+    if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
-    return _FORMS[inequality_id](x)
+    return _evaluator(CATALOG[inequality_id])(x)
 
 
 # ---------------------------------------------------------------------------
-# exact series of the forms at both endpoints
+# exact series backend, at both endpoints
 # ---------------------------------------------------------------------------
 
 def _phi_power_series(degree: int, radius: float) -> PowerSeries:
@@ -293,6 +326,27 @@ def _phi_power_series(degree: int, radius: float) -> PowerSeries:
     return PowerSeries(coeffs, t, radius)
 
 
+# Leaf series in the local variable u.  At pi/2, x = pi/2 - u gives
+# sin x = cos u and cos x = u sinc u; sinc and p there would need a division.
+_SERIES_LEAVES = {
+    "zero": {"x": lambda d, r: ps_poly({1: 1}, d, r),
+             "cos": ps_cos, "sin": ps_sin, "sinc": ps_sinc, "p": ps_p},
+    "half_pi": {"x": lambda d, r: ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, d, r),
+                "sin": ps_cos, "cos": lambda d, r: ps_sinc(d, r).mul_monomial(1)},
+}
+
+
+def _factors(node: tuple) -> list:
+    return _factors(node[1]) + _factors(node[2]) if node[0] is operator.mul else [node]
+
+
+def _x_power(node: tuple) -> int:
+    """k when the node is x^k (x itself for k = 1), else 0."""
+    if node == ("leaf", "x"):
+        return 1
+    return node[2] if node[0] == "pow" and node[1] == ("leaf", "x") else 0
+
+
 def form_series(inequality_id: str, center: str, degree: int, radius: float) -> PowerSeries:
     """Exact PowerSeries of the entire form in the local variable.
 
@@ -301,59 +355,50 @@ def form_series(inequality_id: str, center: str, degree: int, radius: float) -> 
     """
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
-    one_third = Fraction(1, 3)
-    if center == "zero":
-        if inequality_id == "lemma_phi":
-            return _phi_power_series(degree, radius)
-        cos = ps_cos(degree, radius)
-        sinc = ps_sinc(degree, radius)
-        if inequality_id == "prop1_lower":
-            return ps_p(degree, radius).scale(3) - cos
-        if inequality_id == "prop1_upper":
-            inner = (
-                sinc.int_pow(3).mul_monomial(2)
-                - (sinc * cos.int_pow(2)).scale(3)
-                + cos.int_pow(3).scale(3)
-            )
-            return inner.mul_monomial(1)
-        if inequality_id == "main_lower":
-            return ps_p(degree, radius).scale(3) - sinc
-        if inequality_id == "main_upper":
-            return sinc.int_pow(6) - (ps_p(degree, radius).int_pow(5) * cos).scale(243)
-        if inequality_id == "bs_lower":
-            weight = ps_poly({0: PiPoly({2: 1}), 2: -4}, degree, radius)
-            return (sinc * weight - cos.scale(8)).mul_monomial(1)
-        if inequality_id == "bs_upper":
-            weight = ps_poly({0: PiPoly({2: 1}), 2: -4}, degree, radius)
-            return (cos.scale(PiPoly({2: 1})) - sinc * weight).mul_monomial(1)
-        if inequality_id == "qi_lower":
-            cubic = ps_poly({0: 1, 2: one_third}, degree, radius)
-            return (sinc - cubic * cos - sinc.mul_monomial(4).scale(Fraction(2, 15))).mul_monomial(1)
-        if inequality_id == "qi_upper":
-            cubic = ps_poly({0: 1, 2: one_third}, degree, radius)
-            return (
-                cubic * cos + sinc.mul_monomial(4).scale(PiPoly({-4: 16})) - sinc
-            ).mul_monomial(1)
-        raise DomainError(inequality_id)
-    if center != "half_pi":
-        raise DomainError(f"unknown center {center!r}")
     spec = CATALOG[inequality_id]
-    if spec.vanish_order_half_pi == 0:
+    if center == "zero" and spec.evaluator == "phi":
+        return _phi_power_series(degree, radius)
+    if center == "half_pi" and spec.vanish_order_half_pi == 0:
         raise DomainError(f"{inequality_id} needs no expansion at pi/2")
-    # x = pi/2 - u;  sin x = cos u;  cos x = u sinc u
-    x = ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, degree, radius)
-    sin_x = ps_cos(degree, radius)
-    cos_x = ps_sinc(degree, radius).mul_monomial(1)
-    if inequality_id in ("bs_lower", "bs_upper"):
-        weight = ps_const(PiPoly({2: 1}), degree, radius) - x.int_pow(2).scale(4)
-        if inequality_id == "bs_lower":
-            return sin_x * weight - (x * cos_x).scale(8)
-        return (x * cos_x).scale(PiPoly({2: 1})) - sin_x * weight
-    # qi_upper
-    cubic = x + x.int_pow(3).scale(one_third)
-    return cubic * cos_x + sin_x * (
-        x.int_pow(4).scale(PiPoly({-4: 16})) - ps_const(PiPoly.rational(1), degree, radius)
-    )
+    if center not in _SERIES_LEAVES:
+        raise DomainError(f"unknown center {center!r}")
+    form, builders = compile_form(spec.entire_form), _SERIES_LEAVES[center]
+    missing = form.names - builders.keys()
+    if missing:
+        raise DomainError(f"{inequality_id}: no series of {sorted(missing)} at {center}")
+    leaves = {name: builders[name](degree, radius) for name in form.names}
+    shifts_x = center == "zero"
+
+    def series(node: tuple) -> PowerSeries:
+        kind = node[0]
+        if kind == "const":
+            return ps_const(node[1], degree, radius)
+        if kind == "leaf":
+            return leaves[node[1]]
+        if kind == "pow":
+            return series(node[1]).int_pow(node[2])
+        if kind is not operator.mul:
+            return kind(series(node[1]), series(node[2]))
+        # a product: its series factors multiply left to right; then each x^k
+        # at 0 applies as a coefficient shift and each constant as a scaling,
+        # which cost O(degree) where a full product costs O(degree^2)
+        acc, shifts, consts = None, [], []
+        for f in _factors(node):
+            if f[0] == "const":
+                consts.append(f[1])
+            elif shifts_x and _x_power(f):
+                shifts.append(_x_power(f))
+            else:
+                acc = series(f) if acc is None else acc * series(f)
+        if acc is None:
+            acc = ps_const(PiPoly.rational(1), degree, radius)
+        for k in shifts:
+            acc = acc.mul_monomial(k)
+        for c in consts:
+            acc = acc.scale(c)
+        return acc
+
+    return series(form.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -370,79 +415,48 @@ class EndpointProof:
     leading_coefficient: Interval
 
 
-def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:
-    """Certify F > 0 on (0, delta] by dividing out the vanishing order.
+def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) -> EndpointProof:
+    """Certify F > 0 within `bound` of one endpoint by dividing out its order.
 
-    Verifies that the coefficients below x^k0 vanish exactly in the
-    pre-rounding exact arithmetic (hence their interval versions are the
-    exact [0, 0]), that the leading coefficient matches the catalog, and
-    that the quotient F/x^k0 has a positive interval lower bound on
-    [0, delta].
+    Verifies that the series coefficients below the vanishing order k vanish
+    in exact arithmetic (hence their interval versions are the exact
+    [0, 0]), that the coefficient of u^k matches the catalog, and that the
+    quotient F/u^k has a positive interval lower bound on [0, bound].
     """
     spec = CATALOG[inequality_id]
-    k0 = spec.vanish_order_zero
-    if not 0.0 < delta <= 0.5:
-        raise DomainError("near_zero_proof needs 0 < delta <= 0.5")
-    if degree < k0 + 8:
-        raise DomainError(f"near_zero_proof needs degree >= {k0 + 8}")
-    ps = form_series(inequality_id, "zero", degree, delta)
-    lead = ps.coeffs[k0]
-    if lead != spec.leading_coeff_zero:
-        raise OrderMismatch(
-            f"{inequality_id}: leading coefficient {lead!r} != catalog "
-            f"{spec.leading_coeff_zero!r}"
-        )
-    quotient = ps.divide_power(k0)  # raises OrderMismatch on nonzero low coeffs
-    lb = quotient.eval(Interval(0.0, delta)).lo
-    if lb <= 0.0:
+    if kind == "zero":
+        k, expected, max_bound = spec.vanish_order_zero, spec.leading_coeff_zero, 0.5
+    else:
+        k, expected, max_bound = spec.vanish_order_half_pi, spec.leading_coeff_half_pi, 0.25
+        if k == 0:
+            raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
+    if not 0.0 < bound <= max_bound:
+        raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
+    if degree < k + 8:
+        raise DomainError(f"{kind} endpoint proof needs degree >= {k + 8}")
+    ps = form_series(inequality_id, kind, degree, bound)
+    lead = ps.coeffs[k]
+    if lead != expected:
+        raise OrderMismatch(f"{inequality_id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
+    lead_enc = lead.enclosure()
+    quotient = ps.divide_power(k)  # raises OrderMismatch on nonzero low coeffs
+    lb = quotient.eval(Interval(0.0, bound)).lo
+    if lb <= 0.0 or not certainly_positive(lead_enc):
         raise NotPositive(
-            f"{inequality_id}: quotient bound {lb} on (0, {delta}]; "
-            "shrink delta or raise degree"
+            f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "
+            "shrink the bound or raise the degree"
         )
-    return EndpointProof(
-        kind="zero",
-        bound=delta,
-        order=k0,
-        model_degree=degree,
-        normalized_lower_bound=lb,
-        leading_coefficient=lead.enclosure(),
-    )
+    return EndpointProof(kind, bound, k, degree, lb, lead_enc)
+
+
+def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:
+    """Certify F > 0 on (0, delta] via the exact series at 0."""
+    return _endpoint_proof(inequality_id, "zero", delta, degree)
 
 
 def near_half_pi_proof(inequality_id: str, epsilon_max: float, degree: int) -> EndpointProof:
     """Certify F > 0 on [pi/2 - epsilon_max, pi/2) via the eps-expansion."""
-    spec = CATALOG[inequality_id]
-    k1 = spec.vanish_order_half_pi
-    if k1 == 0:
-        raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
-    if not 0.0 < epsilon_max <= 0.25:
-        raise DomainError("near_half_pi_proof needs 0 < epsilon_max <= 0.25")
-    if degree < k1 + 8:
-        raise DomainError(f"near_half_pi_proof needs degree >= {k1 + 8}")
-    ps = form_series(inequality_id, "half_pi", degree, epsilon_max)
-    lead = ps.coeffs[k1]
-    if lead != spec.leading_coeff_half_pi:
-        raise OrderMismatch(
-            f"{inequality_id}: eps-leading coefficient {lead!r} != catalog "
-            f"{spec.leading_coeff_half_pi!r}"
-        )
-    lead_enc = lead.enclosure()
-    if not certainly_positive(lead_enc):
-        raise NotPositive(f"{inequality_id}: eps^{k1} coefficient not certified positive")
-    quotient = ps.divide_power(k1)
-    lb = quotient.eval(Interval(0.0, epsilon_max)).lo
-    if lb <= 0.0:
-        raise NotPositive(
-            f"{inequality_id}: eps-quotient bound {lb} on (0, {epsilon_max}]"
-        )
-    return EndpointProof(
-        kind="half_pi",
-        bound=epsilon_max,
-        order=k1,
-        model_degree=degree,
-        normalized_lower_bound=lb,
-        leading_coefficient=lead_enc,
-    )
+    return _endpoint_proof(inequality_id, "half_pi", epsilon_max, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +477,13 @@ class CertifyConfig:
     degree: int = 16
     max_depth: int = 48
     min_width: float = 2.0**-40
+    # accepted for compatibility; bisection is serial, so the value changes
+    # neither the output nor the scheduling
     threads: int = 1
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise DomainError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -486,65 +506,30 @@ class Certificate:
     config: CertifyConfig
 
 
-def _classify(f, box: Interval, depth: int):
-    try:
-        margin = f(box)
-    except CosNotPositive:
-        return ("split", None)
-    if certainly_positive(margin):
-        return ("accept", BoxRecord(box, margin, depth))
-    if certainly_negative(margin):
-        return ("falsify", BoxRecord(box, margin, depth))
-    return ("split", BoxRecord(box, margin, depth))
-
-
 def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     """Cover [lo, hi] with certainly-positive boxes by adaptive bisection.
 
-    Returns (accepted, failed, falsified_record, max_depth_reached).  The
-    accepted/failed sets are independent of evaluation order, so threaded
-    runs produce identical results.
+    Returns (accepted, failed, falsified_record, max_depth_reached, worst).
     """
     accepted: list[BoxRecord] = []
     failed: list[BoxRecord] = []
     falsified: list[BoxRecord] = []
     max_depth_seen = 0
-
-    def handle(result, box, depth, frontier):
-        nonlocal max_depth_seen
-        max_depth_seen = max(max_depth_seen, depth)
-        kind, rec = result
-        if kind == "accept":
-            accepted.append(rec)
-        elif kind == "falsify":
-            falsified.append(rec)
-        else:
-            if depth >= cfg.max_depth or box.width <= cfg.min_width:
-                failed.append(
-                    rec if rec is not None else BoxRecord(box, Interval(-1.0, 1.0), depth)
-                )
-            else:
-                a, b = split(box)
-                frontier.append((a, depth + 1))
-                frontier.append((b, depth + 1))
-
     frontier = [(Interval(lo, hi), 0)]
-    if cfg.threads <= 1:
-        while frontier:
-            box, depth = frontier.pop()
-            if falsified:
-                break
-            handle(_classify(f, box, depth), box, depth, frontier)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            while frontier and not falsified:
-                wave = frontier
-                frontier = []
-                results = pool.map(
-                    lambda item: _classify(f, item[0], item[1]), wave
-                )
-                for (box, depth), result in zip(wave, results):
-                    handle(result, box, depth, frontier)
+    while frontier and not falsified:
+        box, depth = frontier.pop()
+        max_depth_seen = max(max_depth_seen, depth)
+        rec = BoxRecord(box, f(box), depth)
+        if certainly_positive(rec.margin):
+            accepted.append(rec)
+        elif certainly_negative(rec.margin):
+            falsified.append(rec)
+        elif depth >= cfg.max_depth or box.width <= cfg.min_width:
+            failed.append(rec)
+        else:
+            a, b = split(box)
+            frontier.append((a, depth + 1))
+            frontier.append((b, depth + 1))
     accepted.sort(key=lambda r: (r.interval.lo, r.interval.hi))
     failed.sort(key=lambda r: (r.interval.lo, r.interval.hi))
     worst = min(failed, key=lambda r: r.margin.lo, default=None)
@@ -566,26 +551,17 @@ def certify(
     spec = CATALOG[inequality_id]
     t0 = time.perf_counter()
     nz = near_zero_proof(inequality_id, cfg.delta, cfg.degree) if use_near_zero else None
-    nh = (
-        near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
-        if spec.vanish_order_half_pi > 0
-        else None
-    )
+    nh = None
+    if spec.vanish_order_half_pi > 0:
+        nh = near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
     lo = cfg.delta if nz else 0.0
     hi = _sub_up(_HALF_PI_HI, cfg.epsilon_max) if nh else _HALF_PI_HI
-    f = _FORMS[inequality_id]
+    f = _evaluator(spec)
     accepted, failed, falsified, depth_seen, worst = _bisect_cover(f, lo, hi, cfg)
     wall = time.perf_counter() - t0
+    status, boxes = ("undecided" if failed else "certified"), accepted
     if falsified is not None:
-        status = "falsified"
-        boxes = [falsified]
-        worst = falsified
-    elif failed:
-        status = "undecided"
-        boxes = accepted
-    else:
-        status = "certified"
-        boxes = accepted
+        status, boxes, worst = "falsified", [falsified], falsified
     return Certificate(
         inequality_id=inequality_id,
         domain=Interval(0.0, _HALF_PI_HI),
@@ -658,14 +634,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         },
         "near_zero_proof": _proof_to_dict(cert.near_zero_proof),
         "near_half_pi_proof": _proof_to_dict(cert.near_half_pi_proof),
-        "boxes": [
-            [
-                *b.interval.to_hex(),
-                *b.margin.to_hex(),
-                b.depth,
-            ]
-            for b in cert.boxes
-        ],
+        "boxes": [[*b.interval.to_hex(), *b.margin.to_hex(), b.depth] for b in cert.boxes],
         "stats": {
             "box_count": cert.stats.box_count,
             "max_depth_reached": cert.stats.max_depth_reached,
@@ -674,8 +643,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    if d.get("schema") != SCHEMA:
-        raise DomainError(f"unknown certificate schema {d.get('schema')!r}")
+    schema = d.get("schema") if isinstance(d, dict) else None
+    if schema != SCHEMA:
+        raise DomainError(f"unknown certificate schema {schema!r}")
+    if not isinstance(d["inequality_id"], str) or not isinstance(d["status"], str):
+        raise DomainError("inequality_id and status must be strings")
     cfg = CertifyConfig(
         delta=float.fromhex(d["config"]["delta"]),
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
@@ -717,8 +689,13 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path) -> Certificate:
+    """Read a certificate file; content that is not a well-formed
+    certificate raises DomainError."""
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        try:
+            return certificate_from_dict(json.load(fh))
+        except (DomainError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+            raise DomainError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -744,31 +721,27 @@ def check_certificate(cert: Certificate) -> CheckResult:
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
 
-    start = 0.0
-    if cert.near_zero_proof is not None:
-        p = cert.near_zero_proof
+    start, end = 0.0, _HALF_PI_HI
+    for p, prove, label in (
+        (cert.near_zero_proof, near_zero_proof, "near-zero"),
+        (cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2"),
+    ):
+        if p is None:
+            continue
         try:
-            fresh = near_zero_proof(cert.inequality_id, p.bound, p.model_degree)
-            if fresh.order != p.order:
-                diagnoses.append("near-zero proof order mismatch")
-            if fresh.normalized_lower_bound != p.normalized_lower_bound:
-                diagnoses.append("near-zero proof bound mismatch")
+            fresh = prove(cert.inequality_id, p.bound, p.model_degree)
+        except (NotPositive, OrderMismatch, DomainError) as exc:
+            diagnoses.append(f"{label} proof failed: {exc}")
+            continue
+        if fresh.order != p.order:
+            diagnoses.append(f"{label} proof order mismatch")
+        if fresh.normalized_lower_bound != p.normalized_lower_bound:
+            diagnoses.append(f"{label} proof bound mismatch")
+        if label == "near-zero":
             start = p.bound
-        except (NotPositive, OrderMismatch, DomainError) as exc:
-            diagnoses.append(f"near-zero proof failed: {exc}")
-    end = _HALF_PI_HI
-    if cert.near_half_pi_proof is not None:
-        p = cert.near_half_pi_proof
-        try:
-            fresh = near_half_pi_proof(cert.inequality_id, p.bound, p.model_degree)
-            if fresh.order != p.order:
-                diagnoses.append("near-pi/2 proof order mismatch")
-            if fresh.normalized_lower_bound != p.normalized_lower_bound:
-                diagnoses.append("near-pi/2 proof bound mismatch")
+        else:
             end = _sub_up(_HALF_PI_HI, p.bound)
-        except (NotPositive, OrderMismatch, DomainError) as exc:
-            diagnoses.append(f"near-pi/2 proof failed: {exc}")
-    elif spec.vanish_order_half_pi > 0:
+    if cert.near_half_pi_proof is None and spec.vanish_order_half_pi > 0:
         diagnoses.append("missing near-pi/2 proof for a form vanishing at pi/2")
     if cert.near_zero_proof is None:
         diagnoses.append("missing near-zero proof")
@@ -785,6 +758,9 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if prev_hi is not None and box.interval.lo != prev_hi:
                 diagnoses.append(f"gap before box {i}")
             prev_hi = box.interval.hi
+            if box.interval.lo < 0.0 or box.interval.hi > _HALF_PI_HI:
+                diagnoses.append(f"box {i}: outside [0, pi/2 + ulp]")
+                continue
             if not certainly_positive(box.margin):
                 diagnoses.append(f"box {i}: margin not positive")
                 continue
@@ -794,3 +770,14 @@ def check_certificate(cert: Certificate) -> CheckResult:
             elif recomputed != box.margin:
                 diagnoses.append(f"box {i}: margin mismatch on re-evaluation")
     return CheckResult(not diagnoses, diagnoses)
+
+
+def check_file(path) -> CheckResult:
+    """Load and re-verify a certificate file.  A file that does not hold a
+    well-formed certificate fails the check with one diagnosis; only a
+    file that cannot be opened raises (OSError)."""
+    try:
+        cert = load_certificate(path)
+    except DomainError as exc:
+        return CheckResult(False, [str(exc)])
+    return check_certificate(cert)

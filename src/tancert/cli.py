@@ -82,9 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--degree", int),
         ("--max-depth", int),
         ("--min-width", float),
-        ("--threads", int),
     ]:
         p_cert.add_argument(flag, type=typ)
+    p_cert.add_argument(
+        "--threads", type=int,
+        help="accepted for compatibility (at least 1); it changes neither the output nor the scheduling",
+    )
 
     p_check = sub.add_parser("check", help="re-verify a certificate file")
     p_check.add_argument("cert_file")
@@ -186,15 +189,11 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig, cert_file: str) -> int:
-    cert = certifier.load_certificate(cert_file)
-    result = certifier.check_certificate(cert)
-    if result.ok:
-        print(f"valid: {cert.inequality_id} ({cert.status}, {len(cert.boxes)} boxes)")
-        return 0
-    print(f"INVALID: {cert.inequality_id}")
+    result = certifier.check_file(cert_file)
+    print(f"{'valid' if result.ok else 'INVALID'}: {cert_file}")
     for d in result.diagnoses:
         print(f"  - {d}")
-    return 3
+    return 0 if result.ok else 3
 
 
 def _cmd_sequences(cfg: RunConfig) -> int:

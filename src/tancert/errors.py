@@ -13,10 +13,6 @@ class CosNotPositive(TancertError):
     """A cosine enclosure touches 0; the caller must shrink its box."""
 
 
-class RadiusTooLarge(TancertError):
-    """A Taylor-model remainder bound is not provably valid at this radius."""
-
-
 class OrderMismatch(TancertError):
     """A coefficient that should vanish exactly at an endpoint does not."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tancert.certifier import (
     certificate_to_json,
     certify,
     check_certificate,
+    compile_form,
     eval_form,
     form_series,
     load_certificate,
@@ -286,6 +288,8 @@ def test_determinism_across_thread_counts():
     a = certificate_to_json(certify("bs_lower", CertifyConfig(threads=1)))
     b = certificate_to_json(certify("bs_lower", CertifyConfig(threads=4)))
     assert a == b
+    with pytest.raises(DomainError):
+        CertifyConfig(threads=0)
 
 
 def test_bisection_insufficiency_guard():
@@ -296,9 +300,9 @@ def test_bisection_insufficiency_guard():
 
 
 def test_falsified_on_negative_form(monkeypatch):
-    monkeypatch.setitem(
-        certifier._FORMS, "main_lower", lambda x: Interval(-2.0, -1.0)
-    )
+    # main_lower = 3p - sinc; the box evaluator looks p_enc up at call time,
+    # while the near-zero proof uses the exact series and still passes
+    monkeypatch.setattr(certifier, "p_enc", lambda x: Interval(-2.0, -1.0))
     cert = certify("main_lower")
     assert cert.status == "falsified"
 
@@ -368,3 +372,35 @@ def test_form_series_requires_known_id():
         form_series("nope", "zero", 16, 0.25)
     with pytest.raises(DomainError):
         eval_form("nope", Interval.point(0.5))
+
+
+def _sympify_form(text):
+    """A catalog string as a sympy expression, parsed without compile_form."""
+    leaves = {"x": _X, "pi": sp.pi, "cos": sp.cos(_X), "sin": sp.sin(_X), "sinc": _SINC, "p": _P}
+    return sp.sympify(text.replace("^", "**"), locals=leaves)
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_catalog_string_is_the_sympy_form(cid):
+    text = CATALOG[cid].entire_form
+    diff = sp.expand(sp.expand_trig(_sympify_form(text) - SYMPY_FORMS[cid]))
+    assert sp.simplify(diff) == 0, cid
+    compile_form(text)  # and the string lies in the form language
+
+
+@pytest.mark.parametrize(
+    "text", ["3*tan - cos", "x^(1/2)", "x^-1", "sinc/cos", "x/(2 - 2)", "cos(3*x)", "3*p -", "x < 1"]
+)
+def test_compile_form_rejects_text_outside_the_language(text):
+    with pytest.raises(DomainError):
+        compile_form(text)
+
+
+def test_new_catalog_entry_needs_no_evaluator_code(monkeypatch):
+    spec = dataclasses.replace(CATALOG["main_lower"], id="main_lower_copy")
+    monkeypatch.setitem(CATALOG, spec.id, spec)
+    cert = certify(spec.id)
+    assert cert.status == "certified" and check_certificate(cert).ok
+    doc = certificate_to_dict(cert)
+    doc["inequality_id"] = "main_lower"
+    assert doc == certificate_to_dict(certify("main_lower"))

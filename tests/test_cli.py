@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tancert
-from tancert import cli
+from tancert import certifier, cli
 from tancert.certifier import CATALOG, load_certificate
 
 
@@ -57,6 +59,8 @@ def test_undecided_exit_code(tmp_path, monkeypatch):
     assert code == 2
     cert = load_certificate(tmp_path / "cert-main_upper.json")
     assert cert.status == "undecided"
+    # an undecided record makes no claim, so it checks valid
+    assert run_cli(["check", str(tmp_path / "cert-main_upper.json")], tmp_path, monkeypatch) == 0
 
 
 def test_sequences_table(tmp_path, monkeypatch, capsys):
@@ -111,6 +115,46 @@ def test_check_tampered_file_exit_code(tmp_path, monkeypatch):
     doc["boxes"] = doc["boxes"][:-1]
     path.write_text(json.dumps(doc))
     assert run_cli(["check", str(path)], tmp_path, monkeypatch) == 3
+
+
+def _set_box_entry(column, value):
+    def tamper(doc):
+        doc["boxes"][0][column] = value
+    return tamper
+
+
+def _invert_first_box(doc):
+    row = doc["boxes"][0]
+    row[0], row[1] = row[1], row[0]
+
+
+TAMPERINGS = {
+    "missing boxes key": lambda doc: doc.pop("boxes"),
+    "bad hex": _set_box_entry(0, "0x1.zzp+0"),
+    "non-JSON file": None,
+    "box below 0": _set_box_entry(0, (-0.5).hex()),
+    "inverted box": _invert_first_box,
+    "NaN margin": _set_box_entry(2, "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_check_tampered_certificate_exits_3_with_one_diagnosis(case, tmp_path, monkeypatch, capsys):
+    run_cli(["certify", "bs_lower"], tmp_path, monkeypatch)
+    path = tmp_path / "cert-bs_lower.json"
+    if TAMPERINGS[case] is None:
+        path.write_text("{ not json")
+    else:
+        doc = json.loads(path.read_text())
+        TAMPERINGS[case](doc)
+        path.write_text(json.dumps(doc))
+    result = certifier.check_file(path)
+    assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
+    capsys.readouterr()
+    assert run_cli(["check", str(path)], tmp_path, monkeypatch) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"INVALID: {path}", f"  - {result.diagnoses[0]}"]
+    assert err == ""
 
 
 def test_idempotent_reruns_byte_identical(tmp_path, monkeypatch):
