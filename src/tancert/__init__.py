@@ -52,20 +52,31 @@ from .certifier import (
     near_zero_proof,
     save_certificate,
 )
-from .analysis import (
-    CrossoverResult,
-    RatioSample,
-    ReplayReport,
-    ScanReport,
-    crossover_lower,
-    crossover_upper,
-    exponent_ratio,
-    optimality_scan,
-    replay_identity,
-)
 from . import errors
 
 __version__ = "0.1.0"
+
+# `analysis` loads mpmath (about 40 ms), which certify and check never use,
+# so its names are imported on first access.
+_ANALYSIS_EXPORTS = {
+    "CrossoverResult",
+    "RatioSample",
+    "ReplayReport",
+    "ScanReport",
+    "crossover_lower",
+    "crossover_upper",
+    "exponent_ratio",
+    "optimality_scan",
+    "replay_identity",
+}
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_EXPORTS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Interval",

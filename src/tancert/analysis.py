@@ -32,6 +32,7 @@ from .interval import (
     pi_enclosure,
     rational_enclosure,
 )
+from .sequences import REPLAY_IDENTITIES  # re-exported; named where the CLI parser reads it
 from fractions import Fraction
 
 _HALF_PI_FLOOR = 1.5707963267948966  # float just below pi/2
@@ -247,9 +248,6 @@ def _replay_pairs(which: str):
 
         return lhs, rhs
     raise DomainError(f"unknown identity {which!r}")
-
-
-REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime")
 
 
 def replay_identity(

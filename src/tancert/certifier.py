@@ -8,9 +8,10 @@ x^k > 0, or raising two positive sides to the 5th power); each catalog
 entry records its own derivation.
 
 The catalog string `entire_form` is the only definition of F.  It is
-compiled once into an expression tree that two backends evaluate: outward-
-rounded intervals for box margins, and exact power series at 0 and at pi/2
-for the endpoint proofs.
+compiled once into an expression tree that three backends evaluate:
+outward-rounded intervals, forward-mode (value, derivative) intervals for
+the mean-value form, and exact power series at 0 and at pi/2 for the
+endpoint proofs.
 
 A certificate for F > 0 has three parts:
 
@@ -21,6 +22,15 @@ A certificate for F > 0 has three parts:
                    vanishes there (k1 > 0);
   * the middle:    adaptive bisection into boxes whose interval margins
                    are certainly positive.
+
+A box margin of a "direct" form is, under schema tancert-cert-v2, the
+naive interval enclosure of F intersected with the centered (mean-value)
+form F(m) + F'(X)(X - m), m the box midpoint (Moore 1966; Neumaier 1990,
+ch. 2); both enclose the range of F, so their intersection does too.
+Boxes touching 0 keep the naive margin, because p' = (sinc - 3p)/x
+divides by x.  Schema tancert-cert-v1 margins are the naive enclosure
+alone; the checker recomputes each file's margins under the schema it
+names, so v1 files still check.
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -52,7 +62,13 @@ from .interval import (
 from .sequences import phi_lemma_enc, t_seq
 from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
-SCHEMA = "tancert-cert-v1"
+SCHEMA = "tancert-cert-v2"  # written by certify; margins are centered
+SCHEMA_V1 = "tancert-cert-v1"  # still checked; margins are naive
+
+# Largest series degree a config or a certificate may name: the exact series
+# build grows like degree^2.3 (degree 512 takes about 20 s), and the widest
+# shipped configuration uses 96.
+MAX_DEGREE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +237,21 @@ def _tree(e: ast.expr) -> tuple:
 class CompiledForm:
     tree: tuple
     names: frozenset  # the leaves the form uses
-    interval: Callable[[Interval], Interval]  # enclosure of F over a box
+    interval: Callable[[Interval], Interval]  # naive enclosure of F over a box
+    # (naive enclosure of F, enclosure of F' or None where F' is 0) over a
+    # box with x.lo > 0
+    dual: Callable[[Interval], tuple[Interval, Interval | None]]
+
+    def centered(self, x: Interval) -> Interval:
+        """Naive enclosure of F over x intersected with F(m) + F'(x)(x - m)."""
+        if x.lo <= 0.0:
+            return self.interval(x)
+        naive, slope = self.dual(x)
+        if slope is None:
+            return naive
+        m = Interval.point(x.mid)
+        mean_value = self.interval(m) + slope * (x - m)
+        return Interval(max(naive.lo, mean_value.lo), min(naive.hi, mean_value.hi))
 
 
 @cache
@@ -232,9 +262,11 @@ def compile_form(text: str) -> CompiledForm:
     except SyntaxError as exc:
         raise DomainError(f"form {text!r}: {exc.msg}") from None
     tree = _tree(expr)
-    body = _interval_node(tree)
+    body, dual = _interval_node(tree), _dual_node(tree)
     names = frozenset(n.id for n in ast.walk(expr) if isinstance(n, ast.Name)) - {"pi"}
-    return CompiledForm(tree, names, lambda x: body(_BoxLeaves(x=x)))
+    return CompiledForm(
+        tree, names, lambda x: body(_BoxLeaves(x=x)), lambda x: dual(_BoxLeaves(x=x))
+    )
 
 
 # Interval backend.  The enclosure functions are module globals looked up at call time.
@@ -269,6 +301,58 @@ def _interval_node(node: tuple) -> Callable[[dict], Interval]:
     return lambda v: kind(left(v), right(v))
 
 
+# Derivative backend: forward mode over the same tree and the same cached
+# leaf enclosures, with the entire derivative rules of each leaf.  A slope of
+# None stands for an exact 0.  p' = (sinc - 3p)/x needs x > 0.
+_ONE = Interval(1.0, 1.0)
+_BOX_SLOPES = {
+    "x": lambda v: _ONE,
+    "cos": lambda v: -(v["x"] * v["sinc"]),
+    "sin": lambda v: v["cos"],
+    "sinc": lambda v: -(v["x"] * v["p"]),
+    "p": lambda v: (v["sinc"] - v["p"].scale(3)) / v["x"],
+}
+
+
+def _add_slopes(op, da: Interval | None, db: Interval | None) -> Interval | None:
+    if db is None:
+        return da
+    if da is None:
+        return -db if op is operator.sub else db
+    return op(da, db)
+
+
+def _dual_node(node: tuple) -> Callable[[dict], tuple[Interval, Interval | None]]:
+    kind = node[0]
+    if kind == "const":
+        enc = node[1].enclosure()
+        return lambda v: (enc, None)
+    if kind == "leaf":
+        name, slope = node[1], _BOX_SLOPES[node[1]]
+        return lambda v: (v[name], slope(v))
+    if kind == "pow":
+        base, k = _dual_node(node[1]), node[2]
+
+        def power(v):
+            a, da = base(v)
+            if da is None or k == 0:
+                return int_pow(a, k), None
+            return int_pow(a, k), int_pow(a, k - 1).scale(k) * da
+
+        return power
+    left, right = _dual_node(node[1]), _dual_node(node[2])
+
+    def combine(v):
+        (a, da), (b, db) = left(v), right(v)
+        if kind is not operator.mul:
+            return kind(a, b), _add_slopes(kind, da, db)
+        da = None if da is None else da * b
+        db = None if db is None else a * db
+        return a * b, _add_slopes(operator.add, da, db)
+
+    return combine
+
+
 # The qi margins scale like x^7/105 and x^5/32 near 0, so their difference
 # forms lose everything to cancellation there; evaluate F as x^k0 * (F/x^k0)
 # with the exact divided series, whose tail is rigorous out to pi/2 at this
@@ -279,9 +363,11 @@ _FACTORED_DEGREE = 40
 _factored_cache: dict[InequalitySpec, PowerSeries] = {}
 
 
-def _evaluator(spec: InequalitySpec) -> Callable[[Interval], Interval]:
+def _evaluator(spec: InequalitySpec, schema: str = SCHEMA) -> Callable[[Interval], Interval]:
+    """Box margins of one form as the given certificate schema defines them."""
     if spec.evaluator == "direct":
-        return compile_form(spec.entire_form).interval
+        form = compile_form(spec.entire_form)
+        return form.interval if schema == SCHEMA_V1 else form.centered
     if spec.evaluator == "phi":
         return phi_lemma_enc
     if spec.evaluator != "factored":
@@ -293,13 +379,14 @@ def _evaluator(spec: InequalitySpec) -> Callable[[Interval], Interval]:
     return lambda x: int_pow(x, k0) * quotient.eval(x)
 
 
-def eval_form(inequality_id: str, x: Interval) -> Interval:
-    """Enclosure of the entire-form numerator F over x."""
+def eval_form(inequality_id: str, x: Interval, *, schema: str = SCHEMA) -> Interval:
+    """Enclosure of the entire-form numerator F over x: the box margin that
+    a certificate of `schema` (by default the current one) records."""
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
-    return _evaluator(CATALOG[inequality_id])(x)
+    return _evaluator(CATALOG[inequality_id], schema)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +519,8 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
     if not 0.0 < bound <= max_bound:
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
-    if degree < k + 8:
-        raise DomainError(f"{kind} endpoint proof needs degree >= {k + 8}")
+    if not k + 8 <= degree <= MAX_DEGREE:
+        raise DomainError(f"{kind} endpoint proof needs {k + 8} <= degree <= {MAX_DEGREE}")
     ps = form_series(inequality_id, kind, degree, bound)
     lead = ps.coeffs[k]
     if lead != expected:
@@ -484,6 +571,8 @@ class CertifyConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
+        if self.degree > MAX_DEGREE:
+            raise DomainError(f"degree must be at most {MAX_DEGREE}, got {self.degree}")
 
 
 @dataclass
@@ -504,19 +593,28 @@ class Certificate:
     boxes: list[BoxRecord]
     stats: CertStats
     config: CertifyConfig
+    schema: str = SCHEMA  # which evaluator the margins came from
+
+
+# Bisection gives up after this many boxes that reach max_depth or min_width
+# without a sign: the answer is then "undecided" whatever the rest yields, and
+# near a zero of the margin the failing leaves would otherwise number ~10^5.
+MAX_FAILED_LEAVES = 64
 
 
 def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     """Cover [lo, hi] with certainly-positive boxes by adaptive bisection.
 
-    Returns (accepted, failed, falsified_record, max_depth_reached, worst).
+    Stops at the first certainly-negative box or after MAX_FAILED_LEAVES
+    unresolved leaves.  Returns (accepted, failed, falsified_record,
+    max_depth_reached, worst).
     """
     accepted: list[BoxRecord] = []
     failed: list[BoxRecord] = []
     falsified: list[BoxRecord] = []
     max_depth_seen = 0
     frontier = [(Interval(lo, hi), 0)]
-    while frontier and not falsified:
+    while frontier and not falsified and len(failed) < MAX_FAILED_LEAVES:
         box, depth = frontier.pop()
         max_depth_seen = max(max_depth_seen, depth)
         rec = BoxRecord(box, f(box), depth)
@@ -584,7 +682,7 @@ def certify_all(cfg: CertifyConfig = CertifyConfig()) -> dict[str, Certificate]:
 
 
 # ---------------------------------------------------------------------------
-# serialization (schema tancert-cert-v1; all floats as hex strings)
+# serialization (schemas tancert-cert-v1 and -v2; all floats as hex strings)
 # ---------------------------------------------------------------------------
 
 def _hex(x: float) -> str:
@@ -621,7 +719,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     """JSON-ready dict.  wall_time and threads are execution details and
     deliberately absent so identical configs yield identical bytes."""
     return {
-        "schema": SCHEMA,
+        "schema": cert.schema,
         "inequality_id": cert.inequality_id,
         "status": cert.status,
         "domain": list(cert.domain.to_hex()),
@@ -644,7 +742,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(d: dict) -> Certificate:
     schema = d.get("schema") if isinstance(d, dict) else None
-    if schema != SCHEMA:
+    if schema not in (SCHEMA_V1, SCHEMA):
         raise DomainError(f"unknown certificate schema {schema!r}")
     if not isinstance(d["inequality_id"], str) or not isinstance(d["status"], str):
         raise DomainError("inequality_id and status must be strings")
@@ -676,6 +774,7 @@ def certificate_from_dict(d: dict) -> Certificate:
             wall_time=0.0,
         ),
         config=cfg,
+        schema=schema,
     )
 
 
@@ -728,6 +827,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
     ):
         if p is None:
             continue
+        # the box cover must reach the region the proof claims, proven or not
+        if label == "near-zero":
+            start = p.bound
+        else:
+            end = _sub_up(_HALF_PI_HI, p.bound)
         try:
             fresh = prove(cert.inequality_id, p.bound, p.model_degree)
         except (NotPositive, OrderMismatch, DomainError) as exc:
@@ -737,18 +841,22 @@ def check_certificate(cert: Certificate) -> CheckResult:
             diagnoses.append(f"{label} proof order mismatch")
         if fresh.normalized_lower_bound != p.normalized_lower_bound:
             diagnoses.append(f"{label} proof bound mismatch")
-        if label == "near-zero":
-            start = p.bound
-        else:
-            end = _sub_up(_HALF_PI_HI, p.bound)
     if cert.near_half_pi_proof is None and spec.vanish_order_half_pi > 0:
         diagnoses.append("missing near-pi/2 proof for a form vanishing at pi/2")
     if cert.near_zero_proof is None:
         diagnoses.append("missing near-zero proof")
 
+    if cert.stats.box_count != len(cert.boxes):
+        diagnoses.append(f"stats.box_count {cert.stats.box_count} != {len(cert.boxes)} boxes")
     if not cert.boxes:
         diagnoses.append("no covering boxes")
     else:
+        deepest = max(box.depth for box in cert.boxes)
+        if cert.stats.max_depth_reached != deepest:
+            diagnoses.append(
+                f"stats.max_depth_reached {cert.stats.max_depth_reached} != "
+                f"largest box depth {deepest}"
+            )
         if cert.boxes[0].interval.lo > start:
             diagnoses.append("gap at lower end of box cover")
         if cert.boxes[-1].interval.hi < end:
@@ -758,13 +866,15 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if prev_hi is not None and box.interval.lo != prev_hi:
                 diagnoses.append(f"gap before box {i}")
             prev_hi = box.interval.hi
+            if not 0 <= box.depth <= cert.config.max_depth:
+                diagnoses.append(f"box {i}: depth {box.depth} outside [0, max_depth]")
             if box.interval.lo < 0.0 or box.interval.hi > _HALF_PI_HI:
                 diagnoses.append(f"box {i}: outside [0, pi/2 + ulp]")
                 continue
             if not certainly_positive(box.margin):
                 diagnoses.append(f"box {i}: margin not positive")
                 continue
-            recomputed = eval_form(cert.inequality_id, box.interval)
+            recomputed = eval_form(cert.inequality_id, box.interval, schema=cert.schema)
             if not certainly_positive(recomputed):
                 diagnoses.append(f"box {i}: margin not verifiable")
             elif recomputed != box.margin:

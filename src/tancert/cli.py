@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import analysis, certifier, sequences
+from . import certifier, sequences
 from .errors import IdentityViolation, NoSignChange, TancertError
 
 DEFAULTS = {
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--tol", type=float)
 
     p_replay = sub.add_parser("replay", help="replay a proof identity numerically")
-    p_replay.add_argument("identity", choices=list(analysis.REPLAY_IDENTITIES))
+    p_replay.add_argument("identity", choices=list(sequences.REPLAY_IDENTITIES))
     p_replay.add_argument("--samples", type=int)
     p_replay.add_argument("--tol", type=float)
     return parser
@@ -178,11 +178,15 @@ def _cmd_certify(cfg: RunConfig) -> int:
         cert = certifier.certify(cid, ccfg)
         path = outdir / f"cert-{cid}.json"
         certifier.save_certificate(cert, path)
-        print(
+        line = (
             f"{cert.status:10s} {cid:12s} boxes={cert.stats.box_count:5d} "
             f"depth={cert.stats.max_depth_reached:2d} "
             f"time={cert.stats.wall_time:.2f}s -> {path}"
         )
+        box = cert.stats.worst_box
+        if box is not None:
+            line += f" worst={box.interval} margin={box.margin}"
+        print(line)
         if cert.status != "certified":
             worst = 2
     return worst
@@ -220,7 +224,11 @@ def _parse_grid(spec: str) -> list[float]:
     return [a + i * (b - a) / (n - 1) for i in range(n)]
 
 
+# `analysis` loads mpmath, so only the commands that need it import it.
+
 def _cmd_phi(cfg: RunConfig, grid_spec: str) -> int:
+    from . import analysis
+
     grid = _parse_grid(grid_spec)
     report = analysis.optimality_scan(grid, cfg.precision_bits)
     rows = ["x,phi"]
@@ -236,6 +244,8 @@ def _cmd_phi(cfg: RunConfig, grid_spec: str) -> int:
 
 
 def _cmd_crossover(cfg: RunConfig, which: str) -> int:
+    from . import analysis
+
     fn = analysis.crossover_upper if which == "upper" else analysis.crossover_lower
     result = fn(cfg.tol)
     doc = {
@@ -255,6 +265,8 @@ def _cmd_crossover(cfg: RunConfig, which: str) -> int:
 
 
 def _cmd_replay(cfg: RunConfig, identity: str) -> int:
+    from . import analysis
+
     report = analysis.replay_identity(identity, samples=cfg.samples, tol=cfg.tol)
     print(
         f"{identity}: {report.samples} samples, worst residual "

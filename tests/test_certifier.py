@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +11,8 @@ import sympy as sp
 from tancert import certifier
 from tancert.certifier import (
     CATALOG,
+    MAX_DEGREE,
+    MAX_FAILED_LEAVES,
     BoxRecord,
     CertifyConfig,
     certificate_from_dict,
@@ -16,6 +20,7 @@ from tancert.certifier import (
     certificate_to_json,
     certify,
     check_certificate,
+    check_file,
     compile_form,
     eval_form,
     form_series,
@@ -299,6 +304,16 @@ def test_bisection_insufficiency_guard():
     assert cert.near_zero_proof is None
 
 
+def test_bisection_stops_after_failed_leaf_budget():
+    # a margin that never resolves: 256 leaves at depth 8 without the budget
+    accepted, failed, falsified, depth, worst = _bisect_cover(
+        lambda box: Interval(-1.0, 1.0), 0.1, 0.2, CertifyConfig(max_depth=8)
+    )
+    assert len(failed) == MAX_FAILED_LEAVES
+    assert falsified is None and not accepted
+    assert worst in failed
+
+
 def test_falsified_on_negative_form(monkeypatch):
     # main_lower = 3p - sinc; the box evaluator looks p_enc up at call time,
     # while the near-zero proof uses the exact series and still passes
@@ -327,7 +342,7 @@ def test_serialization_round_trip(tmp_path):
 def test_schema_field(tmp_path):
     cert = certify("prop1_lower")
     doc = certificate_to_dict(cert)
-    assert doc["schema"] == "tancert-cert-v1"
+    assert doc["schema"] == "tancert-cert-v2"
     doc["schema"] = "v0"
     with pytest.raises(DomainError):
         certificate_from_dict(doc)
@@ -365,6 +380,33 @@ def test_check_detects_missing_tail_coverage():
     result = check_certificate(cert)
     assert not result.ok
     assert any("gap" in d for d in result.diagnoses)
+
+
+def test_series_degree_is_capped(tmp_path):
+    with pytest.raises(DomainError):
+        CertifyConfig(degree=MAX_DEGREE + 1)
+    with pytest.raises(DomainError):
+        near_zero_proof("main_upper", 0.25, MAX_DEGREE + 1)
+    doc = certificate_to_dict(certify("main_upper"))
+    doc["near_zero_proof"]["model_degree"] = 512
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = check_file(path)
+    assert time.perf_counter() - start < 1.0
+    assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
+
+
+@pytest.mark.parametrize("cid", sorted(c for c, s in CATALOG.items() if s.evaluator == "direct"))
+def test_derivative_walk_contains_the_derivative(cid):
+    cfg, rng = CertifyConfig(), random.Random(4242)
+    dual = compile_form(CATALOG[cid].entire_form).dual
+    with mp.workdps(60):
+        for _ in range(200):
+            x = rng.uniform(cfg.delta, 1.5707963267948966 - cfg.epsilon_max)
+            value, slope = dual(Interval.point(x))
+            assert contains(value, mp_form(cid, x)), (cid, x)
+            assert contains(slope, mp.diff(lambda t: mp_form(cid, t), x)), (cid, x)
 
 
 def test_form_series_requires_known_id():

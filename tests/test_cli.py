@@ -52,11 +52,13 @@ def test_help_exits_zero(tmp_path, monkeypatch):
     assert run_cli(["--help"], tmp_path, monkeypatch) == 0
 
 
-def test_undecided_exit_code(tmp_path, monkeypatch):
+def test_undecided_exit_code(tmp_path, monkeypatch, capsys):
     code = run_cli(
         ["certify", "main_upper", "--max-depth", "0"], tmp_path, monkeypatch
     )
     assert code == 2
+    # the one unresolved box is named on the status line
+    assert "worst=[0.25, 1.5707963267948968] margin=[" in capsys.readouterr().out
     cert = load_certificate(tmp_path / "cert-main_upper.json")
     assert cert.status == "undecided"
     # an undecided record makes no claim, so it checks valid
@@ -128,6 +130,20 @@ def _invert_first_box(doc):
     row[0], row[1] = row[1], row[0]
 
 
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def tamper(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return tamper
+
+
+def _deepen_first_box(doc):
+    doc["boxes"][0][4] = doc["stats"]["max_depth_reached"] = 77
+
+
 TAMPERINGS = {
     "missing boxes key": lambda doc: doc.pop("boxes"),
     "bad hex": _set_box_entry(0, "0x1.zzp+0"),
@@ -135,6 +151,10 @@ TAMPERINGS = {
     "box below 0": _set_box_entry(0, (-0.5).hex()),
     "inverted box": _invert_first_box,
     "NaN margin": _set_box_entry(2, "nan"),
+    "model degree 512": _set("near_zero_proof", "model_degree", 512),
+    "stats box_count": _set("stats", "box_count", 5),
+    "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
+    "box depth above max_depth": _deepen_first_box,
 }
 
 
