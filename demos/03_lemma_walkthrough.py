@@ -9,8 +9,9 @@ big-integer arithmetic until the final interval evaluation.  Run:
 """
 
 from tancert import (
+    CertifyConfig,
     Interval,
-    certify_phi_positive,
+    certify,
     half_pi_enclosure,
     phi_lemma_enc,
     phi_trig_enc,
@@ -44,8 +45,8 @@ for xv in (0.5, 1.0, 1.5):
 hp = half_pi_enclosure()
 print(f"\nat pi/2 the series pins down phi = 2*pi: {phi_lemma_enc(hp)}")
 
-cert = certify_phi_positive()
+cert = certify("lemma_phi", CertifyConfig())
 print(
-    f"\ncertify_phi_positive -> {cert.status} "
+    f"\ncertify lemma_phi -> {cert.status} "
     f"({cert.stats.box_count} boxes, near-zero order {cert.near_zero_proof.order})"
 )

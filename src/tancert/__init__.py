@@ -27,7 +27,6 @@ from .sequences import (
     ShiftIdentityReport,
     a_seq,
     b_seq,
-    certify_phi_positive,
     phi_lemma_enc,
     phi_trig_enc,
     seq_term,
@@ -106,7 +105,6 @@ __all__ = [
     "ShiftIdentityReport",
     "phi_lemma_enc",
     "phi_trig_enc",
-    "certify_phi_positive",
     "CATALOG",
     "InequalitySpec",
     "CertifyConfig",

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial
+from math import factorial, inf
 from typing import Callable
 
 from .enclosures import cos_enc, p_enc, sinc_enc
@@ -69,6 +69,11 @@ SCHEMA_V1 = "tancert-cert-v1"  # still checked; margins are naive
 # build grows like degree^2.3 (degree 512 takes about 20 s), and the widest
 # shipped configuration uses 96.
 MAX_DEGREE = 128
+
+# Deepest bisection a config may name: 60 halvings of [0, pi/2] already give
+# boxes narrower than the float spacing near 1/128, so deeper levels cannot
+# split a box of the middle cover.
+MAX_DEPTH = 60
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +578,10 @@ class CertifyConfig:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
         if self.degree > MAX_DEGREE:
             raise DomainError(f"degree must be at most {MAX_DEGREE}, got {self.degree}")
+        if not isinstance(self.max_depth, int) or not 0 <= self.max_depth <= MAX_DEPTH:
+            raise DomainError(f"max_depth must be an int in [0, {MAX_DEPTH}], got {self.max_depth!r}")
+        if not 0.0 < self.min_width < inf:
+            raise DomainError(f"min_width must be finite and positive, got {self.min_width!r}")
 
 
 @dataclass
@@ -820,10 +829,12 @@ def check_certificate(cert: Certificate) -> CheckResult:
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
 
+    cfg = cert.config
     start, end = 0.0, _HALF_PI_HI
-    for p, prove, label in (
-        (cert.near_zero_proof, near_zero_proof, "near-zero"),
-        (cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2"),
+    off_degree = []
+    for p, prove, label, name, configured in (
+        (cert.near_zero_proof, near_zero_proof, "near-zero", "delta", cfg.delta),
+        (cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2", "epsilon_max", cfg.epsilon_max),
     ):
         if p is None:
             continue
@@ -832,6 +843,12 @@ def check_certificate(cert: Certificate) -> CheckResult:
             start = p.bound
         else:
             end = _sub_up(_HALF_PI_HI, p.bound)
+        if p.bound != configured:
+            diagnoses.append(f"{label} proof bound {p.bound!r} != config.{name} {configured!r}")
+        if p.model_degree != cfg.degree:
+            # not re-proven: the config does not describe this proof
+            off_degree.append(label)
+            continue
         try:
             fresh = prove(cert.inequality_id, p.bound, p.model_degree)
         except (NotPositive, OrderMismatch, DomainError) as exc:
@@ -841,6 +858,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
             diagnoses.append(f"{label} proof order mismatch")
         if fresh.normalized_lower_bound != p.normalized_lower_bound:
             diagnoses.append(f"{label} proof bound mismatch")
+    if off_degree:
+        diagnoses.append(
+            f"{' and '.join(off_degree)} proof model_degree != config.degree {cfg.degree}"
+        )
     if cert.near_half_pi_proof is None and spec.vanish_order_half_pi > 0:
         diagnoses.append("missing near-pi/2 proof for a form vanishing at pi/2")
     if cert.near_zero_proof is None:
@@ -866,7 +887,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if prev_hi is not None and box.interval.lo != prev_hi:
                 diagnoses.append(f"gap before box {i}")
             prev_hi = box.interval.hi
-            if not 0 <= box.depth <= cert.config.max_depth:
+            if not 0 <= box.depth <= cfg.max_depth:
                 diagnoses.append(f"box {i}: depth {box.depth} outside [0, max_depth]")
             if box.interval.lo < 0.0 or box.interval.hi > _HALF_PI_HI:
                 diagnoses.append(f"box {i}: outside [0, pi/2 + ulp]")

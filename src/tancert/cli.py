@@ -14,66 +14,39 @@ failed.
 Outputs are deterministic: floats are serialized as hex strings and
 files carry no timestamps, so reruns with the same configuration are
 byte-identical.  Human-readable decimals appear only on stdout.
-Configuration precedence: flags > --config JSON file > built-in
-defaults.  The output directory is --out, else $TANCERT_OUT, else
-./out.
+Configuration precedence: flags > --config JSON file > defaults.  A file
+value is parsed as if it were the flag's text, so it passes the same type
+checks.  The certify defaults are those of `certifier.CertifyConfig`; the
+other commands' defaults are on their own options.  The output directory
+is --out, else the file's "out", else $TANCERT_OUT, else ./out.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import certifier, sequences
 from .errors import IdentityViolation, NoSignChange, TancertError
 
-DEFAULTS = {
-    "delta": 0.25,
-    "epsilon_max": 0.125,
-    "degree": 16,
-    "max_depth": 48,
-    "min_width": 2.0**-40,
-    "threads": 1,
-    "samples": 50,
-    "tol": 1e-3,
-    "precision_bits": 200,
-    "n_max": 20,
-    "format": "json",
-}
 
-
-@dataclass
-class RunConfig:
-    command: str
-    inequality_id: str | None = None
-    delta: float = DEFAULTS["delta"]
-    epsilon_max: float = DEFAULTS["epsilon_max"]
-    degree: int = DEFAULTS["degree"]
-    max_depth: int = DEFAULTS["max_depth"]
-    min_width: float = DEFAULTS["min_width"]
-    threads: int = DEFAULTS["threads"]
-    samples: int = DEFAULTS["samples"]
-    tol: float = DEFAULTS["tol"]
-    precision_bits: int = DEFAULTS["precision_bits"]
-    n_max: int = DEFAULTS["n_max"]
-    out_path: str = ""
-    format: str = DEFAULTS["format"]
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="tancert",
         description="certificates and numerics for sharp tangent inequalities",
     )
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--out", help="output directory (default $TANCERT_OUT or ./out)")
-    parser.add_argument("--format", choices=["json", "csv"], help="stdout echo format")
+    parser.add_argument("--config", help="JSON file of option values; flags override it")
+    parser.add_argument(
+        "--out", help="output directory (default: the config file's out, $TANCERT_OUT or ./out)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # left unset, each option takes its CertifyConfig default
     p_cert = sub.add_parser("certify", help="certify one inequality or all")
     p_cert.add_argument("inequality_id", metavar="id", help="catalog id or 'all'")
     for flag, typ in [
@@ -93,86 +66,68 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("cert_file")
 
     p_seq = sub.add_parser("sequences", help="exact sequence table as CSV")
-    p_seq.add_argument("--n-max", type=int)
+    p_seq.add_argument("--n-max", type=int, default=20)
 
     p_phi = sub.add_parser("phi", help="exponent-ratio sweep")
     p_phi.add_argument("--grid", required=True, metavar="a:b:n")
-    p_phi.add_argument("--precision-bits", type=int)
+    p_phi.add_argument("--precision-bits", type=int, default=200)
 
     p_cross = sub.add_parser("crossover", help="certified crossover bracket")
     p_cross.add_argument("which", choices=["upper", "lower"])
-    p_cross.add_argument("--tol", type=float)
+    p_cross.add_argument("--tol", type=float, default=1e-3)
 
     p_replay = sub.add_parser("replay", help="replay a proof identity numerically")
     p_replay.add_argument("identity", choices=list(sequences.REPLAY_IDENTITIES))
-    p_replay.add_argument("--samples", type=int)
-    p_replay.add_argument("--tol", type=float)
-    return parser
+    p_replay.add_argument("--samples", type=int, default=50)
+    # replay compares 80-digit evaluations, not brackets
+    p_replay.add_argument("--tol", type=float, default=1e-25)
+    return parser, sub.choices
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if args.config:
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; the --config file's values become string defaults of the
+    chosen command's options, and a second parse applies their types."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
         with open(args.config) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise TancertError("--config must hold a JSON object")
-
-    def pick(name, flag_value):
-        if flag_value is not None:
-            return flag_value
-        if name in file_values:
-            return file_values[name]
-        return DEFAULTS[name]
-
-    cfg = RunConfig(command=args.command)
-    cfg.inequality_id = getattr(args, "inequality_id", None) or getattr(
-        args, "which", None
-    ) or getattr(args, "identity", None)
-    for name in (
-        "delta",
-        "epsilon_max",
-        "degree",
-        "max_depth",
-        "min_width",
-        "threads",
-        "samples",
-        "tol",
-        "precision_bits",
-        "n_max",
-        "format",
-    ):
-        setattr(cfg, name, pick(name, getattr(args, name, None)))
-    if args.command == "replay" and getattr(args, "tol", None) is None and "tol" not in file_values:
-        cfg.tol = 1e-25  # replay compares 80-digit evaluations, not brackets
-    out = args.out or file_values.get("out") or os.environ.get("TANCERT_OUT") or "./out"
-    cfg.out_path = str(out)
-    return cfg
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise TancertError(f"--config {args.config}: {exc}") from None
+    if not isinstance(values, dict):
+        raise TancertError(f"--config {args.config}: must hold a JSON object")
+    for key, value in values.items():
+        if value is None:  # null leaves the option at its default
+            continue
+        if key == "out":
+            parser.set_defaults(out=str(value))
+        elif key in vars(args) and key not in ("command", "config"):
+            commands[args.command].set_defaults(**{key: str(value)})
+    return parser.parse_args(argv)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out_path)
+def _outdir(args: argparse.Namespace) -> Path:
+    path = Path(args.out or os.environ.get("TANCERT_OUT") or "./out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    ids = list(certifier.CATALOG) if cfg.inequality_id == "all" else [cfg.inequality_id]
+def _cmd_certify(args: argparse.Namespace) -> int:
+    ids = list(certifier.CATALOG) if args.inequality_id == "all" else [args.inequality_id]
     for cid in ids:
         if cid not in certifier.CATALOG:
             print(f"unknown inequality id {cid!r}; catalog:", file=sys.stderr)
             for known in certifier.CATALOG:
                 print(f"  {known}", file=sys.stderr)
             return 1
-    ccfg = certifier.CertifyConfig(
-        delta=cfg.delta,
-        epsilon_max=cfg.epsilon_max,
-        degree=cfg.degree,
-        max_depth=cfg.max_depth,
-        min_width=cfg.min_width,
-        threads=cfg.threads,
-    )
-    outdir = _outdir(cfg)
+    ccfg = certifier.CertifyConfig(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(certifier.CertifyConfig)
+        if getattr(args, f.name) is not None
+    })
+    outdir = _outdir(args)
     worst = 0
     for cid in ids:
         cert = certifier.certify(cid, ccfg)
@@ -192,22 +147,22 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return worst
 
 
-def _cmd_check(cfg: RunConfig, cert_file: str) -> int:
-    result = certifier.check_file(cert_file)
-    print(f"{'valid' if result.ok else 'INVALID'}: {cert_file}")
+def _cmd_check(args: argparse.Namespace) -> int:
+    result = certifier.check_file(args.cert_file)
+    print(f"{'valid' if result.ok else 'INVALID'}: {args.cert_file}")
     for d in result.diagnoses:
         print(f"  - {d}")
     return 0 if result.ok else 3
 
 
-def _cmd_sequences(cfg: RunConfig) -> int:
+def _cmd_sequences(args: argparse.Namespace) -> int:
     rows = ["n,T_n,U_n,A_n,B_n"]
-    for n in range(cfg.n_max + 1):
+    for n in range(args.n_max + 1):
         term = sequences.seq_term(n)
         rows.append(f"{term.n},{int(term.T)},{term.U},{term.A},{term.B}")
     text = "\n".join(rows) + "\n"
     sys.stdout.write(text)
-    (_outdir(cfg) / "sequences.csv").write_text(text)
+    (_outdir(args) / "sequences.csv").write_text(text)
     return 0
 
 
@@ -226,16 +181,16 @@ def _parse_grid(spec: str) -> list[float]:
 
 # `analysis` loads mpmath, so only the commands that need it import it.
 
-def _cmd_phi(cfg: RunConfig, grid_spec: str) -> int:
+def _cmd_phi(args: argparse.Namespace) -> int:
     from . import analysis
 
-    grid = _parse_grid(grid_spec)
-    report = analysis.optimality_scan(grid, cfg.precision_bits)
+    grid = _parse_grid(args.grid)
+    report = analysis.optimality_scan(grid, args.precision_bits)
     rows = ["x,phi"]
     for s in report.samples:
         rows.append(f"{s.x.hex()},{s.phi.hex()}")
     text = "\n".join(rows) + "\n"
-    (_outdir(cfg) / "phi.csv").write_text(text)
+    (_outdir(args) / "phi.csv").write_text(text)
     print(
         f"{len(report.samples)} samples: inf={report.inf_phi:.9f} "
         f"sup={report.sup_phi:.9f} inside (1, 6/5): {report.all_inside_open_interval}"
@@ -243,19 +198,19 @@ def _cmd_phi(cfg: RunConfig, grid_spec: str) -> int:
     return 0
 
 
-def _cmd_crossover(cfg: RunConfig, which: str) -> int:
+def _cmd_crossover(args: argparse.Namespace) -> int:
     from . import analysis
 
-    fn = analysis.crossover_upper if which == "upper" else analysis.crossover_lower
-    result = fn(cfg.tol)
+    fn = analysis.crossover_upper if args.which == "upper" else analysis.crossover_lower
+    result = fn(args.tol)
     doc = {
         "schema": "tancert-crossover-v1",
         "id": result.id,
         "bracket": list(result.bracket.to_hex()),
         "iterations": result.iterations,
-        "tol": float(cfg.tol).hex(),
+        "tol": float(args.tol).hex(),
     }
-    path = _outdir(cfg) / f"crossover-{result.id}.json"
+    path = _outdir(args) / f"crossover-{result.id}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(
         f"{result.id}: bracket [{result.bracket.lo:.10f}, {result.bracket.hi:.10f}] "
@@ -264,38 +219,33 @@ def _cmd_crossover(cfg: RunConfig, which: str) -> int:
     return 0
 
 
-def _cmd_replay(cfg: RunConfig, identity: str) -> int:
+def _cmd_replay(args: argparse.Namespace) -> int:
     from . import analysis
 
-    report = analysis.replay_identity(identity, samples=cfg.samples, tol=cfg.tol)
+    report = analysis.replay_identity(args.identity, samples=args.samples, tol=args.tol)
     print(
-        f"{identity}: {report.samples} samples, worst residual "
+        f"{args.identity}: {report.samples} samples, worst residual "
         f"{report.worst_residual:.3e} at x={report.worst_x:.6f} (tol {report.tol:.1e})"
     )
     return 0
 
 
+_COMMANDS = {
+    "certify": _cmd_certify,
+    "check": _cmd_check,
+    "sequences": _cmd_sequences,
+    "phi": _cmd_phi,
+    "crossover": _cmd_crossover,
+    "replay": _cmd_replay,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    try:
-        cfg = _resolve_config(args)
-        if args.command == "certify":
-            return _cmd_certify(cfg)
-        if args.command == "check":
-            return _cmd_check(cfg, args.cert_file)
-        if args.command == "sequences":
-            return _cmd_sequences(cfg)
-        if args.command == "phi":
-            return _cmd_phi(cfg, args.grid)
-        if args.command == "crossover":
-            return _cmd_crossover(cfg, args.which)
-        if args.command == "replay":
-            return _cmd_replay(cfg, args.identity)
-        raise TancertError(f"unhandled command {args.command!r}")
     except NoSignChange as exc:
         print(f"could not certify: {exc}", file=sys.stderr)
         return 2

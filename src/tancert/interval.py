@@ -295,14 +295,6 @@ class Interval:
             return Interval(_mul_down(self.lo, k), _mul_up(self.hi, k))
         return Interval(_mul_down(self.hi, k), _mul_up(self.lo, k))
 
-    def shift(self, k) -> "Interval":
-        """Add an exact int/float scalar."""
-        k = float(k)
-        return Interval(_add_down(self.lo, k), _add_up(self.hi, k))
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

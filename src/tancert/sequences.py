@@ -260,13 +260,3 @@ def phi_trig_enc(x: Interval) -> Interval:
         - _cos_enc_any(x3).scale(9)
         - int_pow(x, 2).scale(12) * _sinc_enc_any(x3)
     )
-
-
-def certify_phi_positive(delta: float = 0.25, max_depth: int = 48):
-    """Prove phi > 0 on (0, pi/2]; returns the engine's Certificate."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError("certify_phi_positive needs 0 < delta < 1")
-    from .certifier import CertifyConfig, certify  # local import: layering
-
-    cfg = CertifyConfig(delta=delta, max_depth=max_depth)
-    return certify("lemma_phi", cfg)

@@ -155,6 +155,8 @@ TAMPERINGS = {
     "stats box_count": _set("stats", "box_count", 5),
     "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
     "box depth above max_depth": _deepen_first_box,
+    "config delta off the proof": _set("config", "delta", (0.125).hex()),
+    "config max_depth -3": _set("config", "max_depth", -3),
 }
 
 
@@ -220,6 +222,28 @@ def test_config_file_precedence(tmp_path, monkeypatch):
     )
     cert = load_certificate(tmp_path / "flagged" / "cert-main_lower.json")
     assert cert.config.delta == 0.25
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"delta": "abc"}', '{"degree": 16.5}', '{"max_depth": 2.5}', "{ not json"],
+)
+def test_bad_config_file_exits_1(text, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "certify", "bs_lower"]) == 1
+    assert not list(tmp_path.rglob("cert-*.json"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_null_keeps_default(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text('{"out": null, "delta": null}')
+    monkeypatch.setenv("TANCERT_OUT", str(tmp_path / "env"))
+    assert cli.main(["--config", str(config), "certify", "bs_lower"]) == 0
+    cert = load_certificate(tmp_path / "env" / "cert-bs_lower.json")
+    assert cert.config.delta == certifier.CertifyConfig().delta
 
 
 def test_console_entry_point(tmp_path):

@@ -5,12 +5,12 @@ from math import factorial
 import mpmath as mp
 import pytest
 
+from tancert.certifier import CertifyConfig, certify
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
     a_seq,
     b_seq,
-    certify_phi_positive,
     phi_lemma_enc,
     phi_trig_enc,
     t_seq,
@@ -116,7 +116,7 @@ def test_phi_trig_enc_wide_box(oracle):
 
 
 def test_certify_phi_positive():
-    cert = certify_phi_positive(0.25, 30)
+    cert = certify("lemma_phi", CertifyConfig(delta=0.25, max_depth=30))
     assert cert.status == "certified"
     assert cert.near_zero_proof is not None
     assert cert.near_zero_proof.order == 8
@@ -128,4 +128,4 @@ def test_certify_phi_positive():
 
 def test_certify_phi_positive_rejects_bad_delta():
     with pytest.raises(DomainError):
-        certify_phi_positive(1.5)
+        certify("lemma_phi", CertifyConfig(delta=1.5))
