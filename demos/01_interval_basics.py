@@ -8,16 +8,16 @@ floats guaranteed to bracket the exact real value.  Run:
 
 from fractions import Fraction
 
-from tancert import Interval, arith, int_pow, pi_enclosure, rational_enclosure, split
+from tancert import Interval, int_pow, pi_enclosure, rational_enclosure, split
 
 print("== exact endpoints stay exact ==")
 a = Interval(1, 2)
 b = Interval(-3, 4)
-print(f"[1,2] * [-3,4]          = {arith('mul', a, b)}   (endpoint products are exact)")
-print(f"[0,0] + [0.1, 0.7]      = {arith('add', Interval(0, 0), Interval(0.1, 0.7))}")
+print(f"[1,2] * [-3,4]          = {a * b}   (endpoint products are exact)")
+print(f"[0,0] + [0.1, 0.7]      = {Interval(0, 0) + Interval(0.1, 0.7)}")
 
 print("\n== inexact results round outward ==")
-third = arith("div", Interval(1, 1), Interval(3, 3))
+third = Interval(1, 1) / Interval(3, 3)
 print(f"1/3 encloses the true value in {third}")
 print(f"   width = {third.width:.3e} (<= 2 ulp); contains Fraction(1,3): "
       f"{third.contains(Fraction(1, 3))}")

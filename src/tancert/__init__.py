@@ -12,7 +12,6 @@ numerics (crossover points, exponent-ratio limits).
 
 from .interval import (
     Interval,
-    arith,
     certainly_negative,
     certainly_positive,
     half_pi_enclosure,
@@ -21,7 +20,7 @@ from .interval import (
     rational_enclosure,
     split,
 )
-from .enclosures import SeriesTerm, cos_enc, p_enc, p_series_term, r_enc, s_enc, sinc_enc, tan_enc
+from .enclosures import cos_enc, p_enc, r_enc, s_enc, sinc_enc, tan_enc
 from .sequences import (
     SeqTerm,
     ShiftIdentityReport,
@@ -43,7 +42,6 @@ from .certifier import (
     CheckResult,
     EndpointProof,
     certify,
-    certify_all,
     check_certificate,
     eval_form,
     load_certificate,
@@ -79,7 +77,6 @@ def __getattr__(name):
 
 __all__ = [
     "Interval",
-    "arith",
     "int_pow",
     "pi_enclosure",
     "half_pi_enclosure",
@@ -89,8 +86,6 @@ __all__ = [
     "split",
     "cos_enc",
     "sinc_enc",
-    "SeriesTerm",
-    "p_series_term",
     "p_enc",
     "tan_enc",
     "r_enc",
@@ -116,7 +111,6 @@ __all__ = [
     "near_zero_proof",
     "near_half_pi_proof",
     "certify",
-    "certify_all",
     "check_certificate",
     "save_certificate",
     "load_certificate",

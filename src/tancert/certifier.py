@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial, inf
+from math import inf
 from typing import Callable
 
 from .enclosures import cos_enc, p_enc, sinc_enc
@@ -56,10 +56,9 @@ from .interval import (
     certainly_negative,
     certainly_positive,
     int_pow,
-    rational_enclosure,
     split,
 )
-from .sequences import phi_lemma_enc, t_seq
+from .sequences import phi_lemma_enc, phi_power_series
 from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
 SCHEMA = "tancert-cert-v2"  # written by certify; margins are centered
@@ -69,6 +68,11 @@ SCHEMA_V1 = "tancert-cert-v1"  # still checked; margins are naive
 # build grows like degree^2.3 (degree 512 takes about 20 s), and the widest
 # shipped configuration uses 96.
 MAX_DEGREE = 128
+
+# Widest endpoint regions a config or a proof may name: (0, delta] near 0
+# and [pi/2 - epsilon_max, pi/2) near pi/2.
+MAX_DELTA = 0.5
+MAX_EPSILON = 0.25
 
 # Deepest bisection a config may name: 60 halvings of [0, pi/2] already give
 # boxes narrower than the float spacing near 1/128, so deeper levels cannot
@@ -361,11 +365,16 @@ def _dual_node(node: tuple) -> Callable[[dict], tuple[Interval, Interval | None]
 # The qi margins scale like x^7/105 and x^5/32 near 0, so their difference
 # forms lose everything to cancellation there; evaluate F as x^k0 * (F/x^k0)
 # with the exact divided series, whose tail is rigorous out to pi/2 at this
-# degree.  (The sextic main_upper form is NOT series-evaluated: its divided
-# series has exponential-type-6 coefficients whose interval Horner is far
-# wider than the composed product form.)
+# degree.  The other forms would also certify this way, in fewer boxes
+# (main_upper in 4 instead of 39), but their margins are "direct" because
+# the box bytes of schema tancert-cert-v2 are pinned.
 _FACTORED_DEGREE = 40
-_factored_cache: dict[InequalitySpec, PowerSeries] = {}
+
+
+@cache
+def _factored_quotient(spec: InequalitySpec) -> PowerSeries:
+    ps = form_series(spec.id, "zero", _FACTORED_DEGREE, _HALF_PI_HI)
+    return ps.divide_power(spec.vanish_order_zero)
 
 
 def _evaluator(spec: InequalitySpec, schema: str = SCHEMA) -> Callable[[Interval], Interval]:
@@ -377,10 +386,7 @@ def _evaluator(spec: InequalitySpec, schema: str = SCHEMA) -> Callable[[Interval
         return phi_lemma_enc
     if spec.evaluator != "factored":
         raise DomainError(f"{spec.id}: unknown evaluator {spec.evaluator!r}")
-    if spec not in _factored_cache:
-        ps = form_series(spec.id, "zero", _FACTORED_DEGREE, _HALF_PI_HI)
-        _factored_cache[spec] = ps.divide_power(spec.vanish_order_zero)
-    quotient, k0 = _factored_cache[spec], spec.vanish_order_zero
+    quotient, k0 = _factored_quotient(spec), spec.vanish_order_zero
     return lambda x: int_pow(x, k0) * quotient.eval(x)
 
 
@@ -397,26 +403,6 @@ def eval_form(inequality_id: str, x: Interval, *, schema: str = SCHEMA) -> Inter
 # ---------------------------------------------------------------------------
 # exact series backend, at both endpoints
 # ---------------------------------------------------------------------------
-
-def _phi_power_series(degree: int, radius: float) -> PowerSeries:
-    if degree < 8:
-        raise DomainError("phi series needs degree >= 8")
-    if Fraction(radius) ** 2 > 3:
-        raise DomainError("phi series radius must stay within sqrt(3)")
-    coeffs = [PiPoly()] * (degree + 1)
-    for n in range(4, degree // 2 + 1):
-        coeffs[2 * n] = PiPoly.rational(
-            Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n))
-        )
-    n0 = degree // 2 + 1
-    # alternating with exactly-verified decrease: first omitted term bounds
-    # the tail; as a tail coefficient it is scaled down to power degree+1
-    t = (
-        int_pow(Interval.point(radius), 2 * n0 - degree - 1)
-        * rational_enclosure(Fraction(3 * t_seq(n0), factorial(2 * n0)))
-    ).hi
-    return PowerSeries(coeffs, t, radius)
-
 
 # Leaf series in the local variable u.  At pi/2, x = pi/2 - u gives
 # sin x = cos u and cos x = u sinc u; sinc and p there would need a division.
@@ -449,7 +435,7 @@ def form_series(inequality_id: str, center: str, degree: int, radius: float) -> 
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     spec = CATALOG[inequality_id]
     if center == "zero" and spec.evaluator == "phi":
-        return _phi_power_series(degree, radius)
+        return phi_power_series(degree, radius)
     if center == "half_pi" and spec.vanish_order_half_pi == 0:
         raise DomainError(f"{inequality_id} needs no expansion at pi/2")
     if center not in _SERIES_LEAVES:
@@ -517,9 +503,9 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
     """
     spec = CATALOG[inequality_id]
     if kind == "zero":
-        k, expected, max_bound = spec.vanish_order_zero, spec.leading_coeff_zero, 0.5
+        k, expected, max_bound = spec.vanish_order_zero, spec.leading_coeff_zero, MAX_DELTA
     else:
-        k, expected, max_bound = spec.vanish_order_half_pi, spec.leading_coeff_half_pi, 0.25
+        k, expected, max_bound = spec.vanish_order_half_pi, spec.leading_coeff_half_pi, MAX_EPSILON
         if k == 0:
             raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
     if not 0.0 < bound <= max_bound:
@@ -569,13 +555,11 @@ class CertifyConfig:
     degree: int = 16
     max_depth: int = 48
     min_width: float = 2.0**-40
-    # accepted for compatibility; bisection is serial, so the value changes
-    # neither the output nor the scheduling
-    threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise DomainError(f"threads must be at least 1, got {self.threads}")
+        for name, top in (("delta", MAX_DELTA), ("epsilon_max", MAX_EPSILON)):
+            if not 0.0 < getattr(self, name) <= top:
+                raise DomainError(f"{name} must be in (0, {top}], got {getattr(self, name)!r}")
         if self.degree > MAX_DEGREE:
             raise DomainError(f"degree must be at most {MAX_DEGREE}, got {self.degree}")
         if not isinstance(self.max_depth, int) or not 0 <= self.max_depth <= MAX_DEPTH:
@@ -592,11 +576,14 @@ class CertStats:
     worst_box: BoxRecord | None = None
 
 
+STATUSES = ("certified", "undecided", "falsified")
+
+
 @dataclass
 class Certificate:
     inequality_id: str
     domain: Interval
-    status: str  # certified | undecided | falsified
+    status: str  # one of STATUSES
     near_zero_proof: EndpointProof | None
     near_half_pi_proof: EndpointProof | None
     boxes: list[BoxRecord]
@@ -686,10 +673,6 @@ def certify(
     )
 
 
-def certify_all(cfg: CertifyConfig = CertifyConfig()) -> dict[str, Certificate]:
-    return {cid: certify(cid, cfg) for cid in CATALOG}
-
-
 # ---------------------------------------------------------------------------
 # serialization (schemas tancert-cert-v1 and -v2; all floats as hex strings)
 # ---------------------------------------------------------------------------
@@ -725,8 +708,8 @@ def _proof_from_dict(d) -> EndpointProof | None:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    """JSON-ready dict.  wall_time and threads are execution details and
-    deliberately absent so identical configs yield identical bytes."""
+    """JSON-ready dict.  wall_time is an execution detail and deliberately
+    absent so identical configs yield identical bytes."""
     return {
         "schema": cert.schema,
         "inequality_id": cert.inequality_id,
@@ -753,8 +736,10 @@ def certificate_from_dict(d: dict) -> Certificate:
     schema = d.get("schema") if isinstance(d, dict) else None
     if schema not in (SCHEMA_V1, SCHEMA):
         raise DomainError(f"unknown certificate schema {schema!r}")
-    if not isinstance(d["inequality_id"], str) or not isinstance(d["status"], str):
-        raise DomainError("inequality_id and status must be strings")
+    if not isinstance(d["inequality_id"], str):
+        raise DomainError("inequality_id must be a string")
+    if d["status"] not in STATUSES:
+        raise DomainError(f"unknown status {d['status']!r}")
     cfg = CertifyConfig(
         delta=float.fromhex(d["config"]["delta"]),
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
@@ -831,20 +816,24 @@ def check_certificate(cert: Certificate) -> CheckResult:
 
     cfg = cert.config
     start, end = 0.0, _HALF_PI_HI
+    if cert.domain != Interval(start, end):
+        diagnoses.append(f"domain {cert.domain} != [0, pi/2 + ulp]")
     off_degree = []
-    for p, prove, label, name, configured in (
-        (cert.near_zero_proof, near_zero_proof, "near-zero", "delta", cfg.delta),
-        (cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2", "epsilon_max", cfg.epsilon_max),
+    for kind, p, prove, label, name in (
+        ("zero", cert.near_zero_proof, near_zero_proof, "near-zero", "delta"),
+        ("half_pi", cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2", "epsilon_max"),
     ):
         if p is None:
             continue
         # the box cover must reach the region the proof claims, proven or not
-        if label == "near-zero":
+        if kind == "zero":
             start = p.bound
         else:
             end = _sub_up(_HALF_PI_HI, p.bound)
-        if p.bound != configured:
-            diagnoses.append(f"{label} proof bound {p.bound!r} != config.{name} {configured!r}")
+        if p.kind != kind:
+            diagnoses.append(f"{label} proof has kind {p.kind!r}, not {kind!r}")
+        if p.bound != getattr(cfg, name):
+            diagnoses.append(f"{label} proof bound {p.bound!r} != config.{name} {getattr(cfg, name)!r}")
         if p.model_degree != cfg.degree:
             # not re-proven: the config does not describe this proof
             off_degree.append(label)
@@ -895,7 +884,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if not certainly_positive(box.margin):
                 diagnoses.append(f"box {i}: margin not positive")
                 continue
-            recomputed = eval_form(cert.inequality_id, box.interval, schema=cert.schema)
+            try:
+                recomputed = eval_form(cert.inequality_id, box.interval, schema=cert.schema)
+            except DomainError as exc:
+                diagnoses.append(f"box {i}: margin not verifiable: {exc}")
+                continue
             if not certainly_positive(recomputed):
                 diagnoses.append(f"box {i}: margin not verifiable")
             elif recomputed != box.margin:

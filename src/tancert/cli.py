@@ -59,7 +59,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p_cert.add_argument(flag, type=typ)
     p_cert.add_argument(
         "--threads", type=int,
-        help="accepted for compatibility (at least 1); it changes neither the output nor the scheduling",
+        help="accepted for compatibility (at least 1) and ignored: bisection is serial",
     )
 
     p_check = sub.add_parser("check", help="re-verify a certificate file")
@@ -115,6 +115,8 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise TancertError(f"--threads must be at least 1, got {args.threads}")
     ids = list(certifier.CATALOG) if args.inequality_id == "all" else [args.inequality_id]
     for cid in ids:
         if cid not in certifier.CATALOG:
@@ -127,10 +129,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         for f in dataclasses.fields(certifier.CertifyConfig)
         if getattr(args, f.name) is not None
     })
+    # compute every certificate before saving any: a bad config writes nothing
+    certs = [certifier.certify(cid, ccfg) for cid in ids]
     outdir = _outdir(args)
     worst = 0
-    for cid in ids:
-        cert = certifier.certify(cid, ccfg)
+    for cid, cert in zip(ids, certs):
         path = outdir / f"cert-{cid}.json"
         certifier.save_certificate(cert, path)
         line = (

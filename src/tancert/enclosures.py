@@ -22,7 +22,6 @@ rational subtraction of the sin and x*cos series through degree 30.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -39,44 +38,37 @@ from .interval import (
 N_TERMS = 20  # series terms per direct enclosure; tails < 1e-36 on the guard domain
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One term sign * coefficient * x^(2*index) of an alternating series."""
-
-    index: int
-    coefficient: Fraction  # always > 0
-    sign: int  # +1 or -1, alternating with index
-
-    def signed(self) -> Fraction:
-        return self.sign * self.coefficient
+def cos_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m)! of x^(2m) in cos x."""
+    return Fraction((-1) ** m, factorial(2 * m))
 
 
-def p_series_term(m: int) -> SeriesTerm:
-    """Term m of (sin x - x cos x)/x^3 = sum (-1)^m 2(m+1) x^(2m)/(2m+3)!."""
-    return SeriesTerm(m, Fraction(2 * (m + 1), factorial(2 * m + 3)), (-1) ** m)
+def sinc_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m+1)! of x^(2m) in sinc x (and of x^(2m+1) in sin x)."""
+    return Fraction((-1) ** m, factorial(2 * m + 1))
 
 
-def _coeff_table(gen, n):
-    return tuple(rational_enclosure(gen(m)) for m in range(n))
+def p_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m 2(m+1)/(2m+3)! of x^(2m) in p x."""
+    return Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
 
 
-_COS_COEFFS = _coeff_table(lambda m: Fraction((-1) ** m, factorial(2 * m)), N_TERMS)
-_SINC_COEFFS = _coeff_table(lambda m: Fraction((-1) ** m, factorial(2 * m + 1)), N_TERMS)
-_P_COEFFS = _coeff_table(lambda m: p_series_term(m).signed(), N_TERMS)
+_COS_COEFFS, _SINC_COEFFS, _P_COEFFS = (
+    tuple(rational_enclosure(coeff(m)) for m in range(N_TERMS))
+    for coeff in (cos_coeff, sinc_coeff, p_coeff)
+)
 
 # 1/(2N)! as an interval, for the cos/sinc tail bound mag^(2N)/(2N)!
-_INV_FACT_2N = rational_enclosure(Fraction(1, factorial(2 * N_TERMS)))
-# first omitted p term: 2(N+1)/(2N+3)! * x^(2N)
-_P_OMITTED = rational_enclosure(Fraction(2 * (N_TERMS + 1), factorial(2 * N_TERMS + 3)))
+_INV_FACT_2N = rational_enclosure(abs(cos_coeff(N_TERMS)))
+# coefficient of the first omitted p term p_coeff(N) x^(2N)
+_P_OMITTED = rational_enclosure(p_coeff(N_TERMS))
 
 
 def _check_p_terms_decreasing(x_sq_max: Fraction, m_max: int = 256) -> None:
-    # t_m = 2(m+1) x^(2m)/(2m+3)!; consecutive ratio must stay < 1 so the
+    # t_m = |p_coeff(m)| x^(2m); consecutive ratio must stay < 1 so the
     # first-omitted-term bound is valid from every truncation point.
     for m in range(m_max):
-        ratio = (
-            Fraction(m + 2, m + 1) * x_sq_max / ((2 * m + 4) * (2 * m + 5))
-        )
+        ratio = Fraction(m + 2, m + 1) * x_sq_max / ((2 * m + 4) * (2 * m + 5))
         if ratio >= 1:
             raise AssertionError(f"p-series terms not decreasing at m={m}")
 
@@ -134,11 +126,9 @@ def p_enc(x: Interval) -> Interval:
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"p_enc domain [0, pi/2 + ulp] violated: {x}")
     acc = _even_series(_P_COEFFS, x)
-    # alternating remainder: signed like the first omitted term, evaluated at x.hi
-    t = (int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _P_OMITTED).hi
-    if p_series_term(N_TERMS).sign > 0:
-        return acc + Interval(0.0, t)
-    return acc + Interval(-t, 0.0)
+    # alternating remainder: between 0 and the first omitted term at x.hi
+    t = int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _P_OMITTED
+    return acc + Interval(min(t.lo, 0.0), max(t.hi, 0.0))
 
 
 def tan_enc(x: Interval) -> Interval:

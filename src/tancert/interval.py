@@ -230,12 +230,6 @@ class Interval:
             return Fraction(self.lo) <= x <= Fraction(self.hi)
         return self.lo <= x <= self.hi
 
-    def is_subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
@@ -317,23 +311,6 @@ class Interval:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-_OPS = {
-    "add": Interval.__add__,
-    "sub": Interval.__sub__,
-    "mul": Interval.__mul__,
-    "div": Interval.__truediv__,
-}
-
-
-def arith(op: str, a: Interval, b: Interval) -> Interval:
-    """Dispatch one of {add, sub, mul, div} with outward rounding."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise DomainError(f"unknown op {op!r}") from None
-    return fn(a, b)
-
 
 def int_pow(a: Interval, k: int) -> Interval:
     """Enclosure of {x**k : x in a} for a non-negative integer k."""

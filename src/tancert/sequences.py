@@ -20,7 +20,9 @@ T_n > 0 for n >= 4, and the decrease of the terms T_n x^(2n)/(2n)! on
 
 Everything in this module is exact integer/rational arithmetic except
 phi_lemma_enc, which evaluates the alternating partial sum in interval
-arithmetic with a first-omitted-term remainder.
+arithmetic with a first-omitted-term remainder.  phi_power_series holds
+the same exact coefficients phi_coeff(n) as a PowerSeries, for the
+certifier's proof near 0.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .enclosures import _cos_enc_any, _sinc_enc_any
 from .errors import DomainError, IdentityMismatch
 from .interval import Interval, int_pow, rational_enclosure
+from .series import PiPoly, PowerSeries
 
 _A_COEFFS = (459, -362, -60, 32)
 _B_COEFFS = (-51, -158, -116, 128, 128)
@@ -198,9 +202,15 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
 _MAX_TERMS = 200
 
 
-@functools.lru_cache(maxsize=None)
-def _phi_coeff(n: int) -> Interval:
-    return rational_enclosure(Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n)))
+@functools.cache
+def phi_coeff(n: int) -> Fraction:
+    """Exact coefficient (-1)^n 3 T_n/(2n)! of x^(2n) in phi."""
+    return Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n))
+
+
+@functools.cache
+def _phi_coeff_enc(n: int) -> Interval:
+    return rational_enclosure(phi_coeff(n))
 
 
 @functools.lru_cache(maxsize=1)
@@ -229,18 +239,32 @@ def phi_lemma_enc(x: Interval, terms: int = 24) -> Interval:
     if not _term_decrease_verified():
         raise AssertionError("alternating term decrease failed")  # pragma: no cover
     u = int_pow(x, 2)
-    acc = _phi_coeff(4 + terms - 1)
+    acc = _phi_coeff_enc(4 + terms - 1)
     for n in range(4 + terms - 2, 3, -1):
-        acc = acc * u + _phi_coeff(n)
+        acc = acc * u + _phi_coeff_enc(n)
     acc = acc * int_pow(x, 8)
     n0 = 4 + terms
+    t = int_pow(Interval.point(x.mag()), 2 * n0) * rational_enclosure(phi_coeff(n0))
+    return acc + Interval(min(t.lo, 0.0), max(t.hi, 0.0))
+
+
+def phi_power_series(degree: int, radius: float) -> PowerSeries:
+    """Exact series of phi at 0 through x^degree, on |x| <= radius <= sqrt 3."""
+    if degree < 8:
+        raise DomainError("phi series needs degree >= 8")
+    if Fraction(radius) ** 2 > 3:
+        raise DomainError("phi series radius must stay within sqrt(3)")
+    coeffs = [PiPoly()] * (degree + 1)
+    for n in range(4, degree // 2 + 1):
+        coeffs[2 * n] = PiPoly.rational(phi_coeff(n))
+    n0 = degree // 2 + 1
+    # alternating with exactly-verified decrease: first omitted term bounds
+    # the tail; as a tail coefficient it is scaled down to power degree+1
     t = (
-        int_pow(Interval.point(x.mag()), 2 * n0)
-        * rational_enclosure(Fraction(3 * t_seq(n0), factorial(2 * n0)))
+        int_pow(Interval.point(radius), 2 * n0 - degree - 1)
+        * rational_enclosure(abs(phi_coeff(n0)))
     ).hi
-    if n0 % 2 == 0:
-        return acc + Interval(0.0, t)
-    return acc + Interval(-t, 0.0)
+    return PowerSeries(coeffs, t, radius)
 
 
 def phi_trig_enc(x: Interval) -> Interval:
@@ -251,8 +275,6 @@ def phi_trig_enc(x: Interval) -> Interval:
     12 x^2 sinc(3x) to stay division-free.  Cross-check for the series
     route, not used by certificates.
     """
-    from .enclosures import _cos_enc_any, _sinc_enc_any
-
     x3 = x.scale(3)
     poly = Interval(9.0, 9.0) - int_pow(x, 2).scale(24)
     return (

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .enclosures import cos_coeff, p_coeff, sinc_coeff
 from .errors import DomainError, OrderMismatch
 from .interval import Interval, int_pow, pi_enclosure, rational_enclosure, _add_up, _mul_up, _pow_up
 
@@ -57,14 +58,6 @@ class PiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {0}
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("PiPoly has pi-dependent terms")
-        return self.terms.get(0, Fraction(0))
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
         t = dict(self.terms)
@@ -151,10 +144,6 @@ def _sup_abs(coeff_encs, radius: float) -> Interval:
     return acc
 
 
-def _u_power_range(k: int, radius: float) -> float:
-    return _pow_up(radius, k)
-
-
 # ---------------------------------------------------------------------------
 # the PowerSeries type
 # ---------------------------------------------------------------------------
@@ -231,7 +220,7 @@ class PowerSeries:
                 continue
             m = conv[k].enclosure().mag()
             overflow = overflow + Interval.point(
-                _mul_up(m, _u_power_range(k - d - 1, r))
+                _mul_up(m, _pow_up(r, k - d - 1))
             )
         sup1 = _sup_abs(self.coefficient_enclosures(), r).mag()
         sup2 = _sup_abs(other.coefficient_enclosures(), r).mag()
@@ -240,7 +229,7 @@ class PowerSeries:
             + Interval.point(_mul_up(sup1, other.tail))
             + Interval.point(_mul_up(sup2, self.tail))
             + Interval.point(
-                _mul_up(_mul_up(self.tail, other.tail), _u_power_range(d + 1, r))
+                _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1))
             )
         ).hi
         return PowerSeries(conv[: d + 1], tail, r)
@@ -270,8 +259,8 @@ class PowerSeries:
             if self.coeffs[k].is_zero():
                 continue
             m = self.coeffs[k].enclosure().mag()
-            extra = extra + Interval.point(_mul_up(m, _u_power_range(k + j - d - 1, r)))
-        tail = _add_up(extra.hi, _mul_up(self.tail, _u_power_range(j, r)))
+            extra = extra + Interval.point(_mul_up(m, _pow_up(r, k + j - d - 1)))
+        tail = _add_up(extra.hi, _mul_up(self.tail, _pow_up(r, j)))
         return PowerSeries(coeffs, tail, r)
 
     # -- endpoint-proof operations ------------------------------------------
@@ -320,43 +309,26 @@ def ps_poly(terms: dict, degree: int, radius: float) -> PowerSeries:
     return PowerSeries(coeffs, 0.0, radius)
 
 
-def _entire_series(coeff_at, degree: int, radius: float) -> PowerSeries:
-    coeffs = [PiPoly.rational(coeff_at(k)) for k in range(degree + 1)]
+def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
+    """coeff(m) at the power 2m (2m + 1 if odd), zeros elsewhere.  The tail
+    bound needs every coefficient of u^k to be at most 1/k! in magnitude."""
+    coeffs = [_ZERO] * (degree + 1)
+    for k in range(int(odd), degree + 1, 2):
+        coeffs[k] = PiPoly.rational(coeff(k // 2))
     return PowerSeries(coeffs, exp_tail_bound(degree + 1, radius), radius)
 
 
 def ps_cos(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(
-        lambda k: Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else 0,
-        degree,
-        radius,
-    )
+    return _entire_series(cos_coeff, False, degree, radius)
 
 
 def ps_sin(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(
-        lambda k: Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 1 else 0,
-        degree,
-        radius,
-    )
+    return _entire_series(sinc_coeff, True, degree, radius)
 
 
 def ps_sinc(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(
-        lambda k: Fraction((-1) ** (k // 2), factorial(k + 1)) if k % 2 == 0 else 0,
-        degree,
-        radius,
-    )
+    return _entire_series(sinc_coeff, False, degree, radius)
 
 
 def ps_p(degree: int, radius: float) -> PowerSeries:
-    # coefficients (-1)^m 2(m+1)/(2m+3)! at power 2m; majorized by 1/k! as well
-    return _entire_series(
-        lambda k: (
-            Fraction((-1) ** (k // 2) * 2 * (k // 2 + 1), factorial(k + 3))
-            if k % 2 == 0
-            else 0
-        ),
-        degree,
-        radius,
-    )
+    return _entire_series(p_coeff, False, degree, radius)

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from tancert import certifier
+from tancert import certifier, cli
 from tancert.certifier import (
     CATALOG,
     MAX_DEGREE,
@@ -117,8 +117,8 @@ def test_near_zero_proofs_all_ids():
         assert proof.normalized_lower_bound > 0
         assert proof.leading_coefficient.width < 1e-12
         exact = spec.leading_coeff_zero
-        if exact.is_rational():
-            assert contains(proof.leading_coefficient, exact.as_rational())
+        if set(exact.terms) == {0}:
+            assert contains(proof.leading_coefficient, exact.terms[0])
 
 
 def test_near_half_pi_proofs(oracle):
@@ -289,12 +289,13 @@ def test_determinism_same_config():
     assert a == b
 
 
-def test_determinism_across_thread_counts():
-    a = certificate_to_json(certify("bs_lower", CertifyConfig(threads=1)))
-    b = certificate_to_json(certify("bs_lower", CertifyConfig(threads=4)))
+def test_determinism_across_thread_counts(tmp_path):
+    for threads in ("1", "4"):
+        argv = ["--out", str(tmp_path / threads), "certify", "bs_lower", "--threads", threads]
+        assert cli.main(argv) == 0
+    a, b = ((tmp_path / t / "cert-bs_lower.json").read_bytes() for t in ("1", "4"))
     assert a == b
-    with pytest.raises(DomainError):
-        CertifyConfig(threads=0)
+    assert cli.main(["--out", str(tmp_path / "0"), "certify", "bs_lower", "--threads", "0"]) == 1
 
 
 def test_bisection_insufficiency_guard():
@@ -366,6 +367,17 @@ def test_check_detects_fake_positive_margin():
     assert any("margin mismatch" in d for d in result.diagnoses)
 
 
+def test_check_reports_a_margin_that_cannot_be_evaluated(tmp_path):
+    # the centered form divides by x, which overflows on a box at the least subnormal
+    doc = certificate_to_dict(certify("main_lower"))
+    doc["boxes"][0][0] = doc["boxes"][0][1] = (5e-324).hex()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    result = check_file(path)
+    assert not result.ok
+    assert any(d.startswith("box 0: margin not verifiable") for d in result.diagnoses), result.diagnoses
+
+
 def test_check_detects_gap():
     cert = certify("main_lower")
     del cert.boxes[1]
@@ -380,6 +392,17 @@ def test_check_detects_missing_tail_coverage():
     result = check_certificate(cert)
     assert not result.ok
     assert any("gap" in d for d in result.diagnoses)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("delta", 0.0), ("delta", 0.5000001), ("delta", float("nan")),
+     ("epsilon_max", -1.0), ("epsilon_max", 0.3), ("epsilon_max", float("inf"))],
+)
+def test_config_bounds_endpoint_regions(field, value):
+    with pytest.raises(DomainError):
+        CertifyConfig(**{field: value})
+    CertifyConfig(delta=certifier.MAX_DELTA, epsilon_max=certifier.MAX_EPSILON)
 
 
 def test_series_degree_is_capped(tmp_path):

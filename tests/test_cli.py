@@ -157,6 +157,9 @@ TAMPERINGS = {
     "box depth above max_depth": _deepen_first_box,
     "config delta off the proof": _set("config", "delta", (0.125).hex()),
     "config max_depth -3": _set("config", "max_depth", -3),
+    "status banana": _set("status", "banana"),
+    "domain [0, 1]": _set("domain", [(0.0).hex(), (1.0).hex()]),
+    "near-zero proof of kind half_pi": _set("near_zero_proof", "kind", "half_pi"),
 }
 
 
@@ -237,6 +240,15 @@ def test_bad_config_file_exits_1(text, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", ["--epsilon-max 0.3", "--epsilon-max -1", "--degree 12"])
+def test_bad_certify_config_writes_nothing(flags, tmp_path, capsys):
+    # each config fails on a form after the first, yet no certificate is written
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "certify", "all", *flags.split()]) == 1
+    assert not out.exists() or not any(out.iterdir())
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_config_null_keeps_default(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text('{"out": null, "delta": null}')
@@ -262,3 +274,9 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("5,86016,")
+
+
+def test_every_public_name_resolves():
+    # the analysis names load lazily through the package __getattr__
+    for name in tancert.__all__:
+        assert getattr(tancert, name) is not None, name

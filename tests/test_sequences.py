@@ -104,7 +104,7 @@ def test_phi_series_vs_trig_agreement(oracle):
         x = Interval.point(rng.uniform(0.0, 1.57))
         series = phi_lemma_enc(x)
         direct = phi_trig_enc(x)
-        assert series.intersects(direct)
+        assert series.lo <= direct.hi and direct.lo <= series.hi
         assert contains(direct, mp_phi(x.lo))
 
 

@@ -26,10 +26,8 @@ def test_pipoly_arithmetic_exact():
     assert (a + b).is_zero()
     prod = PiPoly({1: 1}) * PiPoly({-1: Fraction(1, 2)})
     assert prod == PiPoly.rational(Fraction(1, 2))
-    assert PiPoly.rational(Fraction(2, 5)).is_rational()
-    assert not a.is_rational()
-    with pytest.raises(ValueError):
-        a.as_rational()
+    assert PiPoly.rational(Fraction(2, 5)).terms == {0: Fraction(2, 5)}
+    assert set(a.terms) == {0, 2}
 
 
 def test_pipoly_enclosures(oracle):
@@ -108,7 +106,7 @@ def test_int_pow_matches_repeated_mul(oracle):
     for x in (0.25, 0.8):
         a = cubed.eval(Interval.point(x))
         b = ref.eval(Interval.point(x))
-        assert a.intersects(b)
+        assert a.lo <= b.hi and b.lo <= a.hi
         assert contains(a, mp_sinc(mp.mpf(x)) ** 3)
 
 
