@@ -26,6 +26,7 @@ from .enclosures import tan_enc
 from .errors import DomainError, IdentityViolation, NoSignChange
 from .interval import (
     Interval,
+    _HALF_PI_LO,
     certainly_negative,
     certainly_positive,
     int_pow,
@@ -34,8 +35,6 @@ from .interval import (
 )
 from .sequences import REPLAY_IDENTITIES  # re-exported; named where the CLI parser reads it
 from fractions import Fraction
-
-_HALF_PI_FLOOR = 1.5707963267948966  # float just below pi/2
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def exponent_ratio(x: float, precision_bits: int = 200) -> RatioSample:
     rounding.  Precondition 1e-6 < x < pi/2 - 1e-9 keeps both logs away
     from their zeros/poles.
     """
-    if not 1e-6 < x < _HALF_PI_FLOOR - 1e-9:
+    if not 1e-6 < x < _HALF_PI_LO - 1e-9:
         raise DomainError("exponent_ratio domain is (1e-6, pi/2 - 1e-9)")
     with mp.workprec(max(precision_bits, 64)):
         mx = mp.mpf(x)

@@ -8,29 +8,26 @@ x^k > 0, or raising two positive sides to the 5th power); each catalog
 entry records its own derivation.
 
 The catalog string `entire_form` is the only definition of F.  It is
-compiled once into an expression tree that three backends evaluate:
-outward-rounded intervals, forward-mode (value, derivative) intervals for
-the mean-value form, and exact power series at 0 and at pi/2 for the
-endpoint proofs.
+compiled once into an expression tree, from which exact power series are
+built at 0 and at pi/2.  F vanishes to order k0 at 0, and one object
+carries the whole proof on [0, pi/2 - epsilon_max]: the exact series of
+F at 0 divided by x^k0,
 
-A certificate for F > 0 has three parts:
+    Q = F / x^k0,  through x^(degree - k0), with a rigorous tail on
+                   |x| <= pi/2 + ulp.
 
-  * near 0:        F vanishes to order k0, so the exact series of F is
-                   divided by x^k0 and the quotient is bounded below by
-                   a positive constant on (0, delta];
-  * near pi/2:     same in eps = pi/2 - x for the forms whose margin
-                   vanishes there (k1 > 0);
-  * the middle:    adaptive bisection into boxes whose interval margins
-                   are certainly positive.
+A certificate (schema tancert-cert-v3) for F > 0 has three parts:
 
-A box margin of a "direct" form is, under schema tancert-cert-v2, the
-naive interval enclosure of F intersected with the centered (mean-value)
-form F(m) + F'(X)(X - m), m the box midpoint (Moore 1966; Neumaier 1990,
-ch. 2); both enclose the range of F, so their intersection does too.
-Boxes touching 0 keep the naive margin, because p' = (sinc - 3p)/x
-divides by x.  Schema tancert-cert-v1 margins are the naive enclosure
-alone; the checker recomputes each file's margins under the schema it
-names, so v1 files still check.
+  * near 0:        Q is bounded below by a positive constant on [0, delta];
+  * near pi/2:     the same in eps = pi/2 - x, with the exact series at
+                   pi/2, for the forms whose margin vanishes there (k1 > 0);
+  * the middle:    adaptive bisection into boxes X whose margins
+                   x^k0 * Q(X), by interval Horner, are certainly positive.
+
+The checker rebuilds Q from the certificate's config degree and
+recomputes every margin the same way.  Files of the earlier schemas v1
+and v2, whose margins came from direct interval evaluation of the tree,
+are refused as an unknown schema.
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -47,7 +44,6 @@ from functools import cache, reduce
 from math import inf
 from typing import Callable
 
-from .enclosures import cos_enc, p_enc, sinc_enc
 from .errors import DomainError, NotPositive, OrderMismatch
 from .interval import (
     Interval,
@@ -58,11 +54,10 @@ from .interval import (
     int_pow,
     split,
 )
-from .sequences import phi_lemma_enc, phi_power_series
+from .sequences import phi_power_series
 from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
-SCHEMA = "tancert-cert-v2"  # written by certify; margins are centered
-SCHEMA_V1 = "tancert-cert-v1"  # still checked; margins are naive
+SCHEMA = "tancert-cert-v3"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
 # build grows like degree^2.3 (degree 512 takes about 20 s), and the widest
@@ -79,6 +74,11 @@ MAX_EPSILON = 0.25
 # split a box of the middle cover.
 MAX_DEPTH = 60
 
+# Most boxes a certificate may hold, written or read: a cover of the shipped
+# configurations takes at most a few dozen, and checking one box costs tens
+# of microseconds.
+MAX_BOXES = 2**16
+
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -94,10 +94,9 @@ class InequalitySpec:
     leading_coeff_zero: PiPoly
     vanish_order_half_pi: int = 0
     leading_coeff_half_pi: PiPoly | None = None
-    # how box margins are computed: "direct" interval evaluation of the tree,
-    # "factored" x^k0 times the divided degree-40 series of the tree, or
-    # "phi" for the lemma's alternating series in T_n
-    evaluator: str = "direct"
+    # the exact series at 0 in closed form, (degree, radius) -> PowerSeries,
+    # used instead of building it from the tree
+    series_at_zero: Callable[[int, float], PowerSeries] | None = None
 
 
 CATALOG: dict[str, InequalitySpec] = {
@@ -175,7 +174,6 @@ CATALOG: dict[str, InequalitySpec] = {
             derivation="multiply by cos x > 0 and write sin = x sinc.",
             vanish_order_zero=7,
             leading_coeff_zero=PiPoly.rational(Fraction(1, 105)),
-            evaluator="factored",
         ),
         InequalitySpec(
             id="qi_upper",
@@ -186,7 +184,6 @@ CATALOG: dict[str, InequalitySpec] = {
             leading_coeff_zero=PiPoly({-4: 16, 0: Fraction(-2, 15)}),
             vanish_order_half_pi=1,
             leading_coeff_half_pi=PiPoly({1: Fraction(1, 2), 3: Fraction(1, 24), -1: -8}),
-            evaluator="factored",
         ),
         InequalitySpec(
             id="lemma_phi",
@@ -194,12 +191,12 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="(9 - 24x^2) cos x - 9 cos 3x - 4x sin 3x > 0 on (0, pi/2]",
             derivation=(
                 "already entire; written with cos 3x = 4 cos^3 - 3 cos and "
-                "sin 3x = sin (4 cos^2 - 1), and evaluated as phi via its "
-                "alternating series in T_n."
+                "sin 3x = sin (4 cos^2 - 1).  Its series at 0 is the lemma's "
+                "closed form 3 sum_{n>=4} (-1)^n T_n x^(2n)/(2n)!."
             ),
             vanish_order_zero=8,
             leading_coeff_zero=PiPoly.rational(Fraction(32, 105)),
-            evaluator="phi",
+            series_at_zero=phi_power_series,
         ),
     ]
 }
@@ -246,21 +243,6 @@ def _tree(e: ast.expr) -> tuple:
 class CompiledForm:
     tree: tuple
     names: frozenset  # the leaves the form uses
-    interval: Callable[[Interval], Interval]  # naive enclosure of F over a box
-    # (naive enclosure of F, enclosure of F' or None where F' is 0) over a
-    # box with x.lo > 0
-    dual: Callable[[Interval], tuple[Interval, Interval | None]]
-
-    def centered(self, x: Interval) -> Interval:
-        """Naive enclosure of F over x intersected with F(m) + F'(x)(x - m)."""
-        if x.lo <= 0.0:
-            return self.interval(x)
-        naive, slope = self.dual(x)
-        if slope is None:
-            return naive
-        m = Interval.point(x.mid)
-        mean_value = self.interval(m) + slope * (x - m)
-        return Interval(max(naive.lo, mean_value.lo), min(naive.hi, mean_value.hi))
 
 
 @cache
@@ -270,134 +252,8 @@ def compile_form(text: str) -> CompiledForm:
         expr = ast.parse(text.replace("^", "**"), mode="eval").body
     except SyntaxError as exc:
         raise DomainError(f"form {text!r}: {exc.msg}") from None
-    tree = _tree(expr)
-    body, dual = _interval_node(tree), _dual_node(tree)
     names = frozenset(n.id for n in ast.walk(expr) if isinstance(n, ast.Name)) - {"pi"}
-    return CompiledForm(
-        tree, names, lambda x: body(_BoxLeaves(x=x)), lambda x: dual(_BoxLeaves(x=x))
-    )
-
-
-# Interval backend.  The enclosure functions are module globals looked up at call time.
-_BOX_LEAVES = {
-    "cos": lambda v: cos_enc(v["x"]),
-    "sinc": lambda v: sinc_enc(v["x"]),
-    "p": lambda v: p_enc(v["x"]),
-    "sin": lambda v: v["x"] * v["sinc"],
-}
-
-
-class _BoxLeaves(dict):
-    """Leaf enclosures over one box, given "x"; each is computed on first use."""
-
-    def __missing__(self, name):
-        value = self[name] = _BOX_LEAVES[name](self)
-        return value
-
-
-def _interval_node(node: tuple) -> Callable[[dict], Interval]:
-    kind = node[0]
-    if kind == "const":
-        enc = node[1].enclosure()
-        return lambda v: enc
-    if kind == "leaf":
-        name = node[1]
-        return lambda v: v[name]
-    if kind == "pow":
-        base, k = _interval_node(node[1]), node[2]
-        return lambda v: int_pow(base(v), k)
-    left, right = _interval_node(node[1]), _interval_node(node[2])
-    return lambda v: kind(left(v), right(v))
-
-
-# Derivative backend: forward mode over the same tree and the same cached
-# leaf enclosures, with the entire derivative rules of each leaf.  A slope of
-# None stands for an exact 0.  p' = (sinc - 3p)/x needs x > 0.
-_ONE = Interval(1.0, 1.0)
-_BOX_SLOPES = {
-    "x": lambda v: _ONE,
-    "cos": lambda v: -(v["x"] * v["sinc"]),
-    "sin": lambda v: v["cos"],
-    "sinc": lambda v: -(v["x"] * v["p"]),
-    "p": lambda v: (v["sinc"] - v["p"].scale(3)) / v["x"],
-}
-
-
-def _add_slopes(op, da: Interval | None, db: Interval | None) -> Interval | None:
-    if db is None:
-        return da
-    if da is None:
-        return -db if op is operator.sub else db
-    return op(da, db)
-
-
-def _dual_node(node: tuple) -> Callable[[dict], tuple[Interval, Interval | None]]:
-    kind = node[0]
-    if kind == "const":
-        enc = node[1].enclosure()
-        return lambda v: (enc, None)
-    if kind == "leaf":
-        name, slope = node[1], _BOX_SLOPES[node[1]]
-        return lambda v: (v[name], slope(v))
-    if kind == "pow":
-        base, k = _dual_node(node[1]), node[2]
-
-        def power(v):
-            a, da = base(v)
-            if da is None or k == 0:
-                return int_pow(a, k), None
-            return int_pow(a, k), int_pow(a, k - 1).scale(k) * da
-
-        return power
-    left, right = _dual_node(node[1]), _dual_node(node[2])
-
-    def combine(v):
-        (a, da), (b, db) = left(v), right(v)
-        if kind is not operator.mul:
-            return kind(a, b), _add_slopes(kind, da, db)
-        da = None if da is None else da * b
-        db = None if db is None else a * db
-        return a * b, _add_slopes(operator.add, da, db)
-
-    return combine
-
-
-# The qi margins scale like x^7/105 and x^5/32 near 0, so their difference
-# forms lose everything to cancellation there; evaluate F as x^k0 * (F/x^k0)
-# with the exact divided series, whose tail is rigorous out to pi/2 at this
-# degree.  The other forms would also certify this way, in fewer boxes
-# (main_upper in 4 instead of 39), but their margins are "direct" because
-# the box bytes of schema tancert-cert-v2 are pinned.
-_FACTORED_DEGREE = 40
-
-
-@cache
-def _factored_quotient(spec: InequalitySpec) -> PowerSeries:
-    ps = form_series(spec.id, "zero", _FACTORED_DEGREE, _HALF_PI_HI)
-    return ps.divide_power(spec.vanish_order_zero)
-
-
-def _evaluator(spec: InequalitySpec, schema: str = SCHEMA) -> Callable[[Interval], Interval]:
-    """Box margins of one form as the given certificate schema defines them."""
-    if spec.evaluator == "direct":
-        form = compile_form(spec.entire_form)
-        return form.interval if schema == SCHEMA_V1 else form.centered
-    if spec.evaluator == "phi":
-        return phi_lemma_enc
-    if spec.evaluator != "factored":
-        raise DomainError(f"{spec.id}: unknown evaluator {spec.evaluator!r}")
-    quotient, k0 = _factored_quotient(spec), spec.vanish_order_zero
-    return lambda x: int_pow(x, k0) * quotient.eval(x)
-
-
-def eval_form(inequality_id: str, x: Interval, *, schema: str = SCHEMA) -> Interval:
-    """Enclosure of the entire-form numerator F over x: the box margin that
-    a certificate of `schema` (by default the current one) records."""
-    if inequality_id not in CATALOG:
-        raise DomainError(f"unknown inequality id {inequality_id!r}")
-    if x.lo < 0.0 or x.hi > _HALF_PI_HI:
-        raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
-    return _evaluator(CATALOG[inequality_id], schema)(x)
+    return CompiledForm(_tree(expr), names)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +290,8 @@ def form_series(inequality_id: str, center: str, degree: int, radius: float) -> 
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     spec = CATALOG[inequality_id]
-    if center == "zero" and spec.evaluator == "phi":
-        return phi_power_series(degree, radius)
+    if center == "zero" and spec.series_at_zero is not None:
+        return spec.series_at_zero(degree, radius)
     if center == "half_pi" and spec.vanish_order_half_pi == 0:
         raise DomainError(f"{inequality_id} needs no expansion at pi/2")
     if center not in _SERIES_LEAVES:
@@ -493,13 +349,34 @@ class EndpointProof:
     leading_coefficient: Interval
 
 
+def _check_degree(order: int, degree: int) -> None:
+    if not order + 8 <= degree <= MAX_DEGREE:
+        raise DomainError(f"a series of order {order} needs {order + 8} <= degree <= {MAX_DEGREE}")
+
+
+def _divided_series(inequality_id: str, degree: int) -> PowerSeries:
+    """Q = F/x^k0: the exact series of F at 0 through x^degree, divided by
+    x^k0, with its tail valid on |x| <= pi/2 + ulp.  The near-zero proof
+    and every box margin of one (form, degree) share one Q."""
+    return _divided(CATALOG[inequality_id], degree, form_series)
+
+
+@cache
+def _divided(spec: InequalitySpec, degree: int, build) -> PowerSeries:
+    # the series builder is part of the key, so replacing form_series never
+    # returns a Q that the original built
+    _check_degree(spec.vanish_order_zero, degree)
+    return build(spec.id, "zero", degree, _HALF_PI_HI).divide_power(spec.vanish_order_zero)
+
+
 def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) -> EndpointProof:
     """Certify F > 0 within `bound` of one endpoint by dividing out its order.
 
     Verifies that the series coefficients below the vanishing order k vanish
     in exact arithmetic (hence their interval versions are the exact
     [0, 0]), that the coefficient of u^k matches the catalog, and that the
-    quotient F/u^k has a positive interval lower bound on [0, bound].
+    quotient F/u^k has a positive interval lower bound on [0, bound].  At 0
+    the quotient is Q, the series the box margins use.
     """
     spec = CATALOG[inequality_id]
     if kind == "zero":
@@ -510,14 +387,16 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
     if not 0.0 < bound <= max_bound:
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
-    if not k + 8 <= degree <= MAX_DEGREE:
-        raise DomainError(f"{kind} endpoint proof needs {k + 8} <= degree <= {MAX_DEGREE}")
-    ps = form_series(inequality_id, kind, degree, bound)
-    lead = ps.coeffs[k]
+    # divide_power raises OrderMismatch on nonzero coefficients below u^k
+    if kind == "zero":
+        quotient = _divided_series(inequality_id, degree)
+    else:
+        _check_degree(k, degree)
+        quotient = form_series(inequality_id, kind, degree, bound).divide_power(k)
+    lead = quotient.coeffs[0]
     if lead != expected:
         raise OrderMismatch(f"{inequality_id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
     lead_enc = lead.enclosure()
-    quotient = ps.divide_power(k)  # raises OrderMismatch on nonzero low coeffs
     lb = quotient.eval(Interval(0.0, bound)).lo
     if lb <= 0.0 or not certainly_positive(lead_enc):
         raise NotPositive(
@@ -568,6 +447,17 @@ class CertifyConfig:
             raise DomainError(f"min_width must be finite and positive, got {self.min_width!r}")
 
 
+def eval_form(inequality_id: str, x: Interval, *, degree: int = CertifyConfig.degree) -> Interval:
+    """Box margin over x that a certificate of this degree records: the
+    enclosure x^k0 * Q(x) of F, Q = F/x^k0 the divided exact series."""
+    if inequality_id not in CATALOG:
+        raise DomainError(f"unknown inequality id {inequality_id!r}")
+    if x.lo < 0.0 or x.hi > _HALF_PI_HI:
+        raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
+    quotient = _divided_series(inequality_id, degree)
+    return int_pow(x, CATALOG[inequality_id].vanish_order_zero) * quotient.eval(x)
+
+
 @dataclass
 class CertStats:
     box_count: int
@@ -589,7 +479,6 @@ class Certificate:
     boxes: list[BoxRecord]
     stats: CertStats
     config: CertifyConfig
-    schema: str = SCHEMA  # which evaluator the margins came from
 
 
 # Bisection gives up after this many boxes that reach max_depth or min_width
@@ -602,8 +491,9 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     """Cover [lo, hi] with certainly-positive boxes by adaptive bisection.
 
     Stops at the first certainly-negative box or after MAX_FAILED_LEAVES
-    unresolved leaves.  Returns (accepted, failed, falsified_record,
-    max_depth_reached, worst).
+    unresolved leaves.  Once MAX_BOXES boxes are accepted, every box still
+    to come counts as unresolved.  Returns (accepted, failed,
+    falsified_record, max_depth_reached, worst).
     """
     accepted: list[BoxRecord] = []
     failed: list[BoxRecord] = []
@@ -614,11 +504,12 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
         box, depth = frontier.pop()
         max_depth_seen = max(max_depth_seen, depth)
         rec = BoxRecord(box, f(box), depth)
-        if certainly_positive(rec.margin):
+        full = len(accepted) >= MAX_BOXES
+        if certainly_positive(rec.margin) and not full:
             accepted.append(rec)
         elif certainly_negative(rec.margin):
             falsified.append(rec)
-        elif depth >= cfg.max_depth or box.width <= cfg.min_width:
+        elif full or depth >= cfg.max_depth or box.width <= cfg.min_width:
             failed.append(rec)
         else:
             a, b = split(box)
@@ -650,8 +541,9 @@ def certify(
         nh = near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
     lo = cfg.delta if nz else 0.0
     hi = _sub_up(_HALF_PI_HI, cfg.epsilon_max) if nh else _HALF_PI_HI
-    f = _evaluator(spec)
-    accepted, failed, falsified, depth_seen, worst = _bisect_cover(f, lo, hi, cfg)
+    accepted, failed, falsified, depth_seen, worst = _bisect_cover(
+        lambda x: eval_form(inequality_id, x, degree=cfg.degree), lo, hi, cfg
+    )
     wall = time.perf_counter() - t0
     status, boxes = ("undecided" if failed else "certified"), accepted
     if falsified is not None:
@@ -674,7 +566,7 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# serialization (schemas tancert-cert-v1 and -v2; all floats as hex strings)
+# serialization (schema tancert-cert-v3; all floats as hex strings)
 # ---------------------------------------------------------------------------
 
 def _hex(x: float) -> str:
@@ -711,7 +603,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     """JSON-ready dict.  wall_time is an execution detail and deliberately
     absent so identical configs yield identical bytes."""
     return {
-        "schema": cert.schema,
+        "schema": SCHEMA,
         "inequality_id": cert.inequality_id,
         "status": cert.status,
         "domain": list(cert.domain.to_hex()),
@@ -734,12 +626,14 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(d: dict) -> Certificate:
     schema = d.get("schema") if isinstance(d, dict) else None
-    if schema not in (SCHEMA_V1, SCHEMA):
+    if schema != SCHEMA:
         raise DomainError(f"unknown certificate schema {schema!r}")
     if not isinstance(d["inequality_id"], str):
         raise DomainError("inequality_id must be a string")
     if d["status"] not in STATUSES:
         raise DomainError(f"unknown status {d['status']!r}")
+    if len(d["boxes"]) > MAX_BOXES:
+        raise DomainError(f"{len(d['boxes'])} boxes; a certificate holds at most {MAX_BOXES}")
     cfg = CertifyConfig(
         delta=float.fromhex(d["config"]["delta"]),
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
@@ -768,7 +662,6 @@ def certificate_from_dict(d: dict) -> Certificate:
             wall_time=0.0,
         ),
         config=cfg,
-        schema=schema,
     )
 
 
@@ -885,7 +778,7 @@ def check_certificate(cert: Certificate) -> CheckResult:
                 diagnoses.append(f"box {i}: margin not positive")
                 continue
             try:
-                recomputed = eval_form(cert.inequality_id, box.interval, schema=cert.schema)
+                recomputed = eval_form(cert.inequality_id, box.interval, degree=cfg.degree)
             except DomainError as exc:
                 diagnoses.append(f"box {i}: margin not verifiable: {exc}")
                 continue

@@ -75,7 +75,7 @@ def _product_error(a: float, b: float, p: float):
     """
     if abs(a) > _DEKKER_BIG or abs(b) > _DEKKER_BIG or abs(p) < _DEKKER_TINY:
         if a == 0.0 or b == 0.0:
-            return 0.0  # exact, or inf * 0 = NaN, which Interval rejects
+            return 0.0  # exact (inf * 0 never gets here)
         return Fraction(a) * Fraction(b) - Fraction(p)
     c = _SPLITTER * a
     ah = c - (c - a)
@@ -88,7 +88,9 @@ def _product_error(a: float, b: float, p: float):
 
 def _mul_down(a: float, b: float) -> float:
     p = a * b
-    if math.isinf(p):
+    if not math.isfinite(p):
+        if p != p:
+            return 0.0  # inf * 0: every real of an unbounded end times 0 is 0
         return _MAX if p > 0.0 else p
     if _product_error(a, b, p) < 0.0:
         return math.nextafter(p, -_INF)
@@ -97,7 +99,9 @@ def _mul_down(a: float, b: float) -> float:
 
 def _mul_up(a: float, b: float) -> float:
     p = a * b
-    if math.isinf(p):
+    if not math.isfinite(p):
+        if p != p:
+            return 0.0  # inf * 0, as in _mul_down
         return -_MAX if p < 0.0 else p
     if _product_error(a, b, p) > 0.0:
         return math.nextafter(p, _INF)

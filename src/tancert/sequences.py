@@ -21,8 +21,8 @@ T_n > 0 for n >= 4, and the decrease of the terms T_n x^(2n)/(2n)! on
 Everything in this module is exact integer/rational arithmetic except
 phi_lemma_enc, which evaluates the alternating partial sum in interval
 arithmetic with a first-omitted-term remainder.  phi_power_series holds
-the same exact coefficients phi_coeff(n) as a PowerSeries, for the
-certifier's proof near 0.
+the same exact coefficients phi_coeff(n) as a PowerSeries: the lemma_phi
+series at 0 from which the certifier builds its proof and box margins.
 """
 
 from __future__ import annotations
@@ -254,6 +254,8 @@ def phi_power_series(degree: int, radius: float) -> PowerSeries:
         raise DomainError("phi series needs degree >= 8")
     if Fraction(radius) ** 2 > 3:
         raise DomainError("phi series radius must stay within sqrt(3)")
+    if not _term_decrease_verified():
+        raise AssertionError("alternating term decrease failed")  # pragma: no cover
     coeffs = [PiPoly()] * (degree + 1)
     for n in range(4, degree // 2 + 1):
         coeffs[2 * n] = PiPoly.rational(phi_coeff(n))

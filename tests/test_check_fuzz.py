@@ -1,6 +1,6 @@
 """Fuzzing the checker: one corrupted field of a valid certificate at a time.
 
-Each example takes a pinned v2 certificate, picks one node of its JSON
+Each example takes a pinned certificate, picks one node of its JSON
 tree and replaces it with a value of the wrong type, a NaN or infinite
 hex string, a huge integer or an unknown status, deletes it, or swaps two
 entries of a list (inverting an interval's bounds, say).  Whatever the
@@ -18,8 +18,8 @@ from tancert.certifier import CheckResult, check_file
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
-# bs_lower has both endpoint proofs; qi_upper has a "factored" margin and
-# lemma_phi the "phi" one
+# bs_lower and qi_upper have both endpoint proofs; lemma_phi's series at 0
+# is the closed form of its lemma
 SOURCES = {
     cid: json.loads((GOLDEN / f"cert-{cid}.json").read_text())
     for cid in ("bs_lower", "qi_upper", "lemma_phi")

@@ -1,34 +1,38 @@
 """Pinned certificates: the nine default-config certificates, byte for byte.
 
 `tests/data/golden/cert-<id>.json` holds what `tancert certify all` wrote
-under the default configuration.  A change to form evaluation, the series
-backends, bisection or serialization that alters any margin, proof bound
-or box shows up here as a byte difference.  Regenerate the files only
-when such a change is intended, and record why in CHANGES.md.
+under the default configuration (schema tancert-cert-v3).  A change to
+the series backends, bisection or serialization that alters any margin,
+proof bound or box shows up here as a byte difference.  Regenerate the
+files only when such a change is intended, and record why in CHANGES.md.
 
-`tests/data/golden/v1/` keeps the same nine certificates as schema
-tancert-cert-v1 wrote them (naive box margins).  They must keep checking,
-and they pin the checker's dispatch on the schema string.
+The same files are checked against an oracle that shares no code with the
+certifier: mpmath evaluates each form straight from its definition
+(`conftest.mp_form`), without the form parser or the exact series.
+
+`tests/data/schema-v2/cert-main_upper.json` is the default `main_upper`
+certificate as schema tancert-cert-v2 wrote it; the checker refuses it.
 """
 
-import json
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+from tancert import cli
 from tancert.certifier import (
     CATALOG,
-    SCHEMA,
-    SCHEMA_V1,
-    certificate_from_dict,
     certificate_to_json,
     certify,
     check_certificate,
-    eval_form,
+    check_file,
     load_certificate,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+from conftest import contains, mp_form
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -40,30 +44,27 @@ def test_golden_certificate_reproduced_and_checked(cid):
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
-def test_v1_golden_certificate_still_checks(cid):
-    v1 = json.loads((GOLDEN / "v1" / f"cert-{cid}.json").read_text())
-    v2 = json.loads((GOLDEN / f"cert-{cid}.json").read_text())
-    assert v1["schema"] == SCHEMA_V1
-    result = check_certificate(certificate_from_dict(v1))
-    assert result.ok, result.diagnoses
-    # the centered margins change only the box cover, never the proofs
-    for doc in (v1, v2):
-        del doc["schema"], doc["boxes"], doc["stats"]
-    assert v1 == v2
+def test_golden_box_margins_contain_the_form(cid, oracle):
+    cert = load_certificate(GOLDEN / f"cert-{cid}.json")
+    for box in cert.boxes:
+        lo, hi = mp.mpf(box.interval.lo), mp.mpf(box.interval.hi)
+        for x in (lo, (lo + hi) / 2, hi):
+            assert contains(box.margin, mp_form(cid, x)), (box, x)
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
-def test_v2_margin_lies_inside_naive_margin(cid):
-    cert = load_certificate(GOLDEN / f"cert-{cid}.json")
-    assert cert.schema == SCHEMA
-    for box in cert.boxes:
-        naive = eval_form(cid, box.interval, schema=SCHEMA_V1)
-        assert naive.lo <= box.margin.lo and box.margin.hi <= naive.hi, box
+def test_golden_near_zero_bound_lies_below_the_quotient(cid, oracle):
+    proof = load_certificate(GOLDEN / f"cert-{cid}.json").near_zero_proof
+    delta, k0 = mp.mpf(proof.bound), proof.order
+    for j in range(1, 33):
+        x = delta * j / 32
+        assert proof.normalized_lower_bound <= mp_form(cid, x) / x**k0, x
 
 
-def test_v1_body_relabelled_v2_fails_margin_check():
-    doc = json.loads((GOLDEN / "v1" / "cert-main_upper.json").read_text())
-    doc["schema"] = SCHEMA
-    result = check_certificate(certificate_from_dict(doc))
+def test_v2_certificate_is_refused():
+    path = DATA / "schema-v2" / "cert-main_upper.json"
+    assert cli.main(["check", str(path)]) == 3
+    result = check_file(path)
     assert not result.ok
-    assert any("margin mismatch" in d for d in result.diagnoses), result.diagnoses
+    assert len(result.diagnoses) == 1, result.diagnoses
+    assert "unknown certificate schema 'tancert-cert-v2'" in result.diagnoses[0]

@@ -47,6 +47,16 @@ def test_mul_huge_operand_correctly_rounded():
         assert math.nextafter(q.lo, math.inf) == q.hi
 
 
+def test_zero_times_unbounded_is_zero():
+    # inf * 0 is NaN in floats; every real of an unbounded end times 0 is 0
+    zero, inf = Interval(0.0, 0.0), math.inf
+    assert zero * Interval(1.0, inf) == zero
+    assert Interval(-inf, -1.0) * zero == zero
+    assert zero * Interval(-inf, inf) == zero
+    assert Interval(0.0, 2.0) * Interval(1.0, inf) == Interval(0.0, inf)
+    assert Interval(-inf, inf).scale(0) == zero
+
+
 def test_add_zero_is_identity():
     x = Interval(0.1237918231, 7.25)
     assert Interval(0, 0) + x == x
