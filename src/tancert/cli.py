@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TancertError as exc:

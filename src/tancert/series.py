@@ -20,7 +20,7 @@ float, so expansions there live in Q[pi, 1/pi] rather than Q).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .enclosures import cos_coeff, p_coeff, sinc_coeff
 from .errors import DomainError, OrderMismatch
@@ -135,6 +135,17 @@ def exp_tail_bound(first_index: int, radius: float) -> float:
     return rational_enclosure(exact).hi
 
 
+def _numerator_rows(coeffs):
+    """Coefficients as integers over one common denominator: returns
+    ({pi power: [(index, numerator), ...]}, denominator), zeros left out."""
+    den = lcm(*(v.denominator for c in coeffs for v in c.terms.values()))
+    rows = {}
+    for i, c in enumerate(coeffs):
+        for k, v in c.terms.items():
+            rows.setdefault(k, []).append((i, v.numerator * (den // v.denominator)))
+    return rows, den
+
+
 def _sup_abs(coeff_encs, radius: float) -> Interval:
     """Enclosure of the polynomial over |u| <= radius (interval Horner)."""
     u = Interval(-radius, radius)
@@ -204,14 +215,23 @@ class PowerSeries:
         self._check_compatible(other)
         d = self.degree
         r = self.radius
-        conv = [_ZERO] * (2 * d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                conv[i + j] = conv[i + j] + a * b
+        # integer convolution, one row per pair of pi powers, over the
+        # product of the two common denominators; each output coefficient
+        # is reduced once, so the exact values are those of a Fraction loop
+        rows_a, den_a = _numerator_rows(self.coeffs)
+        rows_b, den_b = _numerator_rows(other.coeffs)
+        sums = {}
+        for ka, row_a in rows_a.items():
+            for kb, row_b in rows_b.items():
+                acc = sums.setdefault(ka + kb, [0] * (2 * d + 1))
+                for i, x in row_a:
+                    for j, y in row_b:
+                        acc[i + j] += x * y
+        den = den_a * den_b
+        conv = [
+            PiPoly({k: Fraction(acc[n], den) for k, acc in sums.items() if acc[n]})
+            for n in range(2 * d + 1)
+        ]
         # overflow terms (power > d) fold into the tail coefficient:
         # |c_k u^k| <= |c_k| r^(k-d-1) * |u|^(d+1)
         overflow = Interval.point(0.0)

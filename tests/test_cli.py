@@ -249,6 +249,15 @@ def test_bad_certify_config_writes_nothing(flags, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["", "missing.json"])
+def test_check_of_an_unopenable_path_exits_1(name, tmp_path, capsys):
+    # a directory or a missing file: one error line, no traceback
+    assert cli.main(["check", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_config_null_keeps_default(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text('{"out": null, "delta": null}')

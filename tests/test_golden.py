@@ -10,6 +10,11 @@ The same files are checked against an oracle that shares no code with the
 certifier: mpmath evaluates each form straight from its definition
 (`conftest.mp_form`), without the form parser or the exact series.
 
+`tests/data/golden/wide_endpoints/cert-<id>.json` pins the same nine
+certificates at `--delta 0.5 --epsilon-max 0.25 --degree 96`, where the
+exact series products and the pi-power coefficients at pi/2 do the most
+work.
+
 `tests/data/schema-v2/cert-main_upper.json` is the default `main_upper`
 certificate as schema tancert-cert-v2 wrote it; the checker refuses it.
 """
@@ -22,6 +27,7 @@ import pytest
 from tancert import cli
 from tancert.certifier import (
     CATALOG,
+    CertifyConfig,
     certificate_to_json,
     certify,
     check_certificate,
@@ -33,6 +39,7 @@ from conftest import contains, mp_form
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
+WIDE_ENDPOINTS = CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -41,6 +48,12 @@ def test_golden_certificate_reproduced_and_checked(cid):
     assert certificate_to_json(certify(cid)) == path.read_text()
     result = check_certificate(load_certificate(path))
     assert result.ok, result.diagnoses
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_degree_96_golden_certificate_reproduced(cid):
+    path = GOLDEN / "wide_endpoints" / f"cert-{cid}.json"
+    assert certificate_to_json(certify(cid, WIDE_ENDPOINTS)) == path.read_text()
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tancert.errors import DomainError, OrderMismatch
-from tancert.interval import Interval
+from tancert.interval import Interval, _mul_up, _pow_up
 from tancert.series import (
     PiPoly,
     PowerSeries,
@@ -15,6 +17,7 @@ from tancert.series import (
     ps_poly,
     ps_sin,
     ps_sinc,
+    _sup_abs,
 )
 
 from conftest import contains, mp_p, mp_sinc
@@ -114,3 +117,54 @@ def test_scale_by_pipoly(oracle):
     r = 0.5
     scaled = ps_cos(16, r).scale(PiPoly({2: 1}))
     assert contains(scaled.eval(Interval.point(0.3)), mp.pi**2 * mp.cos(mp.mpf("0.3")))
+
+
+# sparse coefficients in Q[pi, 1/pi]: negative pi powers, unrelated
+# denominators, rows (pi powers) that are zero in every coefficient
+PIPOLYS = st.dictionaries(
+    st.integers(-3, 3),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    max_size=3,
+).map(PiPoly)
+TAILS = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@st.composite
+def series_pairs(draw):
+    degree = draw(st.integers(0, 7))
+    radius = draw(st.floats(0.125, 2.0))
+    coeffs = st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1)
+    return tuple(PowerSeries(draw(coeffs), draw(TAILS), radius) for _ in range(2))
+
+
+def _fraction_product(a, b):
+    """Reference: the PiPoly (Fraction) convolution, the powers past the
+    degree folded into the tail as |c_k| r^(k-d-1), plus the operands' tails."""
+    d, r = a.degree, a.radius
+    conv = [PiPoly()] * (2 * d + 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            conv[i + j] = conv[i + j] + ca * cb
+    tail = Interval.point(0.0)
+    for k in range(d + 1, 2 * d + 1):
+        if not conv[k].is_zero():
+            tail = tail + Interval.point(_mul_up(conv[k].enclosure().mag(), _pow_up(r, k - d - 1)))
+    sup_a = _sup_abs(a.coefficient_enclosures(), r).mag()
+    sup_b = _sup_abs(b.coefficient_enclosures(), r).mag()
+    tail = (
+        Interval.point(tail.hi)
+        + Interval.point(_mul_up(sup_a, b.tail))
+        + Interval.point(_mul_up(sup_b, a.tail))
+        + Interval.point(_mul_up(_mul_up(a.tail, b.tail), _pow_up(r, d + 1)))
+    )
+    return conv[: d + 1], tail.hi
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(series_pairs())
+def test_integer_product_equals_fraction_convolution(pair):
+    a, b = pair
+    coeffs, tail = _fraction_product(a, b)
+    prod = a * b
+    assert prod.coeffs == tuple(coeffs)
+    assert prod.tail == tail
