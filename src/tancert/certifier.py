@@ -521,28 +521,21 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     return accepted, failed, (falsified[0] if falsified else None), max_depth_seen, worst
 
 
-def certify(
-    inequality_id: str,
-    cfg: CertifyConfig = CertifyConfig(),
-    *,
-    use_near_zero: bool = True,
-) -> Certificate:
+def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certificate:
     """Produce a Certificate for one catalog inequality.
 
-    `use_near_zero=False` is a diagnostic switch documenting why the
-    endpoint stage is mandatory: margins vanish at 0, so bisection alone
-    must end undecided there (never falsified).
+    The near-zero proof is mandatory: margins vanish at 0, so bisection
+    alone ends undecided there (never falsified).
     """
     spec = CATALOG[inequality_id]
     t0 = time.perf_counter()
-    nz = near_zero_proof(inequality_id, cfg.delta, cfg.degree) if use_near_zero else None
+    nz = near_zero_proof(inequality_id, cfg.delta, cfg.degree)
     nh = None
     if spec.vanish_order_half_pi > 0:
         nh = near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
-    lo = cfg.delta if nz else 0.0
     hi = _sub_up(_HALF_PI_HI, cfg.epsilon_max) if nh else _HALF_PI_HI
     accepted, failed, falsified, depth_seen, worst = _bisect_cover(
-        lambda x: eval_form(inequality_id, x, degree=cfg.degree), lo, hi, cfg
+        lambda x: eval_form(inequality_id, x, degree=cfg.degree), cfg.delta, hi, cfg
     )
     wall = time.perf_counter() - t0
     status, boxes = ("undecided" if failed else "certified"), accepted
@@ -586,14 +579,21 @@ def _proof_to_dict(p: EndpointProof | None):
     }
 
 
+def _int(v) -> int:
+    # bool, float and str are refused rather than truncated or parsed
+    if type(v) is not int:
+        raise DomainError(f"{v!r} where the schema has an integer")
+    return v
+
+
 def _proof_from_dict(d) -> EndpointProof | None:
     if d is None:
         return None
     return EndpointProof(
         kind=d["kind"],
         bound=float.fromhex(d["bound"]),
-        order=int(d["order"]),
-        model_degree=int(d["model_degree"]),
+        order=_int(d["order"]),
+        model_degree=_int(d["model_degree"]),
         normalized_lower_bound=float.fromhex(d["normalized_lower_bound"]),
         leading_coefficient=Interval.from_hex(*d["leading_coefficient"]),
     )
@@ -637,15 +637,15 @@ def certificate_from_dict(d: dict) -> Certificate:
     cfg = CertifyConfig(
         delta=float.fromhex(d["config"]["delta"]),
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
-        degree=int(d["config"]["degree"]),
-        max_depth=int(d["config"]["max_depth"]),
+        degree=_int(d["config"]["degree"]),
+        max_depth=_int(d["config"]["max_depth"]),
         min_width=float.fromhex(d["config"]["min_width"]),
     )
     boxes = [
         BoxRecord(
             Interval.from_hex(row[0], row[1]),
             Interval.from_hex(row[2], row[3]),
-            int(row[4]),
+            _int(row[4]),
         )
         for row in d["boxes"]
     ]
@@ -657,8 +657,8 @@ def certificate_from_dict(d: dict) -> Certificate:
         near_half_pi_proof=_proof_from_dict(d["near_half_pi_proof"]),
         boxes=boxes,
         stats=CertStats(
-            box_count=int(d["stats"]["box_count"]),
-            max_depth_reached=int(d["stats"]["max_depth_reached"]),
+            box_count=_int(d["stats"]["box_count"]),
+            max_depth_reached=_int(d["stats"]["max_depth_reached"]),
             wall_time=0.0,
         ),
         config=cfg,
@@ -711,10 +711,9 @@ def check_certificate(cert: Certificate) -> CheckResult:
     start, end = 0.0, _HALF_PI_HI
     if cert.domain != Interval(start, end):
         diagnoses.append(f"domain {cert.domain} != [0, pi/2 + ulp]")
-    off_degree = []
-    for kind, p, prove, label, name in (
-        ("zero", cert.near_zero_proof, near_zero_proof, "near-zero", "delta"),
-        ("half_pi", cert.near_half_pi_proof, near_half_pi_proof, "near-pi/2", "epsilon_max"),
+    for kind, p, label, name in (
+        ("zero", cert.near_zero_proof, "near-zero", "delta"),
+        ("half_pi", cert.near_half_pi_proof, "near-pi/2", "epsilon_max"),
     ):
         if p is None:
             continue
@@ -723,27 +722,16 @@ def check_certificate(cert: Certificate) -> CheckResult:
             start = p.bound
         else:
             end = _sub_up(_HALF_PI_HI, p.bound)
-        if p.kind != kind:
-            diagnoses.append(f"{label} proof has kind {p.kind!r}, not {kind!r}")
-        if p.bound != getattr(cfg, name):
-            diagnoses.append(f"{label} proof bound {p.bound!r} != config.{name} {getattr(cfg, name)!r}")
-        if p.model_degree != cfg.degree:
-            # not re-proven: the config does not describe this proof
-            off_degree.append(label)
-            continue
+        # the proof the config describes, compared field by field as written
         try:
-            fresh = prove(cert.inequality_id, p.bound, p.model_degree)
+            fresh = _endpoint_proof(cert.inequality_id, kind, getattr(cfg, name), cfg.degree)
         except (NotPositive, OrderMismatch, DomainError) as exc:
             diagnoses.append(f"{label} proof failed: {exc}")
             continue
-        if fresh.order != p.order:
-            diagnoses.append(f"{label} proof order mismatch")
-        if fresh.normalized_lower_bound != p.normalized_lower_bound:
-            diagnoses.append(f"{label} proof bound mismatch")
-    if off_degree:
-        diagnoses.append(
-            f"{' and '.join(off_degree)} proof model_degree != config.degree {cfg.degree}"
-        )
+        stored, derived = _proof_to_dict(p), _proof_to_dict(fresh)
+        differ = [key for key in sorted(derived) if stored[key] != derived[key]]
+        if differ:
+            diagnoses.append(f"{label} proof differs from its re-derivation in {', '.join(differ)}")
     if cert.near_half_pi_proof is None and spec.vanish_order_half_pi > 0:
         diagnoses.append("missing near-pi/2 proof for a form vanishing at pi/2")
     if cert.near_zero_proof is None:

@@ -22,6 +22,7 @@ rational subtraction of the sin and x*cos series through degree 30.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 
@@ -31,6 +32,7 @@ from .interval import (
     _HALF_PI_LO,
     _HALF_PI_HI,
     certainly_positive,
+    horner,
     int_pow,
     rational_enclosure,
 )
@@ -64,80 +66,76 @@ _INV_FACT_2N = rational_enclosure(abs(cos_coeff(N_TERMS)))
 _P_OMITTED = rational_enclosure(p_coeff(N_TERMS))
 
 
-def _check_p_terms_decreasing(x_sq_max: Fraction, m_max: int = 256) -> None:
-    # t_m = |p_coeff(m)| x^(2m); consecutive ratio must stay < 1 so the
-    # first-omitted-term bound is valid from every truncation point.
-    for m in range(m_max):
-        ratio = Fraction(m + 2, m + 1) * x_sq_max / ((2 * m + 4) * (2 * m + 5))
-        if ratio >= 1:
-            raise AssertionError(f"p-series terms not decreasing at m={m}")
+@functools.cache
+def _p_terms_decrease() -> bool:
+    # t_m = |p_coeff(m)| x^(2m); on the call domain [0, pi/2 + ulp], where
+    # x^2 < 5/2, consecutive ratios must stay < 1 so the first-omitted-term
+    # bound is valid from every truncation point
+    return all(
+        Fraction(m + 2, m + 1) * Fraction(5, 2) / ((2 * m + 4) * (2 * m + 5)) < 1 for m in range(256)
+    )
 
 
-# call domain is [0, pi/2 + 1 ulp]; (pi/2 + ulp)^2 < 5/2
-_check_p_terms_decreasing(Fraction(5, 2))
+def _alternating_rest(x: Interval, power: int, omitted: Interval) -> Interval:
+    """Remainder of an alternating series whose terms decrease on x: the hull
+    of 0 and the first omitted term, omitted * mag(x)^power."""
+    t = int_pow(Interval.point(x.mag()), power) * omitted
+    return Interval(min(t.lo, 0.0), max(t.hi, 0.0))
 
 
-def _even_series(coeffs, x: Interval) -> Interval:
-    u = int_pow(x, 2)
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * u + c
-    return acc
-
-
-def _lagrange_tail(x: Interval) -> Interval:
-    # |tail| <= mag(x)^(2N)/(2N)! for both the cos and the sinc series
-    # (the sinc tail is even smaller term by term).
-    m = x.mag()
-    t = (int_pow(Interval.point(m), 2 * N_TERMS) * _INV_FACT_2N).hi
-    return Interval(-t, t)
+def _even_enc(coeffs, x: Interval, guard: float, name: str) -> Interval:
+    """The even series sum_m coeffs[m] x^(2m) plus the Lagrange tail
+    mag(x)^(2N)/(2N)!, valid for cos and for sinc (whose tail is even
+    smaller term by term), on |x| <= guard."""
+    if x.mag() > guard:
+        raise DomainError(f"{name} guard |x|<={guard:g} violated: {x}")
+    t = (int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _INV_FACT_2N).hi
+    return horner(coeffs, int_pow(x, 2)) + Interval(-t, t)
 
 
 def cos_enc(x: Interval) -> Interval:
     """Enclosure of cos over x; requires |x| <= 2."""
-    if x.mag() > 2.0:
-        raise DomainError(f"cos_enc guard |x|<=2 violated: {x}")
-    return _even_series(_COS_COEFFS, x) + _lagrange_tail(x)
+    return _even_enc(_COS_COEFFS, x, 2.0, "cos_enc")
 
 
 def sinc_enc(x: Interval) -> Interval:
     """Enclosure of sin(x)/x (value 1 at 0); requires |x| <= 2."""
-    if x.mag() > 2.0:
-        raise DomainError(f"sinc_enc guard |x|<=2 violated: {x}")
-    return _even_series(_SINC_COEFFS, x) + _lagrange_tail(x)
+    return _even_enc(_SINC_COEFFS, x, 2.0, "sinc_enc")
 
 
 # Tripled-argument variants for the lemma's direct trig form (3x reaches
 # 3*pi/2); the Lagrange tail is still < 2e-20 at |x| = 5.
 def _cos_enc_any(x: Interval) -> Interval:
-    if x.mag() > 5.0:
-        raise DomainError(f"wide cos guard |x|<=5 violated: {x}")
-    return _even_series(_COS_COEFFS, x) + _lagrange_tail(x)
+    return _even_enc(_COS_COEFFS, x, 5.0, "wide cos")
 
 
 def _sinc_enc_any(x: Interval) -> Interval:
-    if x.mag() > 5.0:
-        raise DomainError(f"wide sinc guard |x|<=5 violated: {x}")
-    return _even_series(_SINC_COEFFS, x) + _lagrange_tail(x)
+    return _even_enc(_SINC_COEFFS, x, 5.0, "wide sinc")
 
 
 def p_enc(x: Interval) -> Interval:
     """Enclosure of (sin x - x cos x)/x^3 (value 1/3 at 0) on [0, pi/2 + ulp]."""
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"p_enc domain [0, pi/2 + ulp] violated: {x}")
-    acc = _even_series(_P_COEFFS, x)
-    # alternating remainder: between 0 and the first omitted term at x.hi
-    t = int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _P_OMITTED
-    return acc + Interval(min(t.lo, 0.0), max(t.hi, 0.0))
+    if not _p_terms_decrease():
+        raise AssertionError("p-series terms not decreasing")  # pragma: no cover
+    return horner(_P_COEFFS, int_pow(x, 2)) + _alternating_rest(x, 2 * N_TERMS, _P_OMITTED)
+
+
+def _cos_positive(x: Interval, name: str) -> Interval:
+    """cos_enc(x) for a quotient's x in [0, pi/2); raises CosNotPositive
+    unless it is certainly positive."""
+    if x.lo < 0.0 or x.hi > _HALF_PI_LO:
+        raise DomainError(f"{name} domain [0, pi/2) violated: {x}")
+    c = cos_enc(x)
+    if not certainly_positive(c):
+        raise CosNotPositive(f"cos enclosure touches 0 on {x}")
+    return c
 
 
 def tan_enc(x: Interval) -> Interval:
     """Enclosure of tan over x in [0, pi/2); raises CosNotPositive on wide boxes."""
-    if x.lo < 0.0 or x.hi > _HALF_PI_LO:
-        raise DomainError(f"tan_enc domain [0, pi/2) violated: {x}")
-    c = cos_enc(x)
-    if not certainly_positive(c):
-        raise CosNotPositive(f"cos enclosure touches 0 on {x}")
+    c = _cos_positive(x, "tan_enc")
     t = sinc_enc(x) * x / c
     # tan x >= x on this domain; adopt the sharper lower endpoint only after
     # confirming the independent quotient enclosure is consistent with it.
@@ -148,19 +146,11 @@ def tan_enc(x: Interval) -> Interval:
 
 def r_enc(x: Interval) -> Interval:
     """Enclosure of (tan x - x)/x^3 = p(x)/cos(x); value 1/3 at 0."""
-    if x.lo < 0.0 or x.hi > _HALF_PI_LO:
-        raise DomainError(f"r_enc domain [0, pi/2) violated: {x}")
-    c = cos_enc(x)
-    if not certainly_positive(c):
-        raise CosNotPositive(f"cos enclosure touches 0 on {x}")
+    c = _cos_positive(x, "r_enc")
     return p_enc(x) / c
 
 
 def s_enc(x: Interval) -> Interval:
     """Enclosure of tan(x)/x = sinc(x)/cos(x); value 1 at 0."""
-    if x.lo < 0.0 or x.hi > _HALF_PI_LO:
-        raise DomainError(f"s_enc domain [0, pi/2) violated: {x}")
-    c = cos_enc(x)
-    if not certainly_positive(c):
-        raise CosNotPositive(f"cos enclosure touches 0 on {x}")
+    c = _cos_positive(x, "s_enc")
     return sinc_enc(x) / c

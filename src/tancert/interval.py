@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError
 
@@ -137,29 +138,22 @@ def _div_up(a: float, b: float) -> float:
     return q
 
 
-def _pow_down(x: float, k: int) -> float:
-    # x >= 0; lower bounds compose monotonically for nonnegative factors
+def _pow(mul, x: float, k: int) -> float:
+    # square-and-multiply with one directed product; x >= 0, so the
+    # directed bounds compose monotonically
     r = 1.0
     base = x
     while k:
         if k & 1:
-            r = _mul_down(r, base)
+            r = mul(r, base)
         k >>= 1
         if k:
-            base = _mul_down(base, base)
+            base = mul(base, base)
     return r
 
 
-def _pow_up(x: float, k: int) -> float:
-    r = 1.0
-    base = x
-    while k:
-        if k & 1:
-            r = _mul_up(r, base)
-        k >>= 1
-        if k:
-            base = _mul_up(base, base)
-    return r
+_pow_down = partial(_pow, _mul_down)
+_pow_up = partial(_pow, _mul_up)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +323,15 @@ def int_pow(a: Interval, k: int) -> Interval:
     lo = _pow_down(a.lo, k) if a.lo >= 0.0 else -_pow_up(-a.lo, k)
     hi = _pow_up(a.hi, k) if a.hi >= 0.0 else -_pow_down(-a.hi, k)
     return Interval(lo, hi)
+
+
+def horner(coeffs, u: Interval) -> Interval:
+    """Enclosure of sum_k coeffs[k] * u^k (interval coefficients) by Horner's
+    rule from [0, 0]."""
+    acc = Interval.point(0.0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def certainly_positive(a: Interval) -> bool:

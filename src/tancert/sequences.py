@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .enclosures import _cos_enc_any, _sinc_enc_any
+from .enclosures import _alternating_rest, _cos_enc_any, _sinc_enc_any
 from .errors import DomainError, IdentityMismatch
-from .interval import Interval, int_pow, rational_enclosure
+from .interval import Interval, horner, int_pow, rational_enclosure
 from .series import PiPoly, PowerSeries
 
 _A_COEFFS = (459, -362, -60, 32)
@@ -238,14 +238,9 @@ def phi_lemma_enc(x: Interval, terms: int = 24) -> Interval:
         raise DomainError("phi_lemma_enc domain ends at sqrt(3)")
     if not _term_decrease_verified():
         raise AssertionError("alternating term decrease failed")  # pragma: no cover
-    u = int_pow(x, 2)
-    acc = _phi_coeff_enc(4 + terms - 1)
-    for n in range(4 + terms - 2, 3, -1):
-        acc = acc * u + _phi_coeff_enc(n)
-    acc = acc * int_pow(x, 8)
     n0 = 4 + terms
-    t = int_pow(Interval.point(x.mag()), 2 * n0) * rational_enclosure(phi_coeff(n0))
-    return acc + Interval(min(t.lo, 0.0), max(t.hi, 0.0))
+    acc = horner([_phi_coeff_enc(n) for n in range(4, n0)], int_pow(x, 2)) * int_pow(x, 8)
+    return acc + _alternating_rest(x, 2 * n0, _phi_coeff_enc(n0))
 
 
 def phi_power_series(degree: int, radius: float) -> PowerSeries:

@@ -7,6 +7,9 @@ represents, on |u| <= radius,
 
 where the polynomial coefficients c_k are EXACT elements of Q[pi, 1/pi]
 (type `PiPoly`) and only the scalar `tail` is a rounded-up float.  The
+tail is a coefficient of u^(D+1), valid on |u| <= radius: every
+operation keeps that invariant, so a remainder's value at the radius is
+never stored where a coefficient is meant.  The
 crucial property over an additive-remainder model: dividing by u^k is a
 plain coefficient shift, because the error term carries its own power of
 u.  That is what makes "divide out the vanishing order, then bound the
@@ -24,7 +27,16 @@ from math import factorial, lcm
 
 from .enclosures import cos_coeff, p_coeff, sinc_coeff
 from .errors import DomainError, OrderMismatch
-from .interval import Interval, int_pow, pi_enclosure, rational_enclosure, _add_up, _mul_up, _pow_up
+from .interval import (
+    Interval,
+    horner,
+    int_pow,
+    pi_enclosure,
+    rational_enclosure,
+    _add_up,
+    _mul_up,
+    _pow_up,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +138,18 @@ _ONE = PiPoly.rational(1)
 # ---------------------------------------------------------------------------
 
 def exp_tail_bound(first_index: int, radius: float) -> float:
-    """Upper bound of sum_{k>=K} r^k/k!, for series with |c_k| <= 1/k!."""
+    """Tail coefficient of u^K, K = first_index, on |u| <= r = radius, for a
+    series with |c_k| <= 1/k!.
+
+    sum_{k>=K} |c_k| |u|^(k-K) <= 1/K! / (1 - r/(K+1)); the returned value is
+    that times max(1, r)^K, which for r >= 1 is the bound of sum_{k>=K} r^k/k!
+    that the pinned certificates were written with.
+    """
     r = Fraction(radius)
     k = first_index
     if r >= k + 1:
         raise DomainError("exp tail bound needs radius < first_index + 1")
-    exact = (r**k / factorial(k)) * (Fraction(1) / (1 - r / (k + 1)))
+    exact = (max(Fraction(1), r) ** k / factorial(k)) * (Fraction(1) / (1 - r / (k + 1)))
     return rational_enclosure(exact).hi
 
 
@@ -146,13 +164,14 @@ def _numerator_rows(coeffs):
     return rows, den
 
 
-def _sup_abs(coeff_encs, radius: float) -> Interval:
-    """Enclosure of the polynomial over |u| <= radius (interval Horner)."""
-    u = Interval(-radius, radius)
+def _fold(coeffs, r: float) -> float:
+    """Tail coefficient of u^(D+1) covering sum_i coeffs[i] u^(D+1+i) on
+    |u| <= r: the sum of |coeffs[i]| r^i, rounded up."""
     acc = Interval.point(0.0)
-    for c in reversed(coeff_encs):
-        acc = acc * u + c
-    return acc
+    for i, c in enumerate(coeffs):
+        if not c.is_zero():
+            acc = acc + Interval.point(_mul_up(c.enclosure().mag(), _pow_up(r, i)))
+    return acc.hi
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +251,12 @@ class PowerSeries:
             PiPoly({k: Fraction(acc[n], den) for k, acc in sums.items() if acc[n]})
             for n in range(2 * d + 1)
         ]
-        # overflow terms (power > d) fold into the tail coefficient:
-        # |c_k u^k| <= |c_k| r^(k-d-1) * |u|^(d+1)
-        overflow = Interval.point(0.0)
-        for k in range(d + 1, 2 * d + 1):
-            if conv[k].is_zero():
-                continue
-            m = conv[k].enclosure().mag()
-            overflow = overflow + Interval.point(
-                _mul_up(m, _pow_up(r, k - d - 1))
-            )
-        sup1 = _sup_abs(self.coefficient_enclosures(), r).mag()
-        sup2 = _sup_abs(other.coefficient_enclosures(), r).mag()
+        # overflow terms (power > d) fold into the tail coefficient
+        disc = Interval(-r, r)
+        sup1 = horner(self.coefficient_enclosures(), disc).mag()
+        sup2 = horner(other.coefficient_enclosures(), disc).mag()
         tail = (
-            Interval.point(overflow.hi)
+            Interval.point(_fold(conv[d + 1 :], r))
             + Interval.point(_mul_up(sup1, other.tail))
             + Interval.point(_mul_up(sup2, self.tail))
             + Interval.point(
@@ -274,13 +285,7 @@ class PowerSeries:
         d = self.degree
         r = self.radius
         coeffs = [_ZERO] * j + list(self.coeffs[: d + 1 - j])
-        extra = Interval.point(0.0)
-        for k in range(d + 1 - j, d + 1):
-            if self.coeffs[k].is_zero():
-                continue
-            m = self.coeffs[k].enclosure().mag()
-            extra = extra + Interval.point(_mul_up(m, _pow_up(r, k + j - d - 1)))
-        tail = _add_up(extra.hi, _mul_up(self.tail, _pow_up(r, j)))
+        tail = _add_up(_fold(self.coeffs[d + 1 - j :], r), _mul_up(self.tail, _pow_up(r, j)))
         return PowerSeries(coeffs, tail, r)
 
     # -- endpoint-proof operations ------------------------------------------
@@ -297,11 +302,8 @@ class PowerSeries:
     def eval(self, u: Interval) -> Interval:
         if u.mag() > self.radius:
             raise DomainError("PowerSeries evaluated outside its radius")
-        acc = Interval.point(0.0)
-        for c in reversed(self.coefficient_enclosures()):
-            acc = acc * u + c
         t = _mul_up(self.tail, _pow_up(u.mag(), self.degree + 1))
-        return acc + Interval(-t, t)
+        return horner(self.coefficient_enclosures(), u) + Interval(-t, t)
 
     def __repr__(self) -> str:
         return (
@@ -331,7 +333,7 @@ def ps_poly(terms: dict, degree: int, radius: float) -> PowerSeries:
 
 def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
     """coeff(m) at the power 2m (2m + 1 if odd), zeros elsewhere.  The tail
-    bound needs every coefficient of u^k to be at most 1/k! in magnitude."""
+    coefficient needs every coefficient of u^k to be at most 1/k! in magnitude."""
     coeffs = [_ZERO] * (degree + 1)
     for k in range(int(odd), degree + 1, 2):
         coeffs[k] = PiPoly.rational(coeff(k // 2))

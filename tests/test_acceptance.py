@@ -21,9 +21,9 @@ from tancert.analysis import (
     crossover_upper,
     exponent_ratio,
 )
-from tancert.certifier import CATALOG, certify, near_zero_proof
+from tancert.certifier import CATALOG, CertifyConfig, _bisect_cover, certify, eval_form, near_zero_proof
 from tancert.enclosures import cos_enc, p_enc, r_enc, s_enc, sinc_enc, tan_enc
-from tancert.interval import Interval, half_pi_enclosure
+from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
 from tancert.sequences import phi_lemma_enc, t_seq, u_seq, verify_shift_identities
 
 from conftest import contains, mp_p, mp_sinc
@@ -252,8 +252,11 @@ def test_criterion_9_soundness_suite():
                 assert contains(s_enc(xi), mp.tan(mx) / mx)
                 enc_checks += 3
 
-    guarded = certify("main_lower", use_near_zero=False)
-    assert guarded.status == "undecided"
+    # without the near-zero proof, bisection from 0 ends undecided (never falsified)
+    _, failed, falsified, _, _ = _bisect_cover(
+        lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig()
+    )
+    assert failed and falsified is None
     _report(
         9,
         f"{checks} interval containment checks and {enc_checks} enclosure checks, "

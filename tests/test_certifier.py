@@ -31,7 +31,7 @@ from tancert.certifier import (
     _bisect_cover,
 )
 from tancert.errors import DomainError, NotPositive, OrderMismatch
-from tancert.interval import Interval, certainly_positive
+from tancert.interval import Interval, _HALF_PI_HI, certainly_positive
 from tancert.series import PiPoly, PowerSeries
 
 from conftest import contains, mp_form
@@ -313,10 +313,12 @@ def test_determinism_across_thread_counts(tmp_path):
 
 
 def test_bisection_insufficiency_guard():
-    cert = certify("main_lower", use_near_zero=False)
-    assert cert.status == "undecided"
-    assert cert.status != "falsified"
-    assert cert.near_zero_proof is None
+    # margins vanish at 0, so bisection alone from 0 ends undecided, never falsified
+    _, failed, falsified, _, _ = _bisect_cover(
+        lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig()
+    )
+    assert failed
+    assert falsified is None
 
 
 def test_bisection_stops_at_the_box_cap(monkeypatch):

@@ -160,6 +160,13 @@ TAMPERINGS = {
     "status banana": _set("status", "banana"),
     "domain [0, 1]": _set("domain", [(0.0).hex(), (1.0).hex()]),
     "near-zero proof of kind half_pi": _set("near_zero_proof", "kind", "half_pi"),
+    "near-zero leading coefficient": _set("near_zero_proof", "leading_coefficient", ["-0x1p+4", "0x1p+9"]),
+    "negative near-pi/2 leading coefficient": _set(
+        "near_half_pi_proof", "leading_coefficient", ["-0x1p+2", "-0x1p+1"]
+    ),
+    "config degree 16.9": _set("config", "degree", 16.9),
+    "model degree string": _set("near_zero_proof", "model_degree", "16"),
+    "box depth true": _set_box_entry(4, True),
 }
 
 

@@ -13,18 +13,27 @@ certifier: mpmath evaluates each form straight from its definition
 `tests/data/golden/wide_endpoints/cert-<id>.json` pins the same nine
 certificates at `--delta 0.5 --epsilon-max 0.25 --degree 96`, where the
 exact series products and the pi-power coefficients at pi/2 do the most
-work.
+work, and `tests/data/golden/deep_cover/cert-<id>.json` pins them at
+`--delta 0.125 --epsilon-max 0.0625`, where the middle cover is widest and
+the near-pi/2 series are built at the smallest radius.
+
+`tests/data/golden/enclosures.json` pins the eight public enclosures, bit
+for bit, on a fixed grid of points and boxes in [0, pi/2 + ulp]: each entry
+is the hex endpoint pair, or the name of the exception raised.  Regenerate
+it with `PYTHONPATH=src python tests/test_golden.py`.
 
 `tests/data/schema-v2/cert-main_upper.json` is the default `main_upper`
 certificate as schema tancert-cert-v2 wrote it; the checker refuses it.
 """
 
+import json
+import random
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from tancert import cli
+from tancert import cli, enclosures, sequences
 from tancert.certifier import (
     CATALOG,
     CertifyConfig,
@@ -34,12 +43,49 @@ from tancert.certifier import (
     check_file,
     load_certificate,
 )
+from tancert.errors import TancertError
+from tancert.interval import _HALF_PI_HI, _HALF_PI_LO, Interval
 
 from conftest import contains, mp_form
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
 WIDE_ENDPOINTS = CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)
+DEEP_COVER = CertifyConfig(delta=0.125, epsilon_max=0.0625)
+ENCLOSURES = GOLDEN / "enclosures.json"
+ENCLOSURE_FNS = {
+    fn.__name__: fn
+    for fn in (enclosures.cos_enc, enclosures.sinc_enc, enclosures.p_enc, enclosures.tan_enc,
+               enclosures.r_enc, enclosures.s_enc, sequences.phi_lemma_enc, sequences.phi_trig_enc)
+}
+
+
+def _enclosure_args() -> list[Interval]:
+    points = [0.0, 2.0**-30, 1e-3, 0.1, 0.25, 0.5, 0.7853981633974483, 1.0, 1.2,
+              1.4, 1.5, 1.55, 1.57, _HALF_PI_LO, _HALF_PI_HI]
+    boxes = [(0.0, 0.125), (0.0, 0.5), (0.0, 1.0), (0.0, _HALF_PI_LO), (0.0, _HALF_PI_HI),
+             (0.1, 0.2), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0), (1.0, 1.25), (1.25, 1.5),
+             (1.5, 1.5625), (1.5625, _HALF_PI_LO), (1.57, _HALF_PI_LO), (1.0, _HALF_PI_HI)]
+    rng = random.Random(10)
+    boxes += [tuple(sorted(rng.uniform(0.0, _HALF_PI_LO) for _ in range(2))) for _ in range(10)]
+    return [Interval.point(x) for x in points] + [Interval(lo, hi) for lo, hi in boxes]
+
+
+def _enclosure_record(fn, x: Interval):
+    try:
+        return list(fn(x).to_hex())
+    except TancertError as exc:
+        return type(exc).__name__
+
+
+def enclosure_grid() -> dict:
+    args = _enclosure_args()
+    return {
+        "args": [list(x.to_hex()) for x in args],
+        "values": {
+            name: [_enclosure_record(fn, x) for x in args] for name, fn in ENCLOSURE_FNS.items()
+        },
+    }
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -54,6 +100,19 @@ def test_golden_certificate_reproduced_and_checked(cid):
 def test_degree_96_golden_certificate_reproduced(cid):
     path = GOLDEN / "wide_endpoints" / f"cert-{cid}.json"
     assert certificate_to_json(certify(cid, WIDE_ENDPOINTS)) == path.read_text()
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_deep_cover_golden_certificate_reproduced(cid):
+    path = GOLDEN / "deep_cover" / f"cert-{cid}.json"
+    assert certificate_to_json(certify(cid, DEEP_COVER)) == path.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ENCLOSURE_FNS))
+def test_pinned_enclosures_reproduced(name):
+    pinned = json.loads(ENCLOSURES.read_text())
+    args = [Interval.from_hex(*x) for x in pinned["args"]]
+    assert [_enclosure_record(ENCLOSURE_FNS[name], x) for x in args] == pinned["values"][name]
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -81,3 +140,7 @@ def test_v2_certificate_is_refused():
     assert not result.ok
     assert len(result.diagnoses) == 1, result.diagnoses
     assert "unknown certificate schema 'tancert-cert-v2'" in result.diagnoses[0]
+
+
+if __name__ == "__main__":
+    ENCLOSURES.write_text(json.dumps(enclosure_grid(), indent=1, sort_keys=True) + "\n")

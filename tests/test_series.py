@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancert.errors import DomainError, OrderMismatch
-from tancert.interval import Interval, _mul_up, _pow_up
+from tancert.interval import Interval, _mul_up, _pow_up, horner
 from tancert.series import (
     PiPoly,
     PowerSeries,
@@ -17,7 +17,6 @@ from tancert.series import (
     ps_poly,
     ps_sin,
     ps_sinc,
-    _sup_abs,
 )
 
 from conftest import contains, mp_p, mp_sinc
@@ -49,6 +48,13 @@ def test_primitive_series_contain_oracle(builder, fn, oracle):
     for _ in range(60):
         x = rng.uniform(0.0, 1.5707963)
         assert contains(ps.eval(Interval.point(x)), fn(mp.mpf(x)))
+    # low degrees at radii below 1, where the tail coefficient exceeds the
+    # tail's value at the radius
+    for degree in (4, 8):
+        for r in (0.5, 0.125):
+            ps = builder(degree, r)
+            for x in (-r, r):
+                assert contains(ps.eval(Interval.point(x)), fn(mp.mpf(x))), (degree, x)
 
 
 def test_series_products_contain_oracle(oracle):
@@ -149,8 +155,8 @@ def _fraction_product(a, b):
     for k in range(d + 1, 2 * d + 1):
         if not conv[k].is_zero():
             tail = tail + Interval.point(_mul_up(conv[k].enclosure().mag(), _pow_up(r, k - d - 1)))
-    sup_a = _sup_abs(a.coefficient_enclosures(), r).mag()
-    sup_b = _sup_abs(b.coefficient_enclosures(), r).mag()
+    sup_a = horner(a.coefficient_enclosures(), Interval(-r, r)).mag()
+    sup_b = horner(b.coefficient_enclosures(), Interval(-r, r)).mag()
     tail = (
         Interval.point(tail.hi)
         + Interval.point(_mul_up(sup_a, b.tail))
