@@ -13,12 +13,12 @@ from tancert import (
     Interval,
     certify,
     half_pi_enclosure,
-    phi_lemma_enc,
     phi_trig_enc,
     t_seq,
     u_seq,
     verify_shift_identities,
 )
+from tancert.sequences import phi_power_series
 
 print("the coefficient sequence starts flat and then explodes:")
 for n in range(8):
@@ -36,14 +36,16 @@ print(f"  B(n+1) -> {report.b_shift_coeffs}")
 print(f"  A(n+4) -> {report.a_shift_coeffs}")
 print(f"  positivity for every n >= 4 follows: {report.shifted_coeffs_imply_positivity}")
 
+# the exact series the lemma_phi certificate builds, here at degree 48
+hp = half_pi_enclosure()
+series = phi_power_series(48, hp.hi)
 print("\ninterval evaluation of phi, series vs direct trig form:")
 for xv in (0.5, 1.0, 1.5):
     x = Interval.point(xv)
-    print(f"  x={xv}: series {phi_lemma_enc(x)}")
+    print(f"  x={xv}: series {series.eval(x)}")
     print(f"          direct {phi_trig_enc(x)}")
 
-hp = half_pi_enclosure()
-print(f"\nat pi/2 the series pins down phi = 2*pi: {phi_lemma_enc(hp)}")
+print(f"\nat pi/2 the series pins down phi = 2*pi: {series.eval(hp)}")
 
 cert = certify("lemma_phi", CertifyConfig())
 print(

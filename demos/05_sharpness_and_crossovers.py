@@ -3,7 +3,9 @@
 The ratio ExponentRatio(x) = log(3(tan x - x)/x^3) / log(tan x / x)
 runs from 6/5 (at 0) down toward 1 (at pi/2), strictly inside the open
 interval: no exponent pair can do better.  The crossover points locate
-where these bounds beat the quartic-correction bounds.  Run:
+where these bounds beat the quartic-correction bounds; their brackets are
+sign-certified through the exact series of two entire forms, as
+certificate margins are.  Run:
 
     python demos/05_sharpness_and_crossovers.py
 """
@@ -15,7 +17,7 @@ from tancert import (
     optimality_scan,
     replay_identity,
 )
-from tancert.analysis import REPLAY_IDENTITIES
+from tancert.analysis import GAP_FORMS, REPLAY_IDENTITIES
 
 print("exponent ratio along the interval (arbitrary precision, non-certified):")
 for x in (0.01, 0.1, 0.5, 1.0, 1.3, 1.5, 1.57):
@@ -28,6 +30,8 @@ print(
 )
 
 print("\ncrossovers against the quartic-correction bounds (sign-certified):")
+for which, form in GAP_FORMS.items():
+    print(f"  gap {which} as an entire form: {form}")
 up = crossover_upper(1e-4)
 lo = crossover_lower(1e-4)
 print(f"  upper bounds swap sharpness at x0 in {up.bracket}")

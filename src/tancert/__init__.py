@@ -20,13 +20,12 @@ from .interval import (
     rational_enclosure,
     split,
 )
-from .enclosures import cos_enc, p_enc, r_enc, s_enc, sinc_enc, tan_enc
+from .enclosures import cos_enc, p_enc, sinc_enc
 from .sequences import (
     SeqTerm,
     ShiftIdentityReport,
     a_seq,
     b_seq,
-    phi_lemma_enc,
     phi_trig_enc,
     seq_term,
     t_seq,
@@ -87,9 +86,6 @@ __all__ = [
     "cos_enc",
     "sinc_enc",
     "p_enc",
-    "tan_enc",
-    "r_enc",
-    "s_enc",
     "t_seq",
     "u_seq",
     "a_seq",
@@ -98,7 +94,6 @@ __all__ = [
     "seq_term",
     "verify_shift_identities",
     "ShiftIdentityReport",
-    "phi_lemma_enc",
     "phi_trig_enc",
     "CATALOG",
     "InequalitySpec",

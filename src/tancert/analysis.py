@@ -11,30 +11,25 @@ its range staying strictly inside (1, 6/5) is the pointwise face of the
 optimality of those exponents.  It needs logarithms, so it is computed
 with arbitrary-precision arithmetic and is deliberately NOT
 certificate-grade; the rigorous claims of this module are confined to
-the sign certifications inside the crossover brackets, which use
-log-free reductions evaluated in interval arithmetic.
+the sign certifications at the crossover bracket ends.  There each gap
+between two bounds is an entire form in the catalog's form language,
+evaluated through its exact series at 0 by interval Horner, tail
+included, the route every certificate margin takes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath as mp
 
-from .enclosures import tan_enc
+from .certifier import series_of
 from .errors import DomainError, IdentityViolation, NoSignChange
-from .interval import (
-    Interval,
-    _HALF_PI_LO,
-    certainly_negative,
-    certainly_positive,
-    int_pow,
-    pi_enclosure,
-    rational_enclosure,
-)
+from .interval import Interval, _HALF_PI_HI, _HALF_PI_LO, certainly_negative, certainly_positive
 from .sequences import REPLAY_IDENTITIES  # re-exported; named where the CLI parser reads it
-from fractions import Fraction
+from .series import PowerSeries
 
 
 @dataclass(frozen=True)
@@ -112,33 +107,29 @@ def optimality_scan(grid, precision_bits: int = 200) -> ScanReport:
 # crossover brackets (rigorous sign certification, log-free reductions)
 # ---------------------------------------------------------------------------
 
-_C_1_3 = rational_enclosure(Fraction(1, 3))
-_C_1_243 = rational_enclosure(Fraction(1, 243))
-_TWO_OVER_PI_4 = int_pow(Interval(2.0, 2.0) / pi_enclosure(), 4)
+# Each gap is an entire form of the catalog's form language: the gap times a
+# factor that is positive on (0, pi/2), so it keeps the gap's sign there.
+# Its margins come from the form's exact series at 0, as certificates' do.
+GAP_FORMS = {
+    # D(x) = x^9 tan^6 x / 243 - (x^3/3 + (2/pi)^4 x^4 tan x)^5 times
+    # cos^6 x / x^15: the fifth-power comparison of the two upper-bound
+    # excesses over x.  D < 0 where the exponent-form upper bound is sharper.
+    "upper_x0": "sinc^6/243 - (cos/3 + (2/pi)^4*x^2*sinc)^5*cos",
+    # G(x) = tan x (5 - 2x^2) - 5x times cos x / x: the difference of the two
+    # lower-bound excesses, rescaled by 15/x^2.  G > 0 where the
+    # exponent-form lower bound is sharper.
+    "lower_x1": "sinc*(5 - 2*x^2) - 5*cos",
+}
+
+# Series degree of the gap forms: the upper gap needs 32 to resolve the sign
+# at every midpoint of its bisection down to tolerance 1e-6 (24 does not).
+GAP_DEGREE = 32
 
 
-def _upper_gap(x: Interval) -> Interval:
-    """D(x) = x^9 tan^6 x / 243 - (x^3/3 + (2/pi)^4 x^4 tan x)^5.
-
-    Fifth-power comparison of the two upper-bound excesses over x; both
-    excesses are positive, so D and their difference share sign.  D < 0
-    where the exponent-form upper bound is the sharper one.
-    """
-    t = tan_enc(x)
-    lhs = int_pow(x, 9) * int_pow(t, 6) * _C_1_243
-    rhs = int_pow(int_pow(x, 3) * _C_1_3 + _TWO_OVER_PI_4 * int_pow(x, 4) * t, 5)
-    return lhs - rhs
-
-
-def _lower_gap(x: Interval) -> Interval:
-    """G(x) = tan x (5 - 2x^2) - 5x.
-
-    Difference of the two lower-bound excesses, rescaled by 15/x^2 > 0;
-    valid as a sign surrogate while 5 - 2x^2 > 0 (x < 1.58).  G > 0
-    where the exponent-form lower bound is the sharper one.
-    """
-    t = tan_enc(x)
-    return t * (Interval(5.0, 5.0) - int_pow(x, 2).scale(2)) - x.scale(5)
+@cache
+def gap_series(which: str) -> PowerSeries:
+    """Exact series at 0 of a gap form, valid on [0, pi/2 + ulp]."""
+    return series_of(GAP_FORMS[which], "zero", GAP_DEGREE, _HALF_PI_HI)
 
 
 def _certified_sign(f, x: float) -> int:
@@ -185,14 +176,14 @@ def crossover_upper(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the upper-bound crossover near 1.233."""
     if tol < 1e-6:
         raise DomainError("crossover tolerance must be >= 1e-6")
-    return _certified_bisection(_upper_gap, 1.0, 1.4, tol, "upper_x0")
+    return _certified_bisection(gap_series("upper_x0").eval, 1.0, 1.4, tol, "upper_x0")
 
 
 def crossover_lower(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the lower-bound crossover near 1.525."""
     if tol < 1e-6:
         raise DomainError("crossover tolerance must be >= 1e-6")
-    return _certified_bisection(_lower_gap, 1.4, 1.56, tol, "lower_x1")
+    return _certified_bisection(gap_series("lower_x1").eval, 1.4, 1.56, tol, "lower_x1")
 
 
 # ---------------------------------------------------------------------------

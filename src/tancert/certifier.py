@@ -282,11 +282,7 @@ def _x_power(node: tuple) -> int:
 
 
 def form_series(inequality_id: str, center: str, degree: int, radius: float) -> PowerSeries:
-    """Exact PowerSeries of the entire form in the local variable.
-
-    center "zero": variable u = x.  center "half_pi": variable u = pi/2 - x,
-    pi entering exactly through Q[pi, 1/pi] coefficients.
-    """
+    """Exact PowerSeries of a catalog entry's entire form (see series_of)."""
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     spec = CATALOG[inequality_id]
@@ -294,12 +290,21 @@ def form_series(inequality_id: str, center: str, degree: int, radius: float) -> 
         return spec.series_at_zero(degree, radius)
     if center == "half_pi" and spec.vanish_order_half_pi == 0:
         raise DomainError(f"{inequality_id} needs no expansion at pi/2")
+    return series_of(spec.entire_form, center, degree, radius)
+
+
+def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries:
+    """Exact PowerSeries of a form string in the local variable.
+
+    center "zero": variable u = x.  center "half_pi": variable u = pi/2 - x,
+    pi entering exactly through Q[pi, 1/pi] coefficients.
+    """
     if center not in _SERIES_LEAVES:
         raise DomainError(f"unknown center {center!r}")
-    form, builders = compile_form(spec.entire_form), _SERIES_LEAVES[center]
+    form, builders = compile_form(text), _SERIES_LEAVES[center]
     missing = form.names - builders.keys()
     if missing:
-        raise DomainError(f"{inequality_id}: no series of {sorted(missing)} at {center}")
+        raise DomainError(f"{text!r}: no series of {sorted(missing)} at {center}")
     leaves = {name: builders[name](degree, radius) for name in form.names}
     shifts_x = center == "zero"
 
@@ -703,6 +708,12 @@ def check_certificate(cert: Certificate) -> CheckResult:
     spec = CATALOG.get(cert.inequality_id)
     if spec is None:
         return CheckResult(False, [f"unknown inequality id {cert.inequality_id!r}"])
+    if cert.status == "falsified":
+        # the claim is one box on which F is certainly negative
+        if len(cert.boxes) != 1:
+            return CheckResult(False, [f"a falsified certificate holds 1 box, not {len(cert.boxes)}"])
+        wrong = _margin_diagnoses(cert, 0, certainly_negative, "negative")
+        return CheckResult(not wrong, wrong or [f"falsified: F < 0 on {cert.boxes[0].interval}"])
     if cert.status != "certified":
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
@@ -762,19 +773,21 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if box.interval.lo < 0.0 or box.interval.hi > _HALF_PI_HI:
                 diagnoses.append(f"box {i}: outside [0, pi/2 + ulp]")
                 continue
-            if not certainly_positive(box.margin):
-                diagnoses.append(f"box {i}: margin not positive")
-                continue
-            try:
-                recomputed = eval_form(cert.inequality_id, box.interval, degree=cfg.degree)
-            except DomainError as exc:
-                diagnoses.append(f"box {i}: margin not verifiable: {exc}")
-                continue
-            if not certainly_positive(recomputed):
-                diagnoses.append(f"box {i}: margin not verifiable")
-            elif recomputed != box.margin:
-                diagnoses.append(f"box {i}: margin mismatch on re-evaluation")
+            diagnoses += _margin_diagnoses(cert, i, certainly_positive, "positive")
     return CheckResult(not diagnoses, diagnoses)
+
+
+def _margin_diagnoses(cert: Certificate, i: int, has_sign, sign: str) -> list[str]:
+    """What is wrong with box i's stored margin: nothing when it has the
+    claimed sign and is the margin eval_form gives at the config degree."""
+    box = cert.boxes[i]
+    if not has_sign(box.margin):
+        return [f"box {i}: margin not {sign}"]
+    try:
+        recomputed = eval_form(cert.inequality_id, box.interval, degree=cert.config.degree)
+    except DomainError as exc:
+        return [f"box {i}: margin not verifiable: {exc}"]
+    return [f"box {i}: margin mismatch on re-evaluation"] if recomputed != box.margin else []
 
 
 def check_file(path) -> CheckResult:

@@ -1,13 +1,18 @@
-"""Rigorous enclosures of the entire trigonometric building blocks.
+"""Taylor coefficients of the entire building blocks, and direct enclosures.
 
-Everything certified in this package is assembled from four entire
-functions, each enclosed through a truncated power series plus a
-certified remainder:
+Every form in this package is built from three entire functions (sin is
+x sinc):
 
     cos x
     sinc x = sin x / x               (= 1 at x = 0)
     p x    = (sin x - x cos x) / x^3 (= 1/3 at x = 0, "sine defect ratio")
-    tan x  = sinc(x) * x / cos(x)    (never expanded in series itself)
+
+Their Taylor coefficients are written once, here; the exact series in
+`series`, from which every certificate margin comes, are built on them.
+The direct enclosures cos_enc, sinc_enc and p_enc evaluate the truncated
+series in interval arithmetic with a certified remainder.  No certificate
+uses them; the wide cos and sinc serve `sequences.phi_trig_enc`, the
+lemma's independent reference.
 
 cos and sinc use the Lagrange-style tail bound |x|^K / K!; p is an
 alternating series with provably decreasing terms on the call domain, so
@@ -26,12 +31,10 @@ import functools
 from fractions import Fraction
 from math import factorial
 
-from .errors import CosNotPositive, DomainError
+from .errors import DomainError
 from .interval import (
     Interval,
-    _HALF_PI_LO,
     _HALF_PI_HI,
-    certainly_positive,
     horner,
     int_pow,
     rational_enclosure,
@@ -76,13 +79,6 @@ def _p_terms_decrease() -> bool:
     )
 
 
-def _alternating_rest(x: Interval, power: int, omitted: Interval) -> Interval:
-    """Remainder of an alternating series whose terms decrease on x: the hull
-    of 0 and the first omitted term, omitted * mag(x)^power."""
-    t = int_pow(Interval.point(x.mag()), power) * omitted
-    return Interval(min(t.lo, 0.0), max(t.hi, 0.0))
-
-
 def _even_enc(coeffs, x: Interval, guard: float, name: str) -> Interval:
     """The even series sum_m coeffs[m] x^(2m) plus the Lagrange tail
     mag(x)^(2N)/(2N)!, valid for cos and for sinc (whose tail is even
@@ -119,38 +115,7 @@ def p_enc(x: Interval) -> Interval:
         raise DomainError(f"p_enc domain [0, pi/2 + ulp] violated: {x}")
     if not _p_terms_decrease():
         raise AssertionError("p-series terms not decreasing")  # pragma: no cover
-    return horner(_P_COEFFS, int_pow(x, 2)) + _alternating_rest(x, 2 * N_TERMS, _P_OMITTED)
-
-
-def _cos_positive(x: Interval, name: str) -> Interval:
-    """cos_enc(x) for a quotient's x in [0, pi/2); raises CosNotPositive
-    unless it is certainly positive."""
-    if x.lo < 0.0 or x.hi > _HALF_PI_LO:
-        raise DomainError(f"{name} domain [0, pi/2) violated: {x}")
-    c = cos_enc(x)
-    if not certainly_positive(c):
-        raise CosNotPositive(f"cos enclosure touches 0 on {x}")
-    return c
-
-
-def tan_enc(x: Interval) -> Interval:
-    """Enclosure of tan over x in [0, pi/2); raises CosNotPositive on wide boxes."""
-    c = _cos_positive(x, "tan_enc")
-    t = sinc_enc(x) * x / c
-    # tan x >= x on this domain; adopt the sharper lower endpoint only after
-    # confirming the independent quotient enclosure is consistent with it.
-    if t.hi < x.lo:
-        raise AssertionError("tan enclosure inconsistent with tan x >= x")
-    return Interval(max(t.lo, x.lo), t.hi)
-
-
-def r_enc(x: Interval) -> Interval:
-    """Enclosure of (tan x - x)/x^3 = p(x)/cos(x); value 1/3 at 0."""
-    c = _cos_positive(x, "r_enc")
-    return p_enc(x) / c
-
-
-def s_enc(x: Interval) -> Interval:
-    """Enclosure of tan(x)/x = sinc(x)/cos(x); value 1 at 0."""
-    c = _cos_positive(x, "s_enc")
-    return sinc_enc(x) / c
+    # the terms alternate and decrease, so the remainder lies between 0 and
+    # the first omitted term
+    t = int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _P_OMITTED
+    return horner(_P_COEFFS, int_pow(x, 2)) + Interval(min(t.lo, 0.0), max(t.hi, 0.0))

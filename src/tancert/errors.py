@@ -9,10 +9,6 @@ class DomainError(TancertError):
     """An argument lies outside the domain an operation is rigorous on."""
 
 
-class CosNotPositive(TancertError):
-    """A cosine enclosure touches 0; the caller must shrink its box."""
-
-
 class OrderMismatch(TancertError):
     """A coefficient that should vanish exactly at an endpoint does not."""
 

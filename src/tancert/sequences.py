@@ -19,10 +19,10 @@ T_n > 0 for n >= 4, and the decrease of the terms T_n x^(2n)/(2n)! on
     B_n = 128n^4 + 128n^3 - 116n^2 - 158n - 51.
 
 Everything in this module is exact integer/rational arithmetic except
-phi_lemma_enc, which evaluates the alternating partial sum in interval
-arithmetic with a first-omitted-term remainder.  phi_power_series holds
-the same exact coefficients phi_coeff(n) as a PowerSeries: the lemma_phi
-series at 0 from which the certifier builds its proof and box margins.
+the tail of phi_power_series, which bounds the alternating series by its
+first omitted term.  That series holds the exact coefficients
+phi_coeff(n): it is the lemma_phi series at 0 from which the certifier
+builds its proof and box margins, and its `eval` is phi's enclosure.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .enclosures import _alternating_rest, _cos_enc_any, _sinc_enc_any
+from .enclosures import _cos_enc_any, _sinc_enc_any
 from .errors import DomainError, IdentityMismatch
-from .interval import Interval, horner, int_pow, rational_enclosure
+from .interval import Interval, int_pow, rational_enclosure
 from .series import PiPoly, PowerSeries
 
 _A_COEFFS = (459, -362, -60, 32)
@@ -196,11 +196,8 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# interval evaluation of phi via the alternating series
+# phi's exact series at 0, and its trig form
 # ---------------------------------------------------------------------------
-
-_MAX_TERMS = 200
-
 
 @functools.cache
 def phi_coeff(n: int) -> Fraction:
@@ -208,39 +205,12 @@ def phi_coeff(n: int) -> Fraction:
     return Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n))
 
 
-@functools.cache
-def _phi_coeff_enc(n: int) -> Interval:
-    return rational_enclosure(phi_coeff(n))
-
-
 @functools.lru_cache(maxsize=1)
 def _term_decrease_verified() -> bool:
     # decrease of T_n x^(2n)/(2n)! on (0, sqrt3] from index 4 on is exactly
-    # U_n > 0; check it once for every index the enclosure may ever omit
-    for n in range(4, _MAX_TERMS + 8):
-        via_rec, closed = u_seq(n)
-        if via_rec <= 0 or closed <= 0:
-            return False
-    return True
-
-
-def phi_lemma_enc(x: Interval, terms: int = 24) -> Interval:
-    """Enclosure of phi(x) on x within [0, sqrt 3], via the series in T_n.
-
-    The remainder is the first omitted term evaluated at x.hi, signed
-    like that term (alternating series with exactly-verified decrease).
-    """
-    if terms < 2 or terms > _MAX_TERMS:
-        raise DomainError("phi_lemma_enc needs 2 <= terms <= 200")
-    if x.lo < 0.0:
-        raise DomainError("phi_lemma_enc domain starts at 0")
-    if Fraction(x.hi) ** 2 > 3:
-        raise DomainError("phi_lemma_enc domain ends at sqrt(3)")
-    if not _term_decrease_verified():
-        raise AssertionError("alternating term decrease failed")  # pragma: no cover
-    n0 = 4 + terms
-    acc = horner([_phi_coeff_enc(n) for n in range(4, n0)], int_pow(x, 2)) * int_pow(x, 8)
-    return acc + _alternating_rest(x, 2 * n0, _phi_coeff_enc(n0))
+    # U_n > 0, which verify_shift_identities proves for every n; recheck it
+    # exactly, once per process, through n = 207
+    return all(min(u_seq(n)) > 0 for n in range(4, 208))
 
 
 def phi_power_series(degree: int, radius: float) -> PowerSeries:

@@ -46,6 +46,21 @@ def mp_phi(x):
     return (9 - 24 * x**2) * mp.cos(x) - 9 * mp.cos(3 * x) - 4 * x * mp.sin(3 * x)
 
 
+def mp_upper_gap(x):
+    """D(x) = x^9 tan^6 x / 243 - (x^3/3 + (2/pi)^4 x^4 tan x)^5: negative
+    where x + x^(9/5) tan^(6/5) x / 3 is the sharper upper bound of tan."""
+    x = mp.mpf(x)
+    t = mp.tan(x)
+    return x**9 * t**6 / 243 - (x**3 / 3 + (2 / mp.pi) ** 4 * x**4 * t) ** 5
+
+
+def mp_lower_gap(x):
+    """G(x) = tan x (5 - 2x^2) - 5x: positive where x + x^2 tan x / 3 is the
+    sharper lower bound of tan."""
+    x = mp.mpf(x)
+    return mp.tan(x) * (5 - 2 * x**2) - 5 * x
+
+
 def mp_form(inequality_id, x):
     """The entire-form numerator F at a point, straight from its definition."""
     x = mp.mpf(x)

@@ -14,19 +14,13 @@ import mpmath as mp
 import sympy as sp
 
 from tancert import cli
-from tancert.analysis import (
-    _lower_gap,
-    _upper_gap,
-    crossover_lower,
-    crossover_upper,
-    exponent_ratio,
-)
+from tancert.analysis import crossover_lower, crossover_upper, exponent_ratio
 from tancert.certifier import CATALOG, CertifyConfig, _bisect_cover, certify, eval_form, near_zero_proof
-from tancert.enclosures import cos_enc, p_enc, r_enc, s_enc, sinc_enc, tan_enc
+from tancert.enclosures import cos_enc, p_enc, sinc_enc
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
-from tancert.sequences import phi_lemma_enc, t_seq, u_seq, verify_shift_identities
+from tancert.sequences import phi_power_series, t_seq, u_seq, verify_shift_identities
 
-from conftest import contains, mp_p, mp_sinc
+from conftest import contains, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
 
 # frozen 60-digit oracle references (mpmath, this repository's test oracle)
 TAN_1 = mp.mpf("1.55740772465490223050697480745836017308725077238152003838395")
@@ -70,7 +64,8 @@ def test_criterion_3_lemma_certificate():
     cert = certify("lemma_phi")
     assert cert.status == "certified"
     assert cert.stats.box_count <= 10**4
-    v = phi_lemma_enc(half_pi_enclosure())
+    hp = half_pi_enclosure()
+    v = phi_power_series(48, hp.hi).eval(hp)
     with mp.workdps(60):
         assert contains(v, 2 * mp.pi)
     assert v.width <= 1e-10
@@ -151,10 +146,9 @@ def test_criterion_6_crossovers():
     elapsed = time.perf_counter() - t0
     assert up.bracket.width <= 1e-3 and up.bracket.lo <= 1.2332 <= up.bracket.hi
     assert lo.bracket.width <= 1e-3 and lo.bracket.lo <= 1.5255 <= lo.bracket.hi
-    assert _upper_gap(Interval.point(up.bracket.lo)).hi < 0
-    assert _upper_gap(Interval.point(up.bracket.hi)).lo > 0
-    assert _lower_gap(Interval.point(lo.bracket.lo)).hi < 0
-    assert _lower_gap(Interval.point(lo.bracket.hi)).lo > 0
+    with mp.workdps(60):
+        assert mp_upper_gap(up.bracket.lo) < 0 < mp_upper_gap(up.bracket.hi)
+        assert mp_lower_gap(lo.bracket.lo) < 0 < mp_lower_gap(lo.bracket.hi)
     assert elapsed < 5.0
     _report(
         6,
@@ -246,11 +240,6 @@ def test_criterion_9_soundness_suite():
             assert contains(sinc_enc(xi), mp_sinc(mx))
             assert contains(p_enc(xi), mp_p(mx))
             enc_checks += 3
-            if 0 < x < 1.57:
-                assert contains(tan_enc(xi), mp.tan(mx))
-                assert contains(r_enc(xi), (mp.tan(mx) - mx) / mx**3)
-                assert contains(s_enc(xi), mp.tan(mx) / mx)
-                enc_checks += 3
 
     # without the near-zero proof, bisection from 0 ends undecided (never falsified)
     _, failed, falsified, _, _ = _bisect_cover(

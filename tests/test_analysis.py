@@ -4,16 +4,17 @@ import pytest
 from tancert.analysis import (
     REPLAY_IDENTITIES,
     _certified_bisection,
-    _lower_gap,
-    _upper_gap,
     crossover_lower,
     crossover_upper,
     exponent_ratio,
+    gap_series,
     optimality_scan,
     replay_identity,
 )
 from tancert.errors import DomainError, IdentityViolation, NoSignChange
 from tancert.interval import Interval, certainly_negative, certainly_positive
+
+from conftest import contains, mp_lower_gap, mp_upper_gap
 
 
 def test_exponent_ratio_near_zero_limit():
@@ -68,23 +69,33 @@ def test_crossover_upper_bracket(oracle):
     res = crossover_upper(1e-3)
     assert res.bracket.width <= 1e-3
     assert res.bracket.lo <= 1.2332 <= res.bracket.hi
-    assert certainly_negative(_upper_gap(Interval.point(res.bracket.lo)))
-    assert certainly_positive(_upper_gap(Interval.point(res.bracket.hi)))
+    assert mp_upper_gap(res.bracket.lo) < 0 < mp_upper_gap(res.bracket.hi)
 
 
 def test_crossover_lower_bracket(oracle):
     res = crossover_lower(1e-3)
     assert res.bracket.width <= 1e-3
     assert res.bracket.lo <= 1.5255 <= res.bracket.hi
-    assert certainly_negative(_lower_gap(Interval.point(res.bracket.lo)))
-    assert certainly_positive(_lower_gap(Interval.point(res.bracket.hi)))
+    assert mp_lower_gap(res.bracket.lo) < 0 < mp_lower_gap(res.bracket.hi)
+
+
+def test_gap_forms_enclose_the_scaled_gaps(oracle):
+    # the forms are D cos^6 x / x^15 and G cos x / x, by the oracle's D and G
+    for k in range(1, 32):
+        x = k / 20
+        mx = mp.mpf(x)
+        upper = gap_series("upper_x0").eval(Interval.point(x))
+        lower = gap_series("lower_x1").eval(Interval.point(x))
+        assert contains(upper, mp_upper_gap(mx) * mp.cos(mx) ** 6 / mx**15), x
+        assert contains(lower, mp_lower_gap(mx) * mp.cos(mx) / mx), x
 
 
 def test_gap_signs_at_reference_points(oracle):
-    assert certainly_negative(_upper_gap(Interval.point(1.2)))
-    assert certainly_positive(_upper_gap(Interval.point(1.3)))
-    assert certainly_negative(_lower_gap(Interval.point(1.5)))
-    assert certainly_positive(_lower_gap(Interval.point(1.53)))
+    upper, lower = gap_series("upper_x0").eval, gap_series("lower_x1").eval
+    assert certainly_negative(upper(Interval.point(1.2)))
+    assert certainly_positive(upper(Interval.point(1.3)))
+    assert certainly_negative(lower(Interval.point(1.5)))
+    assert certainly_positive(lower(Interval.point(1.53)))
     # the un-powered bound differences have the same signs
     for x, sign in ((mp.mpf("1.2"), -1), (mp.mpf("1.3"), 1)):
         th = x + x ** mp.mpf("1.8") * mp.tan(x) ** mp.mpf("1.2") / 3
@@ -103,7 +114,7 @@ def test_crossover_tolerance_guard():
 
 def test_no_sign_change():
     with pytest.raises(NoSignChange):
-        _certified_bisection(_upper_gap, 1.25, 1.3, 1e-3, "test")
+        _certified_bisection(gap_series("upper_x0").eval, 1.25, 1.3, 1e-3, "test")
 
 
 def test_replay_identities_pass():

@@ -338,19 +338,52 @@ def test_bisection_stops_after_failed_leaf_budget():
     assert worst in failed
 
 
+# x^2 (1 - x^2) passes its near-zero proof and turns negative past x = 1
+NEGATIVE = certifier.InequalitySpec(
+    id="negative",
+    statement="x^4 < x^2",
+    entire_form="x^2 - x^4",
+    derivation="none; false on (1, pi/2)",
+    vanish_order_zero=2,
+    leading_coeff_zero=PiPoly.rational(1),
+)
+
+
 def test_falsified_on_negative_form(monkeypatch):
-    # x^2 (1 - x^2) passes its near-zero proof and turns negative past x = 1
-    spec = certifier.InequalitySpec(
-        id="negative",
-        statement="x^4 < x^2",
-        entire_form="x^2 - x^4",
-        derivation="none; false on (1, pi/2)",
-        vanish_order_zero=2,
-        leading_coeff_zero=PiPoly.rational(1),
-    )
-    monkeypatch.setitem(CATALOG, spec.id, spec)
-    cert = certify(spec.id)
+    monkeypatch.setitem(CATALOG, NEGATIVE.id, NEGATIVE)
+    cert = certify(NEGATIVE.id)
     assert cert.status == "falsified"
+    assert check_certificate(cert).ok
+
+
+def test_hand_built_falsified_certificate_checks_valid(monkeypatch, tmp_path):
+    # the claim is one box past x = 1 and its re-evaluated margin
+    spec = NEGATIVE
+    monkeypatch.setitem(CATALOG, spec.id, spec)
+    box = Interval(1.25, 1.5)
+    cert = certifier.Certificate(
+        inequality_id=spec.id,
+        domain=Interval(0.0, _HALF_PI_HI),
+        status="falsified",
+        near_zero_proof=None,
+        near_half_pi_proof=None,
+        boxes=[BoxRecord(box, eval_form(spec.id, box), 0)],
+        stats=certifier.CertStats(box_count=1, max_depth_reached=0, wall_time=0.0),
+        config=CertifyConfig(),
+    )
+    path = tmp_path / "cert-negative.json"
+    save_certificate(cert, path)
+    assert check_file(path).ok, check_file(path).diagnoses
+    assert cli.main(["check", str(path)]) == 0
+    positive = Interval(0.5, 0.75)
+    for boxes in (
+        [],
+        cert.boxes * 2,
+        [BoxRecord(box, Interval(-1.0, -0.5), 0)],
+        [BoxRecord(positive, eval_form(spec.id, positive), 0)],
+    ):
+        result = check_certificate(dataclasses.replace(cert, boxes=boxes))
+        assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
 
 
 def test_engine_reports_falsified_box():
@@ -460,6 +493,21 @@ def test_series_degree_is_capped(tmp_path):
     result = check_file(path)
     assert time.perf_counter() - start < 1.0
     assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
+
+
+# Parity of each form's exact series at 0: the even forms stay positive on
+# (-pi/2, 0), the odd ones are negative there.
+SERIES_PARITY = {
+    "prop1_lower": "even", "main_lower": "even", "main_upper": "even", "lemma_phi": "even",
+    "prop1_upper": "odd", "bs_lower": "odd", "bs_upper": "odd", "qi_lower": "odd", "qi_upper": "odd",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_form_series_has_one_parity(cid):
+    coeffs = form_series(cid, "zero", 24, _HALF_PI_HI).coeffs
+    parities = {("even", "odd")[k % 2] for k, c in enumerate(coeffs) if not c.is_zero()}
+    assert parities == {SERIES_PARITY[cid]}
 
 
 def test_form_series_requires_known_id():

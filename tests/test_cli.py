@@ -96,6 +96,30 @@ def test_crossover_files(tmp_path, monkeypatch):
     assert lo <= 1.5255 <= hi
 
 
+# Brackets and iteration counts of `tancert crossover`, pinned bit for bit:
+# a change in how the gaps are evaluated must not move them.
+PINNED_CROSSOVERS = [
+    ("upper", "1e-3", "upper_x0", "0x1.3b9999999999ap+0", "0x1.3bccccccccccdp+0", 9),
+    ("upper", "1e-4", "upper_x0", "0x1.3bacccccccccep+0", "0x1.3bb3333333334p+0", 12),
+    ("upper", "1e-6", "upper_x0", "0x1.3bb2e66666668p+0", "0x1.3bb2f33333334p+0", 19),
+    ("lower", "1e-3", "lower_x1", "0x1.8666666666666p+0", "0x1.868f5c28f5c28p+0", 8),
+    ("lower", "1e-4", "lower_x1", "0x1.86851eb851eb8p+0", "0x1.868a3d70a3d70p+0", 11),
+    ("lower", "1e-6", "lower_x1", "0x1.8688e147ae147p+0", "0x1.8688eb851eb84p+0", 18),
+]
+
+
+@pytest.mark.parametrize(
+    "which,tol,cid,lo,hi,iterations",
+    PINNED_CROSSOVERS,
+    ids=[f"{which}-{tol}" for which, tol, *_ in PINNED_CROSSOVERS],
+)
+def test_crossover_brackets_pinned(which, tol, cid, lo, hi, iterations, tmp_path, monkeypatch):
+    assert run_cli(["crossover", which, "--tol", tol], tmp_path, monkeypatch) == 0
+    doc = json.loads((tmp_path / f"crossover-{cid}.json").read_text())
+    assert doc["bracket"] == [lo, hi]
+    assert doc["iterations"] == iterations
+
+
 def test_replay_command(tmp_path, monkeypatch, capsys):
     assert run_cli(["replay", "thm_a_h_prime", "--samples", "12"], tmp_path, monkeypatch) == 0
     assert "worst residual" in capsys.readouterr().out
@@ -167,6 +191,7 @@ TAMPERINGS = {
     "config degree 16.9": _set("config", "degree", 16.9),
     "model degree string": _set("near_zero_proof", "model_degree", "16"),
     "box depth true": _set_box_entry(4, True),
+    "status falsified": _set("status", "falsified"),
 }
 
 
@@ -290,6 +315,21 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("5,86016,")
+
+
+@pytest.mark.parametrize("module", ["tancert.cli", "tancert"])
+def test_import_leaves_mpmath_unloaded(module):
+    # certify and check never need mpmath; only the analysis commands load it
+    package_root = Path(tancert.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_every_public_name_resolves():

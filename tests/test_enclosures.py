@@ -6,8 +6,8 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from tancert.enclosures import cos_enc, p_enc, r_enc, s_enc, sinc_enc, tan_enc
-from tancert.errors import CosNotPositive, DomainError
+from tancert.enclosures import cos_enc, p_enc, sinc_enc
+from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
 
 from conftest import contains, mp_p, mp_sinc
@@ -38,39 +38,13 @@ def test_p_known_values(oracle):
     assert contains(p_enc(hp), (2 / mp.pi) ** 3)
 
 
-def test_tan_known_values(oracle):
-    assert contains(tan_enc(Interval.point(0.0)), 0)
-    assert contains(tan_enc(Interval.point(1.0)), mp.tan(1))
-    box = Interval(0.7853981, 0.7853982)  # straddles pi/4
-    assert contains(tan_enc(box), 1)
-
-
-def test_tan_lower_clamped_to_x():
-    x = Interval(1e-9, 2e-9)
-    t = tan_enc(x)
-    assert t.lo >= x.lo
-
-
-def test_r_s_known_values(oracle):
-    assert contains(r_enc(Interval.point(0.0)), Fraction(1, 3))
-    assert contains(s_enc(Interval.point(0.0)), 1)
-    assert contains(r_enc(Interval.point(1.0)), mp.tan(1) - 1)
-    x = mp.mpf("0.1")
-    assert contains(s_enc(Interval.point(0.1)), mp.tan(x) / x)
-
-
 def test_domain_guards():
     with pytest.raises(DomainError):
         cos_enc(Interval(0, 2.5))
     with pytest.raises(DomainError):
         p_enc(Interval(-0.5, 0.5))
     with pytest.raises(DomainError):
-        tan_enc(Interval(0.0, 1.5707965))  # beyond pi/2
-
-
-def test_cos_not_positive_near_half_pi():
-    with pytest.raises(CosNotPositive):
-        tan_enc(Interval(1.0, half_pi_enclosure().lo))
+        p_enc(Interval(0.0, 1.5707965))  # beyond pi/2
 
 
 def test_p_series_matches_exact_subtraction_of_sin_and_xcos():
@@ -99,10 +73,6 @@ def test_pointwise_containment_randomized(oracle):
         assert contains(cos_enc(xi), mp.cos(mx))
         assert contains(sinc_enc(xi), mp_sinc(mx))
         assert contains(p_enc(xi), mp_p(mx))
-        if 0 < x < 1.57:
-            assert contains(tan_enc(xi), mp.tan(mx))
-            assert contains(r_enc(xi), (mp.tan(mx) - mx) / mx**3)
-            assert contains(s_enc(xi), mp.tan(mx) / mx)
 
 
 def test_width_convergence_on_dyadic_boxes():

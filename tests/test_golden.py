@@ -17,10 +17,11 @@ work, and `tests/data/golden/deep_cover/cert-<id>.json` pins them at
 `--delta 0.125 --epsilon-max 0.0625`, where the middle cover is widest and
 the near-pi/2 series are built at the smallest radius.
 
-`tests/data/golden/enclosures.json` pins the eight public enclosures, bit
-for bit, on a fixed grid of points and boxes in [0, pi/2 + ulp]: each entry
-is the hex endpoint pair, or the name of the exception raised.  Regenerate
-it with `PYTHONPATH=src python tests/test_golden.py`.
+`tests/data/golden/enclosures.json` pins the four public direct
+enclosures, bit for bit, on a fixed grid of points and boxes in
+[0, pi/2 + ulp]: each entry is the hex endpoint pair, or the name of the
+exception raised.  Regenerate it with `PYTHONPATH=src python
+tests/test_golden.py`.
 
 `tests/data/schema-v2/cert-main_upper.json` is the default `main_upper`
 certificate as schema tancert-cert-v2 wrote it; the checker refuses it.
@@ -55,8 +56,7 @@ DEEP_COVER = CertifyConfig(delta=0.125, epsilon_max=0.0625)
 ENCLOSURES = GOLDEN / "enclosures.json"
 ENCLOSURE_FNS = {
     fn.__name__: fn
-    for fn in (enclosures.cos_enc, enclosures.sinc_enc, enclosures.p_enc, enclosures.tan_enc,
-               enclosures.r_enc, enclosures.s_enc, sequences.phi_lemma_enc, sequences.phi_trig_enc)
+    for fn in (enclosures.cos_enc, enclosures.sinc_enc, enclosures.p_enc, sequences.phi_trig_enc)
 }
 
 

@@ -11,7 +11,7 @@ from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
     a_seq,
     b_seq,
-    phi_lemma_enc,
+    phi_power_series,
     phi_trig_enc,
     t_seq,
     u_seq,
@@ -82,27 +82,34 @@ def test_term_decrease_at_sqrt3_exact():
         assert lhs > rhs
 
 
+# phi's enclosure is the series the lemma_phi certificate builds, here at
+# degree 48, where its tail term stays below 1e-28 out to pi/2
+PHI = phi_power_series(48, half_pi_enclosure().hi)
+
+
 def test_phi_enc_values(oracle):
-    assert contains(phi_lemma_enc(Interval.point(0.0)), 0)
-    assert contains(phi_lemma_enc(Interval.point(1.0)), mp_phi(1))
+    assert contains(PHI.eval(Interval.point(0.0)), 0)
+    assert contains(PHI.eval(Interval.point(1.0)), mp_phi(1))
     hp = half_pi_enclosure()
-    v = phi_lemma_enc(hp)
+    v = PHI.eval(hp)
     assert contains(v, 2 * mp.pi)
     assert v.width <= 1e-10
 
 
 def test_phi_enc_domain():
     with pytest.raises(DomainError):
-        phi_lemma_enc(Interval(0.0, 1.74))  # beyond sqrt(3)
+        phi_power_series(48, 1.74)  # beyond sqrt(3)
     with pytest.raises(DomainError):
-        phi_lemma_enc(Interval.point(1.0), terms=1)
+        PHI.eval(Interval(0.0, 1.6))  # beyond the radius
+    with pytest.raises(DomainError):
+        phi_power_series(6, 1.0)  # below the order 8 of phi at 0
 
 
 def test_phi_series_vs_trig_agreement(oracle):
     rng = random.Random(42)
     for _ in range(100):
         x = Interval.point(rng.uniform(0.0, 1.57))
-        series = phi_lemma_enc(x)
+        series = PHI.eval(x)
         direct = phi_trig_enc(x)
         assert series.lo <= direct.hi and direct.lo <= series.hi
         assert contains(direct, mp_phi(x.lo))
