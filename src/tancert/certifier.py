@@ -40,11 +40,11 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import inf
 from typing import Callable
 
-from .errors import DomainError, NotPositive, OrderMismatch
+from .errors import DomainError, Falsified, NotPositive, OrderMismatch
 from .interval import (
     Interval,
     _HALF_PI_HI,
@@ -60,8 +60,9 @@ from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin
 SCHEMA = "tancert-cert-v3"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
-# build grows like degree^2.3 to degree^3 (that of main_upper takes 0.1 s at
-# degree 128 and 4 s at 512), and the widest shipped configuration uses 96.
+# build grows like degree^2.3 to degree^3 (that of main_upper takes 0.04 s at
+# degree 128 and 3 s at 512 on one CPU of a 2-core x86_64 VM), and the widest
+# shipped configuration uses 96.
 MAX_DEGREE = 128
 
 # Widest endpoint regions a config or a proof may name: (0, delta] near 0
@@ -270,6 +271,14 @@ _SERIES_LEAVES = {
 }
 
 
+# Room for the leaves of both centers at two (degree, radius) pairs: the
+# forms of one configuration share theirs, and a PowerSeries caches its own
+# enclosures and sup bound, so the cached leaves carry those too.
+@lru_cache(maxsize=16)
+def _leaf_series(center: str, name: str, degree: int, radius: float) -> PowerSeries:
+    return _SERIES_LEAVES[center][name](degree, radius)
+
+
 def _factors(node: tuple) -> list:
     return _factors(node[1]) + _factors(node[2]) if node[0] is operator.mul else [node]
 
@@ -305,7 +314,7 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
     missing = form.names - builders.keys()
     if missing:
         raise DomainError(f"{text!r}: no series of {sorted(missing)} at {center}")
-    leaves = {name: builders[name](degree, radius) for name in form.names}
+    leaves = {name: _leaf_series(center, name, degree, radius) for name in form.names}
     shifts_x = center == "zero"
 
     def series(node: tuple) -> PowerSeries:
@@ -402,7 +411,15 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
     if lead != expected:
         raise OrderMismatch(f"{inequality_id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
     lead_enc = lead.enclosure()
-    lb = quotient.eval(Interval(0.0, bound)).lo
+    value = quotient.eval(Interval(0.0, bound))
+    if certainly_negative(value):
+        # F = u^k * quotient with u^k > 0 on the region
+        region = f"(0, {bound}]" if kind == "zero" else f"[pi/2 - {bound}, pi/2)"
+        raise Falsified(
+            f"{inequality_id}: F < 0 on {region}: the quotient F/u^{k} is at most "
+            f"{value.hi} there"
+        )
+    lb = value.lo
     if lb <= 0.0 or not certainly_positive(lead_enc):
         raise NotPositive(
             f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "

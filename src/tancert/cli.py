@@ -7,9 +7,9 @@
     tancert crossover upper|lower certified crossover bracket
     tancert replay <identity>     high-precision identity replay
 
-Exit codes: 0 success/certified, 1 usage error, 2 undecided (or a
-bracket that could not be sign-certified), 3 identity/certificate check
-failed.
+Exit codes: 0 success/certified, 1 usage error, 2 not certified
+(undecided, a form certainly negative near an endpoint, or a bracket that
+could not be sign-certified), 3 identity/certificate check failed.
 
 Outputs are deterministic: floats are serialized as hex strings and
 files carry no timestamps, so reruns with the same configuration are
@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import certifier, sequences
-from .errors import IdentityViolation, NoSignChange, TancertError
+from .errors import Falsified, IdentityViolation, NoSignChange, TancertError
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     except NoSignChange as exc:
         print(f"could not certify: {exc}", file=sys.stderr)
+        return 2
+    except Falsified as exc:
+        print(f"falsified: {exc}", file=sys.stderr)
         return 2
     except IdentityViolation as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)

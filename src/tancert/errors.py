@@ -17,6 +17,10 @@ class NotPositive(TancertError):
     """A normalized endpoint quotient could not be bounded away from 0."""
 
 
+class Falsified(NotPositive):
+    """A normalized endpoint quotient is certainly negative: F < 0 there."""
+
+
 class IdentityMismatch(TancertError):
     """An exact polynomial identity failed coefficient-by-coefficient."""
 

@@ -171,11 +171,13 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        lo = float(lo)
-        hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise DomainError("NaN interval endpoint")
-        if lo > hi:
+        if type(lo) is not float:
+            lo = float(lo)
+        if type(hi) is not float:
+            hi = float(hi)
+        if not lo <= hi:  # also false when either endpoint is NaN
+            if lo != lo or hi != hi:
+                raise DomainError("NaN interval endpoint")
             raise DomainError(f"inverted interval [{lo!r}, {hi!r}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -264,21 +266,21 @@ class Interval:
         )
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise DomainError(f"division by interval containing 0: {other}")
-        lo = min(
-            _div_down(self.lo, other.lo),
-            _div_down(self.lo, other.hi),
-            _div_down(self.hi, other.lo),
-            _div_down(self.hi, other.hi),
-        )
-        hi = max(
-            _div_up(self.lo, other.lo),
-            _div_up(self.lo, other.hi),
-            _div_up(self.hi, other.lo),
-            _div_up(self.hi, other.hi),
-        )
-        return Interval(lo, hi)
+        a, b = self.lo, self.hi
+        c, d = other.lo, other.hi
+        if c > 0.0:
+            if a >= 0.0:
+                return Interval(_div_down(a, d), _div_up(b, c))
+            if b <= 0.0:
+                return Interval(_div_down(a, c), _div_up(b, d))
+            return Interval(_div_down(a, c), _div_up(b, c))
+        if d < 0.0:
+            if a >= 0.0:
+                return Interval(_div_down(b, d), _div_up(a, c))
+            if b <= 0.0:
+                return Interval(_div_down(b, c), _div_up(a, d))
+            return Interval(_div_down(b, d), _div_up(a, d))
+        raise DomainError(f"division by interval containing 0: {other}")
 
     def scale(self, k) -> "Interval":
         """Multiply by an exact int/float scalar."""
@@ -369,14 +371,18 @@ def half_pi_enclosure() -> Interval:
 
 
 def rational_enclosure(q) -> Interval:
-    """Tightest Interval containing an exact rational (one outward step)."""
-    q = Fraction(q)
-    f = float(q)  # correctly rounded to nearest
-    if math.isinf(f):
-        raise DomainError("rational overflows binary64 range")
-    fq = Fraction(f)
-    if fq == q:
+    """Tightest Interval containing an exact rational (int, float or
+    Fraction): round to nearest, then one outward step if that moved."""
+    try:
+        n, d = q.as_integer_ratio()
+        f = n / d  # correctly rounded to nearest
+    except OverflowError:
+        raise DomainError("rational overflows binary64 range") from None
+    # the sign of f - q is that of fn * d - n * fd (fd, d > 0)
+    fn, fd = f.as_integer_ratio()
+    diff = fn * d - n * fd
+    if diff == 0:
         return Interval(f, f)
-    if fq < q:
+    if diff < 0:
         return Interval(f, math.nextafter(f, _INF))
     return Interval(math.nextafter(f, -_INF), f)

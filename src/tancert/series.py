@@ -23,6 +23,7 @@ float, so expansions there live in Q[pi, 1/pi] rather than Q).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from .enclosures import cos_coeff, p_coeff, sinc_coeff
@@ -52,8 +53,9 @@ class PiPoly:
         clean = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
-                if v != 0:
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
                     clean[int(k)] = v
         object.__setattr__(self, "terms", clean)
 
@@ -74,7 +76,7 @@ class PiPoly:
     def __add__(self, other: "PiPoly") -> "PiPoly":
         t = dict(self.terms)
         for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
+            t[k] = t[k] + v if k in t else v
         return PiPoly(t)
 
     def __sub__(self, other: "PiPoly") -> "PiPoly":
@@ -90,7 +92,7 @@ class PiPoly:
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 k = ka + kb
-                t[k] = t.get(k, Fraction(0)) + va * vb
+                t[k] = t[k] + va * vb if k in t else va * vb
         return PiPoly(t)
 
     __rmul__ = __mul__
@@ -104,15 +106,12 @@ class PiPoly:
     def enclosure(self) -> Interval:
         """Tight interval containing the exact value."""
         acc = Interval.point(0.0)
-        pi = pi_enclosure()
         for k in sorted(self.terms):
-            c = rational_enclosure(self.terms[k])
-            if k == 0:
-                term = c
-            elif k > 0:
-                term = c * int_pow(pi, k)
-            else:
-                term = c / int_pow(pi, -k)
+            term = rational_enclosure(self.terms[k])
+            if k > 0:
+                term = term * _pi_power(k)
+            elif k < 0:
+                term = term / _pi_power(-k)
             acc = acc + term
         return acc
 
@@ -127,6 +126,12 @@ class PiPoly:
             else:
                 bits.append(f"{v}*pi^{k}")
         return "PiPoly(" + " + ".join(bits) + ")"
+
+
+@lru_cache(maxsize=256)
+def _pi_power(k: int) -> Interval:
+    """Enclosure of pi^k, k > 0, computed once per power."""
+    return int_pow(pi_enclosure(), k)
 
 
 _ZERO = PiPoly()
@@ -179,7 +184,7 @@ def _fold(coeffs, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 class PowerSeries:
-    __slots__ = ("coeffs", "tail", "radius", "_encs")
+    __slots__ = ("coeffs", "tail", "radius", "_encs", "_sup")
 
     def __init__(self, coeffs, tail: float, radius: float):
         if radius <= 0.0:
@@ -190,6 +195,7 @@ class PowerSeries:
         object.__setattr__(self, "tail", float(tail))
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "_encs", None)
+        object.__setattr__(self, "_sup", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -204,6 +210,14 @@ class PowerSeries:
                 self, "_encs", tuple(c.enclosure() for c in self.coeffs)
             )
         return self._encs
+
+    def sup(self) -> float:
+        """Bound on |sum_k c_k u^k| over the disc |u| <= radius, the tail
+        left out: the interval Horner value on [-radius, radius]."""
+        if self._sup is None:
+            disc = Interval(-self.radius, self.radius)
+            object.__setattr__(self, "_sup", horner(self.coefficient_enclosures(), disc).mag())
+        return self._sup
 
     # -- ring operations ---------------------------------------------------
 
@@ -252,13 +266,10 @@ class PowerSeries:
             for n in range(2 * d + 1)
         ]
         # overflow terms (power > d) fold into the tail coefficient
-        disc = Interval(-r, r)
-        sup1 = horner(self.coefficient_enclosures(), disc).mag()
-        sup2 = horner(other.coefficient_enclosures(), disc).mag()
         tail = (
             Interval.point(_fold(conv[d + 1 :], r))
-            + Interval.point(_mul_up(sup1, other.tail))
-            + Interval.point(_mul_up(sup2, self.tail))
+            + Interval.point(_mul_up(self.sup(), other.tail))
+            + Interval.point(_mul_up(other.sup(), self.tail))
             + Interval.point(
                 _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1))
             )
@@ -268,15 +279,18 @@ class PowerSeries:
     def int_pow(self, k: int) -> "PowerSeries":
         if k < 0:
             raise DomainError("PowerSeries.int_pow exponent must be non-negative")
-        result = ps_const(_ONE, self.degree, self.radius)
-        base = self
-        while k:
+        if k == 0:
+            return ps_const(_ONE, self.degree, self.radius)
+        # square-and-multiply from the first factor: the unit series times
+        # base is base itself, coefficients and tail alike
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def mul_monomial(self, j: int) -> "PowerSeries":
         """Multiply by u^j, keeping the degree fixed."""

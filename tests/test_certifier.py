@@ -15,6 +15,7 @@ from tancert.certifier import (
     MAX_FAILED_LEAVES,
     BoxRecord,
     CertifyConfig,
+    InequalitySpec,
     certificate_from_dict,
     certificate_to_dict,
     certificate_to_json,
@@ -30,7 +31,7 @@ from tancert.certifier import (
     save_certificate,
     _bisect_cover,
 )
-from tancert.errors import DomainError, NotPositive, OrderMismatch
+from tancert.errors import DomainError, Falsified, NotPositive, OrderMismatch
 from tancert.interval import Interval, _HALF_PI_HI, certainly_positive
 from tancert.series import PiPoly, PowerSeries
 
@@ -169,8 +170,41 @@ def test_not_positive_when_series_goes_negative(monkeypatch):
         return PowerSeries(coeffs, 0.0, radius)
 
     monkeypatch.setattr(certifier, "form_series", fake_form_series)
-    with pytest.raises(NotPositive):
+    # the quotient runs from 1/15 down to 1/15 - 25: positive at 0, unproven
+    with pytest.raises(NotPositive, match="shrink the bound or raise the degree") as exc:
         near_zero_proof("main_lower", 0.25, 16)
+    assert not isinstance(exc.value, Falsified)
+    assert cli.main(["certify", "main_lower"]) == 1
+
+
+def _negative_spec(form: str, **orders) -> InequalitySpec:
+    return InequalitySpec(
+        id="negative", statement="F > 0", entire_form=form, derivation="negative near an endpoint",
+        **orders,
+    )
+
+
+def test_endpoint_proof_falsified_near_zero(monkeypatch, tmp_path, capsys):
+    # x^4 - x^2 = x^2 (x^2 - 1): the quotient is below -15/16 on (0, 1/4]
+    spec = _negative_spec("x^4 - x^2", vanish_order_zero=2, leading_coeff_zero=PiPoly.rational(-1))
+    monkeypatch.setitem(CATALOG, spec.id, spec)
+    with pytest.raises(Falsified, match=r"negative: F < 0 on \(0, 0.25\]"):
+        near_zero_proof(spec.id, 0.25, 16)
+    assert cli.main(["--out", str(tmp_path), "certify", spec.id]) == 2
+    err = capsys.readouterr().err
+    assert "F < 0 on (0, 0.25]" in err and "shrink the bound" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_endpoint_proof_falsified_near_half_pi(monkeypatch):
+    # -cos = -u sinc u in u = pi/2 - x: the quotient is -sinc u < 0
+    spec = _negative_spec(
+        "0 - cos", vanish_order_zero=0, leading_coeff_zero=PiPoly.rational(-1),
+        vanish_order_half_pi=1, leading_coeff_half_pi=PiPoly.rational(-1),
+    )
+    monkeypatch.setitem(CATALOG, spec.id, spec)
+    with pytest.raises(Falsified, match=r"F < 0 on \[pi/2 - 0.125, pi/2\)"):
+        near_half_pi_proof(spec.id, 0.125, 16)
 
 
 def test_divide_power_rejects_nonzero_low_coeff():

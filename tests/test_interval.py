@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from tancert.errors import DomainError
 from tancert.interval import (
     Interval,
+    _div_down,
+    _div_up,
     certainly_positive,
     half_pi_enclosure,
     int_pow,
@@ -76,6 +78,47 @@ def test_div_by_zero_interval_raises():
         Interval(1, 1) / Interval(0, 0)
 
 
+# four divisors' worth of endpoints: both signs, zero, tiny, huge and subnormal
+_DIV_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+)
+_DIVISORS = st.one_of(
+    st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+    st.tuples(st.floats(-1e300, -1e-300), st.floats(-1e300, -1e-300)),
+).map(lambda t: Interval(min(t), max(t)))
+
+
+def _four_candidate_div(a, b):
+    """Reference quotient: the min and max over all four endpoint quotients."""
+    if b.lo <= 0.0 <= b.hi:
+        raise DomainError("division by an interval containing 0")
+    pairs = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(_div_down(x, y) for x, y in pairs), max(_div_up(x, y) for x, y in pairs))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.tuples(_DIV_ENDS, _DIV_ENDS).map(lambda t: Interval(min(t), max(t))), _DIVISORS)
+@example(Interval(0.0, 0.0), Interval(2.0, 3.0))
+@example(Interval(0.0, 0.0), Interval(-3.0, -2.0))
+@example(Interval(0.0, 1.0), Interval(-3.0, -2.0))
+@example(Interval(-1.0, 0.0), Interval(2.0, 3.0))
+@example(Interval(-1.0, 0.0), Interval(-3.0, -2.0))
+@example(Interval(-1.0, 2.0), Interval(-3.0, -2.0))
+@example(Interval(-1.0, 2.0), Interval(2.0, 3.0))
+@example(Interval(1.0, 2.0), Interval(3.0, 3.0))
+def test_div_matches_four_candidate_reference(a, b):
+    # every sign case of the dividend against a positive and a negative divisor
+    assert a / b == _four_candidate_div(a, b)
+
+
+def test_div_by_interval_touching_zero_raises():
+    for b in (Interval(0.0, 1.0), Interval(-1.0, 0.0), Interval(-0.0, 0.0)):
+        with pytest.raises(DomainError):
+            Interval(1.0, 2.0) / b
+
+
 def test_int_pow_examples():
     assert int_pow(Interval(-2, 1), 2) == Interval(0, 4)
     assert int_pow(Interval(2, 3), 0) == Interval(1, 1)
@@ -139,6 +182,48 @@ def test_rational_enclosure_tightest():
         if Fraction(iv.lo) != q:
             # one outward step only
             assert math.nextafter(iv.lo, math.inf) == iv.hi
+
+
+def _fraction_enclosure(q: Fraction):
+    """Reference: round to nearest, then one outward step decided by Fractions."""
+    f = float(q)
+    if Fraction(f) == q:
+        return f, f
+    if Fraction(f) < q:
+        return f, math.nextafter(f, math.inf)
+    return math.nextafter(f, -math.inf), f
+
+
+_BIG = st.integers(-(10**400), 10**400)
+_RATIONALS = st.one_of(
+    # huge numerators and denominators whose ratio is in range
+    st.tuples(_BIG, st.integers(1, 10**400)).map(lambda t: Fraction(*t)),
+    st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30)).map(lambda t: Fraction(*t)),
+    # exactly representable values, negatives and zero included
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    # the subnormal range and the bottom of the normal range
+    st.tuples(st.integers(-(2**60), 2**60), st.integers(1000, 1140)).map(
+        lambda t: Fraction(t[0], 2 ** t[1])
+    ),
+    st.tuples(st.integers(-(10**20), 10**20), st.integers(300, 345)).map(
+        lambda t: Fraction(t[0], 3 * 10 ** t[1])
+    ),
+)
+
+
+@settings(max_examples=500, derandomize=True)
+# below 2^1024 - 2^970, the midpoint past the largest float, q rounds to a finite float
+@given(_RATIONALS.filter(lambda q: abs(q) < 2**1024 - 2**970))
+@example(Fraction(1, 10**400))
+@example(Fraction(-1, 10**400))
+@example(Fraction(1, 2**1075))
+@example(Fraction(3, 2**1076))
+@example(Fraction(2**1024 - 2**970 - 1))
+@example(Fraction(-(2**1024 - 2**971) - 1))
+@example(Fraction(0))
+def test_rational_enclosure_matches_fraction_reference(q):
+    iv = rational_enclosure(q)
+    assert (iv.lo.hex(), iv.hi.hex()) == tuple(x.hex() for x in _fraction_enclosure(q))
 
 
 def test_serialization_bit_exact():

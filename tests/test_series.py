@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancert.errors import DomainError, OrderMismatch
-from tancert.interval import Interval, _mul_up, _pow_up, horner
+from tancert.interval import _HALF_PI_HI, Interval, _mul_up, _pow_up, horner
 from tancert.series import (
     PiPoly,
     PowerSeries,
@@ -117,6 +117,36 @@ def test_int_pow_matches_repeated_mul(oracle):
         b = ref.eval(Interval.point(x))
         assert a.lo <= b.hi and b.lo <= a.hi
         assert contains(a, mp_sinc(mp.mpf(x)) ** 3)
+
+
+def _unit_square_and_multiply(s, k):
+    """Reference power: square-and-multiply from the unit series."""
+    result = PowerSeries([PiPoly.rational(1)] + [PiPoly()] * s.degree, 0.0, s.radius)
+    base = s
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        ps_sinc(24, _HALF_PI_HI),
+        ps_cos(16, 0.25) + ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, 16, 0.25),
+        PowerSeries([PiPoly({-1: 3, 2: Fraction(-1, 7)}), PiPoly.rational(5)], 0.75, 1.5),
+    ],
+    ids=["sinc-at-zero", "pi-coefficients", "degree-1"],
+)
+def test_int_pow_bitwise_equals_unit_reference(series):
+    for k in range(8):
+        got, ref = series.int_pow(k), _unit_square_and_multiply(series, k)
+        assert got.coeffs == ref.coeffs
+        assert got.tail.hex() == ref.tail.hex()
+        assert got.radius == ref.radius
 
 
 def test_scale_by_pipoly(oracle):
