@@ -36,7 +36,8 @@ print(f"  B(n+1) -> {report.b_shift_coeffs}")
 print(f"  A(n+4) -> {report.a_shift_coeffs}")
 print(f"  positivity for every n >= 4 follows: {report.shifted_coeffs_imply_positivity}")
 
-# the exact series the lemma_phi certificate builds, here at degree 48
+# the lemma's closed-form series at degree 48; the lemma_phi certificate
+# builds the same coefficients from its catalog string
 hp = half_pi_enclosure()
 series = phi_power_series(48, hp.hi)
 print("\ninterval evaluation of phi, series vs direct trig form:")

@@ -21,11 +21,11 @@ for cid, spec in CATALOG.items():
 
 print("\nthe near-endpoint proofs that make open endpoints certifiable:")
 cert = certify("bs_upper")
-nz, nh = cert.near_zero_proof, cert.near_half_pi_proof
+nz, nh, cfg = cert.near_zero_proof, cert.near_half_pi_proof, cert.config
 print(
-    f"  bs_upper near 0:    F/x^{nz.order} >= {nz.normalized_lower_bound:.4f} on (0, {nz.bound}]"
+    f"  bs_upper near 0:    F/x^{nz.order} >= {nz.normalized_lower_bound:.4f} on (0, {cfg.delta}]"
 )
 print(
     f"  bs_upper near pi/2: F/eps^{nh.order} >= {nh.normalized_lower_bound:.4f} "
-    f"for eps in (0, {nh.bound}]"
+    f"for eps in (0, {cfg.epsilon_max}]"
 )

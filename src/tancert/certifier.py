@@ -16,7 +16,7 @@ F at 0 divided by x^k0,
     Q = F / x^k0,  through x^(degree - k0), with a rigorous tail on
                    |x| <= pi/2 + ulp.
 
-A certificate (schema tancert-cert-v3) for F > 0 has three parts:
+A certificate (schema tancert-cert-v4) for F > 0 has three parts:
 
   * near 0:        Q is bounded below by a positive constant on [0, delta];
   * near pi/2:     the same in eps = pi/2 - x, with the exact series at
@@ -24,10 +24,13 @@ A certificate (schema tancert-cert-v3) for F > 0 has three parts:
   * the middle:    adaptive bisection into boxes X whose margins
                    x^k0 * Q(X), by interval Horner, are certainly positive.
 
-The checker rebuilds Q from the certificate's config degree and
-recomputes every margin the same way.  Files of the earlier schemas v1
-and v2, whose margins came from direct interval evaluation of the tree,
-are refused as an unknown schema.
+An endpoint proof records only what it derives: the order, the leading
+coefficient and the lower bound of the quotient.  Its region and series
+degree are the config's delta (or epsilon_max) and degree, from which the
+checker re-derives the proof and rebuilds Q to recompute every margin.
+Files of the earlier schemas are refused as an unknown schema: v1 and v2
+took their margins from direct interval evaluation of the tree, and v3
+proofs copied the config and were built with looser leaf-series tails.
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import inf
-from typing import Callable
 
 from .errors import DomainError, Falsified, NotPositive, OrderMismatch
 from .interval import (
@@ -54,10 +56,9 @@ from .interval import (
     int_pow,
     split,
 )
-from .sequences import phi_power_series
 from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
-SCHEMA = "tancert-cert-v3"  # the one schema certify writes and check reads
+SCHEMA = "tancert-cert-v4"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
 # build grows like degree^2.3 to degree^3 (that of main_upper takes 0.04 s at
@@ -95,9 +96,6 @@ class InequalitySpec:
     leading_coeff_zero: PiPoly
     vanish_order_half_pi: int = 0
     leading_coeff_half_pi: PiPoly | None = None
-    # the exact series at 0 in closed form, (degree, radius) -> PowerSeries,
-    # used instead of building it from the tree
-    series_at_zero: Callable[[int, float], PowerSeries] | None = None
 
 
 CATALOG: dict[str, InequalitySpec] = {
@@ -192,12 +190,11 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="(9 - 24x^2) cos x - 9 cos 3x - 4x sin 3x > 0 on (0, pi/2]",
             derivation=(
                 "already entire; written with cos 3x = 4 cos^3 - 3 cos and "
-                "sin 3x = sin (4 cos^2 - 1).  Its series at 0 is the lemma's "
-                "closed form 3 sum_{n>=4} (-1)^n T_n x^(2n)/(2n)!."
+                "sin 3x = sin (4 cos^2 - 1).  Its exact series at 0 has the "
+                "lemma's coefficients 3 (-1)^n T_n/(2n)! of x^(2n), n >= 4."
             ),
             vanish_order_zero=8,
             leading_coeff_zero=PiPoly.rational(Fraction(32, 105)),
-            series_at_zero=phi_power_series,
         ),
     ]
 }
@@ -295,8 +292,6 @@ def form_series(inequality_id: str, center: str, degree: int, radius: float) -> 
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     spec = CATALOG[inequality_id]
-    if center == "zero" and spec.series_at_zero is not None:
-        return spec.series_at_zero(degree, radius)
     if center == "half_pi" and spec.vanish_order_half_pi == 0:
         raise DomainError(f"{inequality_id} needs no expansion at pi/2")
     return series_of(spec.entire_form, center, degree, radius)
@@ -355,10 +350,8 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
 
 @dataclass(frozen=True)
 class EndpointProof:
-    kind: str  # "zero" | "half_pi"
-    bound: float  # delta, or epsilon_max
+    """F > 0 on the config's endpoint region, from the series at config.degree."""
     order: int
-    model_degree: int
     normalized_lower_bound: float
     leading_coefficient: Interval
 
@@ -368,19 +361,13 @@ def _check_degree(order: int, degree: int) -> None:
         raise DomainError(f"a series of order {order} needs {order + 8} <= degree <= {MAX_DEGREE}")
 
 
-def _divided_series(inequality_id: str, degree: int) -> PowerSeries:
+@cache
+def _quotient(spec: InequalitySpec, degree: int) -> PowerSeries:
     """Q = F/x^k0: the exact series of F at 0 through x^degree, divided by
     x^k0, with its tail valid on |x| <= pi/2 + ulp.  The near-zero proof
     and every box margin of one (form, degree) share one Q."""
-    return _divided(CATALOG[inequality_id], degree, form_series)
-
-
-@cache
-def _divided(spec: InequalitySpec, degree: int, build) -> PowerSeries:
-    # the series builder is part of the key, so replacing form_series never
-    # returns a Q that the original built
     _check_degree(spec.vanish_order_zero, degree)
-    return build(spec.id, "zero", degree, _HALF_PI_HI).divide_power(spec.vanish_order_zero)
+    return form_series(spec.id, "zero", degree, _HALF_PI_HI).divide_power(spec.vanish_order_zero)
 
 
 def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) -> EndpointProof:
@@ -403,7 +390,7 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
     # divide_power raises OrderMismatch on nonzero coefficients below u^k
     if kind == "zero":
-        quotient = _divided_series(inequality_id, degree)
+        quotient = _quotient(spec, degree)
     else:
         _check_degree(k, degree)
         quotient = form_series(inequality_id, kind, degree, bound).divide_power(k)
@@ -425,7 +412,7 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "
             "shrink the bound or raise the degree"
         )
-    return EndpointProof(kind, bound, k, degree, lb, lead_enc)
+    return EndpointProof(k, lb, lead_enc)
 
 
 def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:
@@ -476,8 +463,8 @@ def eval_form(inequality_id: str, x: Interval, *, degree: int = CertifyConfig.de
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
-    quotient = _divided_series(inequality_id, degree)
-    return int_pow(x, CATALOG[inequality_id].vanish_order_zero) * quotient.eval(x)
+    spec = CATALOG[inequality_id]
+    return int_pow(x, spec.vanish_order_zero) * _quotient(spec, degree).eval(x)
 
 
 @dataclass
@@ -543,6 +530,14 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     return accepted, failed, (falsified[0] if falsified else None), max_depth_seen, worst
 
 
+def _cover_ends(spec: InequalitySpec, cfg: CertifyConfig) -> tuple[float, float]:
+    """The ends of the middle that the boxes cover: from delta to
+    pi/2 - epsilon_max, or to pi/2 + ulp for a form with no near-pi/2 proof."""
+    if spec.vanish_order_half_pi > 0:
+        return cfg.delta, _sub_up(_HALF_PI_HI, cfg.epsilon_max)
+    return cfg.delta, _HALF_PI_HI
+
+
 def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certificate:
     """Produce a Certificate for one catalog inequality.
 
@@ -555,9 +550,8 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
     nh = None
     if spec.vanish_order_half_pi > 0:
         nh = near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
-    hi = _sub_up(_HALF_PI_HI, cfg.epsilon_max) if nh else _HALF_PI_HI
     accepted, failed, falsified, depth_seen, worst = _bisect_cover(
-        lambda x: eval_form(inequality_id, x, degree=cfg.degree), cfg.delta, hi, cfg
+        lambda x: eval_form(inequality_id, x, degree=cfg.degree), *_cover_ends(spec, cfg), cfg
     )
     wall = time.perf_counter() - t0
     status, boxes = ("undecided" if failed else "certified"), accepted
@@ -581,7 +575,7 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
 
 
 # ---------------------------------------------------------------------------
-# serialization (schema tancert-cert-v3; all floats as hex strings)
+# serialization (schema tancert-cert-v4; all floats as hex strings)
 # ---------------------------------------------------------------------------
 
 def _hex(x: float) -> str:
@@ -592,10 +586,7 @@ def _proof_to_dict(p: EndpointProof | None):
     if p is None:
         return None
     return {
-        "kind": p.kind,
-        "bound": _hex(p.bound),
         "order": p.order,
-        "model_degree": p.model_degree,
         "normalized_lower_bound": _hex(p.normalized_lower_bound),
         "leading_coefficient": list(p.leading_coefficient.to_hex()),
     }
@@ -612,10 +603,7 @@ def _proof_from_dict(d) -> EndpointProof | None:
     if d is None:
         return None
     return EndpointProof(
-        kind=d["kind"],
-        bound=float.fromhex(d["bound"]),
         order=_int(d["order"]),
-        model_degree=_int(d["model_degree"]),
         normalized_lower_bound=float.fromhex(d["normalized_lower_bound"]),
         leading_coefficient=Interval.from_hex(*d["leading_coefficient"]),
     )
@@ -702,7 +690,8 @@ def load_certificate(path) -> Certificate:
     with open(path) as fh:
         try:
             return certificate_from_dict(json.load(fh))
-        except (DomainError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        except (DomainError, ValueError, KeyError, TypeError, IndexError, OverflowError,
+                RecursionError) as exc:
             raise DomainError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
 
 
@@ -736,23 +725,20 @@ def check_certificate(cert: Certificate) -> CheckResult:
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
 
     cfg = cert.config
-    start, end = 0.0, _HALF_PI_HI
-    if cert.domain != Interval(start, end):
+    if cert.domain != Interval(0.0, _HALF_PI_HI):
         diagnoses.append(f"domain {cert.domain} != [0, pi/2 + ulp]")
-    for kind, p, label, name in (
-        ("zero", cert.near_zero_proof, "near-zero", "delta"),
-        ("half_pi", cert.near_half_pi_proof, "near-pi/2", "epsilon_max"),
+    # the box cover must reach the endpoint regions of the config, whatever
+    # the proofs hold
+    start, end = _cover_ends(spec, cfg)
+    for kind, p, label, bound in (
+        ("zero", cert.near_zero_proof, "near-zero", cfg.delta),
+        ("half_pi", cert.near_half_pi_proof, "near-pi/2", cfg.epsilon_max),
     ):
         if p is None:
             continue
-        # the box cover must reach the region the proof claims, proven or not
-        if kind == "zero":
-            start = p.bound
-        else:
-            end = _sub_up(_HALF_PI_HI, p.bound)
         # the proof the config describes, compared field by field as written
         try:
-            fresh = _endpoint_proof(cert.inequality_id, kind, getattr(cfg, name), cfg.degree)
+            fresh = _endpoint_proof(cert.inequality_id, kind, bound, cfg.degree)
         except (NotPositive, OrderMismatch, DomainError) as exc:
             diagnoses.append(f"{label} proof failed: {exc}")
             continue

@@ -94,7 +94,7 @@ def _parse_args(argv) -> argparse.Namespace:
     try:
         with open(args.config) as fh:
             values = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise TancertError(f"--config {args.config}: {exc}") from None
     if not isinstance(values, dict):
         raise TancertError(f"--config {args.config}: must hold a JSON object")

@@ -7,7 +7,7 @@ real op(a, b) lies in op_interval(A, B).
 
 Directed rounding is realized by next-representable adjustment, made
 tight through error-free transformations: TwoSum for addition, Dekker's
-two-product for multiplication, and an exact rational comparison for
+two-product for multiplication, and an exact integer comparison for
 division.  Each endpoint is therefore the correctly rounded-down (or
 rounded-up) value of the exact endpoint, so exact operations (adding
 zero, products of small integers) stay exact.
@@ -71,8 +71,7 @@ def _product_error(a: float, b: float, p: float):
     """Exact a*b - p, where p is the rounded-to-nearest product a*b.
 
     Dekker's two-product is exact away from overflow and underflow; near
-    either the error is taken by an exact rational product instead, as
-    in _div_down/_div_up.
+    either the error is taken by an exact rational product instead.
     """
     if abs(a) > _DEKKER_BIG or abs(b) > _DEKKER_BIG or abs(p) < _DEKKER_TINY:
         if a == 0.0 or b == 0.0:
@@ -115,13 +114,7 @@ def _div_down(a: float, b: float) -> float:
         return _MAX if q > 0.0 else q
     if math.isinf(a) or math.isinf(b):
         return q
-    # exact: sign(a/b - q) = sign(a - q*b) * sign(b)
-    diff = Fraction(a) - Fraction(q) * Fraction(b)
-    if diff == 0:
-        return q
-    if (diff > 0) == (b > 0.0):
-        return q  # true quotient above q: q already a lower bound
-    return math.nextafter(q, -_INF)
+    return math.nextafter(q, -_INF) if _quotient_offset(q, a, b) > 0 else q
 
 
 def _div_up(a: float, b: float) -> float:
@@ -130,12 +123,23 @@ def _div_up(a: float, b: float) -> float:
         return -_MAX if q < 0.0 else q
     if math.isinf(a) or math.isinf(b):
         return q
-    diff = Fraction(a) - Fraction(q) * Fraction(b)
-    if diff == 0:
-        return q
-    if (diff > 0) == (b > 0.0):
-        return math.nextafter(q, _INF)
-    return q
+    return math.nextafter(q, _INF) if _quotient_offset(q, a, b) < 0 else q
+
+
+def _quotient_offset(q: float, a: float, b: float) -> int:
+    """An integer with the sign of q - a/b, for finite a and b != 0."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    # a/b = (an * bd) / (ad * bn)
+    return _offset(q, an * bd, ad * bn)
+
+
+def _offset(f: float, n: int, d: int) -> int:
+    """An integer with the sign of f - n/d, exactly, for integers d != 0:
+    with f = fn/fd (fd > 0) it is that of (fn * d - n * fd) * d."""
+    fn, fd = f.as_integer_ratio()
+    diff = fn * d - n * fd
+    return diff if d > 0 else -diff
 
 
 def _pow(mul, x: float, k: int) -> float:
@@ -378,11 +382,9 @@ def rational_enclosure(q) -> Interval:
         f = n / d  # correctly rounded to nearest
     except OverflowError:
         raise DomainError("rational overflows binary64 range") from None
-    # the sign of f - q is that of fn * d - n * fd (fd, d > 0)
-    fn, fd = f.as_integer_ratio()
-    diff = fn * d - n * fd
-    if diff == 0:
+    side = _offset(f, n, d)
+    if side == 0:
         return Interval(f, f)
-    if diff < 0:
+    if side < 0:
         return Interval(f, math.nextafter(f, _INF))
     return Interval(math.nextafter(f, -_INF), f)

@@ -20,9 +20,11 @@ T_n > 0 for n >= 4, and the decrease of the terms T_n x^(2n)/(2n)! on
 
 Everything in this module is exact integer/rational arithmetic except
 the tail of phi_power_series, which bounds the alternating series by its
-first omitted term.  That series holds the exact coefficients
-phi_coeff(n): it is the lemma_phi series at 0 from which the certifier
-builds its proof and box margins, and its `eval` is phi's enclosure.
+first omitted term.  That series, with the exact coefficients
+phi_coeff(n), is the lemma's closed-form reference: the certifier builds
+lemma_phi's series from its catalog string like every other form, and the
+tests check that the two have the same coefficients and overlapping
+enclosures.
 """
 
 from __future__ import annotations

@@ -146,16 +146,15 @@ def exp_tail_bound(first_index: int, radius: float) -> float:
     """Tail coefficient of u^K, K = first_index, on |u| <= r = radius, for a
     series with |c_k| <= 1/k!.
 
-    sum_{k>=K} |c_k| |u|^(k-K) <= 1/K! / (1 - r/(K+1)); the returned value is
-    that times max(1, r)^K, which for r >= 1 is the bound of sum_{k>=K} r^k/k!
-    that the pinned certificates were written with.
+    sum_{k>=K} |c_k| |u|^(k-K) <= sum_{k>=K} r^(k-K)/k!, and the ratio of
+    consecutive terms is at most r/(K+1), so the sum is at most
+    1/K! / (1 - r/(K+1)); returned rounded up.
     """
     r = Fraction(radius)
     k = first_index
     if r >= k + 1:
         raise DomainError("exp tail bound needs radius < first_index + 1")
-    exact = (max(Fraction(1), r) ** k / factorial(k)) * (Fraction(1) / (1 - r / (k + 1)))
-    return rational_enclosure(exact).hi
+    return rational_enclosure(Fraction(1, factorial(k)) / (1 - r / (k + 1))).hi
 
 
 def _numerator_rows(coeffs):

@@ -160,21 +160,17 @@ def test_order_mismatch_on_tampered_catalog(monkeypatch):
         near_zero_proof("main_lower", 0.25, 16)
 
 
-def test_not_positive_when_series_goes_negative(monkeypatch):
-    lead = CATALOG["main_lower"].leading_coeff_zero
-
-    def fake_form_series(cid, center, degree, radius):
-        coeffs = [PiPoly(), PiPoly(), lead, PiPoly.rational(-100)] + [PiPoly()] * (
-            degree - 3
-        )
-        return PowerSeries(coeffs, 0.0, radius)
-
-    monkeypatch.setattr(certifier, "form_series", fake_form_series)
+def test_not_positive_when_series_goes_negative(monkeypatch, tmp_path):
+    spec = _negative_spec(
+        "x^2/15 - 100*x^3", vanish_order_zero=2, leading_coeff_zero=PiPoly.rational(Fraction(1, 15))
+    )
+    monkeypatch.setitem(CATALOG, spec.id, spec)
     # the quotient runs from 1/15 down to 1/15 - 25: positive at 0, unproven
     with pytest.raises(NotPositive, match="shrink the bound or raise the degree") as exc:
-        near_zero_proof("main_lower", 0.25, 16)
+        near_zero_proof(spec.id, 0.25, 16)
     assert not isinstance(exc.value, Falsified)
-    assert cli.main(["certify", "main_lower"]) == 1
+    assert cli.main(["--out", str(tmp_path), "certify", spec.id]) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def _negative_spec(form: str, **orders) -> InequalitySpec:
@@ -440,7 +436,7 @@ def test_serialization_round_trip(tmp_path):
 def test_schema_field(tmp_path):
     cert = certify("prop1_lower")
     doc = certificate_to_dict(cert)
-    assert doc["schema"] == "tancert-cert-v3"
+    assert doc["schema"] == "tancert-cert-v4"
     doc["schema"] = "v0"
     with pytest.raises(DomainError):
         certificate_from_dict(doc)
@@ -520,7 +516,7 @@ def test_series_degree_is_capped(tmp_path):
     with pytest.raises(DomainError):
         near_zero_proof("main_upper", 0.25, MAX_DEGREE + 1)
     doc = certificate_to_dict(certify("main_upper"))
-    doc["near_zero_proof"]["model_degree"] = 512
+    doc["config"]["degree"] = 512
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()

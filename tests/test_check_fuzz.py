@@ -18,8 +18,8 @@ from tancert.certifier import CheckResult, check_file
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
-# bs_lower and qi_upper have both endpoint proofs; lemma_phi's series at 0
-# is the closed form of its lemma
+# bs_lower and qi_upper have both endpoint proofs; lemma_phi vanishes to the
+# highest order at 0
 SOURCES = {
     cid: json.loads((GOLDEN / f"cert-{cid}.json").read_text())
     for cid in ("bs_lower", "qi_upper", "lemma_phi")

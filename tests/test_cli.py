@@ -171,25 +171,25 @@ def _deepen_first_box(doc):
 TAMPERINGS = {
     "missing boxes key": lambda doc: doc.pop("boxes"),
     "bad hex": _set_box_entry(0, "0x1.zzp+0"),
-    "non-JSON file": None,
+    "non-JSON file": "{ not json",
+    "deeply nested JSON": "[" * 200000,
     "box below 0": _set_box_entry(0, (-0.5).hex()),
     "inverted box": _invert_first_box,
     "NaN margin": _set_box_entry(2, "nan"),
-    "model degree 512": _set("near_zero_proof", "model_degree", 512),
     "stats box_count": _set("stats", "box_count", 5),
     "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
     "box depth above max_depth": _deepen_first_box,
-    "config delta off the proof": _set("config", "delta", (0.125).hex()),
+    "config delta 0.5": _set("config", "delta", (0.5).hex()),
+    "no near-zero proof": _set("near_zero_proof", None),
+    "no near-pi/2 proof": _set("near_half_pi_proof", None),
     "config max_depth -3": _set("config", "max_depth", -3),
     "status banana": _set("status", "banana"),
     "domain [0, 1]": _set("domain", [(0.0).hex(), (1.0).hex()]),
-    "near-zero proof of kind half_pi": _set("near_zero_proof", "kind", "half_pi"),
     "near-zero leading coefficient": _set("near_zero_proof", "leading_coefficient", ["-0x1p+4", "0x1p+9"]),
     "negative near-pi/2 leading coefficient": _set(
         "near_half_pi_proof", "leading_coefficient", ["-0x1p+2", "-0x1p+1"]
     ),
     "config degree 16.9": _set("config", "degree", 16.9),
-    "model degree string": _set("near_zero_proof", "model_degree", "16"),
     "box depth true": _set_box_entry(4, True),
     "status falsified": _set("status", "falsified"),
 }
@@ -199,8 +199,8 @@ TAMPERINGS = {
 def test_check_tampered_certificate_exits_3_with_one_diagnosis(case, tmp_path, monkeypatch, capsys):
     run_cli(["certify", "bs_lower"], tmp_path, monkeypatch)
     path = tmp_path / "cert-bs_lower.json"
-    if TAMPERINGS[case] is None:
-        path.write_text("{ not json")
+    if isinstance(TAMPERINGS[case], str):
+        path.write_text(TAMPERINGS[case])
     else:
         doc = json.loads(path.read_text())
         TAMPERINGS[case](doc)
@@ -261,7 +261,8 @@ def test_config_file_precedence(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"delta": "abc"}', '{"degree": 16.5}', '{"max_depth": 2.5}', "{ not json"],
+    ['{"delta": "abc"}', '{"degree": 16.5}', '{"max_depth": 2.5}', "{ not json",
+     pytest.param("[" * 200000, id="deeply nested JSON")],
 )
 def test_bad_config_file_exits_1(text, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -269,7 +270,11 @@ def test_bad_config_file_exits_1(text, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out), "certify", "bs_lower"]) == 1
     assert not list(tmp_path.rglob("cert-*.json"))
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if not text.startswith("{\""):
+        # a file that does not parse as JSON is one error line
+        assert err.startswith(f"error: --config {config}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("flags", ["--epsilon-max 0.3", "--epsilon-max -1", "--degree 12"])

@@ -1,7 +1,7 @@
 """Pinned certificates: the nine default-config certificates, byte for byte.
 
 `tests/data/golden/cert-<id>.json` holds what `tancert certify all` wrote
-under the default configuration (schema tancert-cert-v3).  A change to
+under the default configuration (schema tancert-cert-v4).  A change to
 the series backends, bisection or serialization that alters any margin,
 proof bound or box shows up here as a byte difference.  Regenerate the
 files only when such a change is intended, and record why in CHANGES.md.
@@ -23,8 +23,10 @@ enclosures, bit for bit, on a fixed grid of points and boxes in
 exception raised.  Regenerate it with `PYTHONPATH=src python
 tests/test_golden.py`.
 
-`tests/data/schema-v2/cert-main_upper.json` is the default `main_upper`
-certificate as schema tancert-cert-v2 wrote it; the checker refuses it.
+`tests/data/schema-v2/cert-main_upper.json` and
+`tests/data/schema-v3/cert-main_upper.json` are the default `main_upper`
+certificate as schemas tancert-cert-v2 and v3 wrote it; the checker
+refuses both.
 """
 
 import json
@@ -126,20 +128,29 @@ def test_golden_box_margins_contain_the_form(cid, oracle):
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
 def test_golden_near_zero_bound_lies_below_the_quotient(cid, oracle):
-    proof = load_certificate(GOLDEN / f"cert-{cid}.json").near_zero_proof
-    delta, k0 = mp.mpf(proof.bound), proof.order
+    cert = load_certificate(GOLDEN / f"cert-{cid}.json")
+    proof = cert.near_zero_proof
+    delta, k0 = mp.mpf(cert.config.delta), proof.order
     for j in range(1, 33):
         x = delta * j / 32
         assert proof.normalized_lower_bound <= mp_form(cid, x) / x**k0, x
 
 
-def test_v2_certificate_is_refused():
-    path = DATA / "schema-v2" / "cert-main_upper.json"
+def _assert_refused(version):
+    path = DATA / f"schema-{version}" / "cert-main_upper.json"
     assert cli.main(["check", str(path)]) == 3
     result = check_file(path)
     assert not result.ok
     assert len(result.diagnoses) == 1, result.diagnoses
-    assert "unknown certificate schema 'tancert-cert-v2'" in result.diagnoses[0]
+    assert f"unknown certificate schema 'tancert-cert-{version}'" in result.diagnoses[0]
+
+
+def test_v2_certificate_is_refused():
+    _assert_refused("v2")
+
+
+def test_v3_certificate_is_refused():
+    _assert_refused("v3")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 from tancert.errors import DomainError
 from tancert.interval import (
     Interval,
-    _div_down,
-    _div_up,
     certainly_positive,
     half_pi_enclosure,
     int_pow,
@@ -78,16 +77,37 @@ def test_div_by_zero_interval_raises():
         Interval(1, 1) / Interval(0, 0)
 
 
-# four divisors' worth of endpoints: both signs, zero, tiny, huge and subnormal
+_MAX = sys.float_info.max
+
+# four divisors' worth of endpoints: both signs, zero, tiny, huge, subnormal
+# and near overflow
 _DIV_ENDS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -3e-320, 1e300, -1e300,
+                     _MAX, -_MAX]),
     st.floats(-1e6, 1e6, allow_nan=False),
     st.floats(-1e-300, 1e-300, allow_nan=False),
+    st.floats(-2.0**-1022, 2.0**-1022, allow_nan=False),
+    st.floats(1e306, _MAX),
+    st.floats(-_MAX, -1e306),
+)
+_DIVISOR_MAGNITUDES = st.one_of(
+    st.floats(1e-300, 1e300), st.floats(5e-324, 2.0**-1022), st.floats(1e306, _MAX)
 )
 _DIVISORS = st.one_of(
-    st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
-    st.tuples(st.floats(-1e300, -1e-300), st.floats(-1e300, -1e-300)),
+    st.tuples(_DIVISOR_MAGNITUDES, _DIVISOR_MAGNITUDES),
+    st.tuples(_DIVISOR_MAGNITUDES, _DIVISOR_MAGNITUDES).map(lambda t: (-t[0], -t[1])),
 ).map(lambda t: Interval(min(t), max(t)))
+
+
+def _fraction_div(x, y, down):
+    """Reference directed quotient of finite floats by exact rationals."""
+    q = x / y
+    if math.isinf(q):
+        return q if (q > 0.0) != down else math.nextafter(q, 0.0)
+    exact = Fraction(x) / Fraction(y)
+    if Fraction(q) != exact and (Fraction(q) > exact) == down:
+        return math.nextafter(q, -math.inf if down else math.inf)
+    return q
 
 
 def _four_candidate_div(a, b):
@@ -95,10 +115,11 @@ def _four_candidate_div(a, b):
     if b.lo <= 0.0 <= b.hi:
         raise DomainError("division by an interval containing 0")
     pairs = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-    return Interval(min(_div_down(x, y) for x, y in pairs), max(_div_up(x, y) for x, y in pairs))
+    return Interval(min(_fraction_div(x, y, True) for x, y in pairs),
+                    max(_fraction_div(x, y, False) for x, y in pairs))
 
 
-@settings(max_examples=400, derandomize=True)
+@settings(max_examples=600, derandomize=True)
 @given(st.tuples(_DIV_ENDS, _DIV_ENDS).map(lambda t: Interval(min(t), max(t))), _DIVISORS)
 @example(Interval(0.0, 0.0), Interval(2.0, 3.0))
 @example(Interval(0.0, 0.0), Interval(-3.0, -2.0))
@@ -108,8 +129,13 @@ def _four_candidate_div(a, b):
 @example(Interval(-1.0, 2.0), Interval(-3.0, -2.0))
 @example(Interval(-1.0, 2.0), Interval(2.0, 3.0))
 @example(Interval(1.0, 2.0), Interval(3.0, 3.0))
+@example(Interval(5e-324, 1e-310), Interval(3.0, 7.0))
+@example(Interval(-_MAX, _MAX), Interval(0.5, 0.75))
+@example(Interval(1e-310, _MAX), Interval(-5e-324, -5e-324))
 def test_div_matches_four_candidate_reference(a, b):
-    # every sign case of the dividend against a positive and a negative divisor
+    # every sign case of the dividend against a positive and a negative
+    # divisor; each end is the exact quotient rounded outward, as a
+    # rational computation gives it
     assert a / b == _four_candidate_div(a, b)
 
 

@@ -5,12 +5,13 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from tancert.certifier import CertifyConfig, certify
+from tancert.certifier import CertifyConfig, certify, form_series
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
     a_seq,
     b_seq,
+    phi_coeff,
     phi_power_series,
     phi_trig_enc,
     t_seq,
@@ -82,9 +83,30 @@ def test_term_decrease_at_sqrt3_exact():
         assert lhs > rhs
 
 
-# phi's enclosure is the series the lemma_phi certificate builds, here at
-# degree 48, where its tail term stays below 1e-28 out to pi/2
+# phi's closed-form series, here at degree 48, where its tail term stays
+# below 1e-28 out to pi/2
 PHI = phi_power_series(48, half_pi_enclosure().hi)
+
+
+@pytest.mark.parametrize("degree", [16, 40, 96])
+def test_lemma_phi_form_series_has_the_lemma_coefficients(degree):
+    # the certificate's series, built from the catalog string, is exactly
+    # 3 sum_{n>=4} (-1)^n T_n x^(2n)/(2n)!
+    coeffs = form_series("lemma_phi", "zero", degree, half_pi_enclosure().hi).coeffs
+    expected = [phi_coeff(k // 2) if k % 2 == 0 else 0 for k in range(degree + 1)]
+    assert [c.terms.get(0, 0) for c in coeffs] == expected
+    assert all(set(c.terms) <= {0} for c in coeffs)
+
+
+def test_lemma_phi_form_series_overlaps_the_closed_form():
+    hp = half_pi_enclosure()
+    built = form_series("lemma_phi", "zero", 16, hp.hi)
+    closed = phi_power_series(16, hp.hi)
+    for j in range(32):
+        lo, hi = hp.lo * j / 32, hp.lo * (j + 1) / 32
+        for x in (Interval.point(hi), Interval(lo, hi)):
+            a, b = built.eval(x), closed.eval(x)
+            assert a.lo <= b.hi and b.lo <= a.hi, x
 
 
 def test_phi_enc_values(oracle):

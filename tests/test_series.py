@@ -90,14 +90,16 @@ def test_tail_respects_radius():
         ps.eval(Interval.point(0.75))
 
 
-def test_exp_tail_bound_dominates_true_tail():
-    # compare against the explicitly summed tail of e^r
-    from math import factorial
-
-    r = 1.25
-    bound = exp_tail_bound(10, r)
-    true_tail = float(sum(Fraction(r) ** k / factorial(k) for k in range(10, 40)))
-    assert 0 < true_tail <= bound
+def test_exp_tail_bound_dominates_true_tail(oracle):
+    # the tail coefficient of u^K for |c_k| <= 1/k! on |u| <= r is
+    # sum_{k>=K} r^(k-K)/k!; the bound covers it, and within 1%, so no
+    # factor r^K rides along above r = 1
+    for r in (1.25, _HALF_PI_HI):
+        x = mp.mpf(r)
+        for k in (10, 17, 97):
+            coefficient = mp.nsum(lambda j: x**j / mp.factorial(k + j), [0, mp.inf])
+            bound = exp_tail_bound(k, r)
+            assert coefficient <= bound <= coefficient * 1.01, (r, k)
 
 
 def test_compatibility_checks():
