@@ -10,113 +10,54 @@ Becker-Stark and cubic-correction bounds, and reproduces the sharpness
 numerics (crossover points, exponent-ratio limits).
 """
 
-from .interval import (
-    Interval,
-    certainly_negative,
-    certainly_positive,
-    half_pi_enclosure,
-    int_pow,
-    pi_enclosure,
-    rational_enclosure,
-    split,
-)
-from .enclosures import cos_enc, p_enc, sinc_enc
-from .sequences import (
-    SeqTerm,
-    ShiftIdentityReport,
-    a_seq,
-    b_seq,
-    phi_trig_enc,
-    seq_term,
-    t_seq,
-    u_seq,
-    verify_shift_identities,
-)
-from .certifier import (
-    CATALOG,
-    InequalitySpec,
-    BoxRecord,
-    Certificate,
-    CertifyConfig,
-    CheckResult,
-    EndpointProof,
-    certify,
-    check_certificate,
-    eval_form,
-    load_certificate,
-    near_half_pi_proof,
-    near_zero_proof,
-    save_certificate,
-)
-from . import errors
+from . import errors  # tiny, and every other module imports it
 
 __version__ = "0.1.0"
 
-# `analysis` loads mpmath (about 40 ms), which certify and check never use,
-# so its names are imported on first access.
-_ANALYSIS_EXPORTS = {
-    "CrossoverResult",
-    "RatioSample",
-    "ReplayReport",
-    "ScanReport",
-    "crossover_lower",
-    "crossover_upper",
-    "exponent_ratio",
-    "optimality_scan",
-    "replay_identity",
+# The proof identities that `analysis.replay_identity` replays numerically,
+# named here, away from mpmath and the sequences, so the CLI parser can offer
+# them without importing either.
+REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime")
+
+# Every public name, by the module that defines it.  A module is imported
+# when one of its names is first read, so `import tancert` loads only
+# `errors`, a certify or check process loads only what it runs, and
+# `sequences` and `analysis` (which loads mpmath, about 40 ms) load only
+# when used.
+_EXPORTS = {
+    "interval": (
+        "Interval int_pow pi_enclosure half_pi_enclosure rational_enclosure "
+        "certainly_positive certainly_negative split"
+    ),
+    "enclosures": "cos_enc sinc_enc p_enc",
+    "sequences": (
+        "t_seq u_seq a_seq b_seq SeqTerm seq_term verify_shift_identities "
+        "ShiftIdentityReport phi_trig_enc"
+    ),
+    "certifier": (
+        "CATALOG InequalitySpec CertifyConfig Certificate BoxRecord EndpointProof "
+        "CheckResult eval_form near_zero_proof near_half_pi_proof certify "
+        "check_certificate save_certificate load_certificate"
+    ),
+    "analysis": (
+        "exponent_ratio optimality_scan crossover_upper crossover_lower replay_identity "
+        "RatioSample ScanReport CrossoverResult ReplayReport"
+    ),
 }
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_ORIGIN, "errors"]
 
 
 def __getattr__(name):
-    if name in _ANALYSIS_EXPORTS:
-        from . import analysis
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ with a fromlist returns the submodule itself, and unlike
+    # importlib.import_module it loads nothing more
+    value = getattr(__import__(f"{__name__}.{_ORIGIN[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
 
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "Interval",
-    "int_pow",
-    "pi_enclosure",
-    "half_pi_enclosure",
-    "rational_enclosure",
-    "certainly_positive",
-    "certainly_negative",
-    "split",
-    "cos_enc",
-    "sinc_enc",
-    "p_enc",
-    "t_seq",
-    "u_seq",
-    "a_seq",
-    "b_seq",
-    "SeqTerm",
-    "seq_term",
-    "verify_shift_identities",
-    "ShiftIdentityReport",
-    "phi_trig_enc",
-    "CATALOG",
-    "InequalitySpec",
-    "CertifyConfig",
-    "Certificate",
-    "BoxRecord",
-    "EndpointProof",
-    "CheckResult",
-    "eval_form",
-    "near_zero_proof",
-    "near_half_pi_proof",
-    "certify",
-    "check_certificate",
-    "save_certificate",
-    "load_certificate",
-    "exponent_ratio",
-    "optimality_scan",
-    "crossover_upper",
-    "crossover_lower",
-    "replay_identity",
-    "RatioSample",
-    "ScanReport",
-    "CrossoverResult",
-    "ReplayReport",
-    "errors",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

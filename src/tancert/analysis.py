@@ -25,10 +25,10 @@ from functools import cache
 
 import mpmath as mp
 
+from . import REPLAY_IDENTITIES  # re-exported; named where the CLI parser reads it
 from .certifier import series_of
 from .errors import DomainError, IdentityViolation, NoSignChange
 from .interval import Interval, _HALF_PI_HI, _HALF_PI_LO, certainly_negative, certainly_positive
-from .sequences import REPLAY_IDENTITIES  # re-exported; named where the CLI parser reads it
 from .series import PowerSeries
 
 

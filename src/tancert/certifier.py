@@ -41,7 +41,7 @@ import ast
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import inf
@@ -86,16 +86,18 @@ MAX_BOXES = 2**16
 # catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InequalitySpec:
-    id: str
-    statement: str
-    entire_form: str  # the normative division-free F, in the form language
-    derivation: str
-    vanish_order_zero: int
-    leading_coeff_zero: PiPoly
-    vanish_order_half_pi: int = 0
-    leading_coeff_half_pi: PiPoly | None = None
+# The records below are namedtuples rather than dataclasses: `dataclasses`
+# imports `inspect` and generates code per class, which every certify and
+# check process would pay at start-up.  `_replace` makes a changed copy.
+
+# One catalog entry: entire_form is the normative division-free F, in the
+# form language, and the leading coefficients are PiPoly.
+InequalitySpec = namedtuple(
+    "InequalitySpec",
+    "id statement entire_form derivation vanish_order_zero leading_coeff_zero "
+    "vanish_order_half_pi leading_coeff_half_pi",
+    defaults=(0, None),
+)
 
 
 CATALOG: dict[str, InequalitySpec] = {
@@ -237,10 +239,8 @@ def _tree(e: ast.expr) -> tuple:
     raise DomainError(f"{ast.unparse(e)!r} is outside the form language")
 
 
-@dataclass(frozen=True)
-class CompiledForm:
-    tree: tuple
-    names: frozenset  # the leaves the form uses
+# names: the leaves the form uses
+CompiledForm = namedtuple("CompiledForm", "tree names")
 
 
 @cache
@@ -348,12 +348,8 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
 # endpoint proofs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndpointProof:
-    """F > 0 on the config's endpoint region, from the series at config.degree."""
-    order: int
-    normalized_lower_bound: float
-    leading_coefficient: Interval
+# F > 0 on the config's endpoint region, from the series at config.degree
+EndpointProof = namedtuple("EndpointProof", "order normalized_lower_bound leading_coefficient")
 
 
 def _check_degree(order: int, degree: int) -> None:
@@ -429,34 +425,43 @@ def near_half_pi_proof(inequality_id: str, epsilon_max: float, degree: int) -> E
 # branch-and-bound engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxRecord:
-    interval: Interval
-    margin: Interval
-    depth: int
+BoxRecord = namedtuple("BoxRecord", "interval margin depth")
 
 
-@dataclass(frozen=True)
-class CertifyConfig:
-    delta: float = 0.25
-    epsilon_max: float = 0.125
-    degree: int = 16
-    max_depth: int = 48
-    min_width: float = 2.0**-40
+def _of_type(v, types) -> bool:
+    # bool subclasses int, but True is no degree, depth or width
+    return isinstance(v, types) and not isinstance(v, bool)
 
-    def __post_init__(self):
+
+class CertifyConfig(namedtuple(
+    "CertifyConfig", "delta epsilon_max degree max_depth min_width",
+    defaults=(0.25, 0.125, 16, 48, 2.0**-40),
+)):
+    """Certify settings; a field of the wrong type or range raises DomainError."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, top in (("delta", MAX_DELTA), ("epsilon_max", MAX_EPSILON)):
-            if not 0.0 < getattr(self, name) <= top:
-                raise DomainError(f"{name} must be in (0, {top}], got {getattr(self, name)!r}")
-        if self.degree > MAX_DEGREE:
-            raise DomainError(f"degree must be at most {MAX_DEGREE}, got {self.degree}")
-        if not isinstance(self.max_depth, int) or not 0 <= self.max_depth <= MAX_DEPTH:
+            v = getattr(self, name)
+            if not _of_type(v, (int, float)) or not 0.0 < v <= top:
+                raise DomainError(f"{name} must be a number in (0, {top}], got {v!r}")
+        if not _of_type(self.degree, int) or self.degree > MAX_DEGREE:
+            raise DomainError(f"degree must be an int at most {MAX_DEGREE}, got {self.degree!r}")
+        if not _of_type(self.max_depth, int) or not 0 <= self.max_depth <= MAX_DEPTH:
             raise DomainError(f"max_depth must be an int in [0, {MAX_DEPTH}], got {self.max_depth!r}")
-        if not 0.0 < self.min_width < inf:
+        if not _of_type(self.min_width, (int, float)) or not 0.0 < self.min_width < inf:
             raise DomainError(f"min_width must be finite and positive, got {self.min_width!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks above
+        return cls(*iterable)
 
 
-def eval_form(inequality_id: str, x: Interval, *, degree: int = CertifyConfig.degree) -> Interval:
+def eval_form(inequality_id: str, x: Interval, *,
+              degree: int = CertifyConfig._field_defaults["degree"]) -> Interval:
     """Box margin over x that a certificate of this degree records: the
     enclosure x^k0 * Q(x) of F, Q = F/x^k0 the divided exact series."""
     if inequality_id not in CATALOG:
@@ -467,27 +472,20 @@ def eval_form(inequality_id: str, x: Interval, *, degree: int = CertifyConfig.de
     return int_pow(x, spec.vanish_order_zero) * _quotient(spec, degree).eval(x)
 
 
-@dataclass
-class CertStats:
-    box_count: int
-    max_depth_reached: int
-    wall_time: float
-    worst_box: BoxRecord | None = None
+# worst_box: the unresolved BoxRecord of lowest margin, or None
+CertStats = namedtuple("CertStats", "box_count max_depth_reached wall_time worst_box",
+                       defaults=(None,))
 
 
 STATUSES = ("certified", "undecided", "falsified")
 
 
-@dataclass
-class Certificate:
-    inequality_id: str
-    domain: Interval
-    status: str  # one of STATUSES
-    near_zero_proof: EndpointProof | None
-    near_half_pi_proof: EndpointProof | None
-    boxes: list[BoxRecord]
-    stats: CertStats
-    config: CertifyConfig
+# status is one of STATUSES; a proof is an EndpointProof or None; boxes is a
+# list of BoxRecord
+Certificate = namedtuple(
+    "Certificate",
+    "inequality_id domain status near_zero_proof near_half_pi_proof boxes stats config",
+)
 
 
 # Bisection gives up after this many boxes that reach max_depth or min_width
@@ -699,12 +697,11 @@ def load_certificate(path) -> Certificate:
 # independent re-verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    ok: bool
-    diagnoses: list[str] = field(default_factory=list)
+class CheckResult(namedtuple("CheckResult", "ok diagnoses")):
+    """Whether a certificate checked out, and a list of what is wrong."""
+    __slots__ = ()
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a non-empty tuple would always be true
         return self.ok
 
 

@@ -24,13 +24,12 @@ is --out, else the file's "out", else $TANCERT_OUT, else ./out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import certifier, sequences
+from . import REPLAY_IDENTITIES, certifier
 from .errors import Falsified, IdentityViolation, NoSignChange, TancertError
 
 
@@ -46,17 +45,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # left unset, each option takes its CertifyConfig default
+    # one flag per CertifyConfig field, typed like its default; left unset,
+    # each takes that default
     p_cert = sub.add_parser("certify", help="certify one inequality or all")
     p_cert.add_argument("inequality_id", metavar="id", help="catalog id or 'all'")
-    for flag, typ in [
-        ("--delta", float),
-        ("--epsilon-max", float),
-        ("--degree", int),
-        ("--max-depth", int),
-        ("--min-width", float),
-    ]:
-        p_cert.add_argument(flag, type=typ)
+    for name, default in certifier.CertifyConfig._field_defaults.items():
+        p_cert.add_argument("--" + name.replace("_", "-"), type=type(default))
     p_cert.add_argument(
         "--threads", type=int,
         help="accepted for compatibility (at least 1) and ignored: bisection is serial",
@@ -77,7 +71,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_cross.add_argument("--tol", type=float, default=1e-3)
 
     p_replay = sub.add_parser("replay", help="replay a proof identity numerically")
-    p_replay.add_argument("identity", choices=list(sequences.REPLAY_IDENTITIES))
+    p_replay.add_argument("identity", choices=REPLAY_IDENTITIES)
     p_replay.add_argument("--samples", type=int, default=50)
     # replay compares 80-digit evaluations, not brackets
     p_replay.add_argument("--tol", type=float, default=1e-25)
@@ -125,9 +119,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 print(f"  {known}", file=sys.stderr)
             return 1
     ccfg = certifier.CertifyConfig(**{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(certifier.CertifyConfig)
-        if getattr(args, f.name) is not None
+        name: getattr(args, name)
+        for name in certifier.CertifyConfig._fields
+        if getattr(args, name) is not None
     })
     # compute every certificate before saving any: a bad config writes nothing
     certs = [certifier.certify(cid, ccfg) for cid in ids]
@@ -159,6 +153,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
+    from . import sequences  # certify and check never need it
+
     rows = ["n,T_n,U_n,A_n,B_n"]
     for n in range(args.n_max + 1):
         term = sequences.seq_term(n)

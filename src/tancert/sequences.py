@@ -129,12 +129,6 @@ def _compose_shift(coeffs, shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# The proof identities that `analysis.replay_identity` replays numerically.
-# They are named here, away from mpmath, so the CLI parser can offer them
-# without importing `analysis`.
-REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime")
-
-
 @dataclass(frozen=True)
 class ShiftIdentityReport:
     n_max: int

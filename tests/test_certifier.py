@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -412,7 +411,7 @@ def test_hand_built_falsified_certificate_checks_valid(monkeypatch, tmp_path):
         [BoxRecord(box, Interval(-1.0, -0.5), 0)],
         [BoxRecord(positive, eval_form(spec.id, positive), 0)],
     ):
-        result = check_certificate(dataclasses.replace(cert, boxes=boxes))
+        result = check_certificate(cert._replace(boxes=boxes))
         assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
 
 
@@ -510,6 +509,45 @@ def test_config_bounds_endpoint_regions(field, value):
     CertifyConfig(delta=certifier.MAX_DELTA, epsilon_max=certifier.MAX_EPSILON)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("degree", 16.5), ("degree", True), ("max_depth", True), ("min_width", "x"),
+     ("delta", "0.25"), ("epsilon_max", None)],
+)
+def test_config_refuses_wrong_types(field, value):
+    # degree=16.5 used to pass and fail later inside the series build
+    with pytest.raises(DomainError):
+        CertifyConfig(**{field: value})
+    with pytest.raises(DomainError):
+        CertifyConfig()._replace(**{field: value})
+
+
+def test_records_refuse_attribute_assignment():
+    cert = certify("bs_upper")
+    for record, name in [
+        (CATALOG["main_upper"], "id"),
+        (compile_form("3*p - cos"), "names"),
+        (cert.near_zero_proof, "order"),
+        (cert.boxes[0], "depth"),
+        (cert.config, "degree"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_tampered_certificate_result_is_false():
+    cert = certify("bs_upper")
+    tampered = cert._replace(boxes=cert.boxes[1:])
+    assert check_certificate(cert) and not check_certificate(tampered)
+
+
+def test_eval_form_defaults_to_the_config_degree():
+    box = Interval(0.5, 0.75)
+    assert CertifyConfig().degree == 16
+    assert eval_form("main_upper", box) == eval_form("main_upper", box, degree=16)
+    assert eval_form("main_upper", box) != eval_form("main_upper", box, degree=24)
+
+
 def test_series_degree_is_capped(tmp_path):
     with pytest.raises(DomainError):
         CertifyConfig(degree=MAX_DEGREE + 1)
@@ -570,7 +608,7 @@ def test_compile_form_rejects_text_outside_the_language(text):
 
 
 def test_new_catalog_entry_needs_no_evaluator_code(monkeypatch):
-    spec = dataclasses.replace(CATALOG["main_lower"], id="main_lower_copy")
+    spec = CATALOG["main_lower"]._replace(id="main_lower_copy")
     monkeypatch.setitem(CATALOG, spec.id, spec)
     cert = certify(spec.id)
     assert cert.status == "certified" and check_certificate(cert).ok

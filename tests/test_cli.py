@@ -322,19 +322,78 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.splitlines()[-1].startswith("5,86016,")
 
 
-@pytest.mark.parametrize("module", ["tancert.cli", "tancert"])
-def test_import_leaves_mpmath_unloaded(module):
-    # certify and check never need mpmath; only the analysis commands load it
+# Modules a certify or check process must not load: dataclasses pulls in
+# inspect, and sequences and analysis (with mpmath) serve other commands.
+FORBIDDEN_AT_STARTUP = (
+    "dataclasses", "inspect", "typing", "tancert.sequences", "tancert.analysis", "mpmath",
+)
+WIDE_GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
+
+
+def run_fresh(code, *flags, cwd=None):
+    """Run code in a fresh interpreter that imports the same tancert as this
+    suite; returns its stripped stdout."""
     package_root = Path(tancert.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print('mpmath' in sys.modules)"],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        cwd=cwd,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        pytest.param("import tancert", id="tancert"),
+        pytest.param("import tancert.cli", id="tancert.cli"),
+        pytest.param(
+            "from tancert import cli; "
+            f"assert cli.main(['check', {str(WIDE_GOLDEN / 'cert-bs_upper.json')!r}]) == 0",
+            id="check",
+        ),
+        pytest.param(
+            "from tancert import cli; "
+            "assert cli.main(['--out', 'out', 'certify', 'main_upper']) == 0",
+            id="certify",
+        ),
+    ],
+)
+def test_import_leaves_mpmath_unloaded(code, tmp_path):
+    # nor any other module of FORBIDDEN_AT_STARTUP; -S keeps the modules that
+    # site imports out of sys.modules
+    loaded = run_fresh(f"{code}\nimport sys; print(*sorted(sys.modules))", "-S", cwd=tmp_path)
+    assert set(loaded.split()).isdisjoint(FORBIDDEN_AT_STARTUP), loaded
+
+
+def test_star_import_binds_every_public_name():
+    names = run_fresh(
+        "from tancert import *\nimport tancert\n"
+        "print(*[n for n in tancert.__all__ if n not in globals()])"
+    )
+    assert names == ""
+
+
+def test_lazy_package_surface():
+    assert set(tancert.__all__) <= set(dir(tancert))
+    with pytest.raises(AttributeError):
+        tancert.nope
+    # the submodule imports of bench/layers.py
+    from tancert import certifier, enclosures, interval
+
+    assert interval.Interval is tancert.Interval and enclosures.cos_enc is tancert.cos_enc
+    assert certifier.certify is tancert.certify
+
+
+def test_replay_help_lists_the_identities(capsys):
+    assert cli.main(["replay", "--help"]) == 0
+    out = capsys.readouterr().out
+    for ident in tancert.REPLAY_IDENTITIES:
+        assert ident in out
 
 
 def test_every_public_name_resolves():
