@@ -61,9 +61,9 @@ from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin
 SCHEMA = "tancert-cert-v4"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
-# build grows like degree^2.3 to degree^3 (that of main_upper takes 0.04 s at
-# degree 128 and 3 s at 512 on one CPU of a 2-core x86_64 VM), and the widest
-# shipped configuration uses 96.
+# build grows like degree^2.3 to degree^3 (that of main_upper takes 0.03-0.04 s
+# at degree 128 and about 3 s at 512 on one CPU of a 2-core x86_64 VM), and the
+# widest shipped configuration uses 96.
 MAX_DEGREE = 128
 
 # Widest endpoint regions a config or a proof may name: (0, delta] near 0
@@ -268,12 +268,42 @@ _SERIES_LEAVES = {
 }
 
 
-# Room for the leaves of both centers at two (degree, radius) pairs: the
-# forms of one configuration share theirs, and a PowerSeries caches its own
-# enclosures and sup bound, so the cached leaves carry those too.
-@lru_cache(maxsize=16)
-def _leaf_series(center: str, name: str, degree: int, radius: float) -> PowerSeries:
-    return _SERIES_LEAVES[center][name](degree, radius)
+# The series of each subtree, so that forms share their common subtrees
+# (leaves, cos^2, x^2, ...); a PowerSeries caches its enclosures, sup bound and
+# square, so the cached series carry those too.  The most recent 32 of the nine
+# forms' ~80 subtrees keep nearly all of the sharing, in little memory.
+@lru_cache(maxsize=32)
+def _node_series(node: tuple, center: str, degree: int, radius: float) -> PowerSeries:
+    def series(node: tuple) -> PowerSeries:
+        return _node_series(node, center, degree, radius)
+
+    kind = node[0]
+    if kind == "const":
+        return ps_const(node[1], degree, radius)
+    if kind == "leaf":
+        return _SERIES_LEAVES[center][node[1]](degree, radius)
+    if kind == "pow":
+        return series(node[1]).int_pow(node[2])
+    if kind is not operator.mul:
+        return kind(series(node[1]), series(node[2]))
+    # a product: its series factors multiply left to right; then each x^k
+    # at 0 applies as a coefficient shift and each constant as a scaling,
+    # which cost O(degree) where a full product costs O(degree^2)
+    acc, shifts, consts = None, [], []
+    for f in _factors(node):
+        if f[0] == "const":
+            consts.append(f[1])
+        elif center == "zero" and _x_power(f):
+            shifts.append(_x_power(f))
+        else:
+            acc = series(f) if acc is None else acc * series(f)
+    if acc is None:
+        acc = ps_const(PiPoly.rational(1), degree, radius)
+    for k in shifts:
+        acc = acc.mul_monomial(k)
+    for c in consts:
+        acc = acc.scale(c)
+    return acc
 
 
 def _factors(node: tuple) -> list:
@@ -309,39 +339,7 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
     missing = form.names - builders.keys()
     if missing:
         raise DomainError(f"{text!r}: no series of {sorted(missing)} at {center}")
-    leaves = {name: _leaf_series(center, name, degree, radius) for name in form.names}
-    shifts_x = center == "zero"
-
-    def series(node: tuple) -> PowerSeries:
-        kind = node[0]
-        if kind == "const":
-            return ps_const(node[1], degree, radius)
-        if kind == "leaf":
-            return leaves[node[1]]
-        if kind == "pow":
-            return series(node[1]).int_pow(node[2])
-        if kind is not operator.mul:
-            return kind(series(node[1]), series(node[2]))
-        # a product: its series factors multiply left to right; then each x^k
-        # at 0 applies as a coefficient shift and each constant as a scaling,
-        # which cost O(degree) where a full product costs O(degree^2)
-        acc, shifts, consts = None, [], []
-        for f in _factors(node):
-            if f[0] == "const":
-                consts.append(f[1])
-            elif shifts_x and _x_power(f):
-                shifts.append(_x_power(f))
-            else:
-                acc = series(f) if acc is None else acc * series(f)
-        if acc is None:
-            acc = ps_const(PiPoly.rational(1), degree, radius)
-        for k in shifts:
-            acc = acc.mul_monomial(k)
-        for c in consts:
-            acc = acc.scale(c)
-        return acc
-
-    return series(form.tree)
+    return _node_series(form.tree, center, degree, radius)
 
 
 # ---------------------------------------------------------------------------

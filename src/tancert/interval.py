@@ -90,6 +90,8 @@ def _mul_down(a: float, b: float) -> float:
     p = a * b
     if not math.isfinite(p):
         if p != p:
+            if a != a or b != b:
+                raise DomainError("NaN operand in a directed product")
             return 0.0  # inf * 0: every real of an unbounded end times 0 is 0
         return _MAX if p > 0.0 else p
     if _product_error(a, b, p) < 0.0:
@@ -101,6 +103,8 @@ def _mul_up(a: float, b: float) -> float:
     p = a * b
     if not math.isfinite(p):
         if p != p:
+            if a != a or b != b:
+                raise DomainError("NaN operand in a directed product")
             return 0.0  # inf * 0, as in _mul_down
         return -_MAX if p < 0.0 else p
     if _product_error(a, b, p) > 0.0:
@@ -246,28 +250,7 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        a, b = self.lo, self.hi
-        c, d = other.lo, other.hi
-        if a >= 0.0:
-            if c >= 0.0:
-                return Interval(_mul_down(a, c), _mul_up(b, d))
-            if d <= 0.0:
-                return Interval(_mul_down(b, c), _mul_up(a, d))
-            return Interval(_mul_down(b, c), _mul_up(b, d))
-        if b <= 0.0:
-            if c >= 0.0:
-                return Interval(_mul_down(a, d), _mul_up(b, c))
-            if d <= 0.0:
-                return Interval(_mul_down(b, d), _mul_up(a, c))
-            return Interval(_mul_down(a, d), _mul_up(a, c))
-        if c >= 0.0:
-            return Interval(_mul_down(a, d), _mul_up(b, d))
-        if d <= 0.0:
-            return Interval(_mul_down(b, c), _mul_up(a, c))
-        return Interval(
-            min(_mul_down(a, d), _mul_down(b, c)),
-            max(_mul_up(a, c), _mul_up(b, d)),
-        )
+        return Interval(*_mul_bounds(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         a, b = self.lo, self.hi
@@ -316,6 +299,27 @@ class Interval:
 # module-level operations
 # ---------------------------------------------------------------------------
 
+def _mul_bounds(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """The endpoints of [a, b] * [c, d], by the signs of the endpoints."""
+    if a >= 0.0:
+        if c >= 0.0:
+            return _mul_down(a, c), _mul_up(b, d)
+        if d <= 0.0:
+            return _mul_down(b, c), _mul_up(a, d)
+        return _mul_down(b, c), _mul_up(b, d)
+    if b <= 0.0:
+        if c >= 0.0:
+            return _mul_down(a, d), _mul_up(b, c)
+        if d <= 0.0:
+            return _mul_down(b, d), _mul_up(a, c)
+        return _mul_down(a, d), _mul_up(a, c)
+    if c >= 0.0:
+        return _mul_down(a, d), _mul_up(b, d)
+    if d <= 0.0:
+        return _mul_down(b, c), _mul_up(a, c)
+    return min(_mul_down(a, d), _mul_down(b, c)), max(_mul_up(a, c), _mul_up(b, d))
+
+
 def int_pow(a: Interval, k: int) -> Interval:
     """Enclosure of {x**k : x in a} for a non-negative integer k."""
     if k < 0:
@@ -333,11 +337,15 @@ def int_pow(a: Interval, k: int) -> Interval:
 
 def horner(coeffs, u: Interval) -> Interval:
     """Enclosure of sum_k coeffs[k] * u^k (interval coefficients) by Horner's
-    rule from [0, 0]."""
-    acc = Interval.point(0.0)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
+    rule from [0, 0]: each step is acc * u + coeffs[k], on float endpoints."""
+    c, d = u.lo, u.hi
+    lo = hi = 0.0
+    for e in reversed(coeffs):
+        lo, hi = _mul_bounds(lo, hi, c, d)
+        lo, hi = _add_down(lo, e.lo), _add_up(hi, e.hi)
+        if not lo <= hi:  # also true when either endpoint is NaN
+            raise DomainError(f"Horner step gave [{lo!r}, {hi!r}]")
+    return Interval(lo, hi)
 
 
 def certainly_positive(a: Interval) -> bool:
@@ -374,11 +382,13 @@ def half_pi_enclosure() -> Interval:
     return Interval(_HALF_PI_LO, _HALF_PI_HI)
 
 
-def rational_enclosure(q) -> Interval:
-    """Tightest Interval containing an exact rational (int, float or
-    Fraction): round to nearest, then one outward step if that moved."""
+def rational_enclosure(q, den: int = 1) -> Interval:
+    """Tightest Interval containing the exact rational q / den, for q an int,
+    float or Fraction and den a positive int (not necessarily coprime to q):
+    round to nearest, then one outward step if that moved."""
     try:
         n, d = q.as_integer_ratio()
+        d *= den
         f = n / d  # correctly rounded to nearest
     except OverflowError:
         raise DomainError("rational overflows binary64 range") from None

@@ -34,6 +34,7 @@ from .interval import (
     int_pow,
     pi_enclosure,
     rational_enclosure,
+    _add_down,
     _add_up,
     _mul_up,
     _pow_up,
@@ -80,7 +81,10 @@ class PiPoly:
         return PiPoly(t)
 
     def __sub__(self, other: "PiPoly") -> "PiPoly":
-        return self + (-other)
+        t = dict(self.terms)
+        for k, v in other.terms.items():
+            t[k] = t[k] - v if k in t else -v
+        return PiPoly(t)
 
     def __neg__(self) -> "PiPoly":
         return PiPoly({k: -v for k, v in self.terms.items()})
@@ -105,15 +109,7 @@ class PiPoly:
 
     def enclosure(self) -> Interval:
         """Tight interval containing the exact value."""
-        acc = Interval.point(0.0)
-        for k in sorted(self.terms):
-            term = rational_enclosure(self.terms[k])
-            if k > 0:
-                term = term * _pi_power(k)
-            elif k < 0:
-                term = term / _pi_power(-k)
-            acc = acc + term
-        return acc
+        return _pi_sum([(k, rational_enclosure(v)) for k, v in sorted(self.terms.items())])
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -132,6 +128,17 @@ class PiPoly:
 def _pi_power(k: int) -> Interval:
     """Enclosure of pi^k, k > 0, computed once per power."""
     return int_pow(pi_enclosure(), k)
+
+
+def _pi_sum(terms) -> Interval:
+    """Enclosure of sum_k q_k pi^k from its (k, enclosure of q_k) pairs in
+    increasing k, summed on float endpoints from 0."""
+    lo = hi = 0.0
+    for k, t in terms:
+        if k:
+            t = t * _pi_power(k) if k > 0 else t / _pi_power(-k)
+        lo, hi = _add_down(lo, t.lo), _add_up(hi, t.hi)
+    return Interval(lo, hi)
 
 
 _ZERO = PiPoly()
@@ -168,14 +175,17 @@ def _numerator_rows(coeffs):
     return rows, den
 
 
-def _fold(coeffs, r: float) -> float:
-    """Tail coefficient of u^(D+1) covering sum_i coeffs[i] u^(D+1+i) on
-    |u| <= r: the sum of |coeffs[i]| r^i, rounded up."""
-    acc = Interval.point(0.0)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            acc = acc + Interval.point(_mul_up(c.enclosure().mag(), _pow_up(r, i)))
-    return acc.hi
+def _fold(mags, r: float) -> float:
+    """Tail coefficient of u^(D+1) covering sum_i c_i u^(D+1+i) on |u| <= r,
+    from the magnitudes mags[i] >= |c_i|: the sum of mags[i] r^i, rounded up."""
+    acc = 0.0
+    for i, m in enumerate(mags):
+        if m:
+            acc = _add_up(acc, _mul_up(m, _radius_power(r, i)))
+    return acc
+
+
+_radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r, i)
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +193,19 @@ def _fold(coeffs, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 class PowerSeries:
-    __slots__ = ("coeffs", "tail", "radius", "_encs", "_sup")
+    __slots__ = ("coeffs", "tail", "radius", "_encs", "_sup", "_square")
 
     def __init__(self, coeffs, tail: float, radius: float):
-        if radius <= 0.0:
+        if not radius > 0.0:  # NaN included
             raise DomainError("PowerSeries radius must be positive")
-        if tail < 0.0:
+        if not tail >= 0.0:
             raise DomainError("PowerSeries tail must be non-negative")
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "tail", float(tail))
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "_encs", None)
         object.__setattr__(self, "_sup", None)
+        object.__setattr__(self, "_square", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -211,11 +222,15 @@ class PowerSeries:
         return self._encs
 
     def sup(self) -> float:
-        """Bound on |sum_k c_k u^k| over the disc |u| <= radius, the tail
-        left out: the interval Horner value on [-radius, radius]."""
+        """Bound on |sum_k c_k u^k| over the disc |u| <= r = radius, the tail
+        left out: the magnitude of the interval Horner value on [-r, r], whose
+        every product [lo, hi] * [-r, r] is [-m, m] with m = max(-lo, hi) * r."""
         if self._sup is None:
-            disc = Interval(-self.radius, self.radius)
-            object.__setattr__(self, "_sup", horner(self.coefficient_enclosures(), disc).mag())
+            r, lo, hi = self.radius, 0.0, 0.0
+            for c in reversed(self.coefficient_enclosures()):
+                m = _mul_up(max(-lo, hi), r)
+                lo, hi = _add_down(-m, c.lo), _add_up(m, c.hi)
+            object.__setattr__(self, "_sup", max(abs(lo), abs(hi)))
         return self._sup
 
     # -- ring operations ---------------------------------------------------
@@ -230,7 +245,9 @@ class PowerSeries:
         return PowerSeries(coeffs, _add_up(self.tail, other.tail), self.radius)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
+        self._check_compatible(other)
+        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return PowerSeries(coeffs, _add_up(self.tail, other.tail), self.radius)
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries([-c for c in self.coeffs], self.tail, self.radius)
@@ -262,18 +279,18 @@ class PowerSeries:
         den = den_a * den_b
         conv = [
             PiPoly({k: Fraction(acc[n], den) for k, acc in sums.items() if acc[n]})
-            for n in range(2 * d + 1)
+            for n in range(d + 1)
         ]
-        # overflow terms (power > d) fold into the tail coefficient
-        tail = (
-            Interval.point(_fold(conv[d + 1 :], r))
-            + Interval.point(_mul_up(self.sup(), other.tail))
-            + Interval.point(_mul_up(other.sup(), self.tail))
-            + Interval.point(
-                _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1))
-            )
-        ).hi
-        return PowerSeries(conv[: d + 1], tail, r)
+        # overflow terms (power > d) fold into the tail coefficient; they are
+        # enclosed straight from the integer sums, which have the same values
+        rows = sorted(sums.items())
+        over = [_pi_sum([(k, rational_enclosure(acc[n], den)) for k, acc in rows if acc[n]]).mag()
+                for n in range(d + 1, 2 * d + 1)]
+        # a zero tail contributes sup * 0 = 0, so its partner's sup is not needed
+        tail = _add_up(_fold(over, r), _mul_up(self.sup(), other.tail) if other.tail else 0.0)
+        tail = _add_up(tail, _mul_up(other.sup(), self.tail) if self.tail else 0.0)
+        tail = _add_up(tail, _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1)))
+        return PowerSeries(conv, tail, r)
 
     def int_pow(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -281,7 +298,8 @@ class PowerSeries:
         if k == 0:
             return ps_const(_ONE, self.degree, self.radius)
         # square-and-multiply from the first factor: the unit series times
-        # base is base itself, coefficients and tail alike
+        # base is base itself, coefficients and tail alike; each square is
+        # cached on its base, so powers of one base share their lower powers
         result, base = None, self
         while True:
             if k & 1:
@@ -289,7 +307,9 @@ class PowerSeries:
             k >>= 1
             if not k:
                 return result
-            base = base * base
+            if base._square is None:
+                object.__setattr__(base, "_square", base * base)
+            base = base._square
 
     def mul_monomial(self, j: int) -> "PowerSeries":
         """Multiply by u^j, keeping the degree fixed."""
@@ -298,7 +318,8 @@ class PowerSeries:
         d = self.degree
         r = self.radius
         coeffs = [_ZERO] * j + list(self.coeffs[: d + 1 - j])
-        tail = _add_up(_fold(self.coeffs[d + 1 - j :], r), _mul_up(self.tail, _pow_up(r, j)))
+        over = [0.0 if c.is_zero() else c.enclosure().mag() for c in self.coeffs[d + 1 - j :]]
+        tail = _add_up(_fold(over, r), _mul_up(self.tail, _pow_up(r, j)))
         return PowerSeries(coeffs, tail, r)
 
     # -- endpoint-proof operations ------------------------------------------

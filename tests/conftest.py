@@ -10,7 +10,18 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from tancert.interval import Interval
+
 ORACLE_DPS = 60
+
+
+def interval_horner(coeffs, u):
+    """Reference Horner's rule in Interval operations, one Interval per step:
+    the kernel's float-endpoint Horner and disc bound must match it bit for bit."""
+    acc = Interval.point(0.0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def contains(iv, value) -> bool:

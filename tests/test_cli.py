@@ -305,10 +305,11 @@ def test_config_null_keeps_default(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
-    # a minimal env, but the child imports the same tancert as this suite
+    # a minimal env, but the child imports the same tancert as this suite;
+    # -B: it writes no bytecode into the source tree
     package_root = Path(tancert.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "tancert.cli", "sequences", "--n-max", "5"],
+        [sys.executable, "-B", "-m", "tancert.cli", "sequences", "--n-max", "5"],
         capture_output=True,
         text=True,
         env={
@@ -334,8 +335,9 @@ def run_fresh(code, *flags, cwd=None):
     """Run code in a fresh interpreter that imports the same tancert as this
     suite; returns its stripped stdout."""
     package_root = Path(tancert.__file__).resolve().parents[1]
+    # -B: the child writes no bytecode into the source tree
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code],
+        [sys.executable, "-B", *flags, "-c", code],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},

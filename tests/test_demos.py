@@ -11,10 +11,11 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # the child imports the same tancert as this suite
+    # the child imports the same tancert as this suite; -B: it writes no
+    # bytecode into the source tree
     package_root = Path(tancert.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-B", str(demo)],
         capture_output=True,
         text=True,
         cwd=tmp_path,

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from tancert.errors import DomainError
 from tancert.interval import (
     Interval,
+    _mul_down,
+    _mul_up,
     certainly_positive,
     half_pi_enclosure,
+    horner,
     int_pow,
     pi_enclosure,
     rational_enclosure,
     split,
 )
 
-from conftest import contains
+from conftest import contains, interval_horner
 
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
@@ -56,6 +59,16 @@ def test_zero_times_unbounded_is_zero():
     assert zero * Interval(-inf, inf) == zero
     assert Interval(0.0, 2.0) * Interval(1.0, inf) == Interval(0.0, inf)
     assert Interval(-inf, inf).scale(0) == zero
+
+
+def test_nan_operand_of_a_directed_product_raises():
+    # only inf * 0 is 0; a NaN operand has no value to bound
+    nan, inf = math.nan, math.inf
+    for mul in (_mul_down, _mul_up):
+        for a, b in [(nan, 0.5), (0.5, nan), (nan, 0.0), (-inf, nan), (nan, nan)]:
+            with pytest.raises(DomainError):
+                mul(a, b)
+        assert mul(inf, 0.0) == mul(0.0, -inf) == 0.0
 
 
 def test_add_zero_is_identity():
@@ -97,6 +110,25 @@ _DIVISORS = st.one_of(
     st.tuples(_DIVISOR_MAGNITUDES, _DIVISOR_MAGNITUDES),
     st.tuples(_DIVISOR_MAGNITUDES, _DIVISOR_MAGNITUDES).map(lambda t: (-t[0], -t[1])),
 ).map(lambda t: Interval(min(t), max(t)))
+
+
+_WIDE_INTERVALS = st.tuples(_DIV_ENDS, _DIV_ENDS).map(lambda t: Interval(min(t), max(t)))
+
+
+def _horner_outcome(horner_fn, coeffs, u):
+    try:
+        return horner_fn(coeffs, u).to_hex()
+    except DomainError:
+        return "DomainError"
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(_WIDE_INTERVALS, max_size=8), _WIDE_INTERVALS)
+@example([Interval(-math.inf, -math.inf), Interval(-math.inf, math.inf)], Interval(1.0, 1.0))
+@example([Interval(-0.0, 0.0), Interval(-0.0, -0.0)], Interval(-1.0, -0.0))
+def test_horner_matches_interval_steps(coeffs, u):
+    # the float-endpoint Horner rounds, and fails, exactly as one Interval per step
+    assert _horner_outcome(horner, coeffs, u) == _horner_outcome(interval_horner, coeffs, u)
 
 
 def _fraction_div(x, y, down):

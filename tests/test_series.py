@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from tancert.series import (
     ps_sinc,
 )
 
-from conftest import contains, mp_p, mp_sinc
+from conftest import contains, interval_horner, mp_p, mp_sinc
 
 
 def test_pipoly_arithmetic_exact():
@@ -100,6 +101,15 @@ def test_exp_tail_bound_dominates_true_tail(oracle):
             coefficient = mp.nsum(lambda j: x**j / mp.factorial(k + j), [0, mp.inf])
             bound = exp_tail_bound(k, r)
             assert coefficient <= bound <= coefficient * 1.01, (r, k)
+
+
+def test_nan_tail_or_radius_is_refused():
+    # a NaN tail would drop out of every bound: sup * NaN and NaN * r^(D+1)
+    one = [PiPoly.rational(1)]
+    for tail, radius in [(math.nan, 1.0), (0.0, math.nan), (-1.0, 1.0), (0.0, 0.0), (0.0, -math.inf)]:
+        with pytest.raises(DomainError):
+            PowerSeries(one, tail, radius)
+    assert PowerSeries(one, math.inf, 1.0).eval(Interval(0.0, 0.5)) == Interval(-math.inf, math.inf)
 
 
 def test_compatibility_checks():
@@ -206,3 +216,11 @@ def test_integer_product_equals_fraction_convolution(pair):
     prod = a * b
     assert prod.coeffs == tuple(coeffs)
     assert prod.tail == tail
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_pairs())
+def test_sup_equals_interval_horner_on_the_disc(pair):
+    for s in pair:
+        r = s.radius
+        assert s.sup().hex() == interval_horner(s.coefficient_enclosures(), Interval(-r, r)).mag().hex()

@@ -1,15 +1,20 @@
 """The exact-series engine shares work between forms without changing bytes.
 
-Leaf series are cached per (center, name, degree, radius) and every
-`PowerSeries` caches its coefficient enclosures and its sup bound, so
-the nine forms of one process share work.  These tests run fresh
-interpreters, so no cache of this suite's process is warm:
+The series of every subtree is cached per (node, center, degree, radius),
+and every `PowerSeries` caches its coefficient enclosures, its sup bound
+and its square, so the nine forms of one process share work.  The first
+two tests run fresh interpreters, so no cache of this suite's process is
+warm:
 
   * the certificates do not depend on the order in which the forms are
     certified, nor on whether other forms were certified first;
   * the work of certifying all nine forms at the `wide_endpoints` flags
     stays within fixed counts of series products, interval Horner calls
     and `PiPoly` enclosures, which do not depend on the machine.
+
+The others clear the caches in process: a form's series built beside the
+other forms is bit for bit the one built alone, and the disc bound of every
+series that certification builds is the interval Horner value.
 """
 
 import json
@@ -17,8 +22,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tancert
-from tancert.certifier import CATALOG
+from tancert import certifier
+from tancert.certifier import CATALOG, MAX_EPSILON, CertifyConfig, certify, form_series
+from tancert.interval import _HALF_PI_HI, Interval
+from tancert.series import PowerSeries
+
+from conftest import interval_horner
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
 PACKAGE_ROOT = Path(tancert.__file__).resolve().parents[1]
@@ -53,14 +65,15 @@ print(json.dumps(counts))
 """
 
 # at the wide_endpoints flags; products count PowerSeries.__mul__, horner the
-# interval Horner evaluations of series, enclosures the PiPoly.enclosure calls;
-# five of the products build lemma_phi's series from its catalog string
-MAX_WORK = {"products": 34, "horner": 67, "enclosures": 4718}
+# interval Horner evaluations of series (sup bounds no longer call it),
+# enclosures the PiPoly.enclosure calls
+MAX_WORK = {"products": 25, "horner": 39, "enclosures": 3010}
 
 
 def _fresh(code: str, *args: str) -> str:
+    # -B: the child writes no bytecode into the source tree
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-B", "-c", code, *args],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(PACKAGE_ROOT)},
@@ -88,3 +101,42 @@ def test_wide_endpoints_work_counts():
     counts = json.loads(_fresh(COUNT))
     over = {k: (counts[k], top) for k, top in MAX_WORK.items() if counts[k] > top}
     assert not over, f"work above its ceiling (count, ceiling): {over}"
+
+
+def _clear_series_caches():
+    certifier._quotient.cache_clear()
+    certifier._node_series.cache_clear()
+
+
+@pytest.mark.parametrize("degree", [16, 40, 96])
+@pytest.mark.parametrize("center,radius", [("zero", _HALF_PI_HI), ("half_pi", MAX_EPSILON)])
+def test_shared_subtree_build_equals_fresh_build(center, radius, degree):
+    ids = [cid for cid, spec in CATALOG.items() if center == "zero" or spec.vanish_order_half_pi]
+    _clear_series_caches()
+    shared = {cid: form_series(cid, center, degree, radius) for cid in ids}
+    for cid in ids:
+        _clear_series_caches()
+        fresh = form_series(cid, center, degree, radius)
+        assert fresh.coeffs == shared[cid].coeffs, cid
+        assert fresh.tail.hex() == shared[cid].tail.hex(), cid
+
+
+@pytest.mark.parametrize(
+    "cfg", [CertifyConfig(), CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)],
+    ids=["degree-16", "degree-96"],
+)
+def test_disc_bound_of_every_certify_series(cfg, monkeypatch):
+    built, init = [], PowerSeries.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(PowerSeries, "__init__", recording_init)
+    _clear_series_caches()
+    for cid in CATALOG:
+        certify(cid, cfg)
+    assert len(built) > 100
+    for s in built:
+        disc = Interval(-s.radius, s.radius)
+        assert s.sup().hex() == interval_horner(s.coefficient_enclosures(), disc).mag().hex()
