@@ -14,9 +14,8 @@ from . import errors  # tiny, and every other module imports it
 
 __version__ = "0.1.0"
 
-# The proof identities that `analysis.replay_identity` replays numerically,
-# named here, away from mpmath and the sequences, so the CLI parser can offer
-# them without importing either.
+# The proof identities that `sequences.replay_identity` proves exactly, named
+# here so the CLI parser can offer them without importing `sequences`.
 REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime")
 
 # Every public name, by the module that defines it.  A module is imported
@@ -32,7 +31,7 @@ _EXPORTS = {
     "enclosures": "cos_enc sinc_enc p_enc",
     "sequences": (
         "t_seq u_seq a_seq b_seq SeqTerm seq_term verify_shift_identities "
-        "ShiftIdentityReport phi_trig_enc"
+        "ShiftIdentityReport phi_trig_enc replay_identity"
     ),
     "certifier": (
         "CATALOG InequalitySpec CertifyConfig Certificate BoxRecord EndpointProof "
@@ -40,8 +39,8 @@ _EXPORTS = {
         "check_certificate save_certificate load_certificate"
     ),
     "analysis": (
-        "exponent_ratio optimality_scan crossover_upper crossover_lower replay_identity "
-        "RatioSample ScanReport CrossoverResult ReplayReport"
+        "exponent_ratio optimality_scan crossover_upper crossover_lower "
+        "RatioSample ScanReport CrossoverResult"
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

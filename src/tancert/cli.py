@@ -5,11 +5,12 @@
     tancert sequences --n-max N   exact T/U/A/B table as CSV
     tancert phi --grid a:b:n      exponent-ratio sweep to CSV
     tancert crossover upper|lower certified crossover bracket
-    tancert replay <identity>     high-precision identity replay
+    tancert replay <identity>     exact proof of one of the paper's identities
 
-Exit codes: 0 success/certified, 1 usage error, 2 not certified
+Exit codes: 0 success/certified/proved, 1 usage error, 2 not certified
 (undecided, a form certainly negative near an endpoint, or a bracket that
-could not be sign-certified), 3 identity/certificate check failed.
+could not be sign-certified), 3 certificate check failed or an identity
+left a nonzero remainder.
 
 Outputs are deterministic: floats are serialized as hex strings and
 files carry no timestamps, so reruns with the same configuration are
@@ -27,10 +28,17 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import REPLAY_IDENTITIES, certifier
 from .errors import Falsified, IdentityViolation, NoSignChange, TancertError
+
+# Largest n of the sequences table: its CSV grows quadratically, to about
+# 1 MB at n = 1000 and 3.9 MB at n = 2000.
+MAX_SEQUENCE_N = 1000
+
+# Most points of a phi sweep: a point takes about 0.2 ms at the default 200
+# bits and 8 ms at analysis.MAX_PRECISION_BITS (one CPU of a 2-core x86_64 VM).
+MAX_GRID_POINTS = 4096
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -70,11 +78,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_cross.add_argument("which", choices=["upper", "lower"])
     p_cross.add_argument("--tol", type=float, default=1e-3)
 
-    p_replay = sub.add_parser("replay", help="replay a proof identity numerically")
+    p_replay = sub.add_parser("replay", help="prove one of the paper's identities exactly")
     p_replay.add_argument("identity", choices=REPLAY_IDENTITIES)
-    p_replay.add_argument("--samples", type=int, default=50)
-    # replay compares 80-digit evaluations, not brackets
-    p_replay.add_argument("--tol", type=float, default=1e-25)
     return parser, sub.choices
 
 
@@ -102,9 +107,9 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    path = Path(args.out or os.environ.get("TANCERT_OUT") or "./out")
-    path.mkdir(parents=True, exist_ok=True)
+def _outdir(args: argparse.Namespace) -> str:
+    path = args.out or os.environ.get("TANCERT_OUT") or "./out"
+    os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -128,7 +133,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
     worst = 0
     for cid, cert in zip(ids, certs):
-        path = outdir / f"cert-{cid}.json"
+        path = os.path.join(outdir, f"cert-{cid}.json")
         certifier.save_certificate(cert, path)
         line = (
             f"{cert.status:10s} {cid:12s} boxes={cert.stats.box_count:5d} "
@@ -153,6 +158,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
+    if not 0 <= args.n_max <= MAX_SEQUENCE_N:
+        raise TancertError(f"--n-max must be in [0, {MAX_SEQUENCE_N}], got {args.n_max}")
     from . import sequences  # certify and check never need it
 
     rows = ["n,T_n,U_n,A_n,B_n"]
@@ -161,7 +168,8 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
         rows.append(f"{term.n},{int(term.T)},{term.U},{term.A},{term.B}")
     text = "\n".join(rows) + "\n"
     sys.stdout.write(text)
-    (_outdir(args) / "sequences.csv").write_text(text)
+    with open(os.path.join(_outdir(args), "sequences.csv"), "w") as fh:
+        fh.write(text)
     return 0
 
 
@@ -171,8 +179,8 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         raise TancertError(f"grid must be a:b:n, got {spec!r}") from None
-    if n < 1 or b < a:
-        raise TancertError("grid needs n >= 1 and b >= a")
+    if not 1 <= n <= MAX_GRID_POINTS or b < a:
+        raise TancertError(f"grid needs 1 <= n <= {MAX_GRID_POINTS} and b >= a")
     if n == 1:
         return [a]
     return [a + i * (b - a) / (n - 1) for i in range(n)]
@@ -181,15 +189,16 @@ def _parse_grid(spec: str) -> list[float]:
 # `analysis` loads mpmath, so only the commands that need it import it.
 
 def _cmd_phi(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid)
     from . import analysis
 
-    grid = _parse_grid(args.grid)
     report = analysis.optimality_scan(grid, args.precision_bits)
     rows = ["x,phi"]
     for s in report.samples:
         rows.append(f"{s.x.hex()},{s.phi.hex()}")
     text = "\n".join(rows) + "\n"
-    (_outdir(args) / "phi.csv").write_text(text)
+    with open(os.path.join(_outdir(args), "phi.csv"), "w") as fh:
+        fh.write(text)
     print(
         f"{len(report.samples)} samples: inf={report.inf_phi:.9f} "
         f"sup={report.sup_phi:.9f} inside (1, 6/5): {report.all_inside_open_interval}"
@@ -209,8 +218,9 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "tol": float(args.tol).hex(),
     }
-    path = _outdir(args) / f"crossover-{result.id}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path = os.path.join(_outdir(args), f"crossover-{result.id}.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(
         f"{result.id}: bracket [{result.bracket.lo:.10f}, {result.bracket.hi:.10f}] "
         f"({result.iterations} iterations) -> {path}"
@@ -219,13 +229,10 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from . import analysis
+    from . import sequences
 
-    report = analysis.replay_identity(args.identity, samples=args.samples, tol=args.tol)
-    print(
-        f"{args.identity}: {report.samples} samples, worst residual "
-        f"{report.worst_residual:.3e} at x={report.worst_x:.6f} (tol {report.tol:.1e})"
-    )
+    sequences.replay_identity(args.identity)
+    print(f"{args.identity}: proved exactly, lhs - rhs reduces to 0 in Q(x, cos x, sin x)")
     return 0
 
 

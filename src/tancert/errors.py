@@ -30,4 +30,5 @@ class NoSignChange(TancertError):
 
 
 class IdentityViolation(TancertError):
-    """A replayed identity exceeded its numeric tolerance."""
+    """An identity of the paper's proof did not reduce to 0: the numerator
+    of lhs - rhs keeps nonzero terms modulo cos^2 + sin^2 - 1."""

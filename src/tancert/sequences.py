@@ -1,4 +1,5 @@
-"""Exact verification of the alternating-series lemma behind the main bound.
+"""Exact verification of the alternating-series lemma behind the main bound,
+and exact proofs of the three identities of the paper's proof.
 
 The trigonometric combination
 
@@ -25,17 +26,21 @@ phi_coeff(n), is the lemma's closed-form reference: the certifier builds
 lemma_phi's series from its catalog string like every other form, and the
 tests check that the two have the same coefficients and overlapping
 enclosures.
+
+replay_identity proves the three identities of the paper's proof
+(tancert.REPLAY_IDENTITIES) in the field of rational functions of x,
+cos x and sin x, where derivatives stay: no samples and no tolerance.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .enclosures import _cos_enc_any, _sinc_enc_any
-from .errors import DomainError, IdentityMismatch
+from .errors import DomainError, IdentityMismatch, IdentityViolation
 from .interval import Interval, int_pow, rational_enclosure
 from .series import PiPoly, PowerSeries
 
@@ -65,20 +70,11 @@ def _poly_eval(coeffs, n: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class SeqTerm:
-    """Exact values of all four sequences at one index.
-
-    T is kept rational because its 9^(n-1) factor is 1/9 at n = 0 before
-    the whole expression collapses to an integer; integrality is asserted,
-    not assumed.
-    """
-
-    n: int
-    T: Fraction
-    U: int
-    A: int
-    B: int
+# Exact values of all four sequences at one index.  T is kept rational because
+# its 9^(n-1) factor is 1/9 at n = 0 before the whole expression collapses to
+# an integer; integrality is asserted, not assumed.  The records of this
+# module are namedtuples, like those of `certifier`.
+SeqTerm = namedtuple("SeqTerm", "n T U A B")
 
 
 def seq_term(n: int) -> SeqTerm:
@@ -129,14 +125,11 @@ def _compose_shift(coeffs, shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ShiftIdentityReport:
-    n_max: int
-    b_shift_coeffs: tuple[int, ...]
-    a_shift_coeffs: tuple[int, ...]
-    shifted_coeffs_imply_positivity: bool
-    scan_all_positive: bool
-    u_routes_agree: bool
+class ShiftIdentityReport(namedtuple("ShiftIdentityReport", (
+    "n_max b_shift_coeffs a_shift_coeffs shifted_coeffs_imply_positivity scan_all_positive "
+    "u_routes_agree"
+))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -245,3 +238,107 @@ def phi_trig_enc(x: Interval) -> Interval:
         - _cos_enc_any(x3).scale(9)
         - int_pow(x, 2).scale(12) * _sinc_enc_any(x3)
     )
+
+
+# ---------------------------------------------------------------------------
+# exact proofs of the identities, in Q(x, cos x, sin x)
+# ---------------------------------------------------------------------------
+
+# A polynomial in x, c = cos x and s = sin x over Q is a dict from the
+# exponents (i, j, k) of x^i c^j s^k to nonzero Fractions, kept in the normal
+# form A(x, c) + s B(x, c) by rewriting s^2 -> 1 - c^2.  x, cos x and sin x
+# satisfy no other polynomial relation, so a polynomial in normal form is the
+# zero function exactly when it is the empty dict.
+
+def _poly(terms) -> dict:
+    """Normal form of a sum of ((i, j, k), coefficient) terms with k <= 2."""
+    out = {}
+    for (i, j, k), a in terms:
+        for key, b in [((i, j, 0), a), ((i, j + 2, 0), -a)] if k == 2 else [((i, j, k), a)]:
+            out[key] = out.get(key, 0) + b
+    return {key: a for key, a in out.items() if a}
+
+
+def _pmul(p: dict, q: dict) -> dict:
+    return _poly(((i + u, j + v, k + w), a * b) for (i, j, k), a in p.items() for (u, v, w), b in q.items())
+
+
+def _pdiff(p: dict) -> dict:
+    # (x^i c^j s^k)' = i x^(i-1) c^j s^k - j x^i c^(j-1) s^(k+1) + k x^i c^(j+1) s^(k-1)
+    return _poly(term for (i, j, k), a in p.items() for term in (
+        ((i - 1, j, k), i * a), ((i, j - 1, k + 1), -j * a), ((i, j + 1, k - 1), k * a)) if term[1])
+
+
+class TrigRational:
+    """An exact rational function num/den of x, cos x and sin x over Q."""
+
+    def __init__(self, num: dict, den: dict | None = None):
+        if den is not None and not den:
+            raise DomainError("a denominator reduces to 0 modulo cos^2 + sin^2 - 1")
+        self.num, self.den = num, den or {(0, 0, 0): 1}
+
+    def __add__(self, other):
+        o = _lift(other)
+        num = _poly([*_pmul(self.num, o.den).items(), *_pmul(o.num, self.den).items()])
+        return TrigRational(num, _pmul(self.den, o.den))
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rsub__(self, other):
+        return other + -1 * self
+
+    def __mul__(self, other):
+        o = _lift(other)
+        return TrigRational(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    def __truediv__(self, other):
+        o = _lift(other)
+        return TrigRational(_pmul(self.num, o.den), _pmul(self.den, o.num))
+
+    def __pow__(self, n: int):
+        return functools.reduce(TrigRational.__mul__, [self] * n, _lift(1))  # n >= 0
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def d(self):
+        """d/dx, by the quotient rule."""
+        num, den = TrigRational(self.num), TrigRational(self.den)
+        return (TrigRational(_pdiff(self.num)) * den - num * TrigRational(_pdiff(self.den))) / (den * den)
+
+    def dlog(self):
+        """(log f)' = f'/f."""
+        return self.d() / self
+
+
+def _lift(v) -> TrigRational:
+    return v if isinstance(v, TrigRational) else TrigRational({(0, 0, 0): Fraction(v)} if v else {})
+
+
+_X, _C, _S = (TrigRational({key: 1}) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+_TAN, _COT = _S / _C, _C / _S
+_H = _X - 3 * _TAN / (3 + _TAN**2)  # h(x) of Theorem A
+# phi, with cos 3x = 4c^3 - 3c and sin 3x = 3s - 4s^3
+_PHI = (9 - 24 * _X**2) * _C - 9 * (4 * _C**3 - 3 * _C) - 4 * _X * (3 * _S - 4 * _S**3)
+
+# (lhs, rhs) of each identity, named as in tancert.REPLAY_IDENTITIES
+_IDENTITIES = {
+    "eq22_factorization": lambda: ((3 - _X**2 - 3 * _X * _COT).d(), (1 + 3 * _COT**2) * _H),
+    "eq24_quotient": lambda: (
+        6 * (_TAN / _X).dlog() - 5 * (3 * (_TAN - _X) / _X**3).dlog(),
+        _PHI / (4 * _X * _C**2 * _S * (_TAN - _X)),
+    ),
+    "thm_a_h_prime": lambda: (_H.d(), 4 * _TAN**4 / (3 + _TAN**2) ** 2),
+}
+
+
+def replay_identity(which: str) -> None:
+    """Prove one identity exactly, wherever both sides are defined: the
+    numerator of lhs - rhs reduces to 0 modulo cos^2 + sin^2 - 1.  Raises
+    IdentityViolation otherwise."""
+    if which not in _IDENTITIES:
+        raise DomainError(f"unknown identity {which!r}")
+    lhs, rhs = _IDENTITIES[which]()
+    rest = (lhs - rhs).num
+    if rest:
+        raise IdentityViolation(f"{which}: lhs - rhs keeps {len(rest)} terms modulo cos^2 + sin^2 - 1")

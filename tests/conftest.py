@@ -1,4 +1,5 @@
-"""Shared oracle helpers: arbitrary-precision reference values via mpmath.
+"""Shared oracle helpers: arbitrary-precision reference values via mpmath,
+and one wrong variant of each proof identity.
 
 Containment checks compare mpf values against interval endpoints
 directly; mpmath converts binary64 endpoints exactly, so `contains`
@@ -11,6 +12,19 @@ import mpmath as mp
 import pytest
 
 from tancert.interval import Interval
+from tancert.sequences import _C, _COT, _H, _PHI, _S, _TAN, _X
+
+# One perturbation of each identity of sequences._IDENTITIES, which
+# replay_identity must refuse: 24 -> 25 in phi, 1 + 3 cot^2 -> 1 + 4 cot^2
+# and 4 tan^4 -> 5 tan^4.
+PERTURBED_IDENTITIES = {
+    "eq22_factorization": lambda: ((3 - _X**2 - 3 * _X * _COT).d(), (1 + 4 * _COT**2) * _H),
+    "eq24_quotient": lambda: (
+        6 * (_TAN / _X).dlog() - 5 * (3 * (_TAN - _X) / _X**3).dlog(),
+        (_PHI - _X**2 * _C) / (4 * _X * _C**2 * _S * (_TAN - _X)),
+    ),
+    "thm_a_h_prime": lambda: (_H.d(), 5 * _TAN**4 / (3 + _TAN**2) ** 2),
+}
 
 ORACLE_DPS = 60
 

@@ -1,20 +1,19 @@
 import mpmath as mp
 import pytest
 
+from tancert import REPLAY_IDENTITIES, replay_identity
 from tancert.analysis import (
-    REPLAY_IDENTITIES,
     _certified_bisection,
     crossover_lower,
     crossover_upper,
     exponent_ratio,
     gap_series,
     optimality_scan,
-    replay_identity,
 )
 from tancert.errors import DomainError, IdentityViolation, NoSignChange
 from tancert.interval import Interval, certainly_negative, certainly_positive
 
-from conftest import contains, mp_lower_gap, mp_upper_gap
+from conftest import PERTURBED_IDENTITIES, contains, mp_lower_gap, mp_upper_gap
 
 
 def test_exponent_ratio_near_zero_limit():
@@ -118,25 +117,18 @@ def test_no_sign_change():
 
 
 def test_replay_identities_pass():
+    # exact proofs: each returns without a remainder
     for ident in REPLAY_IDENTITIES:
-        report = replay_identity(ident, samples=15)
-        assert report.worst_residual < 1e-25
+        assert replay_identity(ident) is None
 
 
-def test_replay_violation_raised():
-    with pytest.raises(IdentityViolation):
-        replay_identity("eq24_quotient", samples=10, tol=1e-60)
+def test_replay_violation_raised(monkeypatch):
+    from tancert import sequences
 
-
-def test_replay_rejects_small_sample_count():
-    with pytest.raises(DomainError):
-        replay_identity("eq24_quotient", samples=3)
-
-
-def test_replay_deterministic():
-    a = replay_identity("thm_a_h_prime", samples=12)
-    b = replay_identity("thm_a_h_prime", samples=12)
-    assert a == b
+    for ident, perturbed in PERTURBED_IDENTITIES.items():
+        monkeypatch.setitem(sequences._IDENTITIES, ident, perturbed)
+        with pytest.raises(IdentityViolation, match=ident):
+            replay_identity(ident)
 
 
 def test_h_prime_simplification_is_exact():

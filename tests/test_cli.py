@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 import tancert
-from tancert import certifier, cli
+from tancert import analysis, certifier, cli, sequences
+from tancert.analysis import MAX_PRECISION_BITS
 from tancert.certifier import CATALOG, load_certificate
+
+from conftest import PERTURBED_IDENTITIES
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys=None):
@@ -121,17 +124,54 @@ def test_crossover_brackets_pinned(which, tol, cid, lo, hi, iterations, tmp_path
 
 
 def test_replay_command(tmp_path, monkeypatch, capsys):
-    assert run_cli(["replay", "thm_a_h_prime", "--samples", "12"], tmp_path, monkeypatch) == 0
-    assert "worst residual" in capsys.readouterr().out
+    for ident in tancert.REPLAY_IDENTITIES:
+        assert run_cli(["replay", ident], tmp_path, monkeypatch) == 0
+        assert f"{ident}: proved exactly" in capsys.readouterr().out
+    # the exact proof has no sampling or tolerance knobs
+    for flags in (["--samples", "12"], ["--tol", "1e-60"]):
+        assert run_cli(["replay", "eq24_quotient", *flags], tmp_path, monkeypatch) == 1
 
 
-def test_replay_failure_exit_code(tmp_path, monkeypatch):
-    code = run_cli(
-        ["replay", "thm_a_h_prime", "--samples", "12", "--tol", "1e-60"],
-        tmp_path,
-        monkeypatch,
-    )
-    assert code == 3
+def test_replay_failure_exit_code(tmp_path, monkeypatch, capsys):
+    for ident, perturbed in PERTURBED_IDENTITIES.items():
+        monkeypatch.setitem(sequences._IDENTITIES, ident, perturbed)
+        assert run_cli(["replay", ident], tmp_path, monkeypatch) == 3
+        assert f"identity check failed: {ident}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_max,code", [(0, 0), (cli.MAX_SEQUENCE_N, 0), (-1, 1), (cli.MAX_SEQUENCE_N + 1, 1)]
+)
+def test_sequences_n_max_bounded(n_max, code, tmp_path, monkeypatch, capsys):
+    if code:
+        # a refused value builds no row
+        monkeypatch.setattr(sequences, "seq_term", None)
+    assert run_cli(["sequences", "--n-max", str(n_max)], tmp_path, monkeypatch) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error: --n-max") and err.count("\n") == 1
+    else:
+        assert len(out.splitlines()) == n_max + 2
+
+
+@pytest.mark.parametrize("points,bits,code", [
+    (cli.MAX_GRID_POINTS, 200, 0),
+    (cli.MAX_GRID_POINTS + 1, 200, 1),
+    (1, MAX_PRECISION_BITS, 0),
+    (1, MAX_PRECISION_BITS + 1, 1),
+])
+def test_phi_grid_and_precision_bounded(points, bits, code, tmp_path, monkeypatch, capsys):
+    if code:
+        # a refused value starts no arbitrary-precision work
+        monkeypatch.setattr(analysis, "mp", None)
+    argv = ["phi", "--grid", f"1:1.5:{points}", "--precision-bits", str(bits)]
+    assert run_cli(argv, tmp_path, monkeypatch) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "phi.csv").exists()
+    else:
+        assert out.startswith(f"{points} samples")
 
 
 def test_check_tampered_file_exit_code(tmp_path, monkeypatch):
@@ -324,9 +364,11 @@ def test_console_entry_point(tmp_path):
 
 
 # Modules a certify or check process must not load: dataclasses pulls in
-# inspect, and sequences and analysis (with mpmath) serve other commands.
+# inspect, pathlib pulls in urllib.parse where os.path serves, and sequences
+# and analysis (with mpmath) serve other commands.
 FORBIDDEN_AT_STARTUP = (
-    "dataclasses", "inspect", "typing", "tancert.sequences", "tancert.analysis", "mpmath",
+    "dataclasses", "inspect", "typing", "pathlib", "tancert.sequences", "tancert.analysis",
+    "mpmath",
 )
 WIDE_GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
 
@@ -370,6 +412,17 @@ def test_import_leaves_mpmath_unloaded(code, tmp_path):
     # site imports out of sys.modules
     loaded = run_fresh(f"{code}\nimport sys; print(*sorted(sys.modules))", "-S", cwd=tmp_path)
     assert set(loaded.split()).isdisjoint(FORBIDDEN_AT_STARTUP), loaded
+
+
+def test_replay_loads_neither_analysis_nor_mpmath(tmp_path):
+    loaded = run_fresh(
+        "from tancert import cli; assert cli.main(['replay', 'eq24_quotient']) == 0\n"
+        "import sys; print(*sorted(sys.modules))",
+        "-S",
+        cwd=tmp_path,
+    ).split()
+    assert "tancert.sequences" in loaded
+    assert "tancert.analysis" not in loaded and "mpmath" not in loaded
 
 
 def test_star_import_binds_every_public_name():

@@ -5,6 +5,8 @@ from math import factorial
 import mpmath as mp
 import pytest
 
+import tancert
+from tancert import sequences
 from tancert.certifier import CertifyConfig, certify, form_series
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
@@ -158,3 +160,50 @@ def test_certify_phi_positive():
 def test_certify_phi_positive_rejects_bad_delta():
     with pytest.raises(DomainError):
         certify("lemma_phi", CertifyConfig(delta=1.5))
+
+
+def test_trig_rational_normal_form_and_derivatives():
+    from tancert.sequences import _C, _S, _TAN, _X
+
+    assert (_C**2 + _S**2 - 1).num == {}
+    assert (_S.d() - _C).num == {} and (_C.d() + _S).num == {}
+    assert (_TAN.d() - (1 + _TAN**2)).num == {}
+    assert ((_X**3).d() - 3 * _X**2).num == {}
+    assert (_S.dlog() - _C / _S).num == {}
+    # x, cos x and sin x obey no other relation
+    assert (_C - _S).num and (_X * _C - _S).num
+
+
+def test_replay_refuses_a_zero_denominator(monkeypatch):
+    from tancert.sequences import _C, _S, _X
+
+    # c^2 + s^2 - 1 is 0 as a function, so neither side may divide by it:
+    # 0/0 must not pass as a proof
+    with pytest.raises(DomainError, match="denominator"):
+        _X / (_C**2 + _S**2 - 1)
+    monkeypatch.setitem(sequences._IDENTITIES, "eq24_quotient", lambda: (_X, _X + (_C - _C) / (_S - _S)))
+    with pytest.raises(DomainError):
+        sequences.replay_identity("eq24_quotient")
+    with pytest.raises(DomainError, match="unknown identity"):
+        sequences.replay_identity("eq99")
+
+
+@pytest.mark.parametrize("ident", tancert.REPLAY_IDENTITIES)
+def test_sympy_confirms_each_identity(ident):
+    # an independent oracle: sympy's own trig functions, derivative and
+    # simplifier, through exponentials
+    import sympy as sp
+
+    x = sp.symbols("x", positive=True)
+    tan, cot = sp.tan(x), sp.cot(x)
+    h = x - 3 * tan / (3 + tan**2)
+    phi = (9 - 24 * x**2) * sp.cos(x) - 9 * sp.cos(3 * x) - 4 * x * sp.sin(3 * x)
+    lhs, rhs = {
+        "eq22_factorization": (sp.diff(3 - x**2 - 3 * x * cot, x), (1 + 3 * cot**2) * h),
+        "eq24_quotient": (
+            sp.diff(6 * sp.log(tan / x) - 5 * sp.log(3 * (tan - x) / x**3), x),
+            phi / (4 * x * sp.cos(x) ** 2 * sp.sin(x) * (tan - x)),
+        ),
+        "thm_a_h_prime": (sp.diff(h, x), 4 * tan**4 / (3 + tan**2) ** 2),
+    }[ident]
+    assert sp.simplify(sp.expand_trig(lhs - rhs).rewrite(sp.exp)) == 0
