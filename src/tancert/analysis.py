@@ -33,6 +33,9 @@ from .series import PowerSeries
 # 8 ms at 4096 bits and 0.5 s at 50 000 on one CPU of a 2-core x86_64 VM, and
 # the default 200 already resolves the ratio far below the float spacing.
 MAX_PRECISION_BITS = 4096
+# Fewest: the ratio has always been evaluated with at least 64 bits, so a
+# smaller request is refused rather than raised without a word.
+MIN_PRECISION_BITS = 64
 
 
 # The records are namedtuples, like those of `certifier`.
@@ -44,7 +47,7 @@ CrossoverResult = namedtuple("CrossoverResult", "id bracket iterations")
 
 
 def exponent_ratio(x: float, precision_bits: int = 200) -> RatioSample:
-    """The exponent ratio at x, evaluated with >= precision_bits bits.
+    """The exponent ratio at x, evaluated with precision_bits bits (64 to 4096).
 
     Exploratory (not certificate-grade): trusts mpmath's transcendental
     rounding.  Precondition 1e-6 < x < pi/2 - 1e-9 keeps both logs away
@@ -52,9 +55,11 @@ def exponent_ratio(x: float, precision_bits: int = 200) -> RatioSample:
     """
     if not 1e-6 < x < _HALF_PI_LO - 1e-9:
         raise DomainError("exponent_ratio domain is (1e-6, pi/2 - 1e-9)")
-    if precision_bits > MAX_PRECISION_BITS:
-        raise DomainError(f"precision_bits must be at most {MAX_PRECISION_BITS}, got {precision_bits}")
-    with mp.workprec(max(precision_bits, 64)):
+    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+        raise DomainError(
+            f"precision_bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {precision_bits}"
+        )
+    with mp.workprec(precision_bits):
         mx = mp.mpf(x)
         t = mp.tan(mx)
         num = mp.log(3 * (t - mx) / mx**3)

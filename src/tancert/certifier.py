@@ -37,7 +37,7 @@ The resulting record is self-contained and re-checkable from disk.
 
 from __future__ import annotations
 
-import ast
+import _ast
 import json
 import operator
 import time
@@ -212,31 +212,49 @@ CATALOG: dict[str, InequalitySpec] = {
 # (op, node, node) with op one of operator.add/sub/mul; a/c is a * (1/c).
 
 _LEAVES = {"x", "cos", "sin", "sinc", "p"}
-_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_OPS = {_ast.Add: operator.add, _ast.Sub: operator.sub, _ast.Mult: operator.mul}
 
 
-def _tree(e: ast.expr) -> tuple:
-    if isinstance(e, ast.Name) and e.id in _LEAVES | {"pi"}:
+def _unparse(e: _ast.AST) -> str:
+    # `ast` (about 1 ms to import) only words the refusal of a form
+    import ast
+
+    return ast.unparse(e)
+
+
+def _tree(e: _ast.expr) -> tuple:
+    if isinstance(e, _ast.Name) and e.id in _LEAVES | {"pi"}:
         return ("const", PiPoly.pi_power(1)) if e.id == "pi" else ("leaf", e.id)
-    if isinstance(e, ast.Constant) and type(e.value) is int:
+    if isinstance(e, _ast.Constant) and type(e.value) is int:
         return ("const", PiPoly.rational(e.value))
-    if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Pow):
+    if isinstance(e, _ast.BinOp) and isinstance(e.op, _ast.Pow):
         a, k = _tree(e.left), e.right
-        if not (isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 0):
-            raise DomainError(f"exponent {ast.unparse(k)!r} is not a non-negative integer")
+        if not (isinstance(k, _ast.Constant) and type(k.value) is int and k.value >= 0):
+            raise DomainError(f"exponent {_unparse(k)!r} is not a non-negative integer")
         if a[0] == "const":
             return ("const", reduce(operator.mul, [a[1]] * k.value, PiPoly.rational(1)))
         return ("pow", a, k.value)
-    if isinstance(e, ast.BinOp) and type(e.op) in (ast.Div, *_OPS):
+    if isinstance(e, _ast.BinOp) and type(e.op) in (_ast.Div, *_OPS):
         a, b = _tree(e.left), _tree(e.right)
         op = _OPS.get(type(e.op), operator.mul)
-        if isinstance(e.op, ast.Div):
+        if isinstance(e.op, _ast.Div):
             if b[0] != "const" or len(b[1].terms) != 1:
-                raise DomainError(f"divisor {ast.unparse(e.right)!r} is not a nonzero c*pi^k")
+                raise DomainError(f"divisor {_unparse(e.right)!r} is not a nonzero c*pi^k")
             ((k, c),) = b[1].terms.items()
             b = ("const", PiPoly.pi_power(-k, 1 / c))
         return ("const", op(a[1], b[1])) if a[0] == b[0] == "const" else (op, a, b)
-    raise DomainError(f"{ast.unparse(e)!r} is outside the form language")
+    raise DomainError(f"{_unparse(e)!r} is outside the form language")
+
+
+def _leaf_names(node: tuple) -> frozenset:
+    kind = node[0]
+    if kind == "leaf":
+        return frozenset([node[1]])
+    if kind == "const":
+        return frozenset()
+    if kind == "pow":
+        return _leaf_names(node[1])
+    return _leaf_names(node[1]) | _leaf_names(node[2])
 
 
 # names: the leaves the form uses
@@ -247,11 +265,12 @@ CompiledForm = namedtuple("CompiledForm", "tree names")
 def compile_form(text: str) -> CompiledForm:
     """Parse an entire_form string once; raises DomainError outside the language."""
     try:
-        expr = ast.parse(text.replace("^", "**"), mode="eval").body
+        # the builtin compile, so that parsing needs `_ast` but not `ast`
+        expr = compile(text.replace("^", "**"), "<form>", "eval", _ast.PyCF_ONLY_AST).body
     except SyntaxError as exc:
         raise DomainError(f"form {text!r}: {exc.msg}") from None
-    names = frozenset(n.id for n in ast.walk(expr) if isinstance(n, ast.Name)) - {"pi"}
-    return CompiledForm(_tree(expr), names)
+    tree = _tree(expr)
+    return CompiledForm(tree, _leaf_names(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +407,11 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
     else:
         _check_degree(k, degree)
         quotient = form_series(inequality_id, kind, degree, bound).divide_power(k)
-    lead = quotient.coeffs[0]
+    lead = quotient.coefficient(0)
     if lead != expected:
         raise OrderMismatch(f"{inequality_id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
-    lead_enc = lead.enclosure()
     value = quotient.eval(Interval(0.0, bound))
+    lead_enc = quotient.coefficient_enclosures()[0]  # cached by eval
     if certainly_negative(value):
         # F = u^k * quotient with u^k > 0 on the region
         region = f"(0, {bound}]" if kind == "zero" else f"[pi/2 - {bound}, pi/2)"

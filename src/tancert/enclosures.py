@@ -1,35 +1,21 @@
-"""Taylor coefficients of the entire building blocks, and direct enclosures.
+"""Direct enclosures of the entire building blocks cos, sinc and p.
 
-Every form in this package is built from three entire functions (sin is
-x sinc):
-
-    cos x
-    sinc x = sin x / x               (= 1 at x = 0)
-    p x    = (sin x - x cos x) / x^3 (= 1/3 at x = 0, "sine defect ratio")
-
-Their Taylor coefficients are written once, here; the exact series in
-`series`, from which every certificate margin comes, are built on them.
 The direct enclosures cos_enc, sinc_enc and p_enc evaluate the truncated
-series in interval arithmetic with a certified remainder.  No certificate
-uses them; the wide cos and sinc serve `sequences.phi_trig_enc`, the
-lemma's independent reference.
+Taylor series (whose coefficients `series` writes once) in interval
+arithmetic with a certified remainder.  No certificate uses them; the
+wide cos and sinc serve `sequences.phi_trig_enc`, the lemma's independent
+reference, and neither certify nor check loads this module.
 
 cos and sinc use the Lagrange-style tail bound |x|^K / K!; p is an
 alternating series with provably decreasing terms on the call domain, so
 its truncation error is bounded by (and signed like) the first omitted
-term.  The series for p,
-
-    p(x) = sum_{m>=0} (-1)^m 2(m+1) x^(2m) / (2m+3)!,
-
-is not taken on faith: the test suite re-derives it from an exact
-rational subtraction of the sin and x*cos series through degree 30.
+term.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
 
 from .errors import DomainError
 from .interval import (
@@ -39,23 +25,9 @@ from .interval import (
     int_pow,
     rational_enclosure,
 )
+from .series import cos_coeff, p_coeff, sinc_coeff
 
 N_TERMS = 20  # series terms per direct enclosure; tails < 1e-36 on the guard domain
-
-
-def cos_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m/(2m)! of x^(2m) in cos x."""
-    return Fraction((-1) ** m, factorial(2 * m))
-
-
-def sinc_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m/(2m+1)! of x^(2m) in sinc x (and of x^(2m+1) in sin x)."""
-    return Fraction((-1) ** m, factorial(2 * m + 1))
-
-
-def p_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m 2(m+1)/(2m+3)! of x^(2m) in p x."""
-    return Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
 
 
 _COS_COEFFS, _SINC_COEFFS, _P_COEFFS = (

@@ -6,27 +6,44 @@ represents, on |u| <= radius,
     f(u)  in  sum_{k<=D} c_k u^k  +  [-tail, tail] * u^(D+1),
 
 where the polynomial coefficients c_k are EXACT elements of Q[pi, 1/pi]
-(type `PiPoly`) and only the scalar `tail` is a rounded-up float.  The
-tail is a coefficient of u^(D+1), valid on |u| <= radius: every
-operation keeps that invariant, so a remainder's value at the radius is
-never stored where a coefficient is meant.  The
-crucial property over an additive-remainder model: dividing by u^k is a
-plain coefficient shift, because the error term carries its own power of
-u.  That is what makes "divide out the vanishing order, then bound the
-quotient below" sound on a half-open interval (0, b].
+and only the scalar `tail` is a rounded-up float.  The tail is a
+coefficient of u^(D+1), valid on |u| <= radius: every operation keeps
+that invariant, so a remainder's value at the radius is never stored
+where a coefficient is meant.  The crucial property over an
+additive-remainder model: dividing by u^k is a plain coefficient shift,
+because the error term carries its own power of u.  That is what makes
+"divide out the vanishing order, then bound the quotient below" sound on
+a half-open interval (0, b].
 
-Exact coefficients also mean that structurally zero coefficients cancel
-exactly, even when pi enters the expansion (the endpoint pi/2 is not a
-float, so expansions there live in Q[pi, 1/pi] rather than Q).
+The coefficients are kept as integer numerator rows, one row per power
+of pi, over one positive common denominator that is reduced after every
+operation (so it is the lcm of the coefficients' denominators).  Sums,
+scalings, shifts and products work on those integers directly; each
+coefficient enclosure is the tightest one of its exact value, taken from
+its numerators and the denominator, and `coeffs` builds the `PiPoly` view
+only when it is read.  Exact coefficients mean that structurally zero
+coefficients cancel exactly, even when pi enters the expansion (the
+endpoint pi/2 is not a float, so expansions there live in Q[pi, 1/pi]
+rather than Q).
+
+The Taylor coefficients of the three entire building blocks (sin is
+x sinc) are written once, here:
+
+    cos x
+    sinc x = sin x / x               (= 1 at x = 0)
+    p x    = (sin x - x cos x) / x^3 (= 1/3 at x = 0, "sine defect ratio")
+
+The series for p, sum_{m>=0} (-1)^m 2(m+1) x^(2m) / (2m+3)!, is not taken
+on faith: the test suite re-derives it from an exact rational subtraction
+of the sin and x*cos series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .enclosures import cos_coeff, p_coeff, sinc_coeff
 from .errors import DomainError, OrderMismatch
 from .interval import (
     Interval,
@@ -39,6 +56,21 @@ from .interval import (
     _mul_up,
     _pow_up,
 )
+
+
+def cos_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m)! of x^(2m) in cos x."""
+    return Fraction((-1) ** m, factorial(2 * m))
+
+
+def sinc_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m+1)! of x^(2m) in sinc x (and of x^(2m+1) in sin x)."""
+    return Fraction((-1) ** m, factorial(2 * m + 1))
+
+
+def p_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m 2(m+1)/(2m+3)! of x^(2m) in p x."""
+    return Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +175,46 @@ def _pi_sum(terms) -> Interval:
 
 _ZERO = PiPoly()
 _ONE = PiPoly.rational(1)
+_ZERO_ENC = Interval(0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# coefficients as integer rows
+# ---------------------------------------------------------------------------
+# The exact coefficients of a series of degree D are (rows, den): rows is a
+# tuple of (power of pi, list of D + 1 integer numerators) in increasing
+# power with no all-zero row, and den > 0 is the common denominator, so the
+# coefficient of u^n is sum_k rows[k][n] pi^k / den.
+
+def _rows_of(terms) -> tuple:
+    """(rows, den) of coefficients given as {pi power: nonzero Fraction} maps,
+    over the lcm of their denominators."""
+    den = lcm(*(v.denominator for t in terms for v in t.values()))
+    acc = {}
+    for n, t in enumerate(terms):
+        for k, v in t.items():
+            acc.setdefault(k, [0] * len(terms))[n] = v.numerator * (den // v.denominator)
+    return tuple(sorted(acc.items())), den
+
+
+def _reduced(acc: dict, den: int) -> tuple:
+    """(rows, den) from rows {pi power: numerators} over den: zero rows
+    dropped and the gcd of den and every numerator divided out."""
+    rows = [(k, row) for k, row in sorted(acc.items()) if any(row)]
+    g = gcd(den, *(x for _, row in rows for x in row))
+    if g != 1:
+        rows = [(k, [x // g for x in row]) for k, row in rows]
+    return tuple(rows), den // g
+
+
+def _enclosures(rows, den: int, indices) -> list:
+    """Tight enclosures of the coefficients at `indices`, the same as the
+    PiPoly enclosures of their values; a zero coefficient is [0, 0]."""
+    if len(rows) == 1 and rows[0][0] == 0:
+        row = rows[0][1]
+        return [rational_enclosure(row[n], den) if row[n] else _ZERO_ENC for n in indices]
+    return [_pi_sum([(k, rational_enclosure(row[n], den)) for k, row in rows if row[n]])
+            for n in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +236,6 @@ def exp_tail_bound(first_index: int, radius: float) -> float:
     return rational_enclosure(Fraction(1, factorial(k)) / (1 - r / (k + 1))).hi
 
 
-def _numerator_rows(coeffs):
-    """Coefficients as integers over one common denominator: returns
-    ({pi power: [(index, numerator), ...]}, denominator), zeros left out."""
-    den = lcm(*(v.denominator for c in coeffs for v in c.terms.values()))
-    rows = {}
-    for i, c in enumerate(coeffs):
-        for k, v in c.terms.items():
-            rows.setdefault(k, []).append((i, v.numerator * (den // v.denominator)))
-    return rows, den
-
-
 def _fold(mags, r: float) -> float:
     """Tail coefficient of u^(D+1) covering sum_i c_i u^(D+1+i) on |u| <= r,
     from the magnitudes mags[i] >= |c_i|: the sum of mags[i] r^i, rounded up."""
@@ -193,31 +254,50 @@ _radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r,
 # ---------------------------------------------------------------------------
 
 class PowerSeries:
-    __slots__ = ("coeffs", "tail", "radius", "_encs", "_sup", "_square")
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_coeffs", "_encs", "_sup", "_square")
 
-    def __init__(self, coeffs, tail: float, radius: float):
+    def __init__(self, coeffs, tail: float, radius: float, exact=None):
+        """coeffs: the PiPoly coefficients of u^0 .. u^degree.  The operations
+        of this module pass None and exact = (rows, den, degree) instead."""
         if not radius > 0.0:  # NaN included
             raise DomainError("PowerSeries radius must be positive")
         if not tail >= 0.0:
             raise DomainError("PowerSeries tail must be non-negative")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "tail", float(tail))
-        object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "_encs", None)
-        object.__setattr__(self, "_sup", None)
-        object.__setattr__(self, "_square", None)
+        if exact is None:
+            coeffs = tuple(coeffs)
+            exact = (*_rows_of([c.terms for c in coeffs]), len(coeffs) - 1)
+        rows, den, degree = exact
+        for name, value in (
+            ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
+            ("_rows", rows), ("_den", den), ("_coeffs", coeffs),
+            ("_encs", None), ("_sup", None), ("_square", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
+    def _of_rows(self, acc: dict, den: int, degree: int, tail: float) -> "PowerSeries":
+        """A series of this radius from unreduced rows {pi power: numerators}."""
+        return PowerSeries(None, tail, self.radius, (*_reduced(acc, den), degree))
+
+    def coefficient(self, n: int) -> PiPoly:
+        """The exact coefficient of u^n."""
+        return PiPoly({k: Fraction(row[n], self._den) for k, row in self._rows if row[n]})
+
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The exact coefficients as PiPoly, built on first read."""
+        if self._coeffs is None:
+            object.__setattr__(
+                self, "_coeffs", tuple(self.coefficient(n) for n in range(self.degree + 1))
+            )
+        return self._coeffs
 
     def coefficient_enclosures(self):
         if self._encs is None:
             object.__setattr__(
-                self, "_encs", tuple(c.enclosure() for c in self.coeffs)
+                self, "_encs", tuple(_enclosures(self._rows, self._den, range(self.degree + 1)))
             )
         return self._encs
 
@@ -239,58 +319,64 @@ class PowerSeries:
         if self.degree != other.degree or self.radius != other.radius:
             raise DomainError("PowerSeries degree/radius mismatch")
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+    def _plus(self, other: "PowerSeries", sign: int) -> "PowerSeries":
         self._check_compatible(other)
-        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return PowerSeries(coeffs, _add_up(self.tail, other.tail), self.radius)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        acc = {k: [fa * x for x in row] for k, row in self._rows}
+        for k, row in other._rows:
+            mine = acc.get(k)
+            acc[k] = [fb * y for y in row] if mine is None else [x + fb * y for x, y in zip(mine, row)]
+        return self._of_rows(acc, den, self.degree, _add_up(self.tail, other.tail))
+
+    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_compatible(other)
-        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return PowerSeries(coeffs, _add_up(self.tail, other.tail), self.radius)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.tail, self.radius)
+        rows = tuple((k, [-x for x in row]) for k, row in self._rows)
+        return PowerSeries(None, self.tail, self.radius, (rows, self._den, self.degree))
 
     def scale(self, c) -> "PowerSeries":
         if not isinstance(c, PiPoly):
             c = PiPoly.rational(c)
-        mag = c.enclosure().mag()
-        return PowerSeries(
-            [c * a for a in self.coeffs], _mul_up(self.tail, mag), self.radius
-        )
+        c_rows, c_den = _rows_of([c.terms])
+        acc = {}
+        for kc, (m,) in c_rows:
+            for k, row in self._rows:
+                scaled = [m * x for x in row]
+                mine = acc.get(k + kc)
+                acc[k + kc] = scaled if mine is None else [x + y for x, y in zip(mine, scaled)]
+        tail = _mul_up(self.tail, c.enclosure().mag())
+        return self._of_rows(acc, self._den * c_den, self.degree, tail)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check_compatible(other)
         d = self.degree
         r = self.radius
         # integer convolution, one row per pair of pi powers, over the
-        # product of the two common denominators; each output coefficient
-        # is reduced once, so the exact values are those of a Fraction loop
-        rows_a, den_a = _numerator_rows(self.coeffs)
-        rows_b, den_b = _numerator_rows(other.coeffs)
+        # product of the two common denominators, zero numerators skipped
+        sparse_b = [(kb, [(j, y) for j, y in enumerate(row) if y]) for kb, row in other._rows]
         sums = {}
-        for ka, row_a in rows_a.items():
-            for kb, row_b in rows_b.items():
+        for ka, row_a in self._rows:
+            terms_a = [(i, x) for i, x in enumerate(row_a) if x]
+            for kb, terms_b in sparse_b:
                 acc = sums.setdefault(ka + kb, [0] * (2 * d + 1))
-                for i, x in row_a:
-                    for j, y in row_b:
+                for i, x in terms_a:
+                    for j, y in terms_b:
                         acc[i + j] += x * y
-        den = den_a * den_b
-        conv = [
-            PiPoly({k: Fraction(acc[n], den) for k, acc in sums.items() if acc[n]})
-            for n in range(d + 1)
-        ]
-        # overflow terms (power > d) fold into the tail coefficient; they are
-        # enclosed straight from the integer sums, which have the same values
+        den = self._den * other._den
+        # overflow terms (power > d) fold into the tail coefficient, enclosed
+        # straight from the integer sums
         rows = sorted(sums.items())
-        over = [_pi_sum([(k, rational_enclosure(acc[n], den)) for k, acc in rows if acc[n]]).mag()
-                for n in range(d + 1, 2 * d + 1)]
+        over = [e.mag() for e in _enclosures(rows, den, range(d + 1, 2 * d + 1))]
         # a zero tail contributes sup * 0 = 0, so its partner's sup is not needed
         tail = _add_up(_fold(over, r), _mul_up(self.sup(), other.tail) if other.tail else 0.0)
         tail = _add_up(tail, _mul_up(other.sup(), self.tail) if self.tail else 0.0)
         tail = _add_up(tail, _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1)))
-        return PowerSeries(conv, tail, r)
+        return self._of_rows({k: acc[: d + 1] for k, acc in rows}, den, d, tail)
 
     def int_pow(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -312,26 +398,32 @@ class PowerSeries:
             base = base._square
 
     def mul_monomial(self, j: int) -> "PowerSeries":
-        """Multiply by u^j, keeping the degree fixed."""
+        """Multiply by u^j, 0 <= j <= degree + 1, keeping the degree fixed."""
         if j == 0:
             return self
         d = self.degree
         r = self.radius
-        coeffs = [_ZERO] * j + list(self.coeffs[: d + 1 - j])
-        over = [0.0 if c.is_zero() else c.enclosure().mag() for c in self.coeffs[d + 1 - j :]]
+        if not 0 < j <= d + 1:
+            raise DomainError(f"mul_monomial needs 0 <= j <= {d + 1}, got {j}")
+        over = [e.mag() for e in _enclosures(self._rows, self._den, range(d + 1 - j, d + 1))]
         tail = _add_up(_fold(over, r), _mul_up(self.tail, _pow_up(r, j)))
-        return PowerSeries(coeffs, tail, r)
+        acc = {k: [0] * j + row[: d + 1 - j] for k, row in self._rows}
+        return self._of_rows(acc, self._den, d, tail)
 
     # -- endpoint-proof operations ------------------------------------------
 
     def divide_power(self, k: int) -> "PowerSeries":
         """Exact division by u^k; the first k coefficients must vanish exactly."""
+        if not 0 <= k <= self.degree + 1:
+            raise DomainError(f"divide_power needs 0 <= k <= {self.degree + 1}, got {k}")
         for i in range(k):
-            if not self.coeffs[i].is_zero():
+            if any(row[i] for _, row in self._rows):
                 raise OrderMismatch(
-                    f"coefficient of u^{i} is {self.coeffs[i]!r}, expected exact 0"
+                    f"coefficient of u^{i} is {self.coefficient(i)!r}, expected exact 0"
                 )
-        return PowerSeries(self.coeffs[k:], self.tail, self.radius)
+        # the dropped numerators are zeros, so the rows stay reduced
+        rows = tuple((kk, row[k:]) for kk, row in self._rows)
+        return PowerSeries(None, self.tail, self.radius, (rows, self._den, self.degree - k))
 
     def eval(self, u: Interval) -> Interval:
         if u.mag() > self.radius:
@@ -368,10 +460,11 @@ def ps_poly(terms: dict, degree: int, radius: float) -> PowerSeries:
 def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
     """coeff(m) at the power 2m (2m + 1 if odd), zeros elsewhere.  The tail
     coefficient needs every coefficient of u^k to be at most 1/k! in magnitude."""
-    coeffs = [_ZERO] * (degree + 1)
+    terms = [{}] * (degree + 1)
     for k in range(int(odd), degree + 1, 2):
-        coeffs[k] = PiPoly.rational(coeff(k // 2))
-    return PowerSeries(coeffs, exp_tail_bound(degree + 1, radius), radius)
+        terms[k] = {0: coeff(k // 2)}
+    exact = (*_rows_of(terms), degree)
+    return PowerSeries(None, exp_tail_bound(degree + 1, radius), radius, exact)
 
 
 def ps_cos(degree: int, radius: float) -> PowerSeries:

@@ -7,7 +7,7 @@ import pytest
 
 import tancert
 from tancert import analysis, certifier, cli, sequences
-from tancert.analysis import MAX_PRECISION_BITS
+from tancert.analysis import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from tancert.certifier import CATALOG, load_certificate
 
 from conftest import PERTURBED_IDENTITIES
@@ -159,6 +159,9 @@ def test_sequences_n_max_bounded(n_max, code, tmp_path, monkeypatch, capsys):
     (cli.MAX_GRID_POINTS + 1, 200, 1),
     (1, MAX_PRECISION_BITS, 0),
     (1, MAX_PRECISION_BITS + 1, 1),
+    (1, MIN_PRECISION_BITS, 0),
+    (1, MIN_PRECISION_BITS - 1, 1),
+    (1, -5, 1),
 ])
 def test_phi_grid_and_precision_bounded(points, bits, code, tmp_path, monkeypatch, capsys):
     if code:
@@ -364,11 +367,13 @@ def test_console_entry_point(tmp_path):
 
 
 # Modules a certify or check process must not load: dataclasses pulls in
-# inspect, pathlib pulls in urllib.parse where os.path serves, and sequences
-# and analysis (with mpmath) serve other commands.
+# inspect, pathlib pulls in urllib.parse where os.path serves, ast only words
+# the refusal of a form (the builtin compile parses it), enclosures holds no
+# certificate code, and sequences and analysis (with mpmath) serve other
+# commands.
 FORBIDDEN_AT_STARTUP = (
-    "dataclasses", "inspect", "typing", "pathlib", "tancert.sequences", "tancert.analysis",
-    "mpmath",
+    "dataclasses", "inspect", "typing", "pathlib", "ast", "tancert.enclosures",
+    "tancert.sequences", "tancert.analysis", "mpmath",
 )
 WIDE_GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
 

@@ -9,6 +9,7 @@ import pytest
 from tancert.enclosures import cos_enc, p_enc, sinc_enc
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
+from tancert.series import p_coeff
 
 from conftest import contains, mp_p, mp_sinc
 
@@ -61,7 +62,7 @@ def test_p_series_matches_exact_subtraction_of_sin_and_xcos():
             continue
         m = (k - 3) // 2
         formula = Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
-        assert c == formula, f"p coefficient mismatch at degree {k - 3}"
+        assert c == formula == p_coeff(m), f"p coefficient mismatch at degree {k - 3}"
 
 
 def test_pointwise_containment_randomized(oracle):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancert.errors import DomainError, OrderMismatch
-from tancert.interval import _HALF_PI_HI, Interval, _mul_up, _pow_up, horner
+from tancert.interval import _HALF_PI_HI, Interval, _add_up, _mul_up, _pow_up, horner
 from tancert.series import (
     PiPoly,
     PowerSeries,
@@ -83,6 +84,10 @@ def test_divide_power_shifts_exactly(oracle):
         assert contains(sinc_again.eval(Interval.point(x)), mp_sinc(mp.mpf(x)))
     with pytest.raises(OrderMismatch):
         ps_cos(20, r).divide_power(1)
+    # a shift or division past the degree would change the degree
+    for op in (sin.mul_monomial, sin.divide_power):
+        with pytest.raises(DomainError):
+            op(22)
 
 
 def test_tail_respects_radius():
@@ -224,3 +229,57 @@ def test_sup_equals_interval_horner_on_the_disc(pair):
     for s in pair:
         r = s.radius
         assert s.sup().hex() == interval_horner(s.coefficient_enclosures(), Interval(-r, r)).mag().hex()
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two series of one degree and radius, each sometimes all zero."""
+    degree = draw(st.integers(0, 7))
+    radius = draw(st.floats(0.125, 2.0))
+    zero = [PiPoly()] * (degree + 1)
+    coeffs = st.one_of(st.just(zero), st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1))
+    return tuple(PowerSeries(draw(coeffs), draw(TAILS), radius) for _ in range(2))
+
+
+def _fraction_shift(a, j):
+    """Reference u^j * a: the coefficients shifted, those past the degree
+    folded into the tail as |c_k| r^(k-d-1), plus the tail times r^j."""
+    d, r = a.degree, a.radius
+    tail = 0.0
+    for i, c in enumerate(a.coeffs[d + 1 - j:]):
+        if not c.is_zero():
+            tail = _add_up(tail, _mul_up(c.enclosure().mag(), _pow_up(r, i)))
+    return [PiPoly()] * j + list(a.coeffs[: d + 1 - j]), _add_up(tail, _mul_up(a.tail, _pow_up(r, j)))
+
+
+def _assert_exact(got, coeffs, tail):
+    assert got.coeffs == tuple(coeffs)
+    assert got.tail.hex() == tail.hex()
+    assert [e.to_hex() for e in got.coefficient_enclosures()] == [c.enclosure().to_hex() for c in coeffs]
+    # the rows are reduced: their denominator is the lcm of the coefficients'
+    assert got._den == lcm(*(v.denominator for c in coeffs for v in c.terms.values()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(operand_pairs(), st.one_of(PIPOLYS, st.integers(-6, 6)), st.data())
+def test_row_operations_equal_fraction_reference(pair, c, data):
+    # the integer-row operations against one Fraction (PiPoly) per coefficient
+    a, b = pair
+    d = a.degree
+    c_poly = c if isinstance(c, PiPoly) else PiPoly.rational(c)
+    _assert_exact(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
+    _assert_exact(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
+    _assert_exact(-a, [-x for x in a.coeffs], a.tail)
+    _assert_exact(a.scale(c), [c_poly * x for x in a.coeffs], _mul_up(a.tail, c_poly.enclosure().mag()))
+    _assert_exact(a * b, *_fraction_product(a, b))
+    j = data.draw(st.integers(0, d + 1))
+    shifted = a.mul_monomial(j)
+    _assert_exact(shifted, *_fraction_shift(a, j))
+    # division by u^k up to the count of exactly vanishing leading coefficients
+    coeffs = shifted.coeffs
+    zeros = next((n for n, x in enumerate(coeffs) if not x.is_zero()), d + 1)
+    k = data.draw(st.integers(0, zeros))
+    _assert_exact(shifted.divide_power(k), coeffs[k:], shifted.tail)
+    if zeros <= d:
+        with pytest.raises(OrderMismatch):
+            shifted.divide_power(zeros + 1)
