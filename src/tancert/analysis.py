@@ -161,13 +161,13 @@ def _certified_bisection(f, lo: float, hi: float, tol: float, which: str) -> Cro
 
 def crossover_upper(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the upper-bound crossover near 1.233."""
-    if tol < 1e-6:
+    if not tol >= 1e-6:  # NaN included
         raise DomainError("crossover tolerance must be >= 1e-6")
     return _certified_bisection(gap_series("upper_x0").eval, 1.0, 1.4, tol, "upper_x0")
 
 
 def crossover_lower(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the lower-bound crossover near 1.525."""
-    if tol < 1e-6:
+    if not tol >= 1e-6:  # NaN included
         raise DomainError("crossover tolerance must be >= 1e-6")
     return _certified_bisection(gap_series("lower_x1").eval, 1.4, 1.56, tol, "lower_x1")

@@ -56,7 +56,7 @@ from .interval import (
     int_pow,
     split,
 )
-from .series import PiPoly, PowerSeries, ps_const, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
+from .series import PiPoly, PowerSeries, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
 SCHEMA = "tancert-cert-v4"  # the one schema certify writes and check reads
 
@@ -246,31 +246,16 @@ def _tree(e: _ast.expr) -> tuple:
     raise DomainError(f"{_unparse(e)!r} is outside the form language")
 
 
-def _leaf_names(node: tuple) -> frozenset:
-    kind = node[0]
-    if kind == "leaf":
-        return frozenset([node[1]])
-    if kind == "const":
-        return frozenset()
-    if kind == "pow":
-        return _leaf_names(node[1])
-    return _leaf_names(node[1]) | _leaf_names(node[2])
-
-
-# names: the leaves the form uses
-CompiledForm = namedtuple("CompiledForm", "tree names")
-
-
 @cache
-def compile_form(text: str) -> CompiledForm:
-    """Parse an entire_form string once; raises DomainError outside the language."""
+def compile_form(text: str) -> tuple:
+    """The tree of an entire_form string, parsed once; raises DomainError
+    outside the language."""
     try:
         # the builtin compile, so that parsing needs `_ast` but not `ast`
         expr = compile(text.replace("^", "**"), "<form>", "eval", _ast.PyCF_ONLY_AST).body
     except SyntaxError as exc:
         raise DomainError(f"form {text!r}: {exc.msg}") from None
-    tree = _tree(expr)
-    return CompiledForm(tree, _leaf_names(tree))
+    return _tree(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +283,12 @@ def _node_series(node: tuple, center: str, degree: int, radius: float) -> PowerS
 
     kind = node[0]
     if kind == "const":
-        return ps_const(node[1], degree, radius)
+        return ps_poly({0: node[1]}, degree, radius)
     if kind == "leaf":
-        return _SERIES_LEAVES[center][node[1]](degree, radius)
+        builder = _SERIES_LEAVES[center].get(node[1])
+        if builder is None:
+            raise DomainError(f"no series of {node[1]!r} at {center}")
+        return builder(degree, radius)
     if kind == "pow":
         return series(node[1]).int_pow(node[2])
     if kind is not operator.mul:
@@ -317,7 +305,7 @@ def _node_series(node: tuple, center: str, degree: int, radius: float) -> PowerS
         else:
             acc = series(f) if acc is None else acc * series(f)
     if acc is None:
-        acc = ps_const(PiPoly.rational(1), degree, radius)
+        acc = ps_poly({0: 1}, degree, radius)
     for k in shifts:
         acc = acc.mul_monomial(k)
     for c in consts:
@@ -354,11 +342,7 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
     """
     if center not in _SERIES_LEAVES:
         raise DomainError(f"unknown center {center!r}")
-    form, builders = compile_form(text), _SERIES_LEAVES[center]
-    missing = form.names - builders.keys()
-    if missing:
-        raise DomainError(f"{text!r}: no series of {sorted(missing)} at {center}")
-    return _node_series(form.tree, center, degree, radius)
+    return _node_series(compile_form(text), center, degree, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from math import factorial
 from .enclosures import _cos_enc_any, _sinc_enc_any
 from .errors import DomainError, IdentityMismatch, IdentityViolation
 from .interval import Interval, int_pow, rational_enclosure
-from .series import PiPoly, PowerSeries
+from .series import PowerSeries, ps_poly
 
 _A_COEFFS = (459, -362, -60, 32)
 _B_COEFFS = (-51, -158, -116, 128, 128)
@@ -210,9 +210,6 @@ def phi_power_series(degree: int, radius: float) -> PowerSeries:
         raise DomainError("phi series radius must stay within sqrt(3)")
     if not _term_decrease_verified():
         raise AssertionError("alternating term decrease failed")  # pragma: no cover
-    coeffs = [PiPoly()] * (degree + 1)
-    for n in range(4, degree // 2 + 1):
-        coeffs[2 * n] = PiPoly.rational(phi_coeff(n))
     n0 = degree // 2 + 1
     # alternating with exactly-verified decrease: first omitted term bounds
     # the tail; as a tail coefficient it is scaled down to power degree+1
@@ -220,7 +217,7 @@ def phi_power_series(degree: int, radius: float) -> PowerSeries:
         int_pow(Interval.point(radius), 2 * n0 - degree - 1)
         * rational_enclosure(abs(phi_coeff(n0)))
     ).hi
-    return PowerSeries(coeffs, t, radius)
+    return ps_poly({2 * n: phi_coeff(n) for n in range(4, n0)}, degree, radius, t)
 
 
 def phi_trig_enc(x: Interval) -> Interval:

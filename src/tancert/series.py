@@ -18,13 +18,14 @@ a half-open interval (0, b].
 The coefficients are kept as integer numerator rows, one row per power
 of pi, over one positive common denominator that is reduced after every
 operation (so it is the lcm of the coefficients' denominators).  Sums,
-scalings, shifts and products work on those integers directly; each
+scalings, shifts and products work on those integers directly, and each
 coefficient enclosure is the tightest one of its exact value, taken from
-its numerators and the denominator, and `coeffs` builds the `PiPoly` view
-only when it is read.  Exact coefficients mean that structurally zero
-coefficients cancel exactly, even when pi enters the expansion (the
-endpoint pi/2 is not a float, so expansions there live in Q[pi, 1/pi]
-rather than Q).
+its numerators and the denominator.  The rows are the only way into a
+series: `ps_poly` builds them from exact values (`PiPoly`, `Fraction` or
+int), and `coefficient(n)` and `coeffs` read them back as `PiPoly`.
+Exact coefficients mean that structurally zero coefficients cancel
+exactly, even when pi enters the expansion (the endpoint pi/2 is not a
+float, so expansions there live in Q[pi, 1/pi] rather than Q).
 
 The Taylor coefficients of the three entire building blocks (sin is
 x sinc) are written once, here:
@@ -103,9 +104,6 @@ class PiPoly:
     def pi_power(cls, k: int, coeff=1) -> "PiPoly":
         return cls({k: Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "PiPoly") -> "PiPoly":
         t = dict(self.terms)
         for k, v in other.terms.items():
@@ -117,9 +115,6 @@ class PiPoly:
         for k, v in other.terms.items():
             t[k] = t[k] - v if k in t else -v
         return PiPoly(t)
-
-    def __neg__(self) -> "PiPoly":
-        return PiPoly({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "PiPoly":
         if not isinstance(other, PiPoly):
@@ -173,8 +168,6 @@ def _pi_sum(terms) -> Interval:
     return Interval(lo, hi)
 
 
-_ZERO = PiPoly()
-_ONE = PiPoly.rational(1)
 _ZERO_ENC = Interval(0.0, 0.0)
 
 
@@ -254,23 +247,21 @@ _radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r,
 # ---------------------------------------------------------------------------
 
 class PowerSeries:
-    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_coeffs", "_encs", "_sup", "_square")
+    """The series sum_n c_n u^n + [-tail, tail] u^(degree+1) on |u| <= radius,
+    its coefficients c_n given as reduced integer rows over den (see
+    "coefficients as integer rows" above).
+    Build one from exact values with `ps_poly`."""
 
-    def __init__(self, coeffs, tail: float, radius: float, exact=None):
-        """coeffs: the PiPoly coefficients of u^0 .. u^degree.  The operations
-        of this module pass None and exact = (rows, den, degree) instead."""
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_sup", "_square")
+
+    def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
         if not radius > 0.0:  # NaN included
             raise DomainError("PowerSeries radius must be positive")
         if not tail >= 0.0:
             raise DomainError("PowerSeries tail must be non-negative")
-        if exact is None:
-            coeffs = tuple(coeffs)
-            exact = (*_rows_of([c.terms for c in coeffs]), len(coeffs) - 1)
-        rows, den, degree = exact
         for name, value in (
             ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
-            ("_rows", rows), ("_den", den), ("_coeffs", coeffs),
-            ("_encs", None), ("_sup", None), ("_square", None),
+            ("_rows", rows), ("_den", den), ("_encs", None), ("_sup", None), ("_square", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -279,7 +270,7 @@ class PowerSeries:
 
     def _of_rows(self, acc: dict, den: int, degree: int, tail: float) -> "PowerSeries":
         """A series of this radius from unreduced rows {pi power: numerators}."""
-        return PowerSeries(None, tail, self.radius, (*_reduced(acc, den), degree))
+        return PowerSeries(*_reduced(acc, den), degree, tail, self.radius)
 
     def coefficient(self, n: int) -> PiPoly:
         """The exact coefficient of u^n."""
@@ -287,12 +278,8 @@ class PowerSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The exact coefficients as PiPoly, built on first read."""
-        if self._coeffs is None:
-            object.__setattr__(
-                self, "_coeffs", tuple(self.coefficient(n) for n in range(self.degree + 1))
-            )
-        return self._coeffs
+        """The exact coefficients of u^0 .. u^degree as PiPoly."""
+        return tuple(self.coefficient(n) for n in range(self.degree + 1))
 
     def coefficient_enclosures(self):
         if self._encs is None:
@@ -334,10 +321,6 @@ class PowerSeries:
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self._plus(other, -1)
-
-    def __neg__(self) -> "PowerSeries":
-        rows = tuple((k, [-x for x in row]) for k, row in self._rows)
-        return PowerSeries(None, self.tail, self.radius, (rows, self._den, self.degree))
 
     def scale(self, c) -> "PowerSeries":
         if not isinstance(c, PiPoly):
@@ -382,7 +365,7 @@ class PowerSeries:
         if k < 0:
             raise DomainError("PowerSeries.int_pow exponent must be non-negative")
         if k == 0:
-            return ps_const(_ONE, self.degree, self.radius)
+            return ps_poly({0: 1}, self.degree, self.radius)
         # square-and-multiply from the first factor: the unit series times
         # base is base itself, coefficients and tail alike; each square is
         # cached on its base, so powers of one base share their lower powers
@@ -423,7 +406,7 @@ class PowerSeries:
                 )
         # the dropped numerators are zeros, so the rows stay reduced
         rows = tuple((kk, row[k:]) for kk, row in self._rows)
-        return PowerSeries(None, self.tail, self.radius, (rows, self._den, self.degree - k))
+        return PowerSeries(rows, self._den, self.degree - k, self.tail, self.radius)
 
     def eval(self, u: Interval) -> Interval:
         if u.mag() > self.radius:
@@ -442,19 +425,15 @@ class PowerSeries:
 # builders
 # ---------------------------------------------------------------------------
 
-def ps_const(c: PiPoly, degree: int, radius: float) -> PowerSeries:
-    coeffs = [c] + [_ZERO] * degree
-    return PowerSeries(coeffs, 0.0, radius)
-
-
-def ps_poly(terms: dict, degree: int, radius: float) -> PowerSeries:
-    """Exact polynomial; `terms` maps power -> PiPoly/Fraction/int."""
-    coeffs = [_ZERO] * (degree + 1)
+def ps_poly(terms: dict, degree: int, radius: float, tail: float = 0.0) -> PowerSeries:
+    """sum_k terms[k] u^k + [-tail, tail] u^(degree+1) on |u| <= radius;
+    `terms` maps a power in [0, degree] to a PiPoly, Fraction or int."""
+    coeffs = [{}] * (degree + 1)
     for k, v in terms.items():
-        if k > degree:
-            raise DomainError("ps_poly term beyond requested degree")
-        coeffs[k] = v if isinstance(v, PiPoly) else PiPoly.rational(v)
-    return PowerSeries(coeffs, 0.0, radius)
+        if not 0 <= k <= degree:
+            raise DomainError(f"ps_poly power {k} is outside [0, {degree}]")
+        coeffs[k] = (v if isinstance(v, PiPoly) else PiPoly.rational(v)).terms
+    return PowerSeries(*_rows_of(coeffs), degree, tail, radius)
 
 
 def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
@@ -463,8 +442,7 @@ def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
     terms = [{}] * (degree + 1)
     for k in range(int(odd), degree + 1, 2):
         terms[k] = {0: coeff(k // 2)}
-    exact = (*_rows_of(terms), degree)
-    return PowerSeries(None, exp_tail_bound(degree + 1, radius), radius, exact)
+    return PowerSeries(*_rows_of(terms), degree, exp_tail_bound(degree + 1, radius), radius)
 
 
 def ps_cos(degree: int, radius: float) -> PowerSeries:

@@ -123,6 +123,15 @@ def test_crossover_brackets_pinned(which, tol, cid, lo, hi, iterations, tmp_path
     assert doc["iterations"] == iterations
 
 
+def test_crossover_nan_tolerance_is_refused(tmp_path, monkeypatch, capsys):
+    # NaN compares false with every bound, so a lower bound alone lets it through
+    for which in ("upper", "lower"):
+        assert run_cli(["crossover", which, "--tol", "nan"], tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
+
+
 def test_replay_command(tmp_path, monkeypatch, capsys):
     for ident in tancert.REPLAY_IDENTITIES:
         assert run_cli(["replay", ident], tmp_path, monkeypatch) == 0

@@ -10,8 +10,8 @@ warm:
     certified, nor on whether other forms were certified first;
   * the work of certifying all nine forms at the `wide_endpoints` flags
     stays within fixed counts of series products, interval Horner calls,
-    rational enclosures and `PiPoly` constructions, which do not depend on
-    the machine.
+    rational enclosures, `PiPoly` constructions and series constructions,
+    which do not depend on the machine.
 
 The others clear the caches in process: a form's series built beside the
 other forms is bit for bit the one built alone, and the disc bound of every
@@ -48,7 +48,7 @@ COUNT = f"""
 import json
 from tancert import series
 from tancert.certifier import CATALOG, CertifyConfig, certify
-counts = {{"products": 0, "horner": 0, "enclosures": 0, "pipolys": 0}}
+counts = {{"products": 0, "horner": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
 
 def counted(key, fn):
     def wrapper(*args):
@@ -59,6 +59,7 @@ def counted(key, fn):
 series.PowerSeries.__mul__ = counted("products", series.PowerSeries.__mul__)
 series.rational_enclosure = counted("enclosures", series.rational_enclosure)
 series.PiPoly.__init__ = counted("pipolys", series.PiPoly.__init__)
+series.PowerSeries.__init__ = counted("series", series.PowerSeries.__init__)
 series.horner = counted("horner", series.horner)
 cfg = {WIDE}
 for cid in CATALOG:
@@ -68,10 +69,10 @@ print(json.dumps(counts))
 
 # at the wide_endpoints flags; products count PowerSeries.__mul__, horner the
 # interval Horner evaluations of series (sup bounds no longer call it),
-# enclosures the rational enclosures that series take, and pipolys the PiPoly
+# enclosures the rational enclosures that series take, pipolys the PiPoly
 # built after import (series keep integer rows and build PiPoly only when
-# their coeffs are read)
-MAX_WORK = {"products": 25, "horner": 39, "enclosures": 2469, "pipolys": 65}
+# their coefficients are read) and series the PowerSeries built
+MAX_WORK = {"products": 25, "horner": 39, "enclosures": 2469, "pipolys": 65, "series": 116}
 
 
 def _fresh(code: str, *args: str) -> str:
