@@ -13,6 +13,7 @@ from tancert import (
     Interval,
     certify,
     half_pi_enclosure,
+    near_zero_proof,
     phi_trig_enc,
     t_seq,
     u_seq,
@@ -48,8 +49,10 @@ for xv in (0.5, 1.0, 1.5):
 
 print(f"\nat pi/2 the series pins down phi = 2*pi: {series.eval(hp)}")
 
-cert = certify("lemma_phi", CertifyConfig())
+cfg = CertifyConfig()
+cert = certify("lemma_phi", cfg)
+order = near_zero_proof("lemma_phi", cfg.delta, cfg.degree).order
 print(
     f"\ncertify lemma_phi -> {cert.status} "
-    f"({cert.stats.box_count} boxes, near-zero order {cert.near_zero_proof.order})"
+    f"({cert.stats.box_count} boxes, near-zero order {order})"
 )

@@ -16,7 +16,7 @@ F at 0 divided by x^k0,
     Q = F / x^k0,  through x^(degree - k0), with a rigorous tail on
                    |x| <= pi/2 + ulp.
 
-A certificate (schema tancert-cert-v4) for F > 0 has three parts:
+A proof of F > 0 has three parts:
 
   * near 0:        Q is bounded below by a positive constant on [0, delta];
   * near pi/2:     the same in eps = pi/2 - x, with the exact series at
@@ -24,13 +24,16 @@ A certificate (schema tancert-cert-v4) for F > 0 has three parts:
   * the middle:    adaptive bisection into boxes X whose margins
                    x^k0 * Q(X), by interval Horner, are certainly positive.
 
-An endpoint proof records only what it derives: the order, the leading
-coefficient and the lower bound of the quotient.  Its region and series
-degree are the config's delta (or epsilon_max) and degree, from which the
-checker re-derives the proof and rebuilds Q to recompute every margin.
-Files of the earlier schemas are refused as an unknown schema: v1 and v2
-took their margins from direct interval evaluation of the tree, and v3
-proofs copied the config and were built with looser leaf-series tails.
+A certificate (schema tancert-cert-v5) holds the config and the boxes of
+the middle cover with their margins, nothing else.  The endpoint proofs
+follow from the catalog and the config alone, so the checker derives both
+afresh, rebuilds Q at config.degree to recompute every margin, and ties
+the config to the boxes by requiring them to chain across exactly the
+cover [delta, end] that the config fixes.  Files of the earlier schemas
+are refused as an unknown schema: v1 and v2 took their margins from
+direct interval evaluation of the tree, v3 proofs copied the config and
+were built with looser leaf-series tails, and v4 stored copies of the
+endpoint proofs, the constant domain and a second depth limit.
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -44,7 +47,6 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from math import inf
 
 from .errors import DomainError, Falsified, NotPositive, OrderMismatch
 from .interval import (
@@ -58,7 +60,7 @@ from .interval import (
 )
 from .series import PiPoly, PowerSeries, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
-SCHEMA = "tancert-cert-v4"  # the one schema certify writes and check reads
+SCHEMA = "tancert-cert-v5"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
 # build grows like degree^2.3 to degree^3 (that of main_upper takes 0.03-0.04 s
@@ -435,8 +437,7 @@ def _of_type(v, types) -> bool:
 
 
 class CertifyConfig(namedtuple(
-    "CertifyConfig", "delta epsilon_max degree max_depth min_width",
-    defaults=(0.25, 0.125, 16, 48, 2.0**-40),
+    "CertifyConfig", "delta epsilon_max degree max_depth", defaults=(0.25, 0.125, 16, 48),
 )):
     """Certify settings; a field of the wrong type or range raises DomainError."""
     __slots__ = ()
@@ -447,12 +448,10 @@ class CertifyConfig(namedtuple(
             v = getattr(self, name)
             if not _of_type(v, (int, float)) or not 0.0 < v <= top:
                 raise DomainError(f"{name} must be a number in (0, {top}], got {v!r}")
-        if not _of_type(self.degree, int) or self.degree > MAX_DEGREE:
-            raise DomainError(f"degree must be an int at most {MAX_DEGREE}, got {self.degree!r}")
-        if not _of_type(self.max_depth, int) or not 0 <= self.max_depth <= MAX_DEPTH:
-            raise DomainError(f"max_depth must be an int in [0, {MAX_DEPTH}], got {self.max_depth!r}")
-        if not _of_type(self.min_width, (int, float)) or not 0.0 < self.min_width < inf:
-            raise DomainError(f"min_width must be finite and positive, got {self.min_width!r}")
+        for name, top in (("degree", MAX_DEGREE), ("max_depth", MAX_DEPTH)):
+            v = getattr(self, name)
+            if not _of_type(v, int) or not 0 <= v <= top:
+                raise DomainError(f"{name} must be an int in [0, {top}], got {v!r}")
         return self
 
     @classmethod
@@ -481,16 +480,13 @@ CertStats = namedtuple("CertStats", "box_count max_depth_reached wall_time worst
 STATUSES = ("certified", "undecided", "falsified")
 
 
-# status is one of STATUSES; a proof is an EndpointProof or None; boxes is a
-# list of BoxRecord
-Certificate = namedtuple(
-    "Certificate",
-    "inequality_id domain status near_zero_proof near_half_pi_proof boxes stats config",
-)
+# status is one of STATUSES and boxes a list of BoxRecord; the endpoint
+# proofs are not stored, since the config alone fixes them
+Certificate = namedtuple("Certificate", "inequality_id status boxes stats config")
 
 
-# Bisection gives up after this many boxes that reach max_depth or min_width
-# without a sign: the answer is then "undecided" whatever the rest yields, and
+# Bisection gives up after this many boxes that reach max_depth without a
+# sign: the answer is then "undecided" whatever the rest yields, and
 # near a zero of the margin the failing leaves would otherwise number ~10^5.
 MAX_FAILED_LEAVES = 64
 
@@ -517,7 +513,7 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
             accepted.append(rec)
         elif certainly_negative(rec.margin):
             falsified.append(rec)
-        elif full or depth >= cfg.max_depth or box.width <= cfg.min_width:
+        elif full or depth >= cfg.max_depth:
             failed.append(rec)
         else:
             a, b = split(box)
@@ -529,12 +525,17 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     return accepted, failed, (falsified[0] if falsified else None), max_depth_seen, worst
 
 
-def _cover_ends(spec: InequalitySpec, cfg: CertifyConfig) -> tuple[float, float]:
-    """The ends of the middle that the boxes cover: from delta to
-    pi/2 - epsilon_max, or to pi/2 + ulp for a form with no near-pi/2 proof."""
-    if spec.vanish_order_half_pi > 0:
-        return cfg.delta, _sub_up(_HALF_PI_HI, cfg.epsilon_max)
-    return cfg.delta, _HALF_PI_HI
+def _prove_ends(spec: InequalitySpec, cfg: CertifyConfig) -> tuple[float, float]:
+    """Prove F > 0 on the endpoint regions that cfg fixes and return the
+    cover [delta, end] that the boxes must fill: end is pi/2 - epsilon_max
+    for a form vanishing at pi/2, the only kind with a near-pi/2 proof, and
+    pi/2 + ulp for the others.  A failing proof raises as near_zero_proof
+    and near_half_pi_proof do."""
+    near_zero_proof(spec.id, cfg.delta, cfg.degree)
+    if spec.vanish_order_half_pi == 0:
+        return cfg.delta, _HALF_PI_HI
+    near_half_pi_proof(spec.id, cfg.epsilon_max, cfg.degree)
+    return cfg.delta, _sub_up(_HALF_PI_HI, cfg.epsilon_max)
 
 
 def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certificate:
@@ -543,14 +544,10 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
     The near-zero proof is mandatory: margins vanish at 0, so bisection
     alone ends undecided there (never falsified).
     """
-    spec = CATALOG[inequality_id]
     t0 = time.perf_counter()
-    nz = near_zero_proof(inequality_id, cfg.delta, cfg.degree)
-    nh = None
-    if spec.vanish_order_half_pi > 0:
-        nh = near_half_pi_proof(inequality_id, cfg.epsilon_max, cfg.degree)
     accepted, failed, falsified, depth_seen, worst = _bisect_cover(
-        lambda x: eval_form(inequality_id, x, degree=cfg.degree), *_cover_ends(spec, cfg), cfg
+        lambda x: eval_form(inequality_id, x, degree=cfg.degree),
+        *_prove_ends(CATALOG[inequality_id], cfg), cfg
     )
     wall = time.perf_counter() - t0
     status, boxes = ("undecided" if failed else "certified"), accepted
@@ -558,10 +555,7 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
         status, boxes, worst = "falsified", [falsified], falsified
     return Certificate(
         inequality_id=inequality_id,
-        domain=Interval(0.0, _HALF_PI_HI),
         status=status,
-        near_zero_proof=nz,
-        near_half_pi_proof=nh,
         boxes=boxes,
         stats=CertStats(
             box_count=len(boxes),
@@ -574,21 +568,11 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
 
 
 # ---------------------------------------------------------------------------
-# serialization (schema tancert-cert-v4; all floats as hex strings)
+# serialization (schema tancert-cert-v5; all floats as hex strings)
 # ---------------------------------------------------------------------------
 
 def _hex(x: float) -> str:
     return float(x).hex()
-
-
-def _proof_to_dict(p: EndpointProof | None):
-    if p is None:
-        return None
-    return {
-        "order": p.order,
-        "normalized_lower_bound": _hex(p.normalized_lower_bound),
-        "leading_coefficient": list(p.leading_coefficient.to_hex()),
-    }
 
 
 def _int(v) -> int:
@@ -598,16 +582,6 @@ def _int(v) -> int:
     return v
 
 
-def _proof_from_dict(d) -> EndpointProof | None:
-    if d is None:
-        return None
-    return EndpointProof(
-        order=_int(d["order"]),
-        normalized_lower_bound=float.fromhex(d["normalized_lower_bound"]),
-        leading_coefficient=Interval.from_hex(*d["leading_coefficient"]),
-    )
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     """JSON-ready dict.  wall_time is an execution detail and deliberately
     absent so identical configs yield identical bytes."""
@@ -615,16 +589,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "schema": SCHEMA,
         "inequality_id": cert.inequality_id,
         "status": cert.status,
-        "domain": list(cert.domain.to_hex()),
         "config": {
             "delta": _hex(cert.config.delta),
             "epsilon_max": _hex(cert.config.epsilon_max),
             "degree": cert.config.degree,
             "max_depth": cert.config.max_depth,
-            "min_width": _hex(cert.config.min_width),
         },
-        "near_zero_proof": _proof_to_dict(cert.near_zero_proof),
-        "near_half_pi_proof": _proof_to_dict(cert.near_half_pi_proof),
         "boxes": [[*b.interval.to_hex(), *b.margin.to_hex(), b.depth] for b in cert.boxes],
         "stats": {
             "box_count": cert.stats.box_count,
@@ -648,7 +618,6 @@ def certificate_from_dict(d: dict) -> Certificate:
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
         degree=_int(d["config"]["degree"]),
         max_depth=_int(d["config"]["max_depth"]),
-        min_width=float.fromhex(d["config"]["min_width"]),
     )
     boxes = [
         BoxRecord(
@@ -660,10 +629,7 @@ def certificate_from_dict(d: dict) -> Certificate:
     ]
     return Certificate(
         inequality_id=d["inequality_id"],
-        domain=Interval.from_hex(*d["domain"]),
         status=d["status"],
-        near_zero_proof=_proof_from_dict(d["near_zero_proof"]),
-        near_half_pi_proof=_proof_from_dict(d["near_half_pi_proof"]),
         boxes=boxes,
         stats=CertStats(
             box_count=_int(d["stats"]["box_count"]),
@@ -707,8 +673,8 @@ class CheckResult(namedtuple("CheckResult", "ok diagnoses")):
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Re-verify a certificate from scratch: margins, proofs, coverage."""
-    diagnoses: list[str] = []
+    """Re-verify a certificate from scratch: the endpoint proofs its config
+    fixes, the box cover between them and every margin."""
     spec = CATALOG.get(cert.inequality_id)
     if spec is None:
         return CheckResult(False, [f"unknown inequality id {cert.inequality_id!r}"])
@@ -722,33 +688,13 @@ def check_certificate(cert: Certificate) -> CheckResult:
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
 
-    cfg = cert.config
-    if cert.domain != Interval(0.0, _HALF_PI_HI):
-        diagnoses.append(f"domain {cert.domain} != [0, pi/2 + ulp]")
-    # the box cover must reach the endpoint regions of the config, whatever
-    # the proofs hold
-    start, end = _cover_ends(spec, cfg)
-    for kind, p, label, bound in (
-        ("zero", cert.near_zero_proof, "near-zero", cfg.delta),
-        ("half_pi", cert.near_half_pi_proof, "near-pi/2", cfg.epsilon_max),
-    ):
-        if p is None:
-            continue
-        # the proof the config describes, compared field by field as written
-        try:
-            fresh = _endpoint_proof(cert.inequality_id, kind, bound, cfg.degree)
-        except (NotPositive, OrderMismatch, DomainError) as exc:
-            diagnoses.append(f"{label} proof failed: {exc}")
-            continue
-        stored, derived = _proof_to_dict(p), _proof_to_dict(fresh)
-        differ = [key for key in sorted(derived) if stored[key] != derived[key]]
-        if differ:
-            diagnoses.append(f"{label} proof differs from its re-derivation in {', '.join(differ)}")
-    if cert.near_half_pi_proof is None and spec.vanish_order_half_pi > 0:
-        diagnoses.append("missing near-pi/2 proof for a form vanishing at pi/2")
-    if cert.near_zero_proof is None:
-        diagnoses.append("missing near-zero proof")
-
+    try:
+        # the proofs the config fixes; a failure is the one diagnosis, since at
+        # an unusable degree no box margin could be recomputed either
+        start, end = _prove_ends(spec, cert.config)
+    except (NotPositive, OrderMismatch, DomainError) as exc:
+        return CheckResult(False, [f"endpoint proof failed: {exc}"])
+    diagnoses: list[str] = []
     if cert.stats.box_count != len(cert.boxes):
         diagnoses.append(f"stats.box_count {cert.stats.box_count} != {len(cert.boxes)} boxes")
     if not cert.boxes:
@@ -769,10 +715,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
             if prev_hi is not None and box.interval.lo != prev_hi:
                 diagnoses.append(f"gap before box {i}")
             prev_hi = box.interval.hi
-            if not 0 <= box.depth <= cfg.max_depth:
+            if not 0 <= box.depth <= cert.config.max_depth:
                 diagnoses.append(f"box {i}: depth {box.depth} outside [0, max_depth]")
-            if box.interval.lo < 0.0 or box.interval.hi > _HALF_PI_HI:
-                diagnoses.append(f"box {i}: outside [0, pi/2 + ulp]")
+            if box.interval.lo < start or box.interval.hi > end:
+                diagnoses.append(f"box {i}: outside the cover [{start}, {end}]")
                 continue
             diagnoses += _margin_diagnoses(cert, i, certainly_positive, "positive")
     return CheckResult(not diagnoses, diagnoses)

@@ -393,10 +393,7 @@ def test_hand_built_falsified_certificate_checks_valid(monkeypatch, tmp_path):
     box = Interval(1.25, 1.5)
     cert = certifier.Certificate(
         inequality_id=spec.id,
-        domain=Interval(0.0, _HALF_PI_HI),
         status="falsified",
-        near_zero_proof=None,
-        near_half_pi_proof=None,
         boxes=[BoxRecord(box, eval_form(spec.id, box), 0)],
         stats=certifier.CertStats(box_count=1, max_depth_reached=0, wall_time=0.0),
         config=CertifyConfig(),
@@ -436,7 +433,7 @@ def test_serialization_round_trip(tmp_path):
 def test_schema_field(tmp_path):
     cert = certify("prop1_lower")
     doc = certificate_to_dict(cert)
-    assert doc["schema"] == "tancert-cert-v4"
+    assert doc["schema"] == "tancert-cert-v5"
     doc["schema"] = "v0"
     with pytest.raises(DomainError):
         certificate_from_dict(doc)
@@ -461,14 +458,17 @@ def test_check_detects_fake_positive_margin():
 
 
 def test_check_reports_a_margin_that_cannot_be_evaluated(tmp_path):
-    # main_lower vanishes to order 2, so its margin series needs degree >= 10
+    # main_lower vanishes to order 2, so its margin series needs degree >= 10;
+    # the unusable degree is reported once, not once more per box
     doc = certificate_to_dict(certify("main_lower"))
     doc["config"]["degree"] = 9
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
     result = check_file(path)
     assert not result.ok
-    assert any(d.startswith("box 0: margin not verifiable: ") for d in result.diagnoses), result.diagnoses
+    assert result.diagnoses == [
+        "endpoint proof failed: a series of order 2 needs 10 <= degree <= 128"
+    ]
 
 
 def test_box_count_read_from_disk_is_capped(tmp_path):
@@ -512,8 +512,8 @@ def test_config_bounds_endpoint_regions(field, value):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("degree", 16.5), ("degree", True), ("max_depth", True), ("min_width", "x"),
-     ("delta", "0.25"), ("epsilon_max", None)],
+    [("degree", 16.5), ("degree", True), ("max_depth", True), ("delta", "0.25"),
+     ("epsilon_max", None)],
 )
 def test_config_refuses_wrong_types(field, value):
     # degree=16.5 used to pass and fail later inside the series build
@@ -527,7 +527,7 @@ def test_records_refuse_attribute_assignment():
     cert = certify("bs_upper")
     for record, name in [
         (CATALOG["main_upper"], "id"),
-        (cert.near_zero_proof, "order"),
+        (near_zero_proof("bs_upper", 0.25, 16), "order"),
         (cert.boxes[0], "depth"),
         (cert.config, "degree"),
     ]:
@@ -549,8 +549,9 @@ def test_eval_form_defaults_to_the_config_degree():
 
 
 def test_series_degree_is_capped(tmp_path):
-    with pytest.raises(DomainError):
-        CertifyConfig(degree=MAX_DEGREE + 1)
+    for degree in (-5, MAX_DEGREE + 1):
+        with pytest.raises(DomainError):
+            CertifyConfig(degree=degree)
     with pytest.raises(DomainError):
         near_zero_proof("main_upper", 0.25, MAX_DEGREE + 1)
     doc = certificate_to_dict(certify("main_upper"))

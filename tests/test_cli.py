@@ -232,16 +232,13 @@ TAMPERINGS = {
     "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
     "box depth above max_depth": _deepen_first_box,
     "config delta 0.5": _set("config", "delta", (0.5).hex()),
-    "no near-zero proof": _set("near_zero_proof", None),
-    "no near-pi/2 proof": _set("near_half_pi_proof", None),
+    "config delta 0.125": _set("config", "delta", (0.125).hex()),
+    "config epsilon_max 0.0625": _set("config", "epsilon_max", (0.0625).hex()),
     "config max_depth -3": _set("config", "max_depth", -3),
     "status banana": _set("status", "banana"),
-    "domain [0, 1]": _set("domain", [(0.0).hex(), (1.0).hex()]),
-    "near-zero leading coefficient": _set("near_zero_proof", "leading_coefficient", ["-0x1p+4", "0x1p+9"]),
-    "negative near-pi/2 leading coefficient": _set(
-        "near_half_pi_proof", "leading_coefficient", ["-0x1p+2", "-0x1p+1"]
-    ),
     "config degree 16.9": _set("config", "degree", 16.9),
+    "config degree -5": _set("config", "degree", -5),
+    "config degree 3": _set("config", "degree", 3),
     "box depth true": _set_box_entry(4, True),
     "status falsified": _set("status", "falsified"),
 }

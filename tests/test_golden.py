@@ -1,14 +1,16 @@
 """Pinned certificates: the nine default-config certificates, byte for byte.
 
 `tests/data/golden/cert-<id>.json` holds what `tancert certify all` wrote
-under the default configuration (schema tancert-cert-v4).  A change to
+under the default configuration (schema tancert-cert-v5).  A change to
 the series backends, bisection or serialization that alters any margin,
-proof bound or box shows up here as a byte difference.  Regenerate the
+box or depth shows up here as a byte difference.  Regenerate the
 files only when such a change is intended, and record why in CHANGES.md.
 
 The same files are checked against an oracle that shares no code with the
 certifier: mpmath evaluates each form straight from its definition
-(`conftest.mp_form`), without the form parser or the exact series.
+(`conftest.mp_form`), without the form parser or the exact series.  It
+checks every stored box margin and the lower bounds of both endpoint
+proofs that the files' config fixes.
 
 `tests/data/golden/wide_endpoints/cert-<id>.json` pins the same nine
 certificates at `--delta 0.5 --epsilon-max 0.25 --degree 96`, where the
@@ -23,10 +25,9 @@ enclosures, bit for bit, on a fixed grid of points and boxes in
 exception raised.  Regenerate it with `PYTHONPATH=src python
 tests/test_golden.py`.
 
-`tests/data/schema-v2/cert-main_upper.json` and
-`tests/data/schema-v3/cert-main_upper.json` are the default `main_upper`
-certificate as schemas tancert-cert-v2 and v3 wrote it; the checker
-refuses both.
+`tests/data/schema-v<n>/cert-main_upper.json`, for n = 2, 3 and 4, is the
+default `main_upper` certificate as schema tancert-cert-v<n> wrote it; the
+checker refuses each.
 """
 
 import json
@@ -45,6 +46,8 @@ from tancert.certifier import (
     check_certificate,
     check_file,
     load_certificate,
+    near_half_pi_proof,
+    near_zero_proof,
 )
 from tancert.errors import TancertError
 from tancert.interval import _HALF_PI_HI, _HALF_PI_LO, Interval
@@ -128,12 +131,22 @@ def test_golden_box_margins_contain_the_form(cid, oracle):
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
 def test_golden_near_zero_bound_lies_below_the_quotient(cid, oracle):
-    cert = load_certificate(GOLDEN / f"cert-{cid}.json")
-    proof = cert.near_zero_proof
-    delta, k0 = mp.mpf(cert.config.delta), proof.order
+    cfg = load_certificate(GOLDEN / f"cert-{cid}.json").config
+    proof = near_zero_proof(cid, cfg.delta, cfg.degree)
+    delta, k0 = mp.mpf(cfg.delta), proof.order
     for j in range(1, 33):
         x = delta * j / 32
         assert proof.normalized_lower_bound <= mp_form(cid, x) / x**k0, x
+
+
+@pytest.mark.parametrize("cid", sorted(c for c, s in CATALOG.items() if s.vanish_order_half_pi))
+def test_golden_near_half_pi_bound_lies_below_the_quotient(cid, oracle):
+    cfg = load_certificate(GOLDEN / f"cert-{cid}.json").config
+    proof = near_half_pi_proof(cid, cfg.epsilon_max, cfg.degree)
+    epsilon, k1 = mp.mpf(cfg.epsilon_max), proof.order
+    for j in range(1, 33):
+        eps = epsilon * j / 32
+        assert proof.normalized_lower_bound <= mp_form(cid, mp.pi / 2 - eps) / eps**k1, eps
 
 
 def _assert_refused(version):
@@ -151,6 +164,10 @@ def test_v2_certificate_is_refused():
 
 def test_v3_certificate_is_refused():
     _assert_refused("v3")
+
+
+def test_v4_certificate_is_refused():
+    _assert_refused("v4")
 
 
 if __name__ == "__main__":

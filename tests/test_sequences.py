@@ -7,7 +7,7 @@ import pytest
 
 import tancert
 from tancert import sequences
-from tancert.certifier import CertifyConfig, certify, form_series
+from tancert.certifier import CertifyConfig, certify, form_series, near_zero_proof
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
@@ -149,11 +149,11 @@ def test_phi_trig_enc_wide_box(oracle):
 def test_certify_phi_positive():
     cert = certify("lemma_phi", CertifyConfig(delta=0.25, max_depth=30))
     assert cert.status == "certified"
-    assert cert.near_zero_proof is not None
-    assert cert.near_zero_proof.order == 8
+    proof = near_zero_proof("lemma_phi", cert.config.delta, cert.config.degree)
+    assert proof.order == 8
     # the factored leading bracket: the x^8 coefficient is 3*T4/8! = 32/105,
     # and the (0, 1/4] lower bound keeps most of it
-    assert cert.near_zero_proof.normalized_lower_bound > 3 * 0.10
+    assert proof.normalized_lower_bound > 3 * 0.10
     assert Fraction(4096, factorial(8)) - Fraction(86016, factorial(10)) * Fraction(1, 16) > Fraction(1, 10)
 
 
