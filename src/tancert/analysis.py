@@ -29,25 +29,22 @@ from .errors import DomainError, NoSignChange
 from .interval import Interval, _HALF_PI_HI, _HALF_PI_LO, certainly_negative, certainly_positive
 from .series import PowerSeries
 
-# Most bits an exponent-ratio evaluation may ask for: one point takes about
-# 8 ms at 4096 bits and 0.5 s at 50 000 on one CPU of a 2-core x86_64 VM, and
-# the default 200 already resolves the ratio far below the float spacing.
-MAX_PRECISION_BITS = 4096
-# Fewest: the ratio has always been evaluated with at least 64 bits, so a
-# smaller request is refused rather than raised without a word.
-MIN_PRECISION_BITS = 64
+# Bits of every exponent-ratio evaluation: they resolve the ratio far below
+# the float spacing (tests/test_analysis.py compares each value with one
+# computed at 4096 bits), and a point takes about 0.2 ms.
+PRECISION_BITS = 200
 
 
 # The records are namedtuples, like those of `certifier`.
-RatioSample = namedtuple("RatioSample", "x phi precision_bits")
+RatioSample = namedtuple("RatioSample", "x phi")
 # samples: sorted by x; all_inside_open_interval: every sample strictly in (1, 6/5)
 ScanReport = namedtuple("ScanReport", "samples inf_phi sup_phi all_inside_open_interval")
 # id: "upper_x0" | "lower_x1"
 CrossoverResult = namedtuple("CrossoverResult", "id bracket iterations")
 
 
-def exponent_ratio(x: float, precision_bits: int = 200) -> RatioSample:
-    """The exponent ratio at x, evaluated with precision_bits bits (64 to 4096).
+def exponent_ratio(x: float) -> RatioSample:
+    """The exponent ratio at x, evaluated with PRECISION_BITS bits.
 
     Exploratory (not certificate-grade): trusts mpmath's transcendental
     rounding.  Precondition 1e-6 < x < pi/2 - 1e-9 keeps both logs away
@@ -55,27 +52,23 @@ def exponent_ratio(x: float, precision_bits: int = 200) -> RatioSample:
     """
     if not 1e-6 < x < _HALF_PI_LO - 1e-9:
         raise DomainError("exponent_ratio domain is (1e-6, pi/2 - 1e-9)")
-    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
-        raise DomainError(
-            f"precision_bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}], got {precision_bits}"
-        )
-    with mp.workprec(precision_bits):
+    with mp.workprec(PRECISION_BITS):
         mx = mp.mpf(x)
         t = mp.tan(mx)
         num = mp.log(3 * (t - mx) / mx**3)
         den = mp.log(t / mx)
         value = num / den
-    return RatioSample(x=x, phi=float(value), precision_bits=precision_bits)
+    return RatioSample(x=x, phi=float(value))
 
 
-def optimality_scan(grid, precision_bits: int = 200) -> ScanReport:
+def optimality_scan(grid) -> ScanReport:
     """Sample the exponent ratio over a grid in (0, pi/2).
 
     Reports inf/sup and whether every sample sits strictly inside
     (1, 6/5) — the pointwise restatement of the optimal exponent pair.
     """
     samples = tuple(sorted(
-        (exponent_ratio(float(x), precision_bits) for x in grid),
+        (exponent_ratio(float(x)) for x in grid),
         key=lambda s: s.x,
     ))
     if not samples:

@@ -19,8 +19,8 @@ F at 0 divided by x^k0,
 A proof of F > 0 has three parts:
 
   * near 0:        Q is bounded below by a positive constant on [0, delta];
-  * near pi/2:     the same in eps = pi/2 - x, with the exact series at
-                   pi/2, for the forms whose margin vanishes there (k1 > 0);
+  * near pi/2:     the same for Q1 = F/eps^k1, eps = pi/2 - x, its tail
+                   valid on |eps| <= MAX_EPSILON, where F vanishes (k1 > 0);
   * the middle:    adaptive bisection into boxes X whose margins
                    x^k0 * Q(X), by interval Horner, are certainly positive.
 
@@ -355,47 +355,38 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
 EndpointProof = namedtuple("EndpointProof", "order normalized_lower_bound leading_coefficient")
 
 
-def _check_degree(order: int, degree: int) -> None:
-    if not order + 8 <= degree <= MAX_DEGREE:
-        raise DomainError(f"a series of order {order} needs {order + 8} <= degree <= {MAX_DEGREE}")
-
-
 @cache
-def _quotient(spec: InequalitySpec, degree: int) -> PowerSeries:
-    """Q = F/x^k0: the exact series of F at 0 through x^degree, divided by
-    x^k0, with its tail valid on |x| <= pi/2 + ulp.  The near-zero proof
-    and every box margin of one (form, degree) share one Q."""
-    _check_degree(spec.vanish_order_zero, degree)
-    return form_series(spec.id, "zero", degree, _HALF_PI_HI).divide_power(spec.vanish_order_zero)
+def _quotient(spec: InequalitySpec, center: str, degree: int) -> PowerSeries:
+    """F/u^k at one endpoint, built once per (form, center, degree): Q0 at 0,
+    valid on |x| <= pi/2 + ulp and shared by the near-zero proof and every
+    box margin, and Q1 at pi/2, valid on |eps| <= MAX_EPSILON for every
+    epsilon_max.  Checks k + 8 <= degree <= MAX_DEGREE, the exact vanishing
+    below u^k (divide_power raises OrderMismatch) and the catalog's u^k
+    coefficient."""
+    if center == "zero":
+        k, expected, radius = spec.vanish_order_zero, spec.leading_coeff_zero, _HALF_PI_HI
+    else:
+        k, expected, radius = spec.vanish_order_half_pi, spec.leading_coeff_half_pi, MAX_EPSILON
+    if not k + 8 <= degree <= MAX_DEGREE:
+        raise DomainError(f"a series of order {k} needs {k + 8} <= degree <= {MAX_DEGREE}")
+    quotient = form_series(spec.id, center, degree, radius).divide_power(k)
+    lead = quotient.coefficient(0)
+    if lead != expected:
+        raise OrderMismatch(f"{spec.id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
+    return quotient
 
 
 def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) -> EndpointProof:
-    """Certify F > 0 within `bound` of one endpoint by dividing out its order.
-
-    Verifies that the series coefficients below the vanishing order k vanish
-    in exact arithmetic (hence their interval versions are the exact
-    [0, 0]), that the coefficient of u^k matches the catalog, and that the
-    quotient F/u^k has a positive interval lower bound on [0, bound].  At 0
-    the quotient is Q, the series the box margins use.
-    """
+    """Certify F > 0 within `bound` of one endpoint: the cached quotient
+    F/u^k of that endpoint has a positive interval lower bound on [0, bound]."""
     spec = CATALOG[inequality_id]
-    if kind == "zero":
-        k, expected, max_bound = spec.vanish_order_zero, spec.leading_coeff_zero, MAX_DELTA
-    else:
-        k, expected, max_bound = spec.vanish_order_half_pi, spec.leading_coeff_half_pi, MAX_EPSILON
-        if k == 0:
-            raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
+    k = spec.vanish_order_zero if kind == "zero" else spec.vanish_order_half_pi
+    if kind == "half_pi" and k == 0:
+        raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
+    max_bound = MAX_DELTA if kind == "zero" else MAX_EPSILON
     if not 0.0 < bound <= max_bound:
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
-    # divide_power raises OrderMismatch on nonzero coefficients below u^k
-    if kind == "zero":
-        quotient = _quotient(spec, degree)
-    else:
-        _check_degree(k, degree)
-        quotient = form_series(inequality_id, kind, degree, bound).divide_power(k)
-    lead = quotient.coefficient(0)
-    if lead != expected:
-        raise OrderMismatch(f"{inequality_id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
+    quotient = _quotient(spec, kind, degree)
     value = quotient.eval(Interval(0.0, bound))
     lead_enc = quotient.coefficient_enclosures()[0]  # cached by eval
     if certainly_negative(value):
@@ -469,7 +460,7 @@ def eval_form(inequality_id: str, x: Interval, *,
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:
         raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
     spec = CATALOG[inequality_id]
-    return int_pow(x, spec.vanish_order_zero) * _quotient(spec, degree).eval(x)
+    return int_pow(x, spec.vanish_order_zero) * _quotient(spec, "zero", degree).eval(x)
 
 
 # worst_box: the unresolved BoxRecord of lowest margin, or None
@@ -627,7 +618,7 @@ def certificate_from_dict(d: dict) -> Certificate:
         )
         for row in d["boxes"]
     ]
-    return Certificate(
+    cert = Certificate(
         inequality_id=d["inequality_id"],
         status=d["status"],
         boxes=boxes,
@@ -638,6 +629,13 @@ def certificate_from_dict(d: dict) -> Certificate:
         ),
         config=cfg,
     )
+    # one file per certificate: what certify would write for this content,
+    # so no unread key, extra row entry or non-canonical number goes unseen
+    canonical = certificate_to_dict(cert)
+    if canonical != d:
+        keys = sorted(str(k) for k in canonical.keys() | d.keys() if canonical.get(k) != d.get(k))
+        raise DomainError(f"{', '.join(keys)} not as certify writes them")
+    return cert
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -649,15 +647,34 @@ def save_certificate(cert: Certificate, path) -> None:
         fh.write(certificate_to_json(cert))
 
 
+def _largest_file_bytes() -> int:
+    """Size of the largest file certify writes: every field at its widest,
+    each float as long as float.hex writes one, and MAX_BOXES rows."""
+    tiny, wide = 2.0**-1022, Interval.point(-(2.0**-1022))  # -0x1.0000000000000p-1022
+    cert = Certificate(
+        max(CATALOG, key=len), max(STATUSES, key=len), [BoxRecord(wide, wide, MAX_DEPTH)],
+        CertStats(MAX_BOXES, MAX_DEPTH, 0.0), CertifyConfig(tiny, tiny, MAX_DEGREE, MAX_DEPTH),
+    )
+    one, two = (len(certificate_to_json(cert._replace(boxes=cert.boxes * n))) for n in (1, 2))
+    return one + (MAX_BOXES - 1) * (two - one)
+
+
+# Longest file check reads (about 10.4 MB); a longer one is refused unparsed.
+MAX_FILE_BYTES = _largest_file_bytes()
+
+
 def load_certificate(path) -> Certificate:
-    """Read a certificate file; content that is not a well-formed
-    certificate raises DomainError."""
-    with open(path) as fh:
-        try:
-            return certificate_from_dict(json.load(fh))
-        except (DomainError, ValueError, KeyError, TypeError, IndexError, OverflowError,
-                RecursionError) as exc:
-            raise DomainError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
+    """Read a certificate file; content that is not a certificate exactly as
+    certify writes it raises DomainError."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    try:
+        if len(data) > MAX_FILE_BYTES:
+            raise DomainError(f"longer than the {MAX_FILE_BYTES} bytes of the largest certificate")
+        return certificate_from_dict(json.loads(data))
+    except (DomainError, ValueError, KeyError, TypeError, IndexError, OverflowError,
+            RecursionError) as exc:
+        raise DomainError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ left a nonzero remainder.
 Outputs are deterministic: floats are serialized as hex strings and
 files carry no timestamps, so reruns with the same configuration are
 byte-identical.  Human-readable decimals appear only on stdout.
-Configuration precedence: flags > --config JSON file > defaults.  A file
-value is parsed as if it were the flag's text, so it passes the same type
-checks.  The certify defaults are those of `certifier.CertifyConfig`; the
+An argument @FILE is replaced by the whitespace-separated words of FILE,
+so a settings file holds flags written as on the command line (say
+`--delta 0.2 --max-depth 30`, after `certify`) and they are typed,
+range-checked and refused when misspelled exactly as flags are; a later
+flag overrides an earlier one, and a path starting with @ is written
+./@name.  The certify defaults are those of `certifier.CertifyConfig`; the
 other commands' defaults are on their own options.  The output directory
-is --out, else the file's "out", else $TANCERT_OUT, else ./out.
+is --out, else $TANCERT_OUT, else ./out.
 """
 
 from __future__ import annotations
@@ -36,21 +39,20 @@ from .errors import Falsified, IdentityViolation, NoSignChange, TancertError
 # 1 MB at n = 1000 and 3.9 MB at n = 2000.
 MAX_SEQUENCE_N = 1000
 
-# Most points of a phi sweep: a point takes about 0.2 ms at the default 200
-# bits and 8 ms at analysis.MAX_PRECISION_BITS (one CPU of a 2-core x86_64 VM).
+# Most points of a phi sweep: a point takes about 0.2 ms at
+# analysis.PRECISION_BITS (one CPU of a 2-core x86_64 VM).
 MAX_GRID_POINTS = 4096
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand parsers by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tancert",
         description="certificates and numerics for sharp tangent inequalities",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="JSON file of option values; flags override it")
-    parser.add_argument(
-        "--out", help="output directory (default: the config file's out, $TANCERT_OUT or ./out)"
-    )
+    # a settings file holds flags as typed on a command line, several a line
+    parser.convert_arg_line_to_args = str.split
+    parser.add_argument("--out", help="output directory (default: $TANCERT_OUT or ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # one flag per CertifyConfig field, typed like its default; left unset,
@@ -72,7 +74,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_phi = sub.add_parser("phi", help="exponent-ratio sweep")
     p_phi.add_argument("--grid", required=True, metavar="a:b:n")
-    p_phi.add_argument("--precision-bits", type=int, default=200)
 
     p_cross = sub.add_parser("crossover", help="certified crossover bracket")
     p_cross.add_argument("which", choices=["upper", "lower"])
@@ -80,31 +81,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_replay = sub.add_parser("replay", help="prove one of the paper's identities exactly")
     p_replay.add_argument("identity", choices=REPLAY_IDENTITIES)
-    return parser, sub.choices
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv; the --config file's values become string defaults of the
-    chosen command's options, and a second parse applies their types."""
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    try:
-        with open(args.config) as fh:
-            values = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise TancertError(f"--config {args.config}: {exc}") from None
-    if not isinstance(values, dict):
-        raise TancertError(f"--config {args.config}: must hold a JSON object")
-    for key, value in values.items():
-        if value is None:  # null leaves the option at its default
-            continue
-        if key == "out":
-            parser.set_defaults(out=str(value))
-        elif key in vars(args) and key not in ("command", "config"):
-            commands[args.command].set_defaults(**{key: str(value)})
-    return parser.parse_args(argv)
+    return parser
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -192,7 +169,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     from . import analysis
 
-    report = analysis.optimality_scan(grid, args.precision_bits)
+    report = analysis.optimality_scan(grid)
     rows = ["x,phi"]
     for s in report.samples:
         rows.append(f"{s.x.hex()},{s.phi.hex()}")
@@ -248,7 +225,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
@@ -261,7 +238,8 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    # an unreadable file; for an @file also one that is not text or names itself
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TancertError as exc:

@@ -37,11 +37,19 @@ def test_exponent_ratio_domain():
         exponent_ratio(1.5707963267948966)
 
 
+def _ratio_at_4096_bits(x: float) -> float:
+    with mp.workprec(4096):
+        mx = mp.mpf(x)
+        t = mp.tan(mx)
+        return float(mp.log(3 * (t - mx) / mx**3) / mp.log(t / mx))
+
+
 def test_precision_robustness():
-    for x in (0.05, 0.7, 1.3, 1.55):
-        a = exponent_ratio(x, 200).phi
-        b = exponent_ratio(x, 400).phi
-        assert abs(a - b) < 2.0**-40
+    # the fixed working precision already gives the float nearest the ratio:
+    # every ninth point of the default sweep and points near both ends
+    sweep = [0.01 + i * (1.56 - 0.01) / 199 for i in range(0, 200, 9)]
+    for x in [1.1e-6, 1e-5, 1e-3, *sweep, 1.56, 1.5707963]:
+        assert exponent_ratio(x).phi == _ratio_at_4096_bits(x), x
 
 
 def test_optimality_scan_dense_grid():

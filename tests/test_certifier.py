@@ -138,6 +138,35 @@ def test_near_half_pi_rejected_where_margin_positive():
         near_half_pi_proof("main_lower", 0.125, 16)
 
 
+HALF_PI_IDS = sorted(cid for cid, spec in CATALOG.items() if spec.vanish_order_half_pi)
+
+
+def test_one_half_pi_quotient_per_form_and_degree(monkeypatch):
+    # Q1 is built once, at radius MAX_EPSILON, so epsilon_max only bounds the
+    # region: three widths take one series per form, not one per width
+    calls, build = [], certifier.form_series
+
+    def recording(cid, center, degree, radius):
+        calls.append((cid, center, degree, radius))
+        return build(cid, center, degree, radius)
+
+    monkeypatch.setattr(certifier, "form_series", recording)
+    certifier._quotient.cache_clear()
+    for eps in (1 / 16, 1 / 8, 1 / 4):
+        for cid in HALF_PI_IDS:
+            near_half_pi_proof(cid, eps, 16)
+    assert sorted(calls) == [(cid, "half_pi", 16, certifier.MAX_EPSILON) for cid in HALF_PI_IDS]
+
+
+@pytest.mark.parametrize("cid", HALF_PI_IDS)
+def test_near_half_pi_proof_holds_for_every_epsilon(cid):
+    k1 = CATALOG[cid].vanish_order_half_pi
+    for degree in (k1 + 8, 16, 96):
+        for eps in [2.0**-30, *(i / 64 for i in range(1, 17))]:
+            proof = near_half_pi_proof(cid, eps, degree)
+            assert proof.order == k1 and proof.normalized_lower_bound > 0, (degree, eps)
+
+
 def test_near_zero_preconditions():
     with pytest.raises(DomainError):
         near_zero_proof("main_lower", 0.75, 16)
@@ -481,6 +510,17 @@ def test_box_count_read_from_disk_is_capped(tmp_path):
     result = check_file(path)
     assert time.perf_counter() - start < 1.0
     assert not result.ok and len(result.diagnoses) == 1, result.diagnoses[:3]
+
+
+def test_check_reads_up_to_the_largest_certificate(tmp_path):
+    # the bound allows MAX_BOXES rows of floats as long as float.hex writes any
+    for x in (-(2.0**-1022), -(2.0**-1074), -1.7976931348623157e308, float("nan")):
+        assert len(x.hex()) <= len((-(2.0**-1022)).hex()) == 24
+    text = certificate_to_json(certify("bs_lower"))
+    path = tmp_path / "cert.json"
+    path.write_text(text + " " * (certifier.MAX_FILE_BYTES - len(text)))
+    assert check_file(path).ok
+    assert 10.3e6 < certifier.MAX_FILE_BYTES < 158 * certifier.MAX_BOXES + 1000
 
 
 def test_check_detects_gap():

@@ -7,10 +7,11 @@ import pytest
 
 import tancert
 from tancert import analysis, certifier, cli, sequences
-from tancert.analysis import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from tancert.certifier import CATALOG, load_certificate
 
 from conftest import PERTURBED_IDENTITIES
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys=None):
@@ -163,20 +164,12 @@ def test_sequences_n_max_bounded(n_max, code, tmp_path, monkeypatch, capsys):
         assert len(out.splitlines()) == n_max + 2
 
 
-@pytest.mark.parametrize("points,bits,code", [
-    (cli.MAX_GRID_POINTS, 200, 0),
-    (cli.MAX_GRID_POINTS + 1, 200, 1),
-    (1, MAX_PRECISION_BITS, 0),
-    (1, MAX_PRECISION_BITS + 1, 1),
-    (1, MIN_PRECISION_BITS, 0),
-    (1, MIN_PRECISION_BITS - 1, 1),
-    (1, -5, 1),
-])
-def test_phi_grid_and_precision_bounded(points, bits, code, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("points,code", [(cli.MAX_GRID_POINTS, 0), (cli.MAX_GRID_POINTS + 1, 1)])
+def test_phi_grid_bounded(points, code, tmp_path, monkeypatch, capsys):
     if code:
         # a refused value starts no arbitrary-precision work
         monkeypatch.setattr(analysis, "mp", None)
-    argv = ["phi", "--grid", f"1:1.5:{points}", "--precision-bits", str(bits)]
+    argv = ["phi", "--grid", f"1:1.5:{points}"]
     assert run_cli(argv, tmp_path, monkeypatch) == code
     out, err = capsys.readouterr()
     if code:
@@ -184,6 +177,14 @@ def test_phi_grid_and_precision_bounded(points, bits, code, tmp_path, monkeypatc
         assert not (tmp_path / "phi.csv").exists()
     else:
         assert out.startswith(f"{points} samples")
+
+
+@pytest.mark.parametrize("command", [[], ["certify"], ["check"], ["sequences"], ["phi"],
+                                     ["crossover"], ["replay"]])
+def test_help_lists_neither_config_nor_precision(command, capsys):
+    assert cli.main([*command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--config" not in out and "--precision-bits" not in out
 
 
 def test_check_tampered_file_exit_code(tmp_path, monkeypatch):
@@ -220,6 +221,19 @@ def _deepen_first_box(doc):
     doc["boxes"][0][4] = doc["stats"]["max_depth_reached"] = 77
 
 
+def _add_v4_leftovers(doc):
+    # main_upper's v4 near-zero proof, a v4 config key and an unread stats key
+    v4 = json.loads((DATA / "schema-v4" / "cert-main_upper.json").read_text())
+    doc["near_zero_proof"] = v4["near_zero_proof"]
+    doc["config"]["min_width"] = "banana"
+    doc["stats"]["wall_time"] = 0.5
+
+
+def _pad_past_the_size_bound(doc):
+    # still a valid certificate once parsed, but longer than any certify writes
+    return json.dumps(doc) + " " * certifier.MAX_FILE_BYTES
+
+
 TAMPERINGS = {
     "missing boxes key": lambda doc: doc.pop("boxes"),
     "bad hex": _set_box_entry(0, "0x1.zzp+0"),
@@ -241,6 +255,10 @@ TAMPERINGS = {
     "config degree 3": _set("config", "degree", 3),
     "box depth true": _set_box_entry(4, True),
     "status falsified": _set("status", "falsified"),
+    "v4 leftovers": _add_v4_leftovers,
+    "box row with a sixth entry": lambda doc: doc["boxes"][0].append(0),
+    "config delta as decimal text": _set("config", "delta", "0.4"),
+    "file above the size bound": _pad_past_the_size_bound,
 }
 
 
@@ -251,9 +269,10 @@ def test_check_tampered_certificate_exits_3_with_one_diagnosis(case, tmp_path, m
     if isinstance(TAMPERINGS[case], str):
         path.write_text(TAMPERINGS[case])
     else:
+        # a tampering edits the document in place or returns the file's text
         doc = json.loads(path.read_text())
-        TAMPERINGS[case](doc)
-        path.write_text(json.dumps(doc))
+        text = TAMPERINGS[case](doc)
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
     result = certifier.check_file(path)
     assert not result.ok and len(result.diagnoses) == 1, result.diagnoses
     capsys.readouterr()
@@ -283,47 +302,59 @@ def test_out_flag_overrides_env(tmp_path, monkeypatch):
 
 
 def test_config_file_precedence(tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"delta": 0.2, "out": str(tmp_path / "from_config")}))
-    assert cli.main(["--config", str(config), "certify", "main_lower"]) == 0
-    cert = load_certificate(tmp_path / "from_config" / "cert-main_lower.json")
-    assert cert.config.delta == 0.2
-    # flag beats config
-    assert (
-        cli.main(
-            [
-                "--config",
-                str(config),
-                "--out",
-                str(tmp_path / "flagged"),
-                "certify",
-                "main_lower",
-                "--delta",
-                "0.25",
-            ]
-        )
-        == 0
-    )
-    cert = load_certificate(tmp_path / "flagged" / "cert-main_lower.json")
-    assert cert.config.delta == 0.25
+    # a settings file holds flags; those given after it win
+    settings = tmp_path / "settings.args"
+    settings.write_text("--delta 0.2\n--max-depth 30\n")
+    out = tmp_path / "from_file"
+    assert cli.main(["--out", str(out), "certify", "main_lower", f"@{settings}"]) == 0
+    cert = load_certificate(out / "cert-main_lower.json")
+    assert (cert.config.delta, cert.config.max_depth) == (0.2, 30)
+    out = tmp_path / "flagged"
+    argv = ["--out", str(out), "certify", "main_lower", f"@{settings}", "--delta", "0.25"]
+    assert cli.main(argv) == 0
+    cert = load_certificate(out / "cert-main_lower.json")
+    assert (cert.config.delta, cert.config.max_depth) == (0.25, 30)
+    # a file may hold a whole command line, --out included
+    whole = tmp_path / "whole.args"
+    whole.write_text(f"--out {tmp_path / 'whole'} certify main_lower --delta 0.2")
+    assert cli.main([f"@{whole}"]) == 0
+    assert load_certificate(tmp_path / "whole" / "cert-main_lower.json").config.delta == 0.2
 
 
 @pytest.mark.parametrize(
     "text",
-    ['{"delta": "abc"}', '{"degree": 16.5}', '{"max_depth": 2.5}', "{ not json",
+    ["--dleta 0.4", "--delta abc", "--degree 16.5", "--max-depth 2.5",
+     # a JSON file of the former --config format is refused, not half read
+     '{"delta": "abc"}', '{"degree": 16.5}', '{"max_depth": 2.5}', "{ not json",
      pytest.param("[" * 200000, id="deeply nested JSON")],
 )
 def test_bad_config_file_exits_1(text, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(text)
+    # a settings file is read as flags, so a misspelled, mistyped or stray
+    # word is refused as on the command line, before any work
+    settings = tmp_path / "settings.args"
+    settings.write_text(text)
     out = tmp_path / "out"
-    assert cli.main(["--config", str(config), "--out", str(out), "certify", "bs_lower"]) == 1
-    assert not list(tmp_path.rglob("cert-*.json"))
+    assert cli.main(["--out", str(out), "certify", "bs_lower", f"@{settings}"]) == 1
+    assert not out.exists()
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if not text.startswith("{\""):
-        # a file that does not parse as JSON is one error line
-        assert err.startswith(f"error: --config {config}: ") and err.count("\n") == 1, err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [("missing.args", None), ("self.args", b"@self.args"), ("binary.args", b"\xff\x00\xfe")],
+)
+def test_unreadable_settings_file_exits_1(name, content, tmp_path, monkeypatch, capsys):
+    # a missing file, a file that names itself and one that is not text
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "certify", "bs_lower", f"@{path}"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", ["--epsilon-max 0.3", "--epsilon-max -1", "--degree 12"])
@@ -342,15 +373,6 @@ def test_check_of_an_unopenable_path_exits_1(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
-
-
-def test_config_null_keeps_default(tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text('{"out": null, "delta": null}')
-    monkeypatch.setenv("TANCERT_OUT", str(tmp_path / "env"))
-    assert cli.main(["--config", str(config), "certify", "bs_lower"]) == 0
-    cert = load_certificate(tmp_path / "env" / "cert-bs_lower.json")
-    assert cert.config.delta == certifier.CertifyConfig().delta
 
 
 def test_console_entry_point(tmp_path):
