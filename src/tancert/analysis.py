@@ -122,6 +122,8 @@ def _certified_sign(f, x: float) -> int:
 
 
 def _certified_bisection(f, lo: float, hi: float, tol: float, which: str) -> CrossoverResult:
+    if not tol >= 1e-6:  # NaN included
+        raise DomainError("crossover tolerance must be >= 1e-6")
     s_lo = _certified_sign(f, lo)
     s_hi = _certified_sign(f, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
@@ -154,13 +156,9 @@ def _certified_bisection(f, lo: float, hi: float, tol: float, which: str) -> Cro
 
 def crossover_upper(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the upper-bound crossover near 1.233."""
-    if not tol >= 1e-6:  # NaN included
-        raise DomainError("crossover tolerance must be >= 1e-6")
     return _certified_bisection(gap_series("upper_x0").eval, 1.0, 1.4, tol, "upper_x0")
 
 
 def crossover_lower(tol: float = 1e-3) -> CrossoverResult:
     """Certified bracket of the lower-bound crossover near 1.525."""
-    if not tol >= 1e-6:  # NaN included
-        raise DomainError("crossover tolerance must be >= 1e-6")
     return _certified_bisection(gap_series("lower_x1").eval, 1.4, 1.56, tol, "lower_x1")

@@ -381,8 +381,6 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
     F/u^k of that endpoint has a positive interval lower bound on [0, bound]."""
     spec = CATALOG[inequality_id]
     k = spec.vanish_order_zero if kind == "zero" else spec.vanish_order_half_pi
-    if kind == "half_pi" and k == 0:
-        raise DomainError(f"{inequality_id} has no vanishing margin at pi/2")
     max_bound = MAX_DELTA if kind == "zero" else MAX_EPSILON
     if not 0.0 < bound <= max_bound:
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
@@ -607,8 +605,8 @@ def certificate_from_dict(d: dict) -> Certificate:
     cfg = CertifyConfig(
         delta=float.fromhex(d["config"]["delta"]),
         epsilon_max=float.fromhex(d["config"]["epsilon_max"]),
-        degree=_int(d["config"]["degree"]),
-        max_depth=_int(d["config"]["max_depth"]),
+        degree=d["config"]["degree"],
+        max_depth=d["config"]["max_depth"],
     )
     boxes = [
         BoxRecord(
@@ -690,68 +688,59 @@ class CheckResult(namedtuple("CheckResult", "ok diagnoses")):
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Re-verify a certificate from scratch: the endpoint proofs its config
-    fixes, the box cover between them and every margin."""
+    """Re-verify a certificate from scratch, one diagnosis per failed part.
+
+    A falsified claim is one box.  A certified claim is the endpoint proofs
+    its config fixes and boxes that chain across exactly the cover [start,
+    end] between them; a broken cover is reported at its first break and no
+    margin of it is evaluated.  Then the stats, the box depths and every
+    margin, recomputed at the config degree, are checked.
+    """
     spec = CATALOG.get(cert.inequality_id)
     if spec is None:
         return CheckResult(False, [f"unknown inequality id {cert.inequality_id!r}"])
+    boxes, diagnoses = cert.boxes, []
     if cert.status == "falsified":
-        # the claim is one box on which F is certainly negative
-        if len(cert.boxes) != 1:
-            return CheckResult(False, [f"a falsified certificate holds 1 box, not {len(cert.boxes)}"])
-        wrong = _margin_diagnoses(cert, 0, certainly_negative, "negative")
-        return CheckResult(not wrong, wrong or [f"falsified: F < 0 on {cert.boxes[0].interval}"])
-    if cert.status != "certified":
+        if len(boxes) != 1:
+            return CheckResult(False, [f"a falsified certificate holds 1 box, not {len(boxes)}"])
+        has_sign, sign = certainly_negative, "negative"
+    elif cert.status == "certified":
+        try:
+            # at an unusable degree no box margin could be recomputed either
+            start, end = _prove_ends(spec, cert.config)
+        except (NotPositive, OrderMismatch, DomainError) as exc:
+            return CheckResult(False, [f"endpoint proof failed: {exc}"])
+        ends = [start, *(b.interval.hi for b in boxes)]
+        starts = [*(b.interval.lo for b in boxes), end]
+        if ends != starts:
+            k = next(k for k, (a, b) in enumerate(zip(ends, starts)) if a != b)
+            where = f"before box {k}" if k < len(boxes) else "at the cover end"
+            return CheckResult(False, [f"cover gap {where}: from {ends[k]} to {starts[k]}"])
+        has_sign, sign = certainly_positive, "positive"
+        stored = (cert.stats.box_count, cert.stats.max_depth_reached)
+        actual = (len(boxes), max(b.depth for b in boxes))
+        if stored != actual:
+            diagnoses.append(f"stats (box_count, max_depth_reached) {stored}, boxes {actual}")
+    else:
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
-
-    try:
-        # the proofs the config fixes; a failure is the one diagnosis, since at
-        # an unusable degree no box margin could be recomputed either
-        start, end = _prove_ends(spec, cert.config)
-    except (NotPositive, OrderMismatch, DomainError) as exc:
-        return CheckResult(False, [f"endpoint proof failed: {exc}"])
-    diagnoses: list[str] = []
-    if cert.stats.box_count != len(cert.boxes):
-        diagnoses.append(f"stats.box_count {cert.stats.box_count} != {len(cert.boxes)} boxes")
-    if not cert.boxes:
-        diagnoses.append("no covering boxes")
-    else:
-        deepest = max(box.depth for box in cert.boxes)
-        if cert.stats.max_depth_reached != deepest:
-            diagnoses.append(
-                f"stats.max_depth_reached {cert.stats.max_depth_reached} != "
-                f"largest box depth {deepest}"
-            )
-        if cert.boxes[0].interval.lo > start:
-            diagnoses.append("gap at lower end of box cover")
-        if cert.boxes[-1].interval.hi < end:
-            diagnoses.append("gap at upper end of box cover")
-        prev_hi = None
-        for i, box in enumerate(cert.boxes):
-            if prev_hi is not None and box.interval.lo != prev_hi:
-                diagnoses.append(f"gap before box {i}")
-            prev_hi = box.interval.hi
-            if not 0 <= box.depth <= cert.config.max_depth:
-                diagnoses.append(f"box {i}: depth {box.depth} outside [0, max_depth]")
-            if box.interval.lo < start or box.interval.hi > end:
-                diagnoses.append(f"box {i}: outside the cover [{start}, {end}]")
-                continue
-            diagnoses += _margin_diagnoses(cert, i, certainly_positive, "positive")
+    deep = next((i for i, b in enumerate(boxes) if not 0 <= b.depth <= cert.config.max_depth), None)
+    if deep is not None:
+        diagnoses.append(f"box {deep}: depth {boxes[deep].depth} outside [0, max_depth]")
+    for i, box in enumerate(boxes):
+        if not has_sign(box.margin):
+            diagnoses.append(f"box {i}: margin not {sign}")
+            continue
+        try:
+            recomputed = eval_form(cert.inequality_id, box.interval, degree=cert.config.degree)
+        except DomainError as exc:
+            diagnoses.append(f"box {i}: margin not verifiable: {exc}")
+            continue
+        if recomputed != box.margin:
+            diagnoses.append(f"box {i}: margin mismatch on re-evaluation")
+    if cert.status == "falsified" and not diagnoses:
+        return CheckResult(True, [f"falsified: F < 0 on {boxes[0].interval}"])
     return CheckResult(not diagnoses, diagnoses)
-
-
-def _margin_diagnoses(cert: Certificate, i: int, has_sign, sign: str) -> list[str]:
-    """What is wrong with box i's stored margin: nothing when it has the
-    claimed sign and is the margin eval_form gives at the config degree."""
-    box = cert.boxes[i]
-    if not has_sign(box.margin):
-        return [f"box {i}: margin not {sign}"]
-    try:
-        recomputed = eval_form(cert.inequality_id, box.interval, degree=cert.config.degree)
-    except DomainError as exc:
-        return [f"box {i}: margin not verifiable: {exc}"]
-    return [f"box {i}: margin mismatch on re-evaluation"] if recomputed != box.margin else []
 
 
 def check_file(path) -> CheckResult:

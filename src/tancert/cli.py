@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # one flag per CertifyConfig field, typed like its default; left unset,
     # each takes that default
     p_cert = sub.add_parser("certify", help="certify one inequality or all")
-    p_cert.add_argument("inequality_id", metavar="id", help="catalog id or 'all'")
+    p_cert.add_argument("inequality_id", metavar="id", choices=[*certifier.CATALOG, "all"],
+                        help="catalog id or 'all'")
     for name, default in certifier.CertifyConfig._field_defaults.items():
         p_cert.add_argument("--" + name.replace("_", "-"), type=type(default))
     p_cert.add_argument(
@@ -94,12 +95,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.threads is not None and args.threads < 1:
         raise TancertError(f"--threads must be at least 1, got {args.threads}")
     ids = list(certifier.CATALOG) if args.inequality_id == "all" else [args.inequality_id]
-    for cid in ids:
-        if cid not in certifier.CATALOG:
-            print(f"unknown inequality id {cid!r}; catalog:", file=sys.stderr)
-            for known in certifier.CATALOG:
-                print(f"  {known}", file=sys.stderr)
-            return 1
     ccfg = certifier.CertifyConfig(**{
         name: getattr(args, name)
         for name in certifier.CertifyConfig._fields

@@ -21,14 +21,11 @@ class Falsified(NotPositive):
     """A normalized endpoint quotient is certainly negative: F < 0 there."""
 
 
-class IdentityMismatch(TancertError):
-    """An exact polynomial identity failed coefficient-by-coefficient."""
-
-
 class NoSignChange(TancertError):
     """A root bracket could not be sign-certified at its endpoints."""
 
 
 class IdentityViolation(TancertError):
-    """An identity of the paper's proof did not reduce to 0: the numerator
-    of lhs - rhs keeps nonzero terms modulo cos^2 + sin^2 - 1."""
+    """An exact identity of the paper's proof failed: a shifted closed form
+    or a U_n disagrees, or the numerator of lhs - rhs keeps nonzero terms
+    modulo cos^2 + sin^2 - 1."""

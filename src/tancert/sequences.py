@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import factorial
 
 from .enclosures import _cos_enc_any, _sinc_enc_any
-from .errors import DomainError, IdentityMismatch, IdentityViolation
+from .errors import DomainError, IdentityViolation
 from .interval import Interval, int_pow, rational_enclosure
 from .series import PowerSeries, ps_poly
 
@@ -99,8 +99,6 @@ def u_seq(n: int) -> tuple[int, int]:
     Returns (via_recurrence, via_closed_form); the two are equal for
     every n as an exact identity.
     """
-    if n < 0:
-        raise DomainError("u_seq requires n >= 0")
     via_rec = (2 * n + 2) * (2 * n + 1) * t_seq(n) - 3 * t_seq(n + 1)
     closed = _poly_eval(_B_COEFFS, n) + _poly_eval(_A_COEFFS, n) * Fraction(9) ** (
         n - 1
@@ -137,27 +135,26 @@ class ShiftIdentityReport(namedtuple("ShiftIdentityReport", (
 
 
 def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
-    """Check the shifted closed forms of A and B by exact expansion.
+    """Check the shifted closed forms of A and B by exact expansion, and the
+    two routes to U_n for n <= n_max.
 
-    Raises IdentityMismatch if any coefficient disagrees.  Beyond the
-    identity itself, records why A_n, B_n > 0 for all n >= 4: the
-    coefficients of A(n+4) are all positive, and B(n+1) has positive
-    leading coefficients with linear part 506n - 69 > 0 for n >= 1.
+    Raises IdentityViolation if a coefficient or a U_n disagrees.  Agreement
+    through n = 8 proves the U identity for every n: the recurrence route
+    minus the closed form is P(n) + Q(n) 9^(n-1) with deg P <= 4 and
+    deg Q <= 3, and a nonzero function of that form has at most 8 real
+    zeros.  Beyond the identities, records why A_n, B_n > 0, hence U_n > 0,
+    for all n >= 4: the coefficients of A(n+4) are all positive, and B(n+1)
+    has positive leading coefficients with linear part 506n - 69 > 0 for
+    n >= 1.
     """
     if n_max < 8:
         raise DomainError("verify_shift_identities requires n_max >= 8")
-    b1 = _compose_shift(_B_COEFFS, 1)
-    if b1 != _B_SHIFT1_EXPECTED:
-        bad = next(i for i, (x, y) in enumerate(zip(b1, _B_SHIFT1_EXPECTED)) if x != y)
-        raise IdentityMismatch(
-            f"B(n+1) coefficient of n^{bad}: computed {b1[bad]}, stated {_B_SHIFT1_EXPECTED[bad]}"
-        )
-    a4 = _compose_shift(_A_COEFFS, 4)
-    if a4 != _A_SHIFT4_EXPECTED:
-        bad = next(i for i, (x, y) in enumerate(zip(a4, _A_SHIFT4_EXPECTED)) if x != y)
-        raise IdentityMismatch(
-            f"A(n+4) coefficient of n^{bad}: computed {a4[bad]}, stated {_A_SHIFT4_EXPECTED[bad]}"
-        )
+    b1, a4 = _compose_shift(_B_COEFFS, 1), _compose_shift(_A_COEFFS, 4)
+    for name, got, stated in (("B(n+1)", b1, _B_SHIFT1_EXPECTED), ("A(n+4)", a4, _A_SHIFT4_EXPECTED)):
+        if got != stated:
+            bad = next(i for i, (x, y) in enumerate(zip(got, stated)) if x != y)
+            raise IdentityViolation(
+                f"{name} coefficient of n^{bad}: computed {got[bad]}, stated {stated[bad]}")
     # all-n>=4 positivity from the shifted coefficient signs
     a_positive = all(c > 0 for c in a4)
     # B(n+1): nonneg high coefficients and 506n - 69 > 0 for n >= 1 gives
@@ -171,7 +168,7 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
     for n in range(n_max + 1):
         via_rec, closed = u_seq(n)
         if via_rec != closed:
-            raise IdentityMismatch(f"U_{n} routes disagree: {via_rec} != {closed}")
+            raise IdentityViolation(f"U_{n} routes disagree: {via_rec} != {closed}")
         if n >= 4 and via_rec <= 0:
             routes = False
     return ShiftIdentityReport(
@@ -194,22 +191,16 @@ def phi_coeff(n: int) -> Fraction:
     return Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n))
 
 
-@functools.lru_cache(maxsize=1)
-def _term_decrease_verified() -> bool:
-    # decrease of T_n x^(2n)/(2n)! on (0, sqrt3] from index 4 on is exactly
-    # U_n > 0, which verify_shift_identities proves for every n; recheck it
-    # exactly, once per process, through n = 207
-    return all(min(u_seq(n)) > 0 for n in range(4, 208))
-
-
 def phi_power_series(degree: int, radius: float) -> PowerSeries:
     """Exact series of phi at 0 through x^degree, on |x| <= radius <= sqrt 3."""
     if degree < 8:
         raise DomainError("phi series needs degree >= 8")
     if Fraction(radius) ** 2 > 3:
         raise DomainError("phi series radius must stay within sqrt(3)")
-    if not _term_decrease_verified():
-        raise AssertionError("alternating term decrease failed")  # pragma: no cover
+    # decrease of T_n x^(2n)/(2n)! on (0, sqrt 3] from index 4 on is exactly
+    # U_n > 0, which the shifted coefficients prove for every n
+    if not verify_shift_identities(8).shifted_coeffs_imply_positivity:
+        raise AssertionError("alternating term decrease not proved")
     n0 = degree // 2 + 1
     # alternating with exactly-verified decrease: first omitted term bounds
     # the tail; as a tail coefficient it is scaled down to power degree+1

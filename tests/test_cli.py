@@ -229,6 +229,16 @@ def _add_v4_leftovers(doc):
     doc["stats"]["wall_time"] = 0.5
 
 
+def _overlap_second_box(doc):
+    # box 1 starts where box 0 starts
+    doc["boxes"][1][0] = doc["boxes"][0][0]
+
+
+def _empty_cover(doc):
+    doc["boxes"] = []
+    doc["stats"] = {"box_count": 0, "max_depth_reached": 0}
+
+
 def _pad_past_the_size_bound(doc):
     # still a valid certificate once parsed, but longer than any certify writes
     return json.dumps(doc) + " " * certifier.MAX_FILE_BYTES
@@ -259,6 +269,11 @@ TAMPERINGS = {
     "box row with a sixth entry": lambda doc: doc["boxes"][0].append(0),
     "config delta as decimal text": _set("config", "delta", "0.4"),
     "file above the size bound": _pad_past_the_size_bound,
+    # a broken cover is the one diagnosis: no stats test or margin follows it
+    "box overlapping its neighbour": _overlap_second_box,
+    "last box past the cover end": lambda doc: doc["boxes"][-1].__setitem__(1, (1.5).hex()),
+    "no boxes, stats to match": _empty_cover,
+    "duplicated box row": lambda doc: doc["boxes"].insert(1, doc["boxes"][1]),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 import tancert
 from tancert import sequences
 from tancert.certifier import CertifyConfig, certify, form_series, near_zero_proof
-from tancert.errors import DomainError
+from tancert.errors import DomainError, IdentityViolation
 from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
     a_seq,
@@ -75,6 +75,29 @@ def test_shift_identities_requires_n_max():
 
 def test_compose_shift_detects_tampering():
     assert _compose_shift((1, 2, 1), 1) == (4, 4, 1)  # (n+1)^2 + 2(n+1) + 1
+
+
+def test_editing_one_side_of_a_shift_identity_is_refused(monkeypatch):
+    monkeypatch.setattr(sequences, "_B_SHIFT1_EXPECTED", (-69, 507, 1036, 640, 128))
+    with pytest.raises(IdentityViolation, match=r"B\(n\+1\) coefficient of n\^1"):
+        verify_shift_identities(8)
+    with pytest.raises(IdentityViolation):
+        phi_power_series(16, 1.0)
+
+
+def test_phi_series_refuses_without_the_all_n_decrease(monkeypatch):
+    # B + n(n-1)...(n-8) agrees with B at n = 0..8, so both routes to U_n
+    # still agree there, but its B(n+1) has linear part 506 - 7! < 0
+    extra = [1]
+    for i in range(9):  # times (n - i)
+        extra = [a - i * b for a, b in zip([0, *extra], [*extra, 0])]
+    b = tuple(c + e for c, e in zip([*sequences._B_COEFFS, 0, 0, 0, 0, 0], extra))
+    monkeypatch.setattr(sequences, "_B_COEFFS", b)
+    monkeypatch.setattr(sequences, "_B_SHIFT1_EXPECTED", _compose_shift(b, 1))
+    assert _compose_shift(b, 1)[1] == 506 - factorial(7)
+    assert not verify_shift_identities(8).shifted_coeffs_imply_positivity
+    with pytest.raises(AssertionError, match="term decrease"):
+        phi_power_series(16, 1.0)
 
 
 def test_term_decrease_at_sqrt3_exact():
