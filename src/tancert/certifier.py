@@ -24,16 +24,17 @@ A proof of F > 0 has three parts:
   * the middle:    adaptive bisection into boxes X whose margins
                    x^k0 * Q(X), by interval Horner, are certainly positive.
 
-A certificate (schema tancert-cert-v5) holds the config and the boxes of
-the middle cover with their margins, nothing else.  The endpoint proofs
-follow from the catalog and the config alone, so the checker derives both
-afresh, rebuilds Q at config.degree to recompute every margin, and ties
-the config to the boxes by requiring them to chain across exactly the
-cover [delta, end] that the config fixes.  Files of the earlier schemas
-are refused as an unknown schema: v1 and v2 took their margins from
-direct interval evaluation of the tree, v3 proofs copied the config and
-were built with looser leaf-series tails, and v4 stored copies of the
-endpoint proofs, the constant domain and a second depth limit.
+A certificate (schema tancert-cert-v6) holds the config and the boxes of
+the middle cover with their depths, nothing else.  The checker derives
+the endpoint proofs afresh from the catalog and the config, evaluates
+every box once on Q rebuilt at config.degree to test its margin's sign,
+and ties the config to the boxes by requiring them to chain across
+exactly the cover [delta, end] that the config fixes.  Files of the
+earlier schemas are refused as an unknown schema: v1 and v2 took their
+margins from direct interval evaluation of the tree, v3 proofs copied the
+config and were built with looser leaf-series tails, v4 stored copies of
+the endpoint proofs, the constant domain and a second depth limit, and
+v5 stored the box margins, which the checker compared bit for bit.
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -60,7 +61,7 @@ from .interval import (
 )
 from .series import PiPoly, PowerSeries, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
 
-SCHEMA = "tancert-cert-v5"  # the one schema certify writes and check reads
+SCHEMA = "tancert-cert-v6"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
 # build grows like degree^2.3 to degree^3 (that of main_upper takes 0.03-0.04 s
@@ -417,6 +418,8 @@ def near_half_pi_proof(inequality_id: str, epsilon_max: float, degree: int) -> E
 # branch-and-bound engine
 # ---------------------------------------------------------------------------
 
+# margin is the enclosure certify computed for the box; a box read from a
+# file has margin None, since the checker recomputes it
 BoxRecord = namedtuple("BoxRecord", "interval margin depth")
 
 
@@ -486,16 +489,14 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     Stops at the first certainly-negative box or after MAX_FAILED_LEAVES
     unresolved leaves.  Once MAX_BOXES boxes are accepted, every box still
     to come counts as unresolved.  Returns (accepted, failed,
-    falsified_record, max_depth_reached, worst).
+    falsified_record, worst).
     """
     accepted: list[BoxRecord] = []
     failed: list[BoxRecord] = []
     falsified: list[BoxRecord] = []
-    max_depth_seen = 0
     frontier = [(Interval(lo, hi), 0)]
     while frontier and not falsified and len(failed) < MAX_FAILED_LEAVES:
         box, depth = frontier.pop()
-        max_depth_seen = max(max_depth_seen, depth)
         rec = BoxRecord(box, f(box), depth)
         full = len(accepted) >= MAX_BOXES
         if certainly_positive(rec.margin) and not full:
@@ -511,7 +512,7 @@ def _bisect_cover(f, lo: float, hi: float, cfg: CertifyConfig):
     accepted.sort(key=lambda r: (r.interval.lo, r.interval.hi))
     failed.sort(key=lambda r: (r.interval.lo, r.interval.hi))
     worst = min(failed, key=lambda r: r.margin.lo, default=None)
-    return accepted, failed, (falsified[0] if falsified else None), max_depth_seen, worst
+    return accepted, failed, (falsified[0] if falsified else None), worst
 
 
 def _prove_ends(spec: InequalitySpec, cfg: CertifyConfig) -> tuple[float, float]:
@@ -534,7 +535,7 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
     alone ends undecided there (never falsified).
     """
     t0 = time.perf_counter()
-    accepted, failed, falsified, depth_seen, worst = _bisect_cover(
+    accepted, failed, falsified, worst = _bisect_cover(
         lambda x: eval_form(inequality_id, x, degree=cfg.degree),
         *_prove_ends(CATALOG[inequality_id], cfg), cfg
     )
@@ -548,7 +549,7 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
         boxes=boxes,
         stats=CertStats(
             box_count=len(boxes),
-            max_depth_reached=depth_seen,
+            max_depth_reached=max((b.depth for b in boxes), default=0),
             wall_time=wall,
             worst_box=worst,
         ),
@@ -557,7 +558,7 @@ def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certifi
 
 
 # ---------------------------------------------------------------------------
-# serialization (schema tancert-cert-v5; all floats as hex strings)
+# serialization (schema tancert-cert-v6; all floats as hex strings)
 # ---------------------------------------------------------------------------
 
 def _hex(x: float) -> str:
@@ -584,7 +585,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
             "degree": cert.config.degree,
             "max_depth": cert.config.max_depth,
         },
-        "boxes": [[*b.interval.to_hex(), *b.margin.to_hex(), b.depth] for b in cert.boxes],
+        "boxes": [[*b.interval.to_hex(), b.depth] for b in cert.boxes],
         "stats": {
             "box_count": cert.stats.box_count,
             "max_depth_reached": cert.stats.max_depth_reached,
@@ -609,12 +610,7 @@ def certificate_from_dict(d: dict) -> Certificate:
         max_depth=d["config"]["max_depth"],
     )
     boxes = [
-        BoxRecord(
-            Interval.from_hex(row[0], row[1]),
-            Interval.from_hex(row[2], row[3]),
-            _int(row[4]),
-        )
-        for row in d["boxes"]
+        BoxRecord(Interval.from_hex(row[0], row[1]), None, _int(row[2])) for row in d["boxes"]
     ]
     cert = Certificate(
         inequality_id=d["inequality_id"],
@@ -650,14 +646,14 @@ def _largest_file_bytes() -> int:
     each float as long as float.hex writes one, and MAX_BOXES rows."""
     tiny, wide = 2.0**-1022, Interval.point(-(2.0**-1022))  # -0x1.0000000000000p-1022
     cert = Certificate(
-        max(CATALOG, key=len), max(STATUSES, key=len), [BoxRecord(wide, wide, MAX_DEPTH)],
+        max(CATALOG, key=len), max(STATUSES, key=len), [BoxRecord(wide, None, MAX_DEPTH)],
         CertStats(MAX_BOXES, MAX_DEPTH, 0.0), CertifyConfig(tiny, tiny, MAX_DEGREE, MAX_DEPTH),
     )
     one, two = (len(certificate_to_json(cert._replace(boxes=cert.boxes * n))) for n in (1, 2))
     return one + (MAX_BOXES - 1) * (two - one)
 
 
-# Longest file check reads (about 10.4 MB); a longer one is refused unparsed.
+# Longest file check reads (about 5.9 MB); a longer one is refused unparsed.
 MAX_FILE_BYTES = _largest_file_bytes()
 
 
@@ -693,8 +689,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
     A falsified claim is one box.  A certified claim is the endpoint proofs
     its config fixes and boxes that chain across exactly the cover [start,
     end] between them; a broken cover is reported at its first break and no
-    margin of it is evaluated.  Then the stats, the box depths and every
-    margin, recomputed at the config degree, are checked.
+    box of it is evaluated.  Then the stats and the box depths are checked,
+    and each box is evaluated once at the config degree: its margin must be
+    certainly negative for a falsified claim and certainly positive for a
+    certified one.  No stored margin is read; a file holds none.
     """
     spec = CATALOG.get(cert.inequality_id)
     if spec is None:
@@ -717,27 +715,25 @@ def check_certificate(cert: Certificate) -> CheckResult:
             where = f"before box {k}" if k < len(boxes) else "at the cover end"
             return CheckResult(False, [f"cover gap {where}: from {ends[k]} to {starts[k]}"])
         has_sign, sign = certainly_positive, "positive"
-        stored = (cert.stats.box_count, cert.stats.max_depth_reached)
-        actual = (len(boxes), max(b.depth for b in boxes))
-        if stored != actual:
-            diagnoses.append(f"stats (box_count, max_depth_reached) {stored}, boxes {actual}")
     else:
         # nothing to re-establish; the record makes no positivity claim
         return CheckResult(True, [f"status is {cert.status}; no claim to check"])
+    # a claim holds a box here: a falsified one exactly one, a certified cover one or more
+    stored = (cert.stats.box_count, cert.stats.max_depth_reached)
+    actual = (len(boxes), max(b.depth for b in boxes))
+    if stored != actual:
+        diagnoses.append(f"stats (box_count, max_depth_reached) {stored}, boxes {actual}")
     deep = next((i for i, b in enumerate(boxes) if not 0 <= b.depth <= cert.config.max_depth), None)
     if deep is not None:
         diagnoses.append(f"box {deep}: depth {boxes[deep].depth} outside [0, max_depth]")
     for i, box in enumerate(boxes):
-        if not has_sign(box.margin):
-            diagnoses.append(f"box {i}: margin not {sign}")
-            continue
         try:
-            recomputed = eval_form(cert.inequality_id, box.interval, degree=cert.config.degree)
+            margin = eval_form(cert.inequality_id, box.interval, degree=cert.config.degree)
         except DomainError as exc:
             diagnoses.append(f"box {i}: margin not verifiable: {exc}")
             continue
-        if recomputed != box.margin:
-            diagnoses.append(f"box {i}: margin mismatch on re-evaluation")
+        if not has_sign(margin):
+            diagnoses.append(f"box {i}: margin not {sign}")
     if cert.status == "falsified" and not diagnoses:
         return CheckResult(True, [f"falsified: F < 0 on {boxes[0].interval}"])
     return CheckResult(not diagnoses, diagnoses)

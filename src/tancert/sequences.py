@@ -124,14 +124,13 @@ def _compose_shift(coeffs, shift: int) -> tuple[int, ...]:
 
 
 class ShiftIdentityReport(namedtuple("ShiftIdentityReport", (
-    "n_max b_shift_coeffs a_shift_coeffs shifted_coeffs_imply_positivity scan_all_positive "
-    "u_routes_agree"
+    "n_max b_shift_coeffs a_shift_coeffs shifted_coeffs_imply_positivity scan_all_positive"
 ))):
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return self.shifted_coeffs_imply_positivity and self.scan_all_positive and self.u_routes_agree
+        return self.shifted_coeffs_imply_positivity and self.scan_all_positive
 
 
 def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
@@ -142,10 +141,12 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
     through n = 8 proves the U identity for every n: the recurrence route
     minus the closed form is P(n) + Q(n) 9^(n-1) with deg P <= 4 and
     deg Q <= 3, and a nonzero function of that form has at most 8 real
-    zeros.  Beyond the identities, records why A_n, B_n > 0, hence U_n > 0,
-    for all n >= 4: the coefficients of A(n+4) are all positive, and B(n+1)
-    has positive leading coefficients with linear part 506n - 69 > 0 for
-    n >= 1.
+    zeros.  Beyond the identities, the report's `ok` rests on two records
+    that A_n, B_n > 0, hence U_n = B_n + A_n 9^(n-1) > 0:
+    shifted_coeffs_imply_positivity for all n >= 4 (the coefficients of
+    A(n+4) are all positive, and B(n+1) has positive leading coefficients
+    with linear part 506n - 69 > 0 for n >= 1), and scan_all_positive for
+    4 <= n <= n_max, evaluated directly.
     """
     if n_max < 8:
         raise DomainError("verify_shift_identities requires n_max >= 8")
@@ -164,20 +165,16 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
         _poly_eval(_A_COEFFS, n) > 0 and _poly_eval(_B_COEFFS, n) > 0
         for n in range(4, n_max + 1)
     )
-    routes = True
     for n in range(n_max + 1):
         via_rec, closed = u_seq(n)
         if via_rec != closed:
             raise IdentityViolation(f"U_{n} routes disagree: {via_rec} != {closed}")
-        if n >= 4 and via_rec <= 0:
-            routes = False
     return ShiftIdentityReport(
         n_max=n_max,
         b_shift_coeffs=b1,
         a_shift_coeffs=a4,
         shifted_coeffs_imply_positivity=a_positive and b_positive,
         scan_all_positive=scan,
-        u_routes_agree=routes,
     )
 
 

@@ -242,7 +242,7 @@ def test_criterion_9_soundness_suite():
             enc_checks += 3
 
     # without the near-zero proof, bisection from 0 ends undecided (never falsified)
-    _, failed, falsified, _, _ = _bisect_cover(
+    _, failed, falsified, _ = _bisect_cover(
         lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig()
     )
     assert failed and falsified is None

@@ -8,6 +8,7 @@ import pytest
 import tancert
 from tancert import analysis, certifier, cli, sequences
 from tancert.certifier import CATALOG, load_certificate
+from tancert.interval import Interval
 
 from conftest import PERTURBED_IDENTITIES
 
@@ -218,7 +219,14 @@ def _set(*keys_and_value):
 
 
 def _deepen_first_box(doc):
-    doc["boxes"][0][4] = doc["stats"]["max_depth_reached"] = 77
+    doc["boxes"][0][2] = doc["stats"]["max_depth_reached"] = 77
+
+
+def _add_v5_margins(doc):
+    # the first row as schema v5 wrote it: [lo, hi, margin_lo, margin_hi, depth]
+    row = doc["boxes"][0]
+    margin = certifier.eval_form(doc["inequality_id"], Interval.from_hex(row[0], row[1]))
+    row[2:2] = margin.to_hex()
 
 
 def _add_v4_leftovers(doc):
@@ -251,7 +259,7 @@ TAMPERINGS = {
     "deeply nested JSON": "[" * 200000,
     "box below 0": _set_box_entry(0, (-0.5).hex()),
     "inverted box": _invert_first_box,
-    "NaN margin": _set_box_entry(2, "nan"),
+    "v5 row with its margins": _add_v5_margins,
     "stats box_count": _set("stats", "box_count", 5),
     "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
     "box depth above max_depth": _deepen_first_box,
@@ -263,10 +271,10 @@ TAMPERINGS = {
     "config degree 16.9": _set("config", "degree", 16.9),
     "config degree -5": _set("config", "degree", -5),
     "config degree 3": _set("config", "degree", 3),
-    "box depth true": _set_box_entry(4, True),
+    "box depth true": _set_box_entry(2, True),
     "status falsified": _set("status", "falsified"),
     "v4 leftovers": _add_v4_leftovers,
-    "box row with a sixth entry": lambda doc: doc["boxes"][0].append(0),
+    "box row with a 4th entry": lambda doc: doc["boxes"][0].append(0),
     "config delta as decimal text": _set("config", "delta", "0.4"),
     "file above the size bound": _pad_past_the_size_bound,
     # a broken cover is the one diagnosis: no stats test or margin follows it

@@ -1,17 +1,9 @@
-"""Pinned certificates: the nine default-config certificates, byte for byte.
+"""Pinned certificates: the nine certificates of three configurations, byte for byte.
 
 `tests/data/golden/cert-<id>.json` holds what `tancert certify all` wrote
-under the default configuration (schema tancert-cert-v5).  A change to
-the series backends, bisection or serialization that alters any margin,
-box or depth shows up here as a byte difference.  Regenerate the
-files only when such a change is intended, and record why in CHANGES.md.
-
-The same files are checked against an oracle that shares no code with the
-certifier: mpmath evaluates each form straight from its definition
-(`conftest.mp_form`), without the form parser or the exact series.  It
-checks every stored box margin and the lower bounds of both endpoint
-proofs that the files' config fixes.
-
+under the default configuration (schema tancert-cert-v6).  A change to
+the series backends, bisection or serialization that alters any box or
+depth shows up here as a byte difference.
 `tests/data/golden/wide_endpoints/cert-<id>.json` pins the same nine
 certificates at `--delta 0.5 --epsilon-max 0.25 --degree 96`, where the
 exact series products and the pi-power coefficients at pi/2 do the most
@@ -19,13 +11,28 @@ work, and `tests/data/golden/deep_cover/cert-<id>.json` pins them at
 `--delta 0.125 --epsilon-max 0.0625`, where the middle cover is widest and
 the near-pi/2 series are built at the smallest radius.
 
+A certificate stores no margin, so `tests/data/golden/margins.json` pins
+the margin of every golden box, bit for bit: each is the hex endpoint
+pair of `eval_form` at the config degree, by configuration directory
+("." for the default) and id.  A change to a tail bound or to the
+rounding that moves any margin shows up there.
+
+The same files are checked against an oracle that shares no code with the
+certifier: mpmath evaluates each form straight from its definition
+(`conftest.mp_form`), without the form parser or the exact series.  It
+checks every recomputed box margin and the lower bounds of both endpoint
+proofs that the files' config fixes.
+
 `tests/data/golden/enclosures.json` pins the four public direct
 enclosures, bit for bit, on a fixed grid of points and boxes in
 [0, pi/2 + ulp]: each entry is the hex endpoint pair, or the name of the
-exception raised.  Regenerate it with `PYTHONPATH=src python
-tests/test_golden.py`.
+exception raised.
 
-`tests/data/schema-v<n>/cert-main_upper.json`, for n = 2, 3 and 4, is the
+`PYTHONPATH=src python tests/test_golden.py` regenerates all of these:
+the 27 certificates, `margins.json` and the enclosure grid.  Regenerate
+only when a change to them is intended, and record why in CHANGES.md.
+
+`tests/data/schema-v<n>/cert-main_upper.json`, for n = 2 to 5, is the
 default `main_upper` certificate as schema tancert-cert-v<n> wrote it; the
 checker refuses each.
 """
@@ -45,9 +52,11 @@ from tancert.certifier import (
     certify,
     check_certificate,
     check_file,
+    eval_form,
     load_certificate,
     near_half_pi_proof,
     near_zero_proof,
+    save_certificate,
 )
 from tancert.errors import TancertError
 from tancert.interval import _HALF_PI_HI, _HALF_PI_LO, Interval
@@ -58,6 +67,9 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
 WIDE_ENDPOINTS = CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)
 DEEP_COVER = CertifyConfig(delta=0.125, epsilon_max=0.0625)
+# each golden directory under GOLDEN and the configuration of its certificates
+GOLDEN_CONFIGS = {".": CertifyConfig(), "deep_cover": DEEP_COVER, "wide_endpoints": WIDE_ENDPOINTS}
+MARGINS = GOLDEN / "margins.json"
 ENCLOSURES = GOLDEN / "enclosures.json"
 ENCLOSURE_FNS = {
     fn.__name__: fn
@@ -81,6 +93,18 @@ def _enclosure_record(fn, x: Interval):
         return list(fn(x).to_hex())
     except TancertError as exc:
         return type(exc).__name__
+
+
+def margin_record(directory: str) -> dict:
+    """The margin of every box of one golden directory, as hex pairs."""
+    degree = GOLDEN_CONFIGS[directory].degree
+    return {
+        cid: [
+            list(eval_form(cid, box.interval, degree=degree).to_hex())
+            for box in load_certificate(GOLDEN / directory / f"cert-{cid}.json").boxes
+        ]
+        for cid in sorted(CATALOG)
+    }
 
 
 def enclosure_grid() -> dict:
@@ -113,6 +137,11 @@ def test_deep_cover_golden_certificate_reproduced(cid):
     assert certificate_to_json(certify(cid, DEEP_COVER)) == path.read_text()
 
 
+@pytest.mark.parametrize("directory", sorted(GOLDEN_CONFIGS))
+def test_golden_box_margins_reproduced(directory):
+    assert margin_record(directory) == json.loads(MARGINS.read_text())[directory]
+
+
 @pytest.mark.parametrize("name", sorted(ENCLOSURE_FNS))
 def test_pinned_enclosures_reproduced(name):
     pinned = json.loads(ENCLOSURES.read_text())
@@ -124,9 +153,10 @@ def test_pinned_enclosures_reproduced(name):
 def test_golden_box_margins_contain_the_form(cid, oracle):
     cert = load_certificate(GOLDEN / f"cert-{cid}.json")
     for box in cert.boxes:
+        margin = eval_form(cid, box.interval, degree=cert.config.degree)
         lo, hi = mp.mpf(box.interval.lo), mp.mpf(box.interval.hi)
         for x in (lo, (lo + hi) / 2, hi):
-            assert contains(box.margin, mp_form(cid, x)), (box, x)
+            assert contains(margin, mp_form(cid, x)), (box, margin, x)
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -170,5 +200,14 @@ def test_v4_certificate_is_refused():
     _assert_refused("v4")
 
 
+def test_v5_certificate_is_refused():
+    _assert_refused("v5")
+
+
 if __name__ == "__main__":
+    for directory, cfg in GOLDEN_CONFIGS.items():
+        for cid in CATALOG:
+            save_certificate(certify(cid, cfg), GOLDEN / directory / f"cert-{cid}.json")
+    margins = {directory: margin_record(directory) for directory in GOLDEN_CONFIGS}
+    MARGINS.write_text(json.dumps(margins, indent=1, sort_keys=True) + "\n")
     ENCLOSURES.write_text(json.dumps(enclosure_grid(), indent=1, sort_keys=True) + "\n")
