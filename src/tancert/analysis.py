@@ -13,8 +13,8 @@ with arbitrary-precision arithmetic and is deliberately NOT
 certificate-grade; the rigorous claims of this module are confined to
 the sign certifications at the crossover bracket ends.  There each gap
 between two bounds is an entire form in the catalog's form language,
-evaluated through its exact series at 0 by interval Horner, tail
-included, the route every certificate margin takes.
+evaluated at points through its exact series at 0 by `PowerSeries.eval`,
+the route every certificate margin takes.
 """
 
 from __future__ import annotations

@@ -22,14 +22,20 @@ A proof of F > 0 has three parts:
   * near pi/2:     the same for Q1 = F/eps^k1, eps = pi/2 - x, its tail
                    valid on |eps| <= MAX_EPSILON, where F vanishes (k1 > 0);
   * the middle:    adaptive bisection into boxes X whose margins
-                   x^k0 * Q(X), by interval Horner, are certainly positive.
+                   x^k0 * Q(X) are certainly positive.  Q(X) is interval
+                   Horner plus the tail, its polynomial part narrowed by the
+                   mean-value form where Horner leaves the sign open
+                   (`PowerSeries.eval`).
 
 A certificate (schema tancert-cert-v6) holds the config and the boxes of
 the middle cover with their depths, nothing else.  The checker derives
 the endpoint proofs afresh from the catalog and the config, evaluates
 every box once on Q rebuilt at config.degree to test its margin's sign,
 and ties the config to the boxes by requiring them to chain across
-exactly the cover [delta, end] that the config fixes.  Files of the
+exactly the cover [delta, end] that the config fixes.  Since no margin is
+stored, a tighter evaluation leaves every earlier file valid: a box that
+Horner signs keeps its margin bit for bit, and the boxes of every file
+written before the mean-value narrowing are such boxes.  Files of the
 earlier schemas are refused as an unknown schema: v1 and v2 took their
 margins from direct interval evaluation of the tree, v3 proofs copied the
 config and were built with looser leaf-series tails, v4 stored copies of
@@ -454,8 +460,9 @@ class CertifyConfig(namedtuple(
 
 def eval_form(inequality_id: str, x: Interval, *,
               degree: int = CertifyConfig._field_defaults["degree"]) -> Interval:
-    """Box margin over x that a certificate of this degree records: the
-    enclosure x^k0 * Q(x) of F, Q = F/x^k0 the divided exact series."""
+    """Box margin over x at this degree, which certify and check compute
+    alike and no certificate stores: the enclosure x^k0 * Q(x) of F, with
+    Q = F/x^k0 the divided exact series and Q(x) its `PowerSeries.eval`."""
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     if x.lo < 0.0 or x.hi > _HALF_PI_HI:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     tancert certify <id|all>      emit certificate files
-    tancert check <cert-file>     re-verify a certificate from disk
+    tancert check <cert-file>...  re-verify certificates from disk
     tancert sequences --n-max N   exact T/U/A/B table as CSV
     tancert phi --grid a:b:n      exponent-ratio sweep to CSV
     tancert crossover upper|lower certified crossover bracket
@@ -10,7 +10,8 @@
 Exit codes: 0 success/certified/proved, 1 usage error, 2 not certified
 (undecided, a form certainly negative near an endpoint, or a bracket that
 could not be sign-certified), 3 certificate check failed or an identity
-left a nonzero remainder.
+left a nonzero remainder.  `check` of several files exits with the worst of
+their codes: 3 over 1 (a file that cannot be read) over 0.
 
 Outputs are deterministic: floats are serialized as hex strings and
 files carry no timestamps, so reruns with the same configuration are
@@ -67,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility (at least 1) and ignored: bisection is serial",
     )
 
-    p_check = sub.add_parser("check", help="re-verify a certificate file")
-    p_check.add_argument("cert_file")
+    p_check = sub.add_parser("check", help="re-verify certificate files")
+    p_check.add_argument("cert_files", metavar="cert_file", nargs="+")
 
     p_seq = sub.add_parser("sequences", help="exact sequence table as CSV")
     p_seq.add_argument("--n-max", type=int, default=20)
@@ -122,11 +123,21 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    result = certifier.check_file(args.cert_file)
-    print(f"{'valid' if result.ok else 'INVALID'}: {args.cert_file}")
-    for d in result.diagnoses:
-        print(f"  - {d}")
-    return 0 if result.ok else 3
+    worst = 0
+    for path in args.cert_files:
+        try:
+            result = certifier.check_file(path)
+        except OSError as exc:
+            # reported as main reports it, and the other files still checked
+            print(f"error: {exc}", file=sys.stderr)
+            worst = max(worst, 1)
+            continue
+        print(f"{'valid' if result.ok else 'INVALID'}: {path}")
+        for d in result.diagnoses:
+            print(f"  - {d}")
+        if not result.ok:
+            worst = 3
+    return worst
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:

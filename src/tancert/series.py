@@ -48,6 +48,8 @@ from math import factorial, gcd, lcm
 from .errors import DomainError, OrderMismatch
 from .interval import (
     Interval,
+    certainly_negative,
+    certainly_positive,
     horner,
     int_pow,
     pi_enclosure,
@@ -252,7 +254,8 @@ class PowerSeries:
     "coefficients as integer rows" above).
     Build one from exact values with `ps_poly`."""
 
-    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_sup", "_square")
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_slope_encs", "_sup",
+                 "_square")
 
     def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
         if not radius > 0.0:  # NaN included
@@ -261,7 +264,8 @@ class PowerSeries:
             raise DomainError("PowerSeries tail must be non-negative")
         for name, value in (
             ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
-            ("_rows", rows), ("_den", den), ("_encs", None), ("_sup", None), ("_square", None),
+            ("_rows", rows), ("_den", den), ("_encs", None), ("_slope_encs", None),
+            ("_sup", None), ("_square", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -408,11 +412,36 @@ class PowerSeries:
         rows = tuple((kk, row[k:]) for kk, row in self._rows)
         return PowerSeries(rows, self._den, self.degree - k, self.tail, self.radius)
 
+    def _slope_enclosures(self):
+        """Enclosures of the coefficients (n + 1) c_(n+1) of the derivative
+        of the polynomial part, n < degree, built on first use."""
+        if self._slope_encs is None:
+            rows = [(k, [n * row[n] for n in range(1, self.degree + 1)]) for k, row in self._rows]
+            object.__setattr__(
+                self, "_slope_encs", tuple(_enclosures(rows, self._den, range(self.degree)))
+            )
+        return self._slope_encs
+
     def eval(self, u: Interval) -> Interval:
+        """Enclosure of the series over u: interval Horner on the polynomial
+        part P plus the tail [-t, t], t = tail * |u|^(degree+1).  Where that
+        leaves the sign open on a box, P is first intersected with its
+        mean-value form P(m) + P'(u) (u - m), m the midpoint of u, whose
+        overestimation shrinks with the square of u's width, not with the
+        width as Horner's does.  A signed enclosure is returned as it is,
+        so only an unsigned box builds the enclosures of P'."""
         if u.mag() > self.radius:
             raise DomainError("PowerSeries evaluated outside its radius")
         t = _mul_up(self.tail, _pow_up(u.mag(), self.degree + 1))
-        return horner(self.coefficient_enclosures(), u) + Interval(-t, t)
+        poly = horner(self.coefficient_enclosures(), u)
+        value = poly + Interval(-t, t)
+        if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
+            return value
+        m = Interval.point(u.mid)
+        mean = horner(self.coefficient_enclosures(), m) + horner(self._slope_enclosures(), u) * (u - m)
+        # both contain the range of P over u, so they meet; an empty meet
+        # is a kernel fault, and Interval refuses it
+        return Interval(max(poly.lo, mean.lo), min(poly.hi, mean.hi)) + Interval(-t, t)
 
     def __repr__(self) -> str:
         return (

@@ -32,7 +32,16 @@ from tancert.certifier import (
     _bisect_cover,
 )
 from tancert.errors import DomainError, Falsified, NotPositive, OrderMismatch
-from tancert.interval import Interval, _HALF_PI_HI, certainly_positive
+from tancert.interval import (
+    Interval,
+    _HALF_PI_HI,
+    _mul_up,
+    _pow_up,
+    certainly_positive,
+    horner,
+    int_pow,
+    split,
+)
 from tancert.series import PiPoly, ps_poly
 
 from conftest import contains, mp_form
@@ -525,6 +534,38 @@ def test_check_reads_up_to_the_largest_certificate(tmp_path):
     path.write_text(text + " " * (certifier.MAX_FILE_BYTES - len(text)))
     assert check_file(path).ok
     assert 5.8e6 < certifier.MAX_FILE_BYTES < 90 * certifier.MAX_BOXES + 1000
+
+
+def test_boxes_that_horner_signs_keep_their_margins():
+    # a box whose sign interval Horner plus tail decides keeps that margin bit
+    # for bit; the mean-value form narrows only the others
+    certifier._quotient.cache_clear()
+    narrowed = 0
+    for cid, spec in CATALOG.items():
+        q = certifier._quotient(spec, "zero", 16)
+        for box in certify(cid).boxes:
+            x = box.interval
+            t = _mul_up(q.tail, _pow_up(x.mag(), q.degree + 1))
+            horner_value = horner(q.coefficient_enclosures(), x) + Interval(-t, t)
+            if certainly_positive(horner_value):
+                assert box.margin == int_pow(x, spec.vanish_order_zero) * horner_value, (cid, box)
+            else:
+                narrowed += 1
+    assert narrowed
+    # prop1_lower's proofs and box are all signed by Horner, so its Q0 never
+    # builds the derivative enclosures of the mean-value form
+    assert certifier._quotient(CATALOG["prop1_lower"], "zero", 16)._slope_encs is None
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_a_finer_cover_still_checks(cid):
+    # every box of a default certificate split in two, one level deeper
+    cert = certify(cid)
+    boxes = [BoxRecord(half, None, b.depth + 1) for b in cert.boxes for half in split(b.interval)]
+    stats = cert.stats._replace(box_count=len(boxes), max_depth_reached=cert.stats.max_depth_reached + 1)
+    finer = certificate_from_dict(certificate_to_dict(cert._replace(boxes=boxes, stats=stats)))
+    result = check_certificate(finer)
+    assert result.ok, result.diagnoses
 
 
 def test_check_detects_gap():

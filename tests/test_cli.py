@@ -13,6 +13,7 @@ from tancert.interval import Interval
 from conftest import PERTURBED_IDENTITIES
 
 DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys=None):
@@ -260,7 +261,8 @@ TAMPERINGS = {
     "box below 0": _set_box_entry(0, (-0.5).hex()),
     "inverted box": _invert_first_box,
     "v5 row with its margins": _add_v5_margins,
-    "stats box_count": _set("stats", "box_count", 5),
+    # one more than the boxes the file holds
+    "stats box_count": lambda doc: doc["stats"].__setitem__("box_count", len(doc["boxes"]) + 1),
     "stats max_depth_reached": _set("stats", "max_depth_reached", 99),
     "box depth above max_depth": _deepen_first_box,
     "config delta 0.5": _set("config", "delta", (0.5).hex()),
@@ -396,6 +398,34 @@ def test_check_of_an_unopenable_path_exits_1(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def _tampered(tmp_path) -> Path:
+    doc = json.loads((GOLDEN / "cert-bs_lower.json").read_text())
+    doc["boxes"] = doc["boxes"][:-1]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("files,code", [
+    (["cert-main_upper.json", "cert-bs_lower.json"], 0),
+    (["cert-main_upper.json", "missing"], 1),
+    (["cert-main_upper.json", "tampered", "missing"], 3),
+])
+def test_check_of_many_files_exits_with_the_worst_code(files, code, tmp_path, capsys):
+    paths = [str(_tampered(tmp_path)) if f == "tampered" else
+             str(tmp_path / "missing.json") if f == "missing" else str(GOLDEN / f) for f in files]
+    assert cli.main(["check", *paths]) == code
+    captured = capsys.readouterr()
+    # one verdict per readable file, in order, and one error line per unreadable one
+    verdicts = [line for line in captured.out.splitlines() if not line.startswith("  - ")]
+    expected = [f"{'INVALID' if f == 'tampered' else 'valid'}: {p}"
+                for f, p in zip(files, paths) if f != "missing"]
+    assert verdicts == expected
+    missing = files.count("missing")
+    assert captured.err.count("error: ") == missing and captured.err.count("\n") == missing
+    assert "Traceback" not in captured.err
 
 
 def test_console_entry_point(tmp_path):

@@ -285,3 +285,58 @@ def test_row_operations_equal_fraction_reference(pair, c, data):
     if zeros <= d:
         with pytest.raises(OrderMismatch):
             shifted.divide_power(zeros + 1)
+
+
+# Leaf series and products at degree 16 on the disc of Q0's radius, each with
+# its mpmath reference; 3p - sinc vanishes to second order at 0.
+_R = _HALF_PI_HI
+_NARROWED = {
+    "cos": (ps_cos(16, _R), mp.cos),
+    "sin": (ps_sin(16, _R), mp.sin),
+    "sinc": (ps_sinc(16, _R), mp_sinc),
+    "p": (ps_p(16, _R), mp_p),
+    "sinc*cos": (ps_sinc(16, _R) * ps_cos(16, _R), lambda x: mp_sinc(x) * mp.cos(x)),
+    "sin*cos^2": (ps_sin(16, _R) * ps_cos(16, _R).int_pow(2), lambda x: mp.sin(x) * mp.cos(x) ** 2),
+    "3p - sinc": (ps_p(16, _R).scale(3) - ps_sinc(16, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
+}
+
+
+@st.composite
+def sub_boxes(draw):
+    """A box inside [-r, r], of any width or a narrow one, centred anywhere
+    or on a zero of the series above (0 and -+pi/2), where Horner leaves the
+    sign open."""
+    centre = draw(st.one_of(st.floats(-_R, _R), st.sampled_from([-_R, 0.0, _R])))
+    width = draw(st.one_of(st.floats(0.0, 2 * _R), st.sampled_from([2.0**-k for k in range(4, 40, 3)])))
+    return Interval(max(centre - width / 2, -_R), min(centre + width / 2, _R))
+
+
+def _horner_plus_tail(s, u):
+    t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
+    return horner(s.coefficient_enclosures(), u) + Interval(-t, t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_NARROWED)), u=sub_boxes())
+def test_eval_contains_the_function_and_narrows_horner(name, u, oracle):
+    s, fn = _NARROWED[name]
+    value, horner_value = s.eval(u), _horner_plus_tail(s, u)
+    for x in (u.lo, u.mid, u.hi):
+        # p = (sin x - x cos x)/x^3 cancels about 2 log10(1/|x|) digits near
+        # 0, and 3p - sinc as many again
+        extra = int(-4 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
+        with mp.workdps(mp.mp.dps + extra):
+            assert contains(value, fn(mp.mpf(x))), (name, u, x)
+    assert horner_value.lo <= value.lo and value.hi <= horner_value.hi
+
+
+def test_eval_narrows_only_where_horner_leaves_the_sign_open():
+    s = ps_sin(16, _R) * ps_cos(16, _R).int_pow(2)
+    # signed by Horner: returned as it is, and no derivative is built
+    signed = Interval(0.5, 0.75)
+    assert s.eval(signed) == _horner_plus_tail(s, signed) and s._slope_encs is None
+    # near the zero at pi/2 Horner's dependency loss leaves about [-0.27, 0.26]
+    # and the mean-value form about [-0.026, 0.029]
+    near = Interval(1.5, 1.5625)
+    value, horner_value = s.eval(near), _horner_plus_tail(s, near)
+    assert value.width < horner_value.width / 5 and s._slope_encs is not None
