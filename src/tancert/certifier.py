@@ -24,8 +24,8 @@ A proof of F > 0 has three parts:
   * the middle:    adaptive bisection into boxes X whose margins
                    x^k0 * Q(X) are certainly positive.  Q(X) is interval
                    Horner plus the tail, its polynomial part narrowed by the
-                   mean-value form where Horner leaves the sign open
-                   (`PowerSeries.eval`).
+                   second-order slope form where Horner leaves the sign
+                   open (`PowerSeries.eval`).
 
 A certificate (schema tancert-cert-v6) holds the config and the boxes of
 the middle cover with their depths, nothing else.  The checker derives
@@ -33,9 +33,9 @@ the endpoint proofs afresh from the catalog and the config, evaluates
 every box once on Q rebuilt at config.degree to test its margin's sign,
 and ties the config to the boxes by requiring them to chain across
 exactly the cover [delta, end] that the config fixes.  Since no margin is
-stored, a tighter evaluation leaves every earlier file valid: a box that
-Horner signs keeps its margin bit for bit, and the boxes of every file
-written before the mean-value narrowing are such boxes.  Files of the
+stored, a tighter evaluation leaves earlier files valid: a box that
+Horner signs keeps its margin bit for bit, and the files that the
+mean-value form wrote before the slope form still check.  Files of the
 earlier schemas are refused as an unknown schema: v1 and v2 took their
 margins from direct interval evaluation of the tree, v3 proofs copied the
 config and were built with looser leaf-series tails, v4 stored copies of

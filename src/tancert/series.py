@@ -1,7 +1,8 @@
 """Exact truncated power series with rigorous tail-coefficient bounds.
 
-This is the engine behind the near-endpoint proofs.  A `PowerSeries`
-represents, on |u| <= radius,
+This is the engine behind the near-endpoint proofs and the box margins,
+which `eval` encloses by Horner narrowed by a second-order slope form.  A
+`PowerSeries` represents, on |u| <= radius,
 
     f(u)  in  sum_{k<=D} c_k u^k  +  [-tail, tail] * u^(D+1),
 
@@ -56,6 +57,7 @@ from .interval import (
     rational_enclosure,
     _add_down,
     _add_up,
+    _mul_bounds,
     _mul_up,
     _pow_up,
 )
@@ -244,6 +246,16 @@ def _fold(mags, r: float) -> float:
 _radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r, i)
 
 
+def _divide(encs, m: Interval) -> tuple:
+    """Enclosed quotient (lowest power first) and remainder P(m) of P / (x - m), P from encs."""
+    lo, hi, steps = 0.0, 0.0, []
+    for e in reversed(encs):
+        steps.append(Interval(lo, hi))
+        lo, hi = _mul_bounds(lo, hi, m.lo, m.hi)
+        lo, hi = _add_down(lo, e.lo), _add_up(hi, e.hi)
+    return steps[:0:-1], Interval(lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # the PowerSeries type
 # ---------------------------------------------------------------------------
@@ -254,8 +266,7 @@ class PowerSeries:
     "coefficients as integer rows" above).
     Build one from exact values with `ps_poly`."""
 
-    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_slope_encs", "_sup",
-                 "_square")
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_sup", "_square")
 
     def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
         if not radius > 0.0:  # NaN included
@@ -264,8 +275,7 @@ class PowerSeries:
             raise DomainError("PowerSeries tail must be non-negative")
         for name, value in (
             ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
-            ("_rows", rows), ("_den", den), ("_encs", None), ("_slope_encs", None),
-            ("_sup", None), ("_square", None),
+            ("_rows", rows), ("_den", den), ("_encs", None), ("_sup", None), ("_square", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -412,24 +422,12 @@ class PowerSeries:
         rows = tuple((kk, row[k:]) for kk, row in self._rows)
         return PowerSeries(rows, self._den, self.degree - k, self.tail, self.radius)
 
-    def _slope_enclosures(self):
-        """Enclosures of the coefficients (n + 1) c_(n+1) of the derivative
-        of the polynomial part, n < degree, built on first use."""
-        if self._slope_encs is None:
-            rows = [(k, [n * row[n] for n in range(1, self.degree + 1)]) for k, row in self._rows]
-            object.__setattr__(
-                self, "_slope_encs", tuple(_enclosures(rows, self._den, range(self.degree)))
-            )
-        return self._slope_encs
-
     def eval(self, u: Interval) -> Interval:
         """Enclosure of the series over u: interval Horner on the polynomial
-        part P plus the tail [-t, t], t = tail * |u|^(degree+1).  Where that
-        leaves the sign open on a box, P is first intersected with its
-        mean-value form P(m) + P'(u) (u - m), m the midpoint of u, whose
-        overestimation shrinks with the square of u's width, not with the
-        width as Horner's does.  A signed enclosure is returned as it is,
-        so only an unsigned box builds the enclosures of P'."""
+        part P plus the tail [-t, t], t = tail * |u|^(degree+1).  Only where
+        that leaves the sign open is P intersected with its second-order slope
+        form P(m) + P'(m) T + T^2 S(u), T = u - m, m = mid u, T^2 >= 0, whose
+        terms two synthetic divisions by (x - m) give (Krawczyk & Neumaier 1985)."""
         if u.mag() > self.radius:
             raise DomainError("PowerSeries evaluated outside its radius")
         t = _mul_up(self.tail, _pow_up(u.mag(), self.degree + 1))
@@ -438,10 +436,12 @@ class PowerSeries:
         if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
             return value
         m = Interval.point(u.mid)
-        mean = horner(self.coefficient_enclosures(), m) + horner(self._slope_enclosures(), u) * (u - m)
+        quotient, p_m = _divide(self.coefficient_enclosures(), m)
+        slopes, dp_m = _divide(quotient, m)
+        form = p_m + dp_m * (u - m) + int_pow(u - m, 2) * horner(slopes, u)
         # both contain the range of P over u, so they meet; an empty meet
         # is a kernel fault, and Interval refuses it
-        return Interval(max(poly.lo, mean.lo), min(poly.hi, mean.hi)) + Interval(-t, t)
+        return Interval(max(poly.lo, form.lo), min(poly.hi, form.hi)) + Interval(-t, t)
 
     def __repr__(self) -> str:
         return (

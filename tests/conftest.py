@@ -38,6 +38,19 @@ def interval_horner(coeffs, u):
     return acc
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name with a wrapper that records the arguments of each
+    call in the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def contains(iv, value) -> bool:
     """Exact membership of an mpf/int/Fraction in an Interval."""
     if isinstance(value, (int, Fraction)):
@@ -52,10 +65,17 @@ def oracle():
 
 
 def mp_p(x):
-    """(sin x - x cos x)/x^3 with the limit value at 0."""
+    """(sin x - x cos x)/x^3, 1/3 at 0.  The quotient cancels about
+    2 log10(1/|x|) digits, so below |x| = 1/2 the value is summed from the
+    series sum_m (-1)^m 2(m+1) x^(2m)/(2m+3)!, which cancels none: its terms
+    alternate and shrink by 40 times or more, so the prec/4 terms taken
+    leave an error below the working precision."""
     x = mp.mpf(x)
-    if x == 0:
-        return mp.mpf(1) / 3
+    if abs(x) < 0.5:
+        return mp.fsum(
+            (-1) ** m * 2 * (m + 1) * x ** (2 * m) / mp.factorial(2 * m + 3)
+            for m in range(mp.mp.prec // 4)
+        )
     return (mp.sin(x) - x * mp.cos(x)) / x**3
 
 

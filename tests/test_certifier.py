@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from tancert import certifier, cli
+from tancert import certifier, cli, series
 from tancert.certifier import (
     CATALOG,
     MAX_DEGREE,
@@ -44,7 +44,7 @@ from tancert.interval import (
 )
 from tancert.series import PiPoly, ps_poly
 
-from conftest import contains, mp_form
+from conftest import contains, count_calls, mp_form
 
 _X = sp.symbols("x")
 _SINC = sp.sin(_X) / _X
@@ -536,9 +536,9 @@ def test_check_reads_up_to_the_largest_certificate(tmp_path):
     assert 5.8e6 < certifier.MAX_FILE_BYTES < 90 * certifier.MAX_BOXES + 1000
 
 
-def test_boxes_that_horner_signs_keep_their_margins():
+def test_boxes_that_horner_signs_keep_their_margins(monkeypatch):
     # a box whose sign interval Horner plus tail decides keeps that margin bit
-    # for bit; the mean-value form narrows only the others
+    # for bit; the slope form narrows only the others
     certifier._quotient.cache_clear()
     narrowed = 0
     for cid, spec in CATALOG.items():
@@ -552,9 +552,12 @@ def test_boxes_that_horner_signs_keep_their_margins():
             else:
                 narrowed += 1
     assert narrowed
-    # prop1_lower's proofs and box are all signed by Horner, so its Q0 never
-    # builds the derivative enclosures of the mean-value form
-    assert certifier._quotient(CATALOG["prop1_lower"], "zero", 16)._slope_encs is None
+    # prop1_lower's proofs and box are all signed by Horner, so each series
+    # evaluation of its certify is one Horner evaluation, with no slope form
+    evals = count_calls(monkeypatch, series.PowerSeries, "eval")
+    horners = count_calls(monkeypatch, series, "horner")
+    certify("prop1_lower")
+    assert len(horners) == len(evals) > 0
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))

@@ -59,16 +59,17 @@ def test_help_exits_zero(tmp_path, monkeypatch):
 
 
 def test_undecided_exit_code(tmp_path, monkeypatch, capsys):
+    # bs_lower needs four boxes at the defaults, so one box leaves it open
     code = run_cli(
-        ["certify", "main_upper", "--max-depth", "0"], tmp_path, monkeypatch
+        ["certify", "bs_lower", "--max-depth", "0"], tmp_path, monkeypatch
     )
     assert code == 2
     # the one unresolved box is named on the status line
-    assert "worst=[0.25, 1.5707963267948968] margin=[" in capsys.readouterr().out
-    cert = load_certificate(tmp_path / "cert-main_upper.json")
+    assert "worst=[0.25, 1.4457963267948968] margin=[" in capsys.readouterr().out
+    cert = load_certificate(tmp_path / "cert-bs_lower.json")
     assert cert.status == "undecided"
     # an undecided record makes no claim, so it checks valid
-    assert run_cli(["check", str(tmp_path / "cert-main_upper.json")], tmp_path, monkeypatch) == 0
+    assert run_cli(["check", str(tmp_path / "cert-bs_lower.json")], tmp_path, monkeypatch) == 0
 
 
 def test_sequences_table(tmp_path, monkeypatch, capsys):

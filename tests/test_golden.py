@@ -34,11 +34,17 @@ only when a change to them is intended, and record why in CHANGES.md.
 
 `tests/data/schema-v<n>/cert-main_upper.json`, for n = 2 to 5, is the
 default `main_upper` certificate as schema tancert-cert-v<n> wrote it; the
-checker refuses each.
+checker refuses each.  `tests/data/v6-finer-covers/` holds, in the same
+layout as the goldens, the v6 certificates that the mean-value form wrote
+before the slope form coarsened their covers; the checker accepts each.
+
+The README's count of the boxes of the three golden configurations is
+tested against the goldens, so it cannot go stale.
 """
 
 import json
 import random
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -69,6 +75,8 @@ WIDE_ENDPOINTS = CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)
 DEEP_COVER = CertifyConfig(delta=0.125, epsilon_max=0.0625)
 # each golden directory under GOLDEN and the configuration of its certificates
 GOLDEN_CONFIGS = {".": CertifyConfig(), "deep_cover": DEEP_COVER, "wide_endpoints": WIDE_ENDPOINTS}
+FINER_V6 = DATA / "v6-finer-covers"
+README = DATA.parents[1] / "README.md"
 MARGINS = GOLDEN / "margins.json"
 ENCLOSURES = GOLDEN / "enclosures.json"
 ENCLOSURE_FNS = {
@@ -202,6 +210,35 @@ def test_v4_certificate_is_refused():
 
 def test_v5_certificate_is_refused():
     _assert_refused("v5")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FINER_V6.glob("**/cert-*.json")), ids=lambda p: str(p.relative_to(FINER_V6))
+)
+def test_v6_file_with_a_finer_cover_still_checks(path):
+    result = check_file(path)
+    assert result.ok, result.diagnoses
+    golden = load_certificate(GOLDEN / path.relative_to(FINER_V6))
+    assert load_certificate(path).stats.box_count > golden.stats.box_count
+
+
+def test_readme_box_counts_are_the_goldens():
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"the cover takes (\d+) boxes at the defaults, (\d+) at `([^`]*)` and (\d+) at `([^`]*)`", text
+    )
+    assert found, "README sentence 'the cover takes N boxes at the defaults, ...' not found"
+    counts = {}
+    for count, flags in [(found[1], ""), (found[2], found[3]), (found[4], found[5])]:
+        words = flags.split()
+        fields = {w[2:].replace("-", "_"): v for w, v in zip(words[::2], words[1::2])}
+        defaults = CertifyConfig._field_defaults
+        cfg = CertifyConfig(**{k: type(defaults[k])(v) for k, v in fields.items()})
+        counts[next(d for d, c in GOLDEN_CONFIGS.items() if c == cfg)] = int(count)
+    assert counts == {
+        directory: sum(load_certificate(p).stats.box_count for p in (GOLDEN / directory).glob("cert-*.json"))
+        for directory in GOLDEN_CONFIGS
+    }
 
 
 if __name__ == "__main__":

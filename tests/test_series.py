@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tancert import series
 from tancert.errors import DomainError, OrderMismatch
 from tancert.interval import _HALF_PI_HI, Interval, _add_up, _mul_up, _pow_up, horner
 from tancert.series import (
@@ -20,7 +21,7 @@ from tancert.series import (
     ps_sinc,
 )
 
-from conftest import contains, interval_horner, mp_p, mp_sinc
+from conftest import contains, count_calls, interval_horner, mp_p, mp_sinc
 
 
 def test_pipoly_arithmetic_exact():
@@ -316,27 +317,88 @@ def _horner_plus_tail(s, u):
     return horner(s.coefficient_enclosures(), u) + Interval(-t, t)
 
 
+def _exact_divide(coeffs, m):
+    """Synthetic division by (x - m) in Fractions: quotient and remainder."""
+    acc, steps = Fraction(0), []
+    for c in reversed(coeffs):
+        steps.append(acc)
+        acc = acc * m + c
+    return steps[:0:-1], acc
+
+
+def _exact_times(a, b):
+    products = [x * y for x in a for y in b]
+    return min(products), max(products)
+
+
+def _exact_slope_form(s, u):
+    """P(m) + P'(m) T + T^2 S(u), T = u - m, in exact rational interval
+    arithmetic from the exact rational coefficients, S(u) by Horner."""
+    coeffs = [c.terms.get(0, Fraction(0)) for c in s.coeffs]
+    assert all(set(c.terms) <= {0} for c in s.coeffs)
+    lo, hi, m = Fraction(u.lo), Fraction(u.hi), Fraction(u.mid)
+    quotient, p_m = _exact_divide(coeffs, m)
+    slopes, dp_m = _exact_divide(quotient, m)
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(slopes):
+        acc = tuple(x + c for x in _exact_times(acc, (lo, hi)))
+    t = (lo - m, hi - m)
+    squares = (0 if t[0] <= 0 <= t[1] else min(x * x for x in t), max(x * x for x in t))
+    linear, quadratic = _exact_times((dp_m,), t), _exact_times(squares, acc)
+    return p_m + linear[0] + quadratic[0], p_m + linear[1] + quadratic[1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_NARROWED)), u=sub_boxes())
 def test_eval_contains_the_function_and_narrows_horner(name, u, oracle):
     s, fn = _NARROWED[name]
     value, horner_value = s.eval(u), _horner_plus_tail(s, u)
     for x in (u.lo, u.mid, u.hi):
-        # p = (sin x - x cos x)/x^3 cancels about 2 log10(1/|x|) digits near
-        # 0, and 3p - sinc as many again
-        extra = int(-4 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
+        # 3p - sinc cancels about 2 log10(1/|x|) digits near 0
+        extra = int(-2 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
         with mp.workdps(mp.mp.dps + extra):
             assert contains(value, fn(mp.mpf(x))), (name, u, x)
     assert horner_value.lo <= value.lo and value.hi <= horner_value.hi
+    if horner_value.lo <= 0.0 <= horner_value.hi:
+        # inside the second-order slope form, up to the tail and the
+        # rounding of the kernel's coefficient enclosures and multiply-adds:
+        # relative 2^-53 each, fewer than 2^13 of them, on sums below b
+        lo, hi = _exact_slope_form(s, u)
+        t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
+        b = sum((k + 1) ** 2 * abs(c.enclosure().mag()) * _R**k for k, c in enumerate(s.coeffs))
+        slack = t + b * 2.0**-40
+        assert lo - Fraction(slack) <= Fraction(value.lo), (name, u)
+        assert Fraction(value.hi) <= hi + Fraction(slack), (name, u)
 
 
-def test_eval_narrows_only_where_horner_leaves_the_sign_open():
+def test_eval_narrows_only_where_horner_leaves_the_sign_open(monkeypatch):
     s = ps_sin(16, _R) * ps_cos(16, _R).int_pow(2)
-    # signed by Horner: returned as it is, and no derivative is built
+    calls = count_calls(monkeypatch, series, "horner")
+    # signed by Horner: returned as it is, after one Horner evaluation
     signed = Interval(0.5, 0.75)
-    assert s.eval(signed) == _horner_plus_tail(s, signed) and s._slope_encs is None
+    assert s.eval(signed) == _horner_plus_tail(s, signed) and len(calls) == 1
     # near the zero at pi/2 Horner's dependency loss leaves about [-0.27, 0.26]
-    # and the mean-value form about [-0.026, 0.029]
+    # and the slope form, one more Horner evaluation (of S), about [-0.0013, 0.0052]
+    calls.clear()
     near = Interval(1.5, 1.5625)
     value, horner_value = s.eval(near), _horner_plus_tail(s, near)
-    assert value.width < horner_value.width / 5 and s._slope_encs is not None
+    assert value.width < horner_value.width / 40 and len(calls) == 2
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_eval_of_degree_below_two_is_the_mean_value_form(degree):
+    # P(m) + c_1 (u - m) where Horner leaves the sign open, the result these
+    # degrees had before the slope form; 1/3 - 7u/5 at degree 1
+    s = ps_poly({0: Fraction(1, 3), 1: Fraction(-7, 5)} if degree else {0: Fraction(1, 3)},
+                degree, 2.0, 0.25)
+    encs, narrowed = s.coefficient_enclosures(), 0
+    for u in (Interval(-1.5, 1.25), Interval(0.125, 0.5), Interval(0.5, 1.0)):
+        poly, m = horner(encs, u), Interval.point(u.mid)
+        mean = horner(encs, m) + horner(encs[1:], u) * (u - m)
+        t = _mul_up(s.tail, _pow_up(u.mag(), degree + 1))
+        value = poly + Interval(-t, t)
+        if value.lo <= 0.0 <= value.hi:
+            value = Interval(max(poly.lo, mean.lo), min(poly.hi, mean.hi)) + Interval(-t, t)
+            narrowed += 1
+        assert s.eval(u) == value, u
+    assert narrowed

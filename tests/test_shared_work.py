@@ -68,13 +68,14 @@ print(json.dumps(counts))
 """
 
 # at the wide_endpoints flags; products count PowerSeries.__mul__, horner the
-# interval Horner evaluations of series (sup bounds no longer call it; a box
-# whose sign Horner leaves open takes two more, for its mean-value form),
-# enclosures the rational enclosures that series take (those of a derivative
-# included), pipolys the PiPoly
-# built after import (series keep integer rows and build PiPoly only when
-# their coefficients are read) and series the PowerSeries built
-MAX_WORK = {"products": 25, "horner": 47, "enclosures": 2653, "pipolys": 65, "series": 116}
+# interval Horner evaluations of series (sup bounds do not call it; a box or
+# proof whose sign Horner leaves open takes one more, of the slope quotient S
+# of its slope form, whose synthetic divisions are not Horner calls),
+# enclosures the rational enclosures that series take (the slope form builds
+# none), pipolys the PiPoly built after import (series keep integer rows and
+# build PiPoly only when their coefficients are read) and series the
+# PowerSeries built
+MAX_WORK = {"products": 25, "horner": 27, "enclosures": 2469, "pipolys": 65, "series": 116}
 
 
 def _fresh(code: str, *args: str) -> str:
