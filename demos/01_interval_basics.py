@@ -20,7 +20,7 @@ print("\n== inexact results round outward ==")
 third = Interval(1, 1) / Interval(3, 3)
 print(f"1/3 encloses the true value in {third}")
 print(f"   width = {third.width:.3e} (<= 2 ulp); contains Fraction(1,3): "
-      f"{third.contains(Fraction(1, 3))}")
+      f"{third.lo <= Fraction(1, 3) <= third.hi}")
 
 print("\n== constants are stored validated enclosures ==")
 pi = pi_enclosure()

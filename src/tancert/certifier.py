@@ -36,11 +36,8 @@ exactly the cover [delta, end] that the config fixes.  Since no margin is
 stored, a tighter evaluation leaves earlier files valid: a box that
 Horner signs keeps its margin bit for bit, and the files that the
 mean-value form wrote before the slope form still check.  Files of the
-earlier schemas are refused as an unknown schema: v1 and v2 took their
-margins from direct interval evaluation of the tree, v3 proofs copied the
-config and were built with looser leaf-series tails, v4 stored copies of
-the endpoint proofs, the constant domain and a second depth limit, and
-v5 stored the box margins, which the checker compared bit for bit.
+earlier schemas are refused as an unknown schema (README, "Certificate
+schema").
 
 The resulting record is self-contained and re-checkable from disk.
 """
@@ -220,7 +217,6 @@ CATALOG: dict[str, InequalitySpec] = {
 # so a tree node is ("const", PiPoly), ("leaf", name), ("pow", node, k) or
 # (op, node, node) with op one of operator.add/sub/mul; a/c is a * (1/c).
 
-_LEAVES = {"x", "cos", "sin", "sinc", "p"}
 _OPS = {_ast.Add: operator.add, _ast.Sub: operator.sub, _ast.Mult: operator.mul}
 
 
@@ -232,7 +228,7 @@ def _unparse(e: _ast.AST) -> str:
 
 
 def _tree(e: _ast.expr) -> tuple:
-    if isinstance(e, _ast.Name) and e.id in _LEAVES | {"pi"}:
+    if isinstance(e, _ast.Name) and (e.id == "pi" or e.id in _SERIES_LEAVES["zero"]):
         return ("const", PiPoly.pi_power(1)) if e.id == "pi" else ("leaf", e.id)
     if isinstance(e, _ast.Constant) and type(e.value) is int:
         return ("const", PiPoly.rational(e.value))
@@ -277,7 +273,7 @@ _SERIES_LEAVES = {
     "zero": {"x": lambda d, r: ps_poly({1: 1}, d, r),
              "cos": ps_cos, "sin": ps_sin, "sinc": ps_sinc, "p": ps_p},
     "half_pi": {"x": lambda d, r: ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, d, r),
-                "sin": ps_cos, "cos": lambda d, r: ps_sinc(d, r).mul_monomial(1)},
+                "sin": ps_cos, "cos": lambda d, r: ps_sinc(d, r).mul_term(1, 1)},
 }
 
 
@@ -302,24 +298,21 @@ def _node_series(node: tuple, center: str, degree: int, radius: float) -> PowerS
         return series(node[1]).int_pow(node[2])
     if kind is not operator.mul:
         return kind(series(node[1]), series(node[2]))
-    # a product: its series factors multiply left to right; then each x^k
-    # at 0 applies as a coefficient shift and each constant as a scaling,
-    # which cost O(degree) where a full product costs O(degree^2)
-    acc, shifts, consts = None, [], []
+    # a product: its series factors multiply left to right; then its
+    # constants and its powers of x at 0 apply as one monomial c u^j, which
+    # costs O(degree) where a full product costs O(degree^2)
+    acc, consts, j = None, [], 0
     for f in _factors(node):
         if f[0] == "const":
             consts.append(f[1])
         elif center == "zero" and _x_power(f):
-            shifts.append(_x_power(f))
+            j += _x_power(f)
         else:
             acc = series(f) if acc is None else acc * series(f)
+    c = reduce(operator.mul, consts) if consts else 1
     if acc is None:
-        acc = ps_poly({0: 1}, degree, radius)
-    for k in shifts:
-        acc = acc.mul_monomial(k)
-    for c in consts:
-        acc = acc.scale(c)
-    return acc
+        return ps_poly({j: c}, degree, radius)
+    return acc.mul_term(c, j) if consts or j else acc
 
 
 def _factors(node: tuple) -> list:
@@ -393,7 +386,6 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
         raise DomainError(f"{kind} endpoint proof needs 0 < bound <= {max_bound}")
     quotient = _quotient(spec, kind, degree)
     value = quotient.eval(Interval(0.0, bound))
-    lead_enc = quotient.coefficient_enclosures()[0]  # cached by eval
     if certainly_negative(value):
         # F = u^k * quotient with u^k > 0 on the region
         region = f"(0, {bound}]" if kind == "zero" else f"[pi/2 - {bound}, pi/2)"
@@ -402,12 +394,13 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             f"{value.hi} there"
         )
     lb = value.lo
-    if lb <= 0.0 or not certainly_positive(lead_enc):
+    if lb <= 0.0:
         raise NotPositive(
             f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "
             "shrink the bound or raise the degree"
         )
-    return EndpointProof(k, lb, lead_enc)
+    # the enclosure of Q(0), the u^k coefficient, cached by eval
+    return EndpointProof(k, lb, quotient.coefficient_enclosures()[0])
 
 
 def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:

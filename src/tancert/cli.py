@@ -244,11 +244,8 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 3
-    # an unreadable file; for an @file also one that is not text or names itself
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TancertError as exc:
+    # also an unreadable file; for an @file one that is not text or names itself
+    except (TancertError, OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -232,12 +232,6 @@ class Interval:
             return 0.0
         return min(abs(self.lo), abs(self.hi))
 
-    def contains(self, x) -> bool:
-        """Membership of an exact value (float, int, or Fraction)."""
-        if isinstance(x, Fraction):
-            return Fraction(self.lo) <= x <= Fraction(self.hi)
-        return self.lo <= x <= self.hi
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
@@ -268,13 +262,6 @@ class Interval:
                 return Interval(_div_down(b, c), _div_up(a, d))
             return Interval(_div_down(b, d), _div_up(a, d))
         raise DomainError(f"division by interval containing 0: {other}")
-
-    def scale(self, k) -> "Interval":
-        """Multiply by an exact int/float scalar."""
-        k = float(k)
-        if k >= 0.0:
-            return Interval(_mul_down(self.lo, k), _mul_up(self.hi, k))
-        return Interval(_mul_down(self.hi, k), _mul_up(self.lo, k))
 
     # -- misc ----------------------------------------------------------------
 

@@ -216,12 +216,12 @@ def phi_trig_enc(x: Interval) -> Interval:
     12 x^2 sinc(3x) to stay division-free.  Cross-check for the series
     route, not used by certificates.
     """
-    x3 = x.scale(3)
-    poly = Interval(9.0, 9.0) - int_pow(x, 2).scale(24)
+    x3 = x * Interval.point(3)
+    poly = Interval.point(9) - int_pow(x, 2) * Interval.point(24)
     return (
         poly * _cos_enc_any(x)
-        - _cos_enc_any(x3).scale(9)
-        - int_pow(x, 2).scale(12) * _sinc_enc_any(x3)
+        - _cos_enc_any(x3) * Interval.point(9)
+        - int_pow(x, 2) * Interval.point(12) * _sinc_enc_any(x3)
     )
 
 

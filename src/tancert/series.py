@@ -19,7 +19,8 @@ a half-open interval (0, b].
 The coefficients are kept as integer numerator rows, one row per power
 of pi, over one positive common denominator that is reduced after every
 operation (so it is the lcm of the coefficients' denominators).  Sums,
-scalings, shifts and products work on those integers directly, and each
+products and `mul_term`, the one product by an exact monomial c u^j (a
+shift, then a scaling), work on those integers directly, and each
 coefficient enclosure is the tightest one of its exact value, taken from
 its numerators and the denominator.  The rows are the only way into a
 series: `ps_poly` builds them from exact values (`PiPoly`, `Fraction` or
@@ -336,19 +337,6 @@ class PowerSeries:
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self._plus(other, -1)
 
-    def scale(self, c) -> "PowerSeries":
-        if not isinstance(c, PiPoly):
-            c = PiPoly.rational(c)
-        c_rows, c_den = _rows_of([c.terms])
-        acc = {}
-        for kc, (m,) in c_rows:
-            for k, row in self._rows:
-                scaled = [m * x for x in row]
-                mine = acc.get(k + kc)
-                acc[k + kc] = scaled if mine is None else [x + y for x, y in zip(mine, scaled)]
-        tail = _mul_up(self.tail, c.enclosure().mag())
-        return self._of_rows(acc, self._den * c_den, self.degree, tail)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check_compatible(other)
         d = self.degree
@@ -394,18 +382,25 @@ class PowerSeries:
                 object.__setattr__(base, "_square", base * base)
             base = base._square
 
-    def mul_monomial(self, j: int) -> "PowerSeries":
-        """Multiply by u^j, 0 <= j <= degree + 1, keeping the degree fixed."""
-        if j == 0:
-            return self
-        d = self.degree
-        r = self.radius
-        if not 0 < j <= d + 1:
-            raise DomainError(f"mul_monomial needs 0 <= j <= {d + 1}, got {j}")
+    def mul_term(self, c, j: int) -> "PowerSeries":
+        """Multiply by the exact monomial c u^j, 0 <= j <= degree + 1, c a
+        PiPoly, Fraction or int, keeping the degree fixed: the shift first,
+        its overflow folded into the tail, then the scaling by c."""
+        d, r = self.degree, self.radius
+        if not 0 <= j <= d + 1:
+            raise DomainError(f"mul_term needs 0 <= j <= {d + 1}, got {j}")
+        if not isinstance(c, PiPoly):
+            c = PiPoly.rational(c)
         over = [e.mag() for e in _enclosures(self._rows, self._den, range(d + 1 - j, d + 1))]
         tail = _add_up(_fold(over, r), _mul_up(self.tail, _pow_up(r, j)))
-        acc = {k: [0] * j + row[: d + 1 - j] for k, row in self._rows}
-        return self._of_rows(acc, self._den, d, tail)
+        c_rows, c_den = _rows_of([c.terms])
+        acc = {}
+        for kc, (m,) in c_rows:
+            for k, row in self._rows:
+                term = [0] * j + [m * x for x in row[: d + 1 - j]]
+                mine = acc.get(k + kc)
+                acc[k + kc] = term if mine is None else [x + y for x, y in zip(mine, term)]
+        return self._of_rows(acc, self._den * c_den, d, _mul_up(tail, c.enclosure().mag()))
 
     # -- endpoint-proof operations ------------------------------------------
 

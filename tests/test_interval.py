@@ -58,7 +58,6 @@ def test_zero_times_unbounded_is_zero():
     assert Interval(-inf, -1.0) * zero == zero
     assert zero * Interval(-inf, inf) == zero
     assert Interval(0.0, 2.0) * Interval(1.0, inf) == Interval(0.0, inf)
-    assert Interval(-inf, inf).scale(0) == zero
 
 
 def test_nan_operand_of_a_directed_product_raises():

@@ -69,7 +69,7 @@ def test_series_products_contain_oracle(oracle):
 def test_monomial_shift_and_poly(oracle):
     r = 1.0
     # x * sinc = sin
-    shifted = ps_sinc(20, r).mul_monomial(1)
+    shifted = ps_sinc(20, r).mul_term(1, 1)
     for x in (0.1, 0.7, 1.0):
         assert contains(shifted.eval(Interval.point(x)), mp.sin(mp.mpf(x)))
     poly = ps_poly({0: PiPoly({2: 1}), 2: -4}, 20, r)  # pi^2 - 4x^2
@@ -90,7 +90,7 @@ def test_divide_power_shifts_exactly(oracle):
     with pytest.raises(OrderMismatch):
         ps_cos(20, r).divide_power(1)
     # a shift or division past the degree would change the degree
-    for op in (sin.mul_monomial, sin.divide_power):
+    for op in (lambda k: sin.mul_term(1, k), sin.divide_power):
         with pytest.raises(DomainError):
             op(22)
 
@@ -172,7 +172,7 @@ def test_int_pow_bitwise_equals_unit_reference(series):
 
 def test_scale_by_pipoly(oracle):
     r = 0.5
-    scaled = ps_cos(16, r).scale(PiPoly({2: 1}))
+    scaled = ps_cos(16, r).mul_term(PiPoly({2: 1}), 0)
     assert contains(scaled.eval(Interval.point(0.3)), mp.pi**2 * mp.cos(mp.mpf("0.3")))
 
 
@@ -256,6 +256,18 @@ def _fraction_shift(a, j):
     return [PiPoly()] * j + list(a.coeffs[: d + 1 - j]), _add_up(tail, _mul_up(a.tail, _pow_up(r, j)))
 
 
+def _fraction_term(a, c, j):
+    """Reference c u^j * a: the shift by u^j, then every coefficient and the
+    tail scaled by c."""
+    c = c if isinstance(c, PiPoly) else PiPoly.rational(c)
+    coeffs, tail = _fraction_shift(a, j)
+    return [c * x for x in coeffs], _mul_up(tail, c.enclosure().mag())
+
+
+# a constant of the forms: 2/15 and (2/pi)^4 together
+_PI_CONST = PiPoly({-4: 16, 0: Fraction(-2, 15)})
+
+
 def _assert_exact(got, coeffs, tail):
     assert got.coeffs == tuple(coeffs)
     assert got.tail.hex() == tail.hex()
@@ -270,14 +282,13 @@ def test_row_operations_equal_fraction_reference(pair, c, data):
     # the integer-row operations against one Fraction (PiPoly) per coefficient
     a, b = pair
     d = a.degree
-    c_poly = c if isinstance(c, PiPoly) else PiPoly.rational(c)
     _assert_exact(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
     _assert_exact(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
-    _assert_exact(a.scale(c), [c_poly * x for x in a.coeffs], _mul_up(a.tail, c_poly.enclosure().mag()))
     _assert_exact(a * b, *_fraction_product(a, b))
     j = data.draw(st.integers(0, d + 1))
-    shifted = a.mul_monomial(j)
-    _assert_exact(shifted, *_fraction_shift(a, j))
+    for cj in ((c, 0), (1, j), (c, j), (_PI_CONST, d + 1)):
+        _assert_exact(a.mul_term(*cj), *_fraction_term(a, *cj))
+    shifted = a.mul_term(1, j)
     # division by u^k up to the count of exactly vanishing leading coefficients
     coeffs = shifted.coeffs
     zeros = next((n for n, x in enumerate(coeffs) if x.terms), d + 1)
@@ -298,7 +309,7 @@ _NARROWED = {
     "p": (ps_p(16, _R), mp_p),
     "sinc*cos": (ps_sinc(16, _R) * ps_cos(16, _R), lambda x: mp_sinc(x) * mp.cos(x)),
     "sin*cos^2": (ps_sin(16, _R) * ps_cos(16, _R).int_pow(2), lambda x: mp.sin(x) * mp.cos(x) ** 2),
-    "3p - sinc": (ps_p(16, _R).scale(3) - ps_sinc(16, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
+    "3p - sinc": (ps_p(16, _R).mul_term(3, 0) - ps_sinc(16, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
 }
 
 
