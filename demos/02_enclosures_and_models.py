@@ -36,4 +36,4 @@ for k in range(0, 9, 2):
     print(f"  x^{k}: {series.coeffs[k]}")
 print(f"  tail coefficient of x^17: {series.tail:.3e}, valid out to pi/2")
 box = Interval(1.0, 1.25)
-print(f"  a box margin, X^4 * Q(X) with Q = F/x^4: over {box} it is {eval_form(spec.id, box)}")
+print(f"  a box margin, Q(X) with Q = F/x^4 > 0 where F > 0: over {box} it is {eval_form(spec.id, box)}")

@@ -21,11 +21,11 @@ A proof of F > 0 has three parts:
   * near 0:        Q is bounded below by a positive constant on [0, delta];
   * near pi/2:     the same for Q1 = F/eps^k1, eps = pi/2 - x, its tail
                    valid on |eps| <= MAX_EPSILON, where F vanishes (k1 > 0);
-  * the middle:    adaptive bisection into boxes X whose margins
-                   x^k0 * Q(X) are certainly positive.  Q(X) is interval
-                   Horner plus the tail, its polynomial part narrowed by the
-                   second-order slope form where Horner leaves the sign
-                   open (`PowerSeries.eval`).
+  * the middle:    adaptive bisection into boxes X in (0, end] whose
+                   margins Q(X) are certainly positive.  Q(X) is interval
+                   Horner plus the tail, its polynomial part narrowed by its
+                   Bernstein bound where Horner leaves the sign open
+                   (`PowerSeries.eval`).
 
 A certificate (schema tancert-cert-v6) holds the config and the boxes of
 the middle cover with their depths, nothing else.  The checker derives
@@ -34,8 +34,8 @@ every box once on Q rebuilt at config.degree to test its margin's sign,
 and ties the config to the boxes by requiring them to chain across
 exactly the cover [delta, end] that the config fixes.  Since no margin is
 stored, a tighter evaluation leaves earlier files valid: a box that
-Horner signs keeps its margin bit for bit, and the files that the
-mean-value form wrote before the slope form still check.  Files of the
+Horner signs keeps its Horner value bit for bit, and the finer covers
+that the mean-value and slope forms wrote still check.  Files of the
 earlier schemas are refused as an unknown schema (README, "Certificate
 schema").
 
@@ -59,7 +59,6 @@ from .interval import (
     _sub_up,
     certainly_negative,
     certainly_positive,
-    int_pow,
     split,
 )
 from .series import PiPoly, PowerSeries, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
@@ -454,14 +453,14 @@ class CertifyConfig(namedtuple(
 def eval_form(inequality_id: str, x: Interval, *,
               degree: int = CertifyConfig._field_defaults["degree"]) -> Interval:
     """Box margin over x at this degree, which certify and check compute
-    alike and no certificate stores: the enclosure x^k0 * Q(x) of F, with
-    Q = F/x^k0 the divided exact series and Q(x) its `PowerSeries.eval`."""
+    alike and no certificate stores: Q(x), Q = F/x^k0 the divided exact
+    series, by `PowerSeries.eval`.  It has the sign of F, as x^k0 > 0 on
+    x; a box touching 0, where F vanishes, is refused."""
     if inequality_id not in CATALOG:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
-    if x.lo < 0.0 or x.hi > _HALF_PI_HI:
-        raise DomainError(f"eval_form domain [0, pi/2 + ulp] violated: {x}")
-    spec = CATALOG[inequality_id]
-    return int_pow(x, spec.vanish_order_zero) * _quotient(spec, "zero", degree).eval(x)
+    if not 0.0 < x.lo or x.hi > _HALF_PI_HI:
+        raise DomainError(f"eval_form domain (0, pi/2 + ulp] violated: {x}")
+    return _quotient(CATALOG[inequality_id], "zero", degree).eval(x)
 
 
 # worst_box: the unresolved BoxRecord of lowest margin, or None

@@ -1,8 +1,8 @@
 """Exact truncated power series with rigorous tail-coefficient bounds.
 
 This is the engine behind the near-endpoint proofs and the box margins,
-which `eval` encloses by Horner narrowed by a second-order slope form.  A
-`PowerSeries` represents, on |u| <= radius,
+which `eval` encloses by Horner, narrowed by the Bernstein bound where
+Horner leaves the sign open.  A `PowerSeries` represents, on |u| <= radius,
 
     f(u)  in  sum_{k<=D} c_k u^k  +  [-tail, tail] * u^(D+1),
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, OrderMismatch
 from .interval import (
@@ -58,6 +58,8 @@ from .interval import (
     rational_enclosure,
     _add_down,
     _add_up,
+    _div_down,
+    _div_up,
     _mul_bounds,
     _mul_up,
     _pow_up,
@@ -247,14 +249,30 @@ def _fold(mags, r: float) -> float:
 _radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r, i)
 
 
-def _divide(encs, m: Interval) -> tuple:
-    """Enclosed quotient (lowest power first) and remainder P(m) of P / (x - m), P from encs."""
-    lo, hi, steps = 0.0, 0.0, []
-    for e in reversed(encs):
-        steps.append(Interval(lo, hi))
-        lo, hi = _mul_bounds(lo, hi, m.lo, m.hi)
-        lo, hi = _add_down(lo, e.lo), _add_up(hi, e.hi)
-    return steps[:0:-1], Interval(lo, hi)
+_BERNSTEIN_DEGREE = 24  # N: the Bernstein form of eval takes N + 1 coefficients
+
+
+def _bernstein_range(encs, lo: float, hi: float) -> tuple:
+    """Least and greatest Bernstein coefficient on [lo, hi], lo < hi, of the
+    polynomial of coefficient enclosures encs, which bound its range there
+    (Garloff 1985): a Taylor shift to lo, a scaling by w^j / C(n, j) with
+    w = hi - lo, and n rounds of forward sums, on float endpoint pairs."""
+    n = len(encs) - 1  # at most 24, so each C(n, j) is an exact float
+    c = [(e.lo, e.hi) for e in encs]
+    for i in range(n if lo else 0):  # the shift, skipped when lo is 0
+        for j in range(n - 1, i - 1, -1):
+            a, b = _mul_bounds(c[j + 1][0], c[j + 1][1], lo, lo)
+            c[j] = _add_down(c[j][0], a), _add_up(c[j][1], b)
+    w_lo, w_hi = _add_down(hi, -lo), _add_up(hi, -lo)
+    p_lo = p_hi = 1.0
+    for j in range(n + 1):
+        a, b = _mul_bounds(c[j][0], c[j][1], p_lo, p_hi)
+        c[j] = _div_down(a, float(comb(n, j))), _div_up(b, float(comb(n, j)))
+        p_lo, p_hi = _mul_bounds(p_lo, p_hi, w_lo, w_hi)
+    for r in range(1, n + 1):
+        for j in range(n, r - 1, -1):
+            c[j] = _add_down(c[j][0], c[j - 1][0]), _add_up(c[j][1], c[j - 1][1])
+    return min(a for a, _ in c), max(b for _, b in c)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +407,17 @@ class PowerSeries:
         d, r = self.degree, self.radius
         if not 0 <= j <= d + 1:
             raise DomainError(f"mul_term needs 0 <= j <= {d + 1}, got {j}")
-        if not isinstance(c, PiPoly):
-            c = PiPoly.rational(c)
         over = [e.mag() for e in _enclosures(self._rows, self._den, range(d + 1 - j, d + 1))]
         tail = _add_up(_fold(over, r), _mul_up(self.tail, _pow_up(r, j)))
+        shifted = [(k, [0] * j + row[: d + 1 - j]) for k, row in self._rows]
+        if c == 1:  # the shift alone, with no PiPoly or enclosure of the unit
+            return self._of_rows(dict(shifted), self._den, d, tail)
+        c = c if isinstance(c, PiPoly) else PiPoly.rational(c)
         c_rows, c_den = _rows_of([c.terms])
         acc = {}
         for kc, (m,) in c_rows:
-            for k, row in self._rows:
-                term = [0] * j + [m * x for x in row[: d + 1 - j]]
+            for k, row in shifted:
+                term = [m * x for x in row]
                 mine = acc.get(k + kc)
                 acc[k + kc] = term if mine is None else [x + y for x, y in zip(mine, term)]
         return self._of_rows(acc, self._den * c_den, d, _mul_up(tail, c.enclosure().mag()))
@@ -419,24 +439,25 @@ class PowerSeries:
 
     def eval(self, u: Interval) -> Interval:
         """Enclosure of the series over u: interval Horner on the polynomial
-        part P plus the tail [-t, t], t = tail * |u|^(degree+1).  Only where
-        that leaves the sign open is P intersected with its second-order slope
-        form P(m) + P'(m) T + T^2 S(u), T = u - m, m = mid u, T^2 >= 0, whose
-        terms two synthetic divisions by (x - m) give (Krawczyk & Neumaier 1985)."""
-        if u.mag() > self.radius:
+        part P plus the tail [-t, t], t = tail * |u|^(degree+1), P narrowed where
+        that leaves the sign open by the Bernstein bound on u of its first N + 1
+        terms, N = _BERNSTEIN_DEGREE, plus [-s, s], s >= sum |c_j| |u|^j of the rest."""
+        m = u.mag()
+        if m > self.radius:
             raise DomainError("PowerSeries evaluated outside its radius")
-        t = _mul_up(self.tail, _pow_up(u.mag(), self.degree + 1))
-        poly = horner(self.coefficient_enclosures(), u)
+        t = _mul_up(self.tail, _pow_up(m, self.degree + 1))
+        encs = self.coefficient_enclosures()
+        poly = horner(encs, u)
         value = poly + Interval(-t, t)
         if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
             return value
-        m = Interval.point(u.mid)
-        quotient, p_m = _divide(self.coefficient_enclosures(), m)
-        slopes, dp_m = _divide(quotient, m)
-        form = p_m + dp_m * (u - m) + int_pow(u - m, 2) * horner(slopes, u)
+        s = _mul_up(_fold([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m),
+                    _pow_up(m, _BERNSTEIN_DEGREE + 1))
+        lo, hi = _bernstein_range(encs[: _BERNSTEIN_DEGREE + 1], u.lo, u.hi)
         # both contain the range of P over u, so they meet; an empty meet
         # is a kernel fault, and Interval refuses it
-        return Interval(max(poly.lo, form.lo), min(poly.hi, form.hi)) + Interval(-t, t)
+        bound = Interval(max(poly.lo, _add_down(lo, -s)), min(poly.hi, _add_up(hi, s)))
+        return bound + Interval(-t, t)
 
     def __repr__(self) -> str:
         return (

@@ -11,12 +11,14 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 import sympy as sp
 
 from tancert import cli
 from tancert.analysis import crossover_lower, crossover_upper, exponent_ratio
 from tancert.certifier import CATALOG, CertifyConfig, _bisect_cover, certify, eval_form, near_zero_proof
 from tancert.enclosures import cos_enc, p_enc, sinc_enc
+from tancert.errors import DomainError
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
 from tancert.sequences import phi_power_series, t_seq, u_seq, verify_shift_identities
 
@@ -241,15 +243,14 @@ def test_criterion_9_soundness_suite():
             assert contains(p_enc(xi), mp_p(mx))
             enc_checks += 3
 
-    # without the near-zero proof, bisection from 0 ends undecided (never falsified)
-    _, failed, falsified, _ = _bisect_cover(
-        lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig()
-    )
-    assert failed and falsified is None
+    # without the near-zero proof, bisection from 0 is refused at its first
+    # box, which touches 0 (neither certified nor falsified)
+    with pytest.raises(DomainError, match="eval_form domain"):
+        _bisect_cover(lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig())
     _report(
         9,
         f"{checks} interval containment checks and {enc_checks} enclosure checks, "
-        "zero violations; near-zero-disabled run is undecided (never falsified)",
+        "zero violations; near-zero-disabled run is refused (neither certified nor falsified)",
     )
 
 

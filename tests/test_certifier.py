@@ -39,7 +39,6 @@ from tancert.interval import (
     _pow_up,
     certainly_positive,
     horner,
-    int_pow,
     split,
 )
 from tancert.series import PiPoly, ps_poly
@@ -248,7 +247,8 @@ def test_divide_power_rejects_nonzero_low_coeff():
 
 
 def test_eval_form_examples(oracle):
-    # at the default degree 16 the series tail alone is 5e-11 wide here
+    # a margin encloses Q = F/x^k0, which is F itself at x = 1; at the
+    # default degree 16 the series tail alone is 5e-11 wide here
     v = eval_form("main_lower", Interval.point(1.0), degree=32)
     assert contains(v, mp_form("main_lower", 1))
     assert v.width < 1e-14
@@ -259,8 +259,15 @@ def test_eval_form_examples(oracle):
     c, t = mp.cos(1), mp.tan(1)
     alt = c**6 * (t**6 - 243 * (t - 1) ** 5)
     assert abs(expected - alt) < mp.mpf(10) ** -50
-    v0 = eval_form("main_upper", Interval.point(0.0))
-    assert contains(v0, 0)
+    k0 = CATALOG["main_upper"].vanish_order_zero
+    v = eval_form("main_upper", Interval.point(0.5))
+    assert contains(v, mp_form("main_upper", mp.mpf(0.5)) / mp.mpf(0.5) ** k0)
+    # near 0, Q is its leading coefficient to far below an ulp; F/x^k0 is
+    # undefined at 0, so a box touching 0 is refused
+    lead = CATALOG["main_upper"].leading_coeff_zero.terms[0]
+    assert contains(eval_form("main_upper", Interval.point(1e-90)), mp.mpf(lead.numerator) / lead.denominator)
+    with pytest.raises(DomainError):
+        eval_form("main_upper", Interval.point(0.0))
 
 
 def test_eval_form_containment_random(oracle):
@@ -271,8 +278,9 @@ def test_eval_form_containment_random(oracle):
             b = min(a + rng.uniform(0, 0.2), 1.5707963267948966)
             box = Interval(a, b)
             v = eval_form(cid, box)
+            k0 = CATALOG[cid].vanish_order_zero
             for t in (a, b):
-                assert contains(v, mp_form(cid, t)), cid
+                assert contains(v, mp_form(cid, t) / mp.mpf(t) ** k0), cid
 
 
 def test_certify_all_catalog_ids():
@@ -381,15 +389,24 @@ def test_determinism_across_thread_counts(tmp_path):
 
 
 def test_bisection_insufficiency_guard():
-    # margins vanish at 0, so bisection alone from 0 ends undecided, never falsified
-    _, failed, falsified, _ = _bisect_cover(
-        lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig()
-    )
-    assert failed
-    assert falsified is None
+    # F vanishes at 0, so no box touching 0 is signed: bisection alone from 0
+    # is refused at its first box, neither certified nor falsified
+    with pytest.raises(DomainError, match="eval_form domain"):
+        _bisect_cover(lambda x: eval_form("main_lower", x), 0.0, _HALF_PI_HI, CertifyConfig())
+    for box in (Interval(0.0, 0.25), Interval.point(0.0), Interval(-0.0, 2.0**-1074)):
+        with pytest.raises(DomainError, match="eval_form domain"):
+            eval_form("main_lower", box)
+
+
+def _signed_below(width):
+    """A synthetic margin, positive on boxes narrower than width and open on the rest."""
+    return lambda cid, x, degree: Interval(1.0, 2.0) if x.width < width else Interval(-1.0, 2.0)
 
 
 def test_bisection_stops_at_the_box_cap(monkeypatch):
+    # the synthetic margin needs eight boxes or more across bs_lower's cover
+    monkeypatch.setattr(certifier, "eval_form", _signed_below(0.2))
+    assert len(certify("bs_lower").boxes) >= 8
     monkeypatch.setattr(certifier, "MAX_BOXES", 2)
     cert = certify("bs_lower")
     assert cert.status == "undecided"
@@ -538,7 +555,7 @@ def test_check_reads_up_to_the_largest_certificate(tmp_path):
 
 def test_boxes_that_horner_signs_keep_their_margins(monkeypatch):
     # a box whose sign interval Horner plus tail decides keeps that margin bit
-    # for bit; the slope form narrows only the others
+    # for bit; the Bernstein bound narrows only the others
     certifier._quotient.cache_clear()
     narrowed = 0
     for cid, spec in CATALOG.items():
@@ -548,31 +565,35 @@ def test_boxes_that_horner_signs_keep_their_margins(monkeypatch):
             t = _mul_up(q.tail, _pow_up(x.mag(), q.degree + 1))
             horner_value = horner(q.coefficient_enclosures(), x) + Interval(-t, t)
             if certainly_positive(horner_value):
-                assert box.margin == int_pow(x, spec.vanish_order_zero) * horner_value, (cid, box)
+                assert box.margin == horner_value, (cid, box)
             else:
                 narrowed += 1
     assert narrowed
     # prop1_lower's proofs and box are all signed by Horner, so each series
-    # evaluation of its certify is one Horner evaluation, with no slope form
+    # evaluation of its certify is one Horner evaluation, with no Bernstein bound
     evals = count_calls(monkeypatch, series.PowerSeries, "eval")
     horners = count_calls(monkeypatch, series, "horner")
     certify("prop1_lower")
     assert len(horners) == len(evals) > 0
 
 
-@pytest.mark.parametrize("cid", sorted(CATALOG))
-def test_a_finer_cover_still_checks(cid):
-    # every box of a default certificate split in two, one level deeper
-    cert = certify(cid)
+def _split_cover(cert):
+    """The certificate with every box split in two, one level deeper, as read from a file."""
     boxes = [BoxRecord(half, None, b.depth + 1) for b in cert.boxes for half in split(b.interval)]
     stats = cert.stats._replace(box_count=len(boxes), max_depth_reached=cert.stats.max_depth_reached + 1)
-    finer = certificate_from_dict(certificate_to_dict(cert._replace(boxes=boxes, stats=stats)))
-    result = check_certificate(finer)
+    return certificate_from_dict(certificate_to_dict(cert._replace(boxes=boxes, stats=stats)))
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_a_finer_cover_still_checks(cid):
+    result = check_certificate(_split_cover(certify(cid)))
     assert result.ok, result.diagnoses
 
 
 def test_check_detects_gap():
-    cert = certify("bs_lower")
+    # bs_lower's default cover split twice, one box inside it taken out
+    cert = _split_cover(_split_cover(certify("bs_lower")))
+    assert len(cert.boxes) >= 3 and check_certificate(cert).ok
     del cert.boxes[1]
     result = check_certificate(cert)
     assert not result.ok
@@ -580,8 +601,10 @@ def test_check_detects_gap():
 
 
 def test_check_detects_missing_tail_coverage():
-    cert = certify("bs_lower")
+    # bs_lower's default cover split in two, its last box taken out
+    cert = _split_cover(certify("bs_lower"))
     cert.boxes[:] = cert.boxes[:-1]
+    assert cert.boxes
     result = check_certificate(cert)
     assert not result.ok
     assert any("gap" in d for d in result.diagnoses)

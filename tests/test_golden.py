@@ -13,8 +13,8 @@ the near-pi/2 series are built at the smallest radius.
 
 A certificate stores no margin, so `tests/data/golden/margins.json` pins
 the margin of every golden box, bit for bit: each is the hex endpoint
-pair of `eval_form` at the config degree, by configuration directory
-("." for the default) and id.  A change to a tail bound or to the
+pair of `eval_form` at the config degree, the enclosure of Q = F/x^k0
+over the box, by configuration directory ("." for the default) and id.  A change to a tail bound or to the
 rounding that moves any margin shows up there.
 
 The same files are checked against an oracle that shares no code with the
@@ -36,7 +36,10 @@ only when a change to them is intended, and record why in CHANGES.md.
 default `main_upper` certificate as schema tancert-cert-v<n> wrote it; the
 checker refuses each.  `tests/data/v6-finer-covers/` holds, in the same
 layout as the goldens, the v6 certificates that the mean-value form wrote
-before the slope form coarsened their covers; the checker accepts each.
+before the slope form coarsened their covers, and its `slope-form/` the
+ones that the slope form wrote before the Bernstein bound took every cover
+to one box; the checker accepts each, and each has more boxes than the
+golden of its id and configuration.
 
 The README's count of the boxes of the three golden configurations is
 tested against the goldens, so it cannot go stale.
@@ -159,12 +162,13 @@ def test_pinned_enclosures_reproduced(name):
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
 def test_golden_box_margins_contain_the_form(cid, oracle):
-    cert = load_certificate(GOLDEN / f"cert-{cid}.json")
+    # a margin encloses Q = F/x^k0 over its box
+    cert, k0 = load_certificate(GOLDEN / f"cert-{cid}.json"), CATALOG[cid].vanish_order_zero
     for box in cert.boxes:
         margin = eval_form(cid, box.interval, degree=cert.config.degree)
         lo, hi = mp.mpf(box.interval.lo), mp.mpf(box.interval.hi)
         for x in (lo, (lo + hi) / 2, hi):
-            assert contains(margin, mp_form(cid, x)), (box, margin, x)
+            assert contains(margin, mp_form(cid, x) / x**k0), (box, margin, x)
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
@@ -218,8 +222,10 @@ def test_v5_certificate_is_refused():
 def test_v6_file_with_a_finer_cover_still_checks(path):
     result = check_file(path)
     assert result.ok, result.diagnoses
-    golden = load_certificate(GOLDEN / path.relative_to(FINER_V6))
-    assert load_certificate(path).stats.box_count > golden.stats.box_count
+    finer = load_certificate(path)
+    directory = next(d for d, cfg in GOLDEN_CONFIGS.items() if cfg == finer.config)
+    golden = load_certificate(GOLDEN / directory / path.name)
+    assert finer.stats.box_count > golden.stats.box_count
 
 
 def test_readme_box_counts_are_the_goldens():

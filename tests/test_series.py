@@ -328,35 +328,20 @@ def _horner_plus_tail(s, u):
     return horner(s.coefficient_enclosures(), u) + Interval(-t, t)
 
 
-def _exact_divide(coeffs, m):
-    """Synthetic division by (x - m) in Fractions: quotient and remainder."""
-    acc, steps = Fraction(0), []
-    for c in reversed(coeffs):
-        steps.append(acc)
-        acc = acc * m + c
-    return steps[:0:-1], acc
-
-
-def _exact_times(a, b):
-    products = [x * y for x in a for y in b]
-    return min(products), max(products)
-
-
-def _exact_slope_form(s, u):
-    """P(m) + P'(m) T + T^2 S(u), T = u - m, in exact rational interval
-    arithmetic from the exact rational coefficients, S(u) by Horner."""
-    coeffs = [c.terms.get(0, Fraction(0)) for c in s.coeffs]
+def _exact_bernstein(s, u):
+    """Least and greatest Bernstein coefficient of the polynomial part of s
+    on u, in Fractions from the exact rational coefficients: the Taylor
+    coefficients at u.lo, each times w^j / C(n, j), w = u.hi - u.lo, summed
+    as sum_{j<=i} C(i, j) d_j for i = 0..n."""
+    assert s.degree <= series._BERNSTEIN_DEGREE
     assert all(set(c.terms) <= {0} for c in s.coeffs)
-    lo, hi, m = Fraction(u.lo), Fraction(u.hi), Fraction(u.mid)
-    quotient, p_m = _exact_divide(coeffs, m)
-    slopes, dp_m = _exact_divide(quotient, m)
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(slopes):
-        acc = tuple(x + c for x in _exact_times(acc, (lo, hi)))
-    t = (lo - m, hi - m)
-    squares = (0 if t[0] <= 0 <= t[1] else min(x * x for x in t), max(x * x for x in t))
-    linear, quadratic = _exact_times((dp_m,), t), _exact_times(squares, acc)
-    return p_m + linear[0] + quadratic[0], p_m + linear[1] + quadratic[1]
+    coeffs = [c.terms.get(0, Fraction(0)) for c in s.coeffs]
+    n, a, w = s.degree, Fraction(u.lo), Fraction(u.hi) - Fraction(u.lo)
+    shifted = [sum(math.comb(k, j) * coeffs[k] * a ** (k - j) for k in range(j, n + 1))
+               for j in range(n + 1)]
+    d = [shifted[j] * w**j / math.comb(n, j) for j in range(n + 1)]
+    b = [sum(math.comb(i, j) * d[j] for j in range(i + 1)) for i in range(n + 1)]
+    return min(b), max(b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -371,12 +356,12 @@ def test_eval_contains_the_function_and_narrows_horner(name, u, oracle):
             assert contains(value, fn(mp.mpf(x))), (name, u, x)
     assert horner_value.lo <= value.lo and value.hi <= horner_value.hi
     if horner_value.lo <= 0.0 <= horner_value.hi:
-        # inside the second-order slope form, up to the tail and the
-        # rounding of the kernel's coefficient enclosures and multiply-adds:
-        # relative 2^-53 each, fewer than 2^13 of them, on sums below b
-        lo, hi = _exact_slope_form(s, u)
+        # inside the exact Bernstein bound, up to the tail and the rounding
+        # of the kernel's coefficient enclosures and multiply-adds: relative
+        # 2^-53 each, fewer than 2^13 of them, on sums below b
+        lo, hi = _exact_bernstein(s, u)
         t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
-        b = sum((k + 1) ** 2 * abs(c.enclosure().mag()) * _R**k for k, c in enumerate(s.coeffs))
+        b = sum(abs(c.enclosure().mag()) * (1 + 3 * _R) ** k for k, c in enumerate(s.coeffs))
         slack = t + b * 2.0**-40
         assert lo - Fraction(slack) <= Fraction(value.lo), (name, u)
         assert Fraction(value.hi) <= hi + Fraction(slack), (name, u)
@@ -389,27 +374,58 @@ def test_eval_narrows_only_where_horner_leaves_the_sign_open(monkeypatch):
     signed = Interval(0.5, 0.75)
     assert s.eval(signed) == _horner_plus_tail(s, signed) and len(calls) == 1
     # near the zero at pi/2 Horner's dependency loss leaves about [-0.27, 0.26]
-    # and the slope form, one more Horner evaluation (of S), about [-0.0013, 0.0052]
+    # and the Bernstein bound, which calls no Horner, about [-0.0003, 0.0051]
     calls.clear()
     near = Interval(1.5, 1.5625)
     value, horner_value = s.eval(near), _horner_plus_tail(s, near)
-    assert value.width < horner_value.width / 40 and len(calls) == 2
+    assert value.width < horner_value.width / 80 and len(calls) == 1
 
 
 @pytest.mark.parametrize("degree", [0, 1])
-def test_eval_of_degree_below_two_is_the_mean_value_form(degree):
-    # P(m) + c_1 (u - m) where Horner leaves the sign open, the result these
-    # degrees had before the slope form; 1/3 - 7u/5 at degree 1
-    s = ps_poly({0: Fraction(1, 3), 1: Fraction(-7, 5)} if degree else {0: Fraction(1, 3)},
-                degree, 2.0, 0.25)
-    encs, narrowed = s.coefficient_enclosures(), 0
+def test_eval_of_degree_below_two_is_the_range_at_the_box_ends(degree):
+    # the Bernstein coefficients of a polynomial of degree <= 1 are its values
+    # at the box ends, so where Horner leaves the sign open eval is their
+    # hull, up to a few roundings, plus the tail; 1/3 - 7u/5 at degree 1
+    coeffs = [Fraction(1, 3), Fraction(-7, 5)][: degree + 1]
+    s = ps_poly(dict(enumerate(coeffs)), degree, 2.0, 0.25)
+    narrowed = 0
     for u in (Interval(-1.5, 1.25), Interval(0.125, 0.5), Interval(0.5, 1.0)):
-        poly, m = horner(encs, u), Interval.point(u.mid)
-        mean = horner(encs, m) + horner(encs[1:], u) * (u - m)
-        t = _mul_up(s.tail, _pow_up(u.mag(), degree + 1))
-        value = poly + Interval(-t, t)
-        if value.lo <= 0.0 <= value.hi:
-            value = Interval(max(poly.lo, mean.lo), min(poly.hi, mean.hi)) + Interval(-t, t)
+        value, horner_value = s.eval(u), _horner_plus_tail(s, u)
+        if horner_value.lo <= 0.0 <= horner_value.hi:
+            t = Fraction(_mul_up(s.tail, _pow_up(u.mag(), degree + 1)))
+            ends = [sum(c * Fraction(x) ** k for k, c in enumerate(coeffs)) for x in (u.lo, u.hi)]
+            assert min(ends) - t - Fraction(2.0**-50) <= Fraction(value.lo) <= min(ends) - t, u
+            assert max(ends) + t <= Fraction(value.hi) <= max(ends) + t + Fraction(2.0**-50), u
             narrowed += 1
-        assert s.eval(u) == value, u
+        else:
+            assert value == horner_value, u
     assert narrowed
+
+
+# Series of degree 96, where only the first _BERNSTEIN_DEGREE + 1 terms enter
+# the Bernstein form and the rest are bounded by |c_j| |u|^j, with their
+# mpmath references, and boxes that Horner leaves open on them.
+_DEGREE_96 = {
+    "sin*cos^2": (ps_sin(96, _R) * ps_cos(96, _R).int_pow(2), lambda x: mp.sin(x) * mp.cos(x) ** 2),
+    "3p - sinc": (ps_p(96, _R).mul_term(3, 0) - ps_sinc(96, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
+    "cos - 1/2": (ps_cos(96, _R) - ps_poly({0: Fraction(1, 2)}, 96, _R), lambda x: mp.cos(x) - 0.5),
+    # all of its variation lies past the first 25 terms
+    "u^40 - 1/2": (ps_poly({0: Fraction(-1, 2), 40: 1}, 96, _R), lambda x: x**40 - 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE_96))
+def test_eval_at_degree_96_folds_the_terms_past_the_bernstein_form(name, monkeypatch, oracle):
+    s, fn = _DEGREE_96[name]
+    calls = count_calls(monkeypatch, series, "_bernstein_range")
+    rng, boxes = random.Random(96), [Interval(-_R, _R), Interval(0.5, _R), Interval(-1.0, 1.25)]
+    boxes += [Interval(*sorted(rng.uniform(-_R, _R) for _ in range(2))) for _ in range(40)]
+    for u in boxes:
+        value = s.eval(u)
+        for x in (u.lo, u.lo + (u.hi - u.lo) / 3, u.mid, u.hi):
+            extra = int(-2 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
+            with mp.workdps(mp.mp.dps + extra):
+                assert contains(value, fn(mp.mpf(x))), (name, u, x)
+    # the wide boxes reach the Bernstein stage, on the first 25 of 97 terms
+    assert len(calls) >= 3
+    assert all(len(encs) == series._BERNSTEIN_DEGREE + 1 < s.degree + 1 for encs, _, _ in calls)
