@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The proof identities that `sequences.replay_identity` proves exactly, named
 # here so the CLI parser can offer them without importing `sequences`.
-REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime")
+REPLAY_IDENTITIES = ("eq22_factorization", "eq24_quotient", "thm_a_h_prime", "lemma_phi_series")
 
 # Every public name, by the module that defines it.  A module is imported
 # when one of its names is first read, so `import tancert` loads only
@@ -31,7 +31,7 @@ _EXPORTS = {
     "enclosures": "cos_enc sinc_enc p_enc",
     "sequences": (
         "t_seq u_seq a_seq b_seq SeqTerm seq_term verify_shift_identities "
-        "ShiftIdentityReport phi_trig_enc replay_identity"
+        "ShiftIdentityReport replay_identity"
     ),
     "certifier": (
         "CATALOG InequalitySpec CertifyConfig Certificate BoxRecord EndpointProof "

@@ -215,7 +215,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from . import sequences
 
     sequences.replay_identity(args.identity)
-    print(f"{args.identity}: proved exactly, lhs - rhs reduces to 0 in Q(x, cos x, sin x)")
+    print(f"{args.identity}: proved exactly, lhs - rhs reduces to 0")
     return 0
 
 

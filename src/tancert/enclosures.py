@@ -2,9 +2,9 @@
 
 The direct enclosures cos_enc, sinc_enc and p_enc evaluate the truncated
 Taylor series (whose coefficients `series` writes once) in interval
-arithmetic with a certified remainder.  No certificate uses them; the
-wide cos and sinc serve `sequences.phi_trig_enc`, the lemma's independent
-reference, and neither certify nor check loads this module.
+arithmetic with a certified remainder.  No certificate and no other module
+uses them: they serve the benchmark harness alone, and neither certify nor
+check loads this module.
 
 cos and sinc use the Lagrange-style tail bound |x|^K / K!; p is an
 alternating series with provably decreasing terms on the call domain, so
@@ -27,7 +27,7 @@ from .interval import (
 )
 from .series import cos_coeff, p_coeff, sinc_coeff
 
-N_TERMS = 20  # series terms per direct enclosure; tails < 1e-36 on the guard domain
+N_TERMS = 20  # series terms per direct enclosure; tails < 1e-36 on |x| <= 2
 
 
 _COS_COEFFS, _SINC_COEFFS, _P_COEFFS = (
@@ -51,34 +51,24 @@ def _p_terms_decrease() -> bool:
     )
 
 
-def _even_enc(coeffs, x: Interval, guard: float, name: str) -> Interval:
+def _even_enc(coeffs, x: Interval, name: str) -> Interval:
     """The even series sum_m coeffs[m] x^(2m) plus the Lagrange tail
     mag(x)^(2N)/(2N)!, valid for cos and for sinc (whose tail is even
-    smaller term by term), on |x| <= guard."""
-    if x.mag() > guard:
-        raise DomainError(f"{name} guard |x|<={guard:g} violated: {x}")
+    smaller term by term), on |x| <= 2."""
+    if x.mag() > 2.0:
+        raise DomainError(f"{name} guard |x|<=2 violated: {x}")
     t = (int_pow(Interval.point(x.mag()), 2 * N_TERMS) * _INV_FACT_2N).hi
     return horner(coeffs, int_pow(x, 2)) + Interval(-t, t)
 
 
 def cos_enc(x: Interval) -> Interval:
     """Enclosure of cos over x; requires |x| <= 2."""
-    return _even_enc(_COS_COEFFS, x, 2.0, "cos_enc")
+    return _even_enc(_COS_COEFFS, x, "cos_enc")
 
 
 def sinc_enc(x: Interval) -> Interval:
     """Enclosure of sin(x)/x (value 1 at 0); requires |x| <= 2."""
-    return _even_enc(_SINC_COEFFS, x, 2.0, "sinc_enc")
-
-
-# Tripled-argument variants for the lemma's direct trig form (3x reaches
-# 3*pi/2); the Lagrange tail is still < 2e-20 at |x| = 5.
-def _cos_enc_any(x: Interval) -> Interval:
-    return _even_enc(_COS_COEFFS, x, 5.0, "wide cos")
-
-
-def _sinc_enc_any(x: Interval) -> Interval:
-    return _even_enc(_SINC_COEFFS, x, 5.0, "wide sinc")
+    return _even_enc(_SINC_COEFFS, x, "sinc_enc")
 
 
 def p_enc(x: Interval) -> Interval:

@@ -1,5 +1,5 @@
-"""Exact verification of the alternating-series lemma behind the main bound,
-and exact proofs of the three identities of the paper's proof.
+"""Exact proofs of the alternating-series lemma behind the main bound and
+of the identities of the paper's proof.
 
 The trigonometric combination
 
@@ -19,17 +19,13 @@ T_n > 0 for n >= 4, and the decrease of the terms T_n x^(2n)/(2n)! on
     A_n = 32n^3 - 60n^2 - 362n + 459,
     B_n = 128n^4 + 128n^3 - 116n^2 - 158n - 51.
 
-Everything in this module is exact integer/rational arithmetic except
-the tail of phi_power_series, which bounds the alternating series by its
-first omitted term.  That series, with the exact coefficients
-phi_coeff(n), is the lemma's closed-form reference: the certifier builds
-lemma_phi's series from its catalog string like every other form, and the
-tests check that the two have the same coefficients and overlapping
-enclosures.
-
-replay_identity proves the three identities of the paper's proof
-(tancert.REPLAY_IDENTITIES) in the field of rational functions of x,
-cos x and sin x, where derivatives stay: no samples and no tolerance.
+Everything in this module is exact.  replay_identity proves the identities
+of tancert.REPLAY_IDENTITIES: the three of the paper's proof in the field
+of rational functions of x, cos x and sin x, where derivatives stay, and
+the expansion of phi above for every n, in the polynomial ring Q[n, 9^n].
+No samples and no tolerance.  The certifier builds lemma_phi's series from
+its catalog string like every other form; the tests check that its
+coefficients are those of the expansion.
 """
 
 from __future__ import annotations
@@ -37,13 +33,12 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
 
-from .enclosures import _cos_enc_any, _sinc_enc_any
 from .errors import DomainError, IdentityViolation
-from .interval import Interval, int_pow, rational_enclosure
-from .series import PowerSeries, ps_poly
 
+# T_n as an element of Q[n, E], E = 9^n: a dict from the exponents (i, j)
+# of n^i E^j to its coefficients, here 32n^2 - 16n + 3 + (8n/9 - 3) E
+_T = {(2, 0): 32, (1, 0): -16, (0, 0): 3, (1, 1): Fraction(8, 9), (0, 1): -3}
 _A_COEFFS = (459, -362, -60, 32)
 _B_COEFFS = (-51, -158, -116, 128, 128)
 # expanded forms of B(n+1) and A(n+4); the grouped display "437n + 69(n-1)"
@@ -54,10 +49,11 @@ _A_SHIFT4_EXPECTED = (99, 694, 324, 32)
 
 @functools.lru_cache(maxsize=None)
 def t_seq(n: int) -> Fraction:
-    """Exact T_n; integer-valued even at n=0 where 9^(n-1) is 1/9."""
+    """Exact T_n, the value of _T at n: an integer, though _T has the
+    coefficient 8/9 (9^n/9 is an integer for n >= 1, and n 9^n/9 is 0 at 0)."""
     if n < 0:
         raise DomainError("t_seq requires n >= 0")
-    value = 2 * Fraction(4 * n - 1) ** 2 + 1 + (8 * n - 27) * Fraction(9) ** (n - 1)
+    value = sum(Fraction(c) * n**i * 9 ** (j * n) for (i, j), c in _T.items())
     if value.denominator != 1:
         raise AssertionError(f"T_{n} is not an integer: {value}")
     return value
@@ -70,10 +66,9 @@ def _poly_eval(coeffs, n: int) -> int:
     return acc
 
 
-# Exact values of all four sequences at one index.  T is kept rational because
-# its 9^(n-1) factor is 1/9 at n = 0 before the whole expression collapses to
-# an integer; integrality is asserted, not assumed.  The records of this
-# module are namedtuples, like those of `certifier`.
+# Exact values of all four sequences at one index.  T is kept rational
+# because _T has a coefficient 8/9; integrality is asserted, not assumed.
+# The records of this module are namedtuples, like those of `certifier`.
 SeqTerm = namedtuple("SeqTerm", "n T U A B")
 
 
@@ -100,27 +95,19 @@ def u_seq(n: int) -> tuple[int, int]:
     every n as an exact identity.
     """
     via_rec = (2 * n + 2) * (2 * n + 1) * t_seq(n) - 3 * t_seq(n + 1)
-    closed = _poly_eval(_B_COEFFS, n) + _poly_eval(_A_COEFFS, n) * Fraction(9) ** (
-        n - 1
-    )
+    closed = b_seq(n) + a_seq(n) * Fraction(9) ** (n - 1)
     if via_rec.denominator != 1 or closed.denominator != 1:
         raise AssertionError(f"U_{n} not integral")
     return int(via_rec), int(closed)
 
 
 def _compose_shift(coeffs, shift: int) -> tuple[int, ...]:
-    """Exact coefficients of p(n + shift) from those of p(n)."""
-    out = [0] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        # c * (n + shift)^k via binomial expansion
-        binom = 1
-        power = 1
-        for j in range(k, -1, -1):
-            out[j] += c * binom * power
-            if j:
-                binom = binom * j // (k - j + 1)
-                power *= shift
-    return tuple(out)
+    """Exact coefficients of p(n + shift) from those of p(n), by Horner's
+    rule: acc <- acc * (n + shift) + c from the leading coefficient down."""
+    acc = ()
+    for c in reversed(coeffs):
+        acc = tuple(a + shift * b for a, b in zip((c, *acc), (*acc, 0)))
+    return acc
 
 
 class ShiftIdentityReport(namedtuple("ShiftIdentityReport", (
@@ -161,10 +148,7 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
     # B(n+1): nonneg high coefficients and 506n - 69 > 0 for n >= 1 gives
     # B(m) > 0 for m >= 2 (in particular m >= 4)
     b_positive = all(c > 0 for c in b1[1:]) and b1[1] + b1[0] > 0
-    scan = all(
-        _poly_eval(_A_COEFFS, n) > 0 and _poly_eval(_B_COEFFS, n) > 0
-        for n in range(4, n_max + 1)
-    )
+    scan = all(a_seq(n) > 0 and b_seq(n) > 0 for n in range(4, n_max + 1))
     for n in range(n_max + 1):
         via_rec, closed = u_seq(n)
         if via_rec != closed:
@@ -179,49 +163,41 @@ def verify_shift_identities(n_max: int) -> ShiftIdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# phi's exact series at 0, and its trig form
+# phi's expansion, for every n, in Q[n, E] with E = 9^n
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def phi_coeff(n: int) -> Fraction:
-    """Exact coefficient (-1)^n 3 T_n/(2n)! of x^(2n) in phi."""
-    return Fraction((-1) ** n * 3 * t_seq(n), factorial(2 * n))
+# An element of Q[n, E] is a dict like _T.  A polynomial in n and 9^n that
+# vanishes at every n >= 0 is 0 (as n grows, its highest power of 9^n with a
+# nonzero coefficient dominates), so such an element is the empty dict.
+
+# phi's terms c x^a cos(bx), a even, and c x^a sin(bx), a odd, as (c, a, b)
+_PHI_TERMS = ((9, 0, 1), (-24, 2, 1), (-9, 0, 3), (-4, 1, 3))
 
 
-def phi_power_series(degree: int, radius: float) -> PowerSeries:
-    """Exact series of phi at 0 through x^degree, on |x| <= radius <= sqrt 3."""
-    if degree < 8:
-        raise DomainError("phi series needs degree >= 8")
-    if Fraction(radius) ** 2 > 3:
-        raise DomainError("phi series radius must stay within sqrt(3)")
-    # decrease of T_n x^(2n)/(2n)! on (0, sqrt 3] from index 4 on is exactly
-    # U_n > 0, which the shifted coefficients prove for every n
-    if not verify_shift_identities(8).shifted_coeffs_imply_positivity:
-        raise AssertionError("alternating term decrease not proved")
-    n0 = degree // 2 + 1
-    # alternating with exactly-verified decrease: first omitted term bounds
-    # the tail; as a tail coefficient it is scaled down to power degree+1
-    t = (
-        int_pow(Interval.point(radius), 2 * n0 - degree - 1)
-        * rational_enclosure(abs(phi_coeff(n0)))
-    ).hi
-    return ps_poly({2 * n: phi_coeff(n) for n in range(4, n0)}, degree, radius, t)
+def _nsum(terms) -> dict:
+    """The element of Q[n, E] summing ((i, j), coefficient) terms."""
+    out = {}
+    for key, a in terms:
+        out[key] = out.get(key, 0) + a
+    return {key: a for key, a in out.items() if a}
 
 
-def phi_trig_enc(x: Interval) -> Interval:
-    """phi by direct interval evaluation of its trig form.
+def _falling(a: int) -> dict:
+    """(2n)(2n-1)...(2n-a+1), a factors, in Q[n, E]."""
+    p = {(0, 0): 1}
+    for m in range(a):  # times 2n - m
+        p = _nsum(t for (i, j), c in p.items() for t in (((i + 1, j), 2 * c), ((i, j), -m * c)))
+    return p
 
-    cos 3x and sin 3x are evaluated at the tripled argument enclosure
-    (no triple-angle polynomial identities); 4x sin 3x is written
-    12 x^2 sinc(3x) to stay division-free.  Cross-check for the series
-    route, not used by certificates.
-    """
-    x3 = x * Interval.point(3)
-    poly = Interval.point(9) - int_pow(x, 2) * Interval.point(24)
-    return (
-        poly * _cos_enc_any(x)
-        - _cos_enc_any(x3) * Interval.point(9)
-        - int_pow(x, 2) * Interval.point(12) * _sinc_enc_any(x3)
+
+def _phi_series_coeffs() -> dict:
+    """(-1)^n (2n)! [x^(2n)] phi in Q[n, E].  By the Taylor series of cos and
+    sin, a term gives c (-1)^ceil(a/2) b^(-a) (2n)(2n-1)...(2n-a+1) b^(2n),
+    b^(2n) = E^[b=3], for every n >= 0: the falling factorial is 0 when 2n < a."""
+    return _nsum(
+        ((i, j + (b == 3)), Fraction(c * (-1) ** ((a + 1) // 2), b**a) * f)
+        for c, a, b in _PHI_TERMS
+        for (i, j), f in _falling(a).items()
     )
 
 
@@ -314,16 +290,21 @@ _IDENTITIES = {
         _PHI / (4 * _X * _C**2 * _S * (_TAN - _X)),
     ),
     "thm_a_h_prime": lambda: (_H.d(), 4 * _TAN**4 / (3 + _TAN**2) ** 2),
+    # in Q[n, E]: phi = 3 sum_n (-1)^n T_n x^(2n)/(2n)!
+    "lemma_phi_series": lambda: (_phi_series_coeffs(), {key: 3 * c for key, c in _T.items()}),
 }
 
 
 def replay_identity(which: str) -> None:
-    """Prove one identity exactly, wherever both sides are defined: the
-    numerator of lhs - rhs reduces to 0 modulo cos^2 + sin^2 - 1.  Raises
-    IdentityViolation otherwise."""
+    """Prove one identity exactly, wherever both sides are defined: lhs - rhs
+    reduces to 0 in Q[n, E], or its numerator does modulo
+    cos^2 + sin^2 - 1.  Raises IdentityViolation otherwise."""
     if which not in _IDENTITIES:
         raise DomainError(f"unknown identity {which!r}")
     lhs, rhs = _IDENTITIES[which]()
-    rest = (lhs - rhs).num
+    if isinstance(lhs, dict):
+        rest = _nsum([*lhs.items(), *((key, -c) for key, c in rhs.items())])
+    else:
+        rest = (lhs - rhs).num
     if rest:
-        raise IdentityViolation(f"{which}: lhs - rhs keeps {len(rest)} terms modulo cos^2 + sin^2 - 1")
+        raise IdentityViolation(f"{which}: lhs - rhs keeps {len(rest)} terms in its normal form")

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from tancert import sequences
 from tancert.interval import Interval
 from tancert.sequences import _C, _COT, _H, _PHI, _S, _TAN, _X
 
@@ -24,6 +25,18 @@ PERTURBED_IDENTITIES = {
         (_PHI - _X**2 * _C) / (4 * _X * _C**2 * _S * (_TAN - _X)),
     ),
     "thm_a_h_prime": lambda: (_H.d(), 5 * _TAN**4 / (3 + _TAN**2) ** 2),
+}
+
+# Three mutations of the lemma's series identity in Q[n, E], each applied
+# through a monkeypatch, that replay_identity must refuse.
+LEMMA_MUTATIONS = {
+    "one coefficient of T": lambda patch: patch.setitem(sequences._T, (1, 1), Fraction(7, 9)),
+    "no -4x sin 3x term": lambda patch: patch.setattr(
+        sequences, "_PHI_TERMS", tuple(t for t in sequences._PHI_TERMS if t != (-4, 1, 3))
+    ),
+    "falling factorial one factor short": lambda patch: patch.setattr(
+        sequences, "_falling", lambda a, full=sequences._falling: full(max(a - 1, 0))
+    ),
 }
 
 ORACLE_DPS = 60

@@ -16,11 +16,19 @@ import sympy as sp
 
 from tancert import cli
 from tancert.analysis import crossover_lower, crossover_upper, exponent_ratio
-from tancert.certifier import CATALOG, CertifyConfig, _bisect_cover, certify, eval_form, near_zero_proof
+from tancert.certifier import (
+    CATALOG,
+    CertifyConfig,
+    _bisect_cover,
+    certify,
+    eval_form,
+    form_series,
+    near_zero_proof,
+)
 from tancert.enclosures import cos_enc, p_enc, sinc_enc
 from tancert.errors import DomainError
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
-from tancert.sequences import phi_power_series, t_seq, u_seq, verify_shift_identities
+from tancert.sequences import t_seq, u_seq, verify_shift_identities
 
 from conftest import contains, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
 
@@ -67,7 +75,7 @@ def test_criterion_3_lemma_certificate():
     assert cert.status == "certified"
     assert cert.stats.box_count <= 10**4
     hp = half_pi_enclosure()
-    v = phi_power_series(48, hp.hi).eval(hp)
+    v = form_series("lemma_phi", "zero", 48, hp.hi).eval(hp)
     with mp.workdps(60):
         assert contains(v, 2 * mp.pi)
     assert v.width <= 1e-10

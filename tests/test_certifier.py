@@ -37,6 +37,7 @@ from tancert.interval import (
     _HALF_PI_HI,
     _mul_up,
     _pow_up,
+    _sub_up,
     certainly_positive,
     horner,
     split,
@@ -359,11 +360,18 @@ def test_certified_boxes_are_sound(oracle):
             assert _original_inequality_holds(cid, min(mp.mpf(x), inside))
 
 
-def test_certificate_has_no_gaps_and_positive_margins():
-    cert = certify("bs_upper")
-    assert cert.boxes[0].interval.lo <= cert.config.delta
-    for prev, cur in zip(cert.boxes, cert.boxes[1:]):
-        assert prev.interval.hi == cur.interval.lo
+def test_certificate_has_no_gaps_and_positive_margins(monkeypatch):
+    # every shipped cover is one box, so a synthetic margin makes certify
+    # write a cover of eight boxes or more, which must chain from delta to
+    # the cover end, pi/2 - epsilon_max for bs_lower
+    monkeypatch.setattr(certifier, "eval_form", _signed_below(0.2))
+    cert = certify("bs_lower")
+    boxes = [b.interval for b in cert.boxes]
+    assert cert.status == "certified" and len(boxes) >= 8
+    assert boxes[0].lo == cert.config.delta
+    assert boxes[-1].hi == _sub_up(_HALF_PI_HI, cert.config.epsilon_max)
+    for prev, cur in zip(boxes, boxes[1:]):
+        assert prev.hi == cur.lo
     assert all(certainly_positive(b.margin) for b in cert.boxes)
 
 

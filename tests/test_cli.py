@@ -10,7 +10,7 @@ from tancert import analysis, certifier, cli, sequences
 from tancert.certifier import CATALOG, load_certificate
 from tancert.interval import Interval
 
-from conftest import PERTURBED_IDENTITIES
+from conftest import LEMMA_MUTATIONS, PERTURBED_IDENTITIES
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -152,6 +152,13 @@ def test_replay_failure_exit_code(tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(sequences._IDENTITIES, ident, perturbed)
         assert run_cli(["replay", ident], tmp_path, monkeypatch) == 3
         assert f"identity check failed: {ident}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutation", LEMMA_MUTATIONS)
+def test_replay_refuses_a_mutated_lemma_series(mutation, tmp_path, monkeypatch, capsys):
+    LEMMA_MUTATIONS[mutation](monkeypatch)
+    assert run_cli(["replay", "lemma_phi_series"], tmp_path, monkeypatch) == 3
+    assert "identity check failed: lemma_phi_series:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from tancert import cli, enclosures, sequences
+from tancert import cli, enclosures
 from tancert.certifier import (
     CATALOG,
     CertifyConfig,
@@ -82,10 +82,7 @@ FINER_V6 = DATA / "v6-finer-covers"
 README = DATA.parents[1] / "README.md"
 MARGINS = GOLDEN / "margins.json"
 ENCLOSURES = GOLDEN / "enclosures.json"
-ENCLOSURE_FNS = {
-    fn.__name__: fn
-    for fn in (enclosures.cos_enc, enclosures.sinc_enc, enclosures.p_enc, sequences.phi_trig_enc)
-}
+ENCLOSURE_FNS = {fn.__name__: fn for fn in (enclosures.cos_enc, enclosures.sinc_enc, enclosures.p_enc)}
 
 
 def _enclosure_args() -> list[Interval]:

@@ -13,16 +13,13 @@ from tancert.interval import Interval, half_pi_enclosure
 from tancert.sequences import (
     a_seq,
     b_seq,
-    phi_coeff,
-    phi_power_series,
-    phi_trig_enc,
     t_seq,
     u_seq,
     verify_shift_identities,
     _compose_shift,
 )
 
-from conftest import contains, mp_phi
+from conftest import LEMMA_MUTATIONS, contains, mp_phi
 
 
 def test_t_first_four_vanish():
@@ -81,8 +78,6 @@ def test_editing_one_side_of_a_shift_identity_is_refused(monkeypatch):
     monkeypatch.setattr(sequences, "_B_SHIFT1_EXPECTED", (-69, 507, 1036, 640, 128))
     with pytest.raises(IdentityViolation, match=r"B\(n\+1\) coefficient of n\^1"):
         verify_shift_identities(8)
-    with pytest.raises(IdentityViolation):
-        phi_power_series(16, 1.0)
 
 
 def test_phi_series_refuses_without_the_all_n_decrease(monkeypatch):
@@ -96,8 +91,6 @@ def test_phi_series_refuses_without_the_all_n_decrease(monkeypatch):
     monkeypatch.setattr(sequences, "_B_SHIFT1_EXPECTED", _compose_shift(b, 1))
     assert _compose_shift(b, 1)[1] == 506 - factorial(7)
     assert not verify_shift_identities(8).shifted_coeffs_imply_positivity
-    with pytest.raises(AssertionError, match="term decrease"):
-        phi_power_series(16, 1.0)
 
 
 def test_term_decrease_at_sqrt3_exact():
@@ -108,9 +101,9 @@ def test_term_decrease_at_sqrt3_exact():
         assert lhs > rhs
 
 
-# phi's closed-form series, here at degree 48, where its tail term stays
-# below 1e-28 out to pi/2
-PHI = phi_power_series(48, half_pi_enclosure().hi)
+# lemma_phi's series from its catalog string, at degree 48, where it pins
+# phi(pi/2) = 2 pi within 3e-14
+PHI = form_series("lemma_phi", "zero", 48, half_pi_enclosure().hi)
 
 
 @pytest.mark.parametrize("degree", [16, 40, 96])
@@ -118,20 +111,24 @@ def test_lemma_phi_form_series_has_the_lemma_coefficients(degree):
     # the certificate's series, built from the catalog string, is exactly
     # 3 sum_{n>=4} (-1)^n T_n x^(2n)/(2n)!
     coeffs = form_series("lemma_phi", "zero", degree, half_pi_enclosure().hi).coeffs
-    expected = [phi_coeff(k // 2) if k % 2 == 0 else 0 for k in range(degree + 1)]
+    expected = [
+        Fraction((-1) ** (k // 2) * 3 * t_seq(k // 2), factorial(k)) if k % 2 == 0 else 0
+        for k in range(degree + 1)
+    ]
     assert [c.terms.get(0, 0) for c in coeffs] == expected
     assert all(set(c.terms) <= {0} for c in coeffs)
 
 
-def test_lemma_phi_form_series_overlaps_the_closed_form():
+def test_lemma_phi_form_series_overlaps_the_closed_form(oracle):
+    # at degree 16 the tail bound carries much of the width near pi/2; the
+    # series must still enclose phi's closed trig form, at points and on boxes
     hp = half_pi_enclosure()
     built = form_series("lemma_phi", "zero", 16, hp.hi)
-    closed = phi_power_series(16, hp.hi)
     for j in range(32):
         lo, hi = hp.lo * j / 32, hp.lo * (j + 1) / 32
-        for x in (Interval.point(hi), Interval(lo, hi)):
-            a, b = built.eval(x), closed.eval(x)
-            assert a.lo <= b.hi and b.lo <= a.hi, x
+        assert contains(built.eval(Interval.point(hi)), mp_phi(hi))
+        box = built.eval(Interval(lo, hi))
+        assert all(contains(box, mp_phi(t)) for t in (lo, (lo + hi) / 2, hi)), (lo, hi)
 
 
 def test_phi_enc_values(oracle):
@@ -145,28 +142,22 @@ def test_phi_enc_values(oracle):
 
 def test_phi_enc_domain():
     with pytest.raises(DomainError):
-        phi_power_series(48, 1.74)  # beyond sqrt(3)
-    with pytest.raises(DomainError):
         PHI.eval(Interval(0.0, 1.6))  # beyond the radius
     with pytest.raises(DomainError):
-        phi_power_series(6, 1.0)  # below the order 8 of phi at 0
+        form_series("lemma_phi", "half_pi", 48, 0.25)  # phi needs no expansion at pi/2
 
 
 def test_phi_series_vs_trig_agreement(oracle):
     rng = random.Random(42)
     for _ in range(100):
-        x = Interval.point(rng.uniform(0.0, 1.57))
-        series = PHI.eval(x)
-        direct = phi_trig_enc(x)
-        assert series.lo <= direct.hi and direct.lo <= series.hi
-        assert contains(direct, mp_phi(x.lo))
+        x = rng.uniform(0.0, 1.57)
+        assert contains(PHI.eval(Interval.point(x)), mp_phi(x)), x
 
 
-def test_phi_trig_enc_wide_box(oracle):
-    box = Interval(0.3, 1.2)
-    direct = phi_trig_enc(box)
+def test_phi_series_wide_box(oracle):
+    box = PHI.eval(Interval(0.3, 1.2))
     for t in (0.3, 0.7, 1.2):
-        assert contains(direct, mp_phi(t))
+        assert contains(box, mp_phi(t))
 
 
 def test_certify_phi_positive():
@@ -221,6 +212,13 @@ def test_sympy_confirms_each_identity(ident):
     tan, cot = sp.tan(x), sp.cot(x)
     h = x - 3 * tan / (3 + tan**2)
     phi = (9 - 24 * x**2) * sp.cos(x) - 9 * sp.cos(3 * x) - 4 * x * sp.sin(3 * x)
+    if ident == "lemma_phi_series":
+        # through x^41 only, but independent of the Q[n, E] rule: sympy's own
+        # Taylor series against T_n as the paper displays it
+        T = lambda n: 2 * (4 * n - 1) ** 2 + 1 + (8 * n - 27) * sp.Rational(9) ** (n - 1)
+        taylor = sum(3 * (-1) ** n * T(n) * x ** (2 * n) / sp.factorial(2 * n) for n in range(21))
+        assert sp.expand(sp.series(phi, x, 0, 42).removeO() - taylor) == 0
+        return
     lhs, rhs = {
         "eq22_factorization": (sp.diff(3 - x**2 - 3 * x * cot, x), (1 + 3 * cot**2) * h),
         "eq24_quotient": (
@@ -230,3 +228,18 @@ def test_sympy_confirms_each_identity(ident):
         "thm_a_h_prime": (sp.diff(h, x), 4 * tan**4 / (3 + tan**2) ** 2),
     }[ident]
     assert sp.simplify(sp.expand_trig(lhs - rhs).rewrite(sp.exp)) == 0
+
+
+def test_lemma_phi_series_is_proved_for_every_n():
+    # phi's four terms give 9, 96n^2 - 48n, -9E and (8/3) n E, E = 9^n
+    assert sequences._phi_series_coeffs() == {
+        (0, 0): 9, (2, 0): 96, (1, 0): -48, (0, 1): -9, (1, 1): Fraction(8, 3)
+    }
+    assert sequences.replay_identity("lemma_phi_series") is None
+
+
+@pytest.mark.parametrize("mutation", LEMMA_MUTATIONS)
+def test_lemma_phi_series_refuses_each_mutation(mutation, monkeypatch):
+    LEMMA_MUTATIONS[mutation](monkeypatch)
+    with pytest.raises(IdentityViolation, match="lemma_phi_series: lhs - rhs keeps"):
+        sequences.replay_identity("lemma_phi_series")
