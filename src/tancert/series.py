@@ -22,7 +22,12 @@ operation (so it is the lcm of the coefficients' denominators).  Sums,
 products and `mul_term`, the one product by an exact monomial c u^j (a
 shift, then a scaling), work on those integers directly, and each
 coefficient enclosure is the tightest one of its exact value, taken from
-its numerators and the denominator.  The rows are the only way into a
+its numerators and the denominator.  A product computes its coefficients
+only through u^D; the terms a_i b_j u^(i+j), i + j > D, that it drops
+fold into the tail as sum_i |a_i| H_b[D+1-i], where H_b[k] >= sum_{j>=k}
+|b_j| r^(j-k) are the suffix bounds of the second factor, one upward
+Horner pass over its coefficient magnitudes, and H_b[0] is its disc bound
+`sup`.  The rows are the only way into a
 series: `ps_poly` builds them from exact values (`PiPoly`, `Fraction` or
 int), and `coefficient(n)` and `coeffs` read them back as `PiPoly`.
 Exact coefficients mean that structurally zero coefficients cancel
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, inf, isfinite, lcm
 
 from .errors import DomainError, OrderMismatch
 from .interval import (
@@ -229,8 +234,10 @@ def exp_tail_bound(first_index: int, radius: float) -> float:
     consecutive terms is at most r/(K+1), so the sum is at most
     1/K! / (1 - r/(K+1)); returned rounded up.
     """
-    r = Fraction(radius)
     k = first_index
+    if k < 0 or not isfinite(radius):
+        raise DomainError("exp tail bound needs first_index >= 0 and a finite radius")
+    r = Fraction(radius)
     if r >= k + 1:
         raise DomainError("exp tail bound needs radius < first_index + 1")
     return rational_enclosure(Fraction(1, factorial(k)) / (1 - r / (k + 1))).hi
@@ -288,8 +295,8 @@ class PowerSeries:
     __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_sup", "_square")
 
     def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
-        if not radius > 0.0:  # NaN included
-            raise DomainError("PowerSeries radius must be positive")
+        if degree < 0 or not 0.0 < radius < inf:  # NaN included
+            raise DomainError("PowerSeries needs degree >= 0 and a positive finite radius")
         if not tail >= 0.0:
             raise DomainError("PowerSeries tail must be non-negative")
         for name, value in (
@@ -321,17 +328,22 @@ class PowerSeries:
             )
         return self._encs
 
-    def sup(self) -> float:
-        """Bound on |sum_k c_k u^k| over the disc |u| <= r = radius, the tail
-        left out: the magnitude of the interval Horner value on [-r, r], whose
-        every product [lo, hi] * [-r, r] is [-m, m] with m = max(-lo, hi) * r."""
+    def _suffix_bounds(self) -> tuple:
+        """H[k] >= sum_{j>=k} |c_j| r^(j-k), r = radius, for k = 0 .. degree:
+        one upward Horner pass over the coefficient magnitudes, cached."""
         if self._sup is None:
-            r, lo, hi = self.radius, 0.0, 0.0
+            h, acc = [], 0.0
             for c in reversed(self.coefficient_enclosures()):
-                m = _mul_up(max(-lo, hi), r)
-                lo, hi = _add_down(-m, c.lo), _add_up(m, c.hi)
-            object.__setattr__(self, "_sup", max(abs(lo), abs(hi)))
+                acc = _add_up(_mul_up(acc, self.radius), c.mag())
+                h.append(acc)
+            object.__setattr__(self, "_sup", tuple(reversed(h)))
         return self._sup
+
+    def sup(self) -> float:
+        """Bound on |sum_k c_k u^k| over |u| <= r = radius, the tail left out:
+        H[0], bit for bit the magnitude of the interval Horner value on [-r, r],
+        whose every product [lo, hi] * [-r, r] is r * max(-lo, hi) * [-1, 1]."""
+        return self._suffix_bounds()[0]
 
     # -- ring operations ---------------------------------------------------
 
@@ -357,29 +369,32 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check_compatible(other)
-        d = self.degree
-        r = self.radius
-        # integer convolution, one row per pair of pi powers, over the
-        # product of the two common denominators, zero numerators skipped
+        d, r = self.degree, self.radius
+        # integer convolution through u^d, one row per pair of pi powers,
+        # over the product of the two common denominators, zero numerators
+        # skipped; the sorted terms of b stop at the first power past d
         sparse_b = [(kb, [(j, y) for j, y in enumerate(row) if y]) for kb, row in other._rows]
         sums = {}
         for ka, row_a in self._rows:
             terms_a = [(i, x) for i, x in enumerate(row_a) if x]
             for kb, terms_b in sparse_b:
-                acc = sums.setdefault(ka + kb, [0] * (2 * d + 1))
+                acc = sums.setdefault(ka + kb, [0] * (d + 1))
                 for i, x in terms_a:
                     for j, y in terms_b:
+                        if i + j > d:
+                            break
                         acc[i + j] += x * y
-        den = self._den * other._den
-        # overflow terms (power > d) fold into the tail coefficient, enclosed
-        # straight from the integer sums
-        rows = sorted(sums.items())
-        over = [e.mag() for e in _enclosures(rows, den, range(d + 1, 2 * d + 1))]
+        # the dropped terms a_i b_j u^(i+j), i + j > d: sum_i |a_i| H_b[d+1-i]
+        h_b = other._suffix_bounds()
+        tail = 0.0
+        for i, e in enumerate(self.coefficient_enclosures()[1:], 1):
+            if e.hi or e.lo:  # a zero coefficient adds 0 * H exactly
+                tail = _add_up(tail, _mul_up(e.mag(), h_b[d + 1 - i]))
         # a zero tail contributes sup * 0 = 0, so its partner's sup is not needed
-        tail = _add_up(_fold(over, r), _mul_up(self.sup(), other.tail) if other.tail else 0.0)
-        tail = _add_up(tail, _mul_up(other.sup(), self.tail) if self.tail else 0.0)
+        tail = _add_up(tail, _mul_up(self.sup(), other.tail) if other.tail else 0.0)
+        tail = _add_up(tail, _mul_up(h_b[0], self.tail) if self.tail else 0.0)
         tail = _add_up(tail, _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1)))
-        return self._of_rows({k: acc[: d + 1] for k, acc in rows}, den, d, tail)
+        return self._of_rows(sums, self._den * other._den, d, tail)
 
     def int_pow(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -425,9 +440,9 @@ class PowerSeries:
     # -- endpoint-proof operations ------------------------------------------
 
     def divide_power(self, k: int) -> "PowerSeries":
-        """Exact division by u^k; the first k coefficients must vanish exactly."""
-        if not 0 <= k <= self.degree + 1:
-            raise DomainError(f"divide_power needs 0 <= k <= {self.degree + 1}, got {k}")
+        """Exact division by u^k, k <= degree; the first k coefficients must vanish exactly."""
+        if not 0 <= k <= self.degree:
+            raise DomainError(f"divide_power needs 0 <= k <= {self.degree}, got {k}")
         for i in range(k):
             if any(row[i] for _, row in self._rows):
                 raise OrderMismatch(

@@ -121,6 +121,22 @@ def test_nan_tail_or_radius_is_refused():
     assert ps_poly({0: 1}, 0, 1.0, math.inf).eval(Interval(0.0, 0.5)) == Interval(-math.inf, math.inf)
 
 
+def test_shapes_a_series_cannot_serve_are_refused():
+    # a negative degree has no coefficients and an infinite radius makes
+    # every bound that multiplies by it infinite or NaN; neither is a series
+    for degree, radius in [(-1, 1.0), (3, math.inf)]:
+        with pytest.raises(DomainError):
+            ps_poly({}, degree, radius)
+    for first_index, radius in [(5, math.inf), (5, math.nan), (-1, 0.5)]:
+        with pytest.raises(DomainError):
+            exp_tail_bound(first_index, radius)
+    for builder in (ps_cos, ps_sin, ps_sinc, ps_p):
+        with pytest.raises(DomainError):
+            builder(16, math.inf)
+        with pytest.raises(DomainError):
+            builder(-2, 1.0)
+
+
 def test_compatibility_checks():
     with pytest.raises(DomainError):
         ps_cos(10, 0.5) + ps_cos(12, 0.5)
@@ -187,34 +203,61 @@ TAILS = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 
 
 @st.composite
-def series_pairs(draw):
+def series_pairs(draw, tails=TAILS):
     degree = draw(st.integers(0, 7))
     radius = draw(st.floats(0.125, 2.0))
     coeffs = st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1)
-    return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(TAILS)) for _ in range(2))
+    return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(tails)) for _ in range(2))
+
+
+def _suffix_bounds(s):
+    """H[k] >= sum_{j>=k} |c_j| r^(j-k) by an upward Horner pass over the
+    magnitudes of the PiPoly enclosures of the coefficients."""
+    h, acc = [], 0.0
+    for c in reversed(s.coeffs):
+        acc = _add_up(_mul_up(acc, s.radius), c.enclosure().mag())
+        h.append(acc)
+    return h[::-1]
 
 
 def _fraction_product(a, b):
-    """Reference: the PiPoly (Fraction) convolution, the powers past the
-    degree folded into the tail as |c_k| r^(k-d-1), plus the operands' tails."""
+    """Reference: the PiPoly (Fraction) convolution through u^d; the dropped
+    products a_i b_j u^(i+j), i + j > d, folded into the tail as
+    sum_i |a_i| H_b[d+1-i] with H_b the suffix bounds of b, plus the
+    operands' tails."""
     d, r = a.degree, a.radius
+    conv = [PiPoly()] * (d + 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs[: d + 1 - i]):
+            conv[i + j] = conv[i + j] + ca * cb
+    h_b = _suffix_bounds(b)
+    tail = 0.0
+    for i in range(1, d + 1):
+        tail = _add_up(tail, _mul_up(a.coeffs[i].enclosure().mag(), h_b[d + 1 - i]))
+    sup_a = horner(a.coefficient_enclosures(), Interval(-r, r)).mag()
+    sup_b = horner(b.coefficient_enclosures(), Interval(-r, r)).mag()
+    tail = _add_up(tail, _mul_up(sup_a, b.tail))
+    tail = _add_up(tail, _mul_up(sup_b, a.tail))
+    tail = _add_up(tail, _mul_up(_mul_up(a.tail, b.tail), _pow_up(r, d + 1)))
+    return conv, tail
+
+
+def _exact_overflow_fold(a, b):
+    """A lower bound, exact in Q, on sum_{k>d} |c_k| r^(k-d-1), c_k the
+    coefficients of the full product of the polynomial parts: the tail that
+    folding the exact overflow coefficients would give.  For rational
+    coefficients it is that sum exactly."""
+    d, r = a.degree, Fraction(a.radius)
     conv = [PiPoly()] * (2 * d + 1)
     for i, ca in enumerate(a.coeffs):
         for j, cb in enumerate(b.coeffs):
             conv[i + j] = conv[i + j] + ca * cb
-    tail = Interval.point(0.0)
+    total = Fraction(0)
     for k in range(d + 1, 2 * d + 1):
-        if conv[k].terms:
-            tail = tail + Interval.point(_mul_up(conv[k].enclosure().mag(), _pow_up(r, k - d - 1)))
-    sup_a = horner(a.coefficient_enclosures(), Interval(-r, r)).mag()
-    sup_b = horner(b.coefficient_enclosures(), Interval(-r, r)).mag()
-    tail = (
-        Interval.point(tail.hi)
-        + Interval.point(_mul_up(sup_a, b.tail))
-        + Interval.point(_mul_up(sup_b, a.tail))
-        + Interval.point(_mul_up(_mul_up(a.tail, b.tail), _pow_up(r, d + 1)))
-    )
-    return conv[: d + 1], tail.hi
+        c = conv[k].terms
+        mag = abs(c[0]) if set(c) == {0} else Fraction(conv[k].enclosure().mig())
+        total += mag * r ** (k - d - 1)
+    return total
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -225,6 +268,40 @@ def test_integer_product_equals_fraction_convolution(pair):
     prod = a * b
     assert prod.coeffs == tuple(coeffs)
     assert prod.tail == tail
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(series_pairs(tails=st.just(0.0)))
+def test_product_tail_covers_the_exact_overflow(pair):
+    # with untailed operands the product's tail is its overflow bound alone,
+    # and the suffix sums never undercut folding the exact coefficients
+    a, b = pair
+    assert Fraction((a * b).tail) >= _exact_overflow_fold(a, b)
+
+
+def _untailed(s):
+    return ps_poly(dict(enumerate(s.coeffs)), s.degree, s.radius)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda: (ps_sinc(96, _HALF_PI_HI), ps_sinc(96, _HALF_PI_HI)),
+        lambda: (ps_p(96, _HALF_PI_HI).int_pow(5), ps_cos(96, _HALF_PI_HI)),
+    ],
+    ids=["sinc^2", "p^5*cos"],
+)
+def test_product_tail_covers_the_exact_overflow_at_degree_96(factors):
+    a, b = (_untailed(s) for s in factors())
+    prod = a * b
+    assert prod.coeffs == tuple(_fraction_product(a, b)[0])
+    fold = _exact_overflow_fold(a, b)
+    assert 0 < fold <= Fraction(prod.tail)
+    # the products a_i b_j of one power share its sign, so the suffix sums
+    # cancel nothing that the exact coefficients would: only rounding is lost
+    assert Fraction(prod.tail) <= fold * (1 + Fraction(1, 10**12))
+    # and the tail moves no margin: its term at pi/2 is far below a float ulp of 1
+    assert _mul_up(prod.tail, _pow_up(_HALF_PI_HI, 97)) < 1e-60
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -289,14 +366,17 @@ def test_row_operations_equal_fraction_reference(pair, c, data):
     for cj in ((c, 0), (1, j), (c, j), (_PI_CONST, d + 1)):
         _assert_exact(a.mul_term(*cj), *_fraction_term(a, *cj))
     shifted = a.mul_term(1, j)
-    # division by u^k up to the count of exactly vanishing leading coefficients
+    # division by u^k up to the count of exactly vanishing leading
+    # coefficients, and at most the degree, so that a coefficient remains
     coeffs = shifted.coeffs
     zeros = next((n for n, x in enumerate(coeffs) if x.terms), d + 1)
-    k = data.draw(st.integers(0, zeros))
+    k = data.draw(st.integers(0, min(zeros, d)))
     _assert_exact(shifted.divide_power(k), coeffs[k:], shifted.tail)
-    if zeros <= d:
+    if zeros < d:
         with pytest.raises(OrderMismatch):
             shifted.divide_power(zeros + 1)
+    with pytest.raises(DomainError):
+        shifted.divide_power(d + 1)
 
 
 # Leaf series and products at degree 16 on the disc of Q0's radius, each with
