@@ -21,8 +21,8 @@ of pi, over one positive common denominator that is reduced after every
 operation (so it is the lcm of the coefficients' denominators).  Sums,
 products and `mul_term`, the one product by an exact monomial c u^j (a
 shift, then a scaling), work on those integers directly, and each
-coefficient enclosure is the tightest one of its exact value, taken from
-its numerators and the denominator.  A product computes its coefficients
+coefficient enclosure is the tightest one over pi's float bracket (see
+`_enclosures`).  A product computes its coefficients
 only through u^D; the terms a_i b_j u^(i+j), i + j > D, that it drops
 fold into the tail as sum_i |a_i| H_b[D+1-i], where H_b[k] >= sum_{j>=k}
 |b_j| r^(j-k) are the suffix bounds of the second factor, one upward
@@ -58,9 +58,9 @@ from .interval import (
     certainly_negative,
     certainly_positive,
     horner,
-    int_pow,
-    pi_enclosure,
     rational_enclosure,
+    _PI_HI,
+    _PI_LO,
     _add_down,
     _add_up,
     _div_down,
@@ -147,8 +147,9 @@ class PiPoly:
         return hash(frozenset(self.terms.items()))
 
     def enclosure(self) -> Interval:
-        """Tight interval containing the exact value."""
-        return _pi_sum([(k, rational_enclosure(v)) for k, v in sorted(self.terms.items())])
+        """The tightest interval around the exact bracket of the value over
+        pi's float bracket (see `_enclosures`)."""
+        return _enclosures(*_rows_of([self.terms]), (0,))[0]
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -161,23 +162,6 @@ class PiPoly:
             else:
                 bits.append(f"{v}*pi^{k}")
         return "PiPoly(" + " + ".join(bits) + ")"
-
-
-@lru_cache(maxsize=256)
-def _pi_power(k: int) -> Interval:
-    """Enclosure of pi^k, k > 0, computed once per power."""
-    return int_pow(pi_enclosure(), k)
-
-
-def _pi_sum(terms) -> Interval:
-    """Enclosure of sum_k q_k pi^k from its (k, enclosure of q_k) pairs in
-    increasing k, summed on float endpoints from 0."""
-    lo = hi = 0.0
-    for k, t in terms:
-        if k:
-            t = t * _pi_power(k) if k > 0 else t / _pi_power(-k)
-        lo, hi = _add_down(lo, t.lo), _add_up(hi, t.hi)
-    return Interval(lo, hi)
 
 
 _ZERO_ENC = Interval(0.0, 0.0)
@@ -212,14 +196,35 @@ def _reduced(acc: dict, den: int) -> tuple:
     return tuple(rows), den // g
 
 
+@lru_cache(maxsize=256)
+def _pi_scale(powers: tuple) -> tuple:
+    """(scale, ends): ends[i] holds the integers scale * p^k, k = powers[i],
+    at the two ends p of [_PI_LO, _PI_HI], the lesser first, and scale is
+    the lcm of the denominators of those p^k (1 for no powers)."""
+    ends = [sorted(Fraction(p) ** k for p in (_PI_LO, _PI_HI)) for k in powers]
+    scale = lcm(*(e.denominator for pair in ends for e in pair))
+    return scale, [[e.numerator * (scale // e.denominator) for e in pair] for pair in ends]
+
+
 def _enclosures(rows, den: int, indices) -> list:
-    """Tight enclosures of the coefficients at `indices`, the same as the
-    PiPoly enclosures of their values; a zero coefficient is [0, 0]."""
-    if len(rows) == 1 and rows[0][0] == 0:
-        row = rows[0][1]
-        return [rational_enclosure(row[n], den) if row[n] else _ZERO_ENC for n in indices]
-    return [_pi_sum([(k, rational_enclosure(row[n], den)) for k, row in rows if row[n]])
-            for n in indices]
+    """Enclosures of the coefficients at `indices`: each sum_k n_k pi^k / den
+    is bounded below and above exactly, as integers over den * scale, each
+    pi^k taken at the end of [_PI_LO, _PI_HI] that lowers (raises) its term,
+    and only those two bounds are rounded, outward, so a rational
+    coefficient takes the tightest enclosure of its value; 0 is [0, 0]."""
+    scale, ends = _pi_scale(tuple(k for k, _ in rows))
+    terms = [(row, pair) for (_, row), pair in zip(rows, ends)]
+    d, encs = den * scale, []
+    for n in indices:
+        lo = hi = 0
+        for row, (small, large) in terms:
+            x = row[n]
+            lo, hi = (lo + x * small, hi + x * large) if x > 0 else (lo + x * large, hi + x * small)
+        if lo == hi:
+            encs.append(rational_enclosure(lo, d) if lo else _ZERO_ENC)
+        else:
+            encs.append(Interval(rational_enclosure(lo, d).lo, rational_enclosure(hi, d).hi))
+    return encs
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +248,14 @@ def exp_tail_bound(first_index: int, radius: float) -> float:
     return rational_enclosure(Fraction(1, factorial(k)) / (1 - r / (k + 1))).hi
 
 
-def _fold(mags, r: float) -> float:
-    """Tail coefficient of u^(D+1) covering sum_i c_i u^(D+1+i) on |u| <= r,
-    from the magnitudes mags[i] >= |c_i|: the sum of mags[i] r^i, rounded up."""
-    acc = 0.0
-    for i, m in enumerate(mags):
-        if m:
-            acc = _add_up(acc, _mul_up(m, _radius_power(r, i)))
-    return acc
-
-
-_radius_power = lru_cache(maxsize=1024)(_pow_up)  # r^i rounded up, once per (r, i)
+def _suffix_sums(mags, r: float) -> list:
+    """H[k] >= sum_{i>=k} mags[i] r^(i-k) for k = 0 .. len(mags), mags[i] >= 0
+    and H[len(mags)] = 0: one upward Horner pass from the last magnitude."""
+    h = [0.0]
+    for m in reversed(mags):
+        h.append(_add_up(_mul_up(h[-1], r), m))
+    h.reverse()
+    return h
 
 
 _BERNSTEIN_DEGREE = 24  # N: the Bernstein form of eval takes N + 1 coefficients
@@ -329,14 +331,11 @@ class PowerSeries:
         return self._encs
 
     def _suffix_bounds(self) -> tuple:
-        """H[k] >= sum_{j>=k} |c_j| r^(j-k), r = radius, for k = 0 .. degree:
-        one upward Horner pass over the coefficient magnitudes, cached."""
+        """H[k] >= sum_{j>=k} |c_j| r^(j-k), r = radius, for k = 0 .. degree + 1
+        (H[degree + 1] = 0): `_suffix_sums` of the coefficient magnitudes, cached."""
         if self._sup is None:
-            h, acc = [], 0.0
-            for c in reversed(self.coefficient_enclosures()):
-                acc = _add_up(_mul_up(acc, self.radius), c.mag())
-                h.append(acc)
-            object.__setattr__(self, "_sup", tuple(reversed(h)))
+            mags = [c.mag() for c in self.coefficient_enclosures()]
+            object.__setattr__(self, "_sup", tuple(_suffix_sums(mags, self.radius)))
         return self._sup
 
     def sup(self) -> float:
@@ -423,7 +422,7 @@ class PowerSeries:
         if not 0 <= j <= d + 1:
             raise DomainError(f"mul_term needs 0 <= j <= {d + 1}, got {j}")
         over = [e.mag() for e in _enclosures(self._rows, self._den, range(d + 1 - j, d + 1))]
-        tail = _add_up(_fold(over, r), _mul_up(self.tail, _pow_up(r, j)))
+        tail = _add_up(_suffix_sums(over, r)[0], _mul_up(self.tail, _pow_up(r, j)))
         shifted = [(k, [0] * j + row[: d + 1 - j]) for k, row in self._rows]
         if c == 1:  # the shift alone, with no PiPoly or enclosure of the unit
             return self._of_rows(dict(shifted), self._den, d, tail)
@@ -466,7 +465,7 @@ class PowerSeries:
         value = poly + Interval(-t, t)
         if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
             return value
-        s = _mul_up(_fold([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m),
+        s = _mul_up(_suffix_sums([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m)[0],
                     _pow_up(m, _BERNSTEIN_DEGREE + 1))
         lo, hi = _bernstein_range(encs[: _BERNSTEIN_DEGREE + 1], u.lo, u.hi)
         # both contain the range of P over u, so they meet; an empty meet

@@ -23,7 +23,7 @@ certifier: mpmath evaluates each form straight from its definition
 checks every recomputed box margin and the lower bounds of both endpoint
 proofs that the files' config fixes.
 
-`tests/data/golden/enclosures.json` pins the four public direct
+`tests/data/golden/enclosures.json` pins the three public direct
 enclosures, bit for bit, on a fixed grid of points and boxes in
 [0, pi/2 + ulp]: each entry is the hex endpoint pair, or the name of the
 exception raised.

@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 
 from tancert import series
 from tancert.errors import DomainError, OrderMismatch
-from tancert.interval import _HALF_PI_HI, Interval, _add_up, _mul_up, _pow_up, horner
+from tancert.certifier import CATALOG
+from tancert.interval import (
+    _HALF_PI_HI,
+    _PI_HI,
+    _PI_LO,
+    Interval,
+    _add_up,
+    _mul_up,
+    _pow_up,
+    horner,
+    rational_enclosure,
+)
 from tancert.series import (
     PiPoly,
     exp_tail_bound,
@@ -210,6 +221,49 @@ def series_pairs(draw, tails=TAILS):
     return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(tails)) for _ in range(2))
 
 
+def _pi_bracket(c):
+    """[L, U] around the PiPoly c over pi's float bracket, in Fraction: each
+    term q pi^k at the end of [_PI_LO, _PI_HI] that lowers (raises) it."""
+    ends = (Fraction(_PI_LO), Fraction(_PI_HI))
+    terms = [[q * p**k for p in ends] for k, q in c.terms.items()]
+    return sum(map(min, terms), Fraction(0)), sum(map(max, terms), Fraction(0))
+
+
+def _mp_value(c):
+    return mp.fsum(mp.mpf(q.numerator) / q.denominator * mp.pi**k for k, q in c.terms.items())
+
+
+def _assert_bracket_enclosures(coeffs):
+    # one series holds all the coefficients, so their rows share one scale
+    encs = ps_poly(dict(enumerate(coeffs)), len(coeffs) - 1, 1.0).coefficient_enclosures()
+    for c, enc in zip(coeffs, encs):
+        lo, hi = _pi_bracket(c)
+        want = Interval(rational_enclosure(lo).lo, rational_enclosure(hi).hi)
+        assert c.enclosure().to_hex() == enc.to_hex() == want.to_hex(), c
+        assert contains(enc, _mp_value(c)), c
+
+
+_CATALOG_PI_COEFFS = [
+    c
+    for spec in CATALOG.values()
+    for c in (spec.leading_coeff_zero, spec.leading_coeff_half_pi)
+    if c is not None and set(c.terms) - {0}
+]
+
+
+def test_catalog_pi_coefficients_take_the_exact_bracket(oracle):
+    assert len(_CATALOG_PI_COEFFS) == 5
+    _assert_bracket_enclosures(_CATALOG_PI_COEFFS)
+    for c in _CATALOG_PI_COEFFS:
+        _assert_bracket_enclosures([c])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(PIPOLYS, min_size=1, max_size=4))
+def test_coefficient_enclosures_round_the_exact_pi_bracket_once(coeffs, oracle):
+    _assert_bracket_enclosures(coeffs)
+
+
 def _suffix_bounds(s):
     """H[k] >= sum_{j>=k} |c_j| r^(j-k) by an upward Horner pass over the
     magnitudes of the PiPoly enclosures of the coefficients."""
@@ -324,12 +378,12 @@ def operand_pairs(draw):
 
 def _fraction_shift(a, j):
     """Reference u^j * a: the coefficients shifted, those past the degree
-    folded into the tail as |c_k| r^(k-d-1), plus the tail times r^j."""
+    folded into the tail as sum_k |c_k| r^(k-d-1) by an upward Horner pass
+    from the last, plus the tail times r^j."""
     d, r = a.degree, a.radius
     tail = 0.0
-    for i, c in enumerate(a.coeffs[d + 1 - j:]):
-        if c.terms:
-            tail = _add_up(tail, _mul_up(c.enclosure().mag(), _pow_up(r, i)))
+    for c in reversed(a.coeffs[d + 1 - j:]):
+        tail = _add_up(_mul_up(tail, r), c.enclosure().mag())
     return [PiPoly()] * j + list(a.coeffs[: d + 1 - j]), _add_up(tail, _mul_up(a.tail, _pow_up(r, j)))
 
 
