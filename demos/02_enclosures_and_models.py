@@ -2,9 +2,10 @@
 
 The certifier never divides inside a certificate: every form is built
 from functions that stay entire on [0, pi/2], and tan appears only with
-its cos cleared away.  Their Taylor coefficients feed the exact series
-behind every certificate margin; the direct enclosures shown first
-evaluate the same truncated series with a certified remainder.  Run:
+its cos cleared away.  The direct enclosures shown first evaluate their
+truncated Taylor series with a certified remainder; the exact series
+behind every certificate margin is written in closed form from the
+Taylor series of cos(kx) and sin(kx), once the form is linearized.  Run:
 
     python demos/02_enclosures_and_models.py
 """

@@ -8,10 +8,15 @@ x^k > 0, or raising two positive sides to the 5th power); each catalog
 entry records its own derivation.
 
 The catalog string `entire_form` is the only definition of F.  It is
-compiled once into an expression tree, from which exact power series are
-built at 0 and at pi/2.  F vanishes to order k0 at 0, and one object
-carries the whole proof on [0, pi/2 - epsilon_max]: the exact series of
-F at 0 divided by x^k0,
+compiled once into an expression tree and linearized once: expanded into
+sum c pi^q x^j sin^a cos^b (sinc = sin/x, p = sin/x^3 - cos/x^2), each
+sin^a cos^b rewritten by the product-to-sum formulas, so that F is a
+finite sum of terms c x^j cos(k x) and c x^j sin(k x).  At pi/2 the same
+terms are rewritten in u = pi/2 - x by the binomial theorem and the
+angle-difference formulas.  `series.ps_trig` writes the exact power series
+at either center from those terms in closed form.  F vanishes to order
+k0 at 0, and one object carries the whole proof on
+[0, pi/2 - epsilon_max]: the exact series of F at 0 divided by x^k0,
 
     Q = F / x^k0,  through x^(degree - k0), with a rigorous tail on
                    |x| <= pi/2 + ulp.
@@ -50,7 +55,8 @@ import operator
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
+from math import comb, lcm
 
 from .errors import DomainError, Falsified, NotPositive, OrderMismatch
 from .interval import (
@@ -61,14 +67,15 @@ from .interval import (
     certainly_positive,
     split,
 )
-from .series import PiPoly, PowerSeries, ps_cos, ps_p, ps_poly, ps_sin, ps_sinc
+from .series import PiPoly, PowerSeries, ps_trig
 
 SCHEMA = "tancert-cert-v6"  # the one schema certify writes and check reads
 
 # Largest series degree a config or a certificate may name: the exact series
-# build grows like degree^2.3 to degree^3 (that of main_upper takes 0.03-0.04 s
-# at degree 128 and about 3 s at 512 on one CPU of a 2-core x86_64 VM), and the
-# widest shipped configuration uses 96.
+# build grows like degree^1.4 (that of main_upper takes 0.002 s at degree 128
+# and 0.013 s at 512 in a fresh process on one CPU of a 2-core x86_64 VM), the
+# coefficient enclosures and Horner evaluations of its quotient faster, and
+# the widest shipped configuration uses 96.
 MAX_DEGREE = 128
 
 # Widest endpoint regions a config or a proof may name: (0, delta] near 0
@@ -227,7 +234,7 @@ def _unparse(e: _ast.AST) -> str:
 
 
 def _tree(e: _ast.expr) -> tuple:
-    if isinstance(e, _ast.Name) and (e.id == "pi" or e.id in _SERIES_LEAVES["zero"]):
+    if isinstance(e, _ast.Name) and (e.id == "pi" or e.id in _LEAVES):
         return ("const", PiPoly.pi_power(1)) if e.id == "pi" else ("leaf", e.id)
     if isinstance(e, _ast.Constant) and type(e.value) is int:
         return ("const", PiPoly.rational(e.value))
@@ -266,63 +273,118 @@ def compile_form(text: str) -> tuple:
 # exact series backend, at both endpoints
 # ---------------------------------------------------------------------------
 
-# Leaf series in the local variable u.  At pi/2, x = pi/2 - u gives
-# sin x = cos u and cos x = u sinc u; sinc and p there would need a division.
-_SERIES_LEAVES = {
-    "zero": {"x": lambda d, r: ps_poly({1: 1}, d, r),
-             "cos": ps_cos, "sin": ps_sin, "sinc": ps_sinc, "p": ps_p},
-    "half_pi": {"x": lambda d, r: ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, d, r),
-                "sin": ps_cos, "cos": lambda d, r: ps_sinc(d, r).mul_term(1, 1)},
+# Each leaf as a polynomial in x, sin and cos over Q[pi, 1/pi]: {(q, j, a, b): c}
+# holds c pi^q x^j sin^a cos^b, so sinc = x^-1 sin and p = x^-3 sin - x^-2 cos.
+_LEAVES = {
+    "x": {(0, 1, 0, 0): 1},
+    "sin": {(0, 0, 1, 0): 1},
+    "cos": {(0, 0, 0, 1): 1},
+    "sinc": {(0, -1, 1, 0): 1},
+    "p": {(0, -3, 1, 0): 1, (0, -2, 0, 1): -1},
 }
 
 
-# The series of each subtree, so that forms share their common subtrees
-# (leaves, cos^2, x^2, ...); a PowerSeries caches its enclosures, sup bound and
-# square, so the cached series carry those too.  The most recent 32 of the nine
-# forms' ~80 subtrees keep nearly all of the sharing, in little memory.
-@lru_cache(maxsize=32)
-def _node_series(node: tuple, center: str, degree: int, radius: float) -> PowerSeries:
-    def series(node: tuple) -> PowerSeries:
-        return _node_series(node, center, degree, radius)
+def _times(f: dict, g: dict) -> dict:
+    out = {}
+    for (q, j, a, b), c in f.items():
+        for (q2, j2, a2, b2), c2 in g.items():
+            key = (q + q2, j + j2, a + a2, b + b2)
+            out[key] = out.get(key, 0) + c * c2
+    return out
 
+
+def _expand(node: tuple) -> dict:
+    """The tree as a polynomial in x, sin and cos (see _LEAVES); an integer
+    coefficient stays an int, so that only true fractions cost a Fraction."""
     kind = node[0]
     if kind == "const":
-        return ps_poly({0: node[1]}, degree, radius)
+        return {(q, 0, 0, 0): v.numerator if v.denominator == 1 else v for q, v in node[1].terms.items()}
     if kind == "leaf":
-        builder = _SERIES_LEAVES[center].get(node[1])
-        if builder is None:
-            raise DomainError(f"no series of {node[1]!r} at {center}")
-        return builder(degree, radius)
+        return _LEAVES[node[1]]
     if kind == "pow":
-        return series(node[1]).int_pow(node[2])
-    if kind is not operator.mul:
-        return kind(series(node[1]), series(node[2]))
-    # a product: its series factors multiply left to right; then its
-    # constants and its powers of x at 0 apply as one monomial c u^j, which
-    # costs O(degree) where a full product costs O(degree^2)
-    acc, consts, j = None, [], 0
-    for f in _factors(node):
-        if f[0] == "const":
-            consts.append(f[1])
-        elif center == "zero" and _x_power(f):
-            j += _x_power(f)
-        else:
-            acc = series(f) if acc is None else acc * series(f)
-    c = reduce(operator.mul, consts) if consts else 1
-    if acc is None:
-        return ps_poly({j: c}, degree, radius)
-    return acc.mul_term(c, j) if consts or j else acc
+        return reduce(_times, [_expand(node[1])] * node[2], {(0, 0, 0, 0): 1})
+    f, g = _expand(node[1]), _expand(node[2])
+    if kind is operator.mul:
+        return _times(f, g)
+    sign = 1 if kind is operator.add else -1
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out
 
 
-def _factors(node: tuple) -> list:
-    return _factors(node[1]) + _factors(node[2]) if node[0] is operator.mul else [node]
+@cache
+def _to_sum(a: int, b: int) -> tuple:
+    """sin^a cos^b = sum_k e cos(k x) (a even) or sum_k e sin(k x) (a odd)
+    over 2^(a+b), as ((k, e), ...): with z = e^(ix), 2^(a+b) sin^a cos^b =
+    i^-a (z - 1/z)^a (z + 1/z)^b, whose z^k and z^-k pair into a cos or sin."""
+    e = {}
+    for i in range(a + 1):
+        for l in range(b + 1):
+            k = a + b - 2 * (i + l)
+            e[k] = e.get(k, 0) + (-1) ** i * comb(a, i) * comb(b, l)
+    sign = -1 if a // 2 % 2 else 1
+    return tuple((k, sign * (v if k == 0 else 2 * v)) for k, v in sorted(e.items()) if k >= 0 and v)
 
 
-def _x_power(node: tuple) -> int:
-    """k when the node is x^k (x itself for k = 1), else 0."""
-    if node == ("leaf", "x"):
-        return 1
-    return node[2] if node[0] == "pow" and node[1] == ("leaf", "x") else 0
+def _grouped(acc: dict) -> tuple:
+    """Terms (j, k, s, ((q, n), ...)) for series.ps_trig from {(j, k, s, q): n}."""
+    terms = {}
+    for (j, k, s, q), n in sorted(acc.items()):
+        if n:
+            terms.setdefault((j, k, s), []).append((q, n))
+    return tuple((*key, tuple(coeffs)) for key, coeffs in terms.items())
+
+
+@cache
+def _linearized(text: str) -> tuple:
+    """(terms, den) of a form string at 0, linearized once: the tree expanded
+    into c pi^q x^j sin^a cos^b, and each sin^a cos^b rewritten by the
+    product-to-sum formulas, all over one integer denominator."""
+    poly = {key: c.as_integer_ratio() for key, c in _expand(compile_form(text)).items() if c}
+    scale = lcm(*(d for _, d in poly.values()))
+    top = max((a + b for _, _, a, b in poly), default=0)
+    acc = {}
+    for (q, j, a, b), (n, d) in poly.items():
+        n *= scale // d << top - a - b
+        for k, e in _to_sum(a, b):
+            acc[j, k, a % 2, q] = acc.get((j, k, a % 2, q), 0) + n * e
+    return _grouped(acc), scale << top
+
+
+# trig(k pi/2 - k u) for trig = cos (s = 0) and sin (s = 1), by k mod 4, as
+# (s, sign) of +-cos(k u) or +-sin(k u)
+_QUARTER_TURNS = (((0, 1), (1, 1), (0, -1), (1, -1)), ((1, -1), (0, 1), (1, 1), (0, -1)))
+
+
+def _at_half_pi(text: str) -> tuple:
+    """(terms, den) of a form string in u = pi/2 - x: (pi/2 - u)^j by the
+    binomial theorem and trig(k x) by the angle-difference formulas.  A term
+    x^j with j < 0 (from sinc or p) would need a division, and is refused."""
+    terms, den = _linearized(text)
+    if any(j < 0 for j, *_ in terms):
+        leaf = next(name for name in _leaves(compile_form(text)) if name in ("sinc", "p"))
+        raise DomainError(f"no series of {leaf!r} at half_pi")
+    top = max((j for j, *_ in terms), default=0)
+    acc = {}
+    for j, k, s, coeffs in terms:
+        s2, sign = _QUARTER_TURNS[s][k % 4]
+        for i in range(j + 1):
+            # C(j, i) (pi/2)^(j-i) (-u)^i, over 2^top
+            f = (-sign if i % 2 else sign) * comb(j, i) << top - j + i
+            for q, n in coeffs:
+                key = (i, k, s2, q + j - i)
+                acc[key] = acc.get(key, 0) + n * f
+    return _grouped(acc), den << top
+
+
+def _leaves(node: tuple):
+    """The leaf names of a tree, left to right."""
+    if node[0] == "leaf":
+        yield node[1]
+    for child in node[1:]:
+        if type(child) is tuple:
+            yield from _leaves(child)
 
 
 def form_series(inequality_id: str, center: str, degree: int, radius: float) -> PowerSeries:
@@ -341,9 +403,11 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
     center "zero": variable u = x.  center "half_pi": variable u = pi/2 - x,
     pi entering exactly through Q[pi, 1/pi] coefficients.
     """
-    if center not in _SERIES_LEAVES:
-        raise DomainError(f"unknown center {center!r}")
-    return _node_series(compile_form(text), center, degree, radius)
+    if center == "zero":
+        return ps_trig(*_linearized(text), degree, radius)
+    if center == "half_pi":
+        return ps_trig(*_at_half_pi(text), degree, radius)
+    raise DomainError(f"unknown center {center!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,49 +8,46 @@ Horner leaves the sign open.  A `PowerSeries` represents, on |u| <= radius,
 
 where the polynomial coefficients c_k are EXACT elements of Q[pi, 1/pi]
 and only the scalar `tail` is a rounded-up float.  The tail is a
-coefficient of u^(D+1), valid on |u| <= radius: every operation keeps
-that invariant, so a remainder's value at the radius is never stored
-where a coefficient is meant.  The crucial property over an
-additive-remainder model: dividing by u^k is a plain coefficient shift,
-because the error term carries its own power of u.  That is what makes
-"divide out the vanishing order, then bound the quotient below" sound on
-a half-open interval (0, b].
+coefficient of u^(D+1), valid on |u| <= radius, so a remainder's value
+at the radius is never stored where a coefficient is meant.  The crucial
+property over an additive-remainder model: dividing by u^k is a plain
+coefficient shift, because the error term carries its own power of u.
+That is what makes "divide out the vanishing order, then bound the
+quotient below" sound on a half-open interval (0, b].
 
 The coefficients are kept as integer numerator rows, one row per power
-of pi, over one positive common denominator that is reduced after every
-operation (so it is the lcm of the coefficients' denominators).  Sums,
-products and `mul_term`, the one product by an exact monomial c u^j (a
-shift, then a scaling), work on those integers directly, and each
-coefficient enclosure is the tightest one over pi's float bracket (see
-`_enclosures`).  A product computes its coefficients
-only through u^D; the terms a_i b_j u^(i+j), i + j > D, that it drops
-fold into the tail as sum_i |a_i| H_b[D+1-i], where H_b[k] >= sum_{j>=k}
-|b_j| r^(j-k) are the suffix bounds of the second factor, one upward
-Horner pass over its coefficient magnitudes, and H_b[0] is its disc bound
-`sup`.  The rows are the only way into a
-series: `ps_poly` builds them from exact values (`PiPoly`, `Fraction` or
-int), and `coefficient(n)` and `coeffs` read them back as `PiPoly`.
-Exact coefficients mean that structurally zero coefficients cancel
-exactly, even when pi enters the expansion (the endpoint pi/2 is not a
-float, so expansions there live in Q[pi, 1/pi] rather than Q).
+of pi, over one positive common denominator, reduced by the gcd (so it
+is the lcm of the coefficients' denominators); each coefficient
+enclosure is the tightest one over pi's float bracket (see
+`_enclosures`).  Exact coefficients mean that structurally zero
+coefficients cancel exactly, even when pi enters the expansion (the
+endpoint pi/2 is not a float, so expansions there live in Q[pi, 1/pi]).
 
-The Taylor coefficients of the three entire building blocks (sin is
-x sinc) are written once, here:
+Every series of a form is written in closed form by `ps_trig`.  A form
+cleared of its denominators is a finite sum of terms c u^j cos(k u) and
+c u^j sin(k u) (the certifier linearizes it), and the Taylor series
 
-    cos x
-    sinc x = sin x / x               (= 1 at x = 0)
-    p x    = (sin x - x cos x) / x^3 (= 1/3 at x = 0, "sine defect ratio")
+    cos(k u) = sum_{m even} (-1)^(m/2) k^m u^m / m!,
+    sin(k u) = sum_{m odd} (-1)^((m-1)/2) k^m u^m / m!
 
-The series for p, sum_{m>=0} (-1)^m 2(m+1) x^(2m) / (2m+3)!, is not taken
-on faith: the test suite re-derives it from an exact rational subtraction
-of the sin and x*cos series.
+give each term's coefficient of u^(j+m) directly: no series is
+multiplied by another.  The tail holds the exact coefficients of
+u^(D+1) .. u^(D+E), E = _EXACT_TAIL, and bounds each term past u^(D+E)
+by its closed-form exponential remainder (`_exp_tail`).  `ps_poly`
+builds a series from exact values, and `coefficient(n)` and `coeffs`
+read the rows back as `PiPoly`.
+
+`cos_coeff`, `sinc_coeff` and `p_coeff` write the Taylor coefficients of
+cos, sinc x = sin x / x and p x = (sin x - x cos x) / x^3 once for the
+direct enclosures of `enclosures`; the test suite re-derives p's from an
+exact rational subtraction of the sin and x*cos series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, inf, isfinite, lcm
+from math import comb, factorial, gcd, inf, lcm, nextafter
 
 from .errors import DomainError, OrderMismatch
 from .interval import (
@@ -67,7 +64,9 @@ from .interval import (
     _div_up,
     _mul_bounds,
     _mul_up,
+    _pow_down,
     _pow_up,
+    _sub_down,
 )
 
 
@@ -231,31 +230,30 @@ def _enclosures(rows, den: int, indices) -> list:
 # tail-bound helpers
 # ---------------------------------------------------------------------------
 
-def exp_tail_bound(first_index: int, radius: float) -> float:
-    """Tail coefficient of u^K, K = first_index, on |u| <= r = radius, for a
-    series with |c_k| <= 1/k!.
-
-    sum_{k>=K} |c_k| |u|^(k-K) <= sum_{k>=K} r^(k-K)/k!, and the ratio of
-    consecutive terms is at most r/(K+1), so the sum is at most
-    1/K! / (1 - r/(K+1)); returned rounded up.
-    """
-    k = first_index
-    if k < 0 or not isfinite(radius):
-        raise DomainError("exp tail bound needs first_index >= 0 and a finite radius")
-    r = Fraction(radius)
-    if r >= k + 1:
-        raise DomainError("exp tail bound needs radius < first_index + 1")
-    return rational_enclosure(Fraction(1, factorial(k)) / (1 - r / (k + 1))).hi
-
-
-def _suffix_sums(mags, r: float) -> list:
-    """H[k] >= sum_{i>=k} mags[i] r^(i-k) for k = 0 .. len(mags), mags[i] >= 0
-    and H[len(mags)] = 0: one upward Horner pass from the last magnitude."""
-    h = [0.0]
+def _horner_sum(mags, r: float) -> float:
+    """An upper bound on sum_i mags[i] r^i, mags[i] >= 0: one upward Horner
+    pass from the last magnitude."""
+    h = 0.0
     for m in reversed(mags):
-        h.append(_add_up(_mul_up(h[-1], r), m))
-    h.reverse()
+        h = _add_up(_mul_up(h, r), m)
     return h
+
+
+@lru_cache(maxsize=1024)
+def _exp_tail(k: int, m: int, r: float) -> float:
+    """Upper bound on sum_{i>=m} k^i r^(i-m) / i!, k >= 0, rounded up: the
+    ratio of consecutive terms is at most k r / (m + 1), so the sum is at
+    most k^m/m! / (1 - k r/(m + 1)), which needs k r < m + 1."""
+    gap = _sub_down(m + 1.0, _mul_up(float(k), r))
+    if not gap > 0.0:  # NaN included
+        raise DomainError(f"cos/sin({k} u) has no closed-form tail on |u| <= {r}; raise the degree")
+    return _div_up(_mul_up(rational_enclosure(k**m, factorial(m)).hi, m + 1.0), gap)
+
+
+@lru_cache(maxsize=64)
+def _pi_power_up(q: int) -> float:
+    """pi^q rounded up, from the end of pi's float bracket that raises it."""
+    return _pow_up(_PI_HI, q) if q >= 0 else _div_up(1.0, _pow_down(_PI_LO, -q))
 
 
 _BERNSTEIN_DEGREE = 24  # N: the Bernstein form of eval takes N + 1 coefficients
@@ -294,7 +292,7 @@ class PowerSeries:
     "coefficients as integer rows" above).
     Build one from exact values with `ps_poly`."""
 
-    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs", "_sup", "_square")
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs")
 
     def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
         if degree < 0 or not 0.0 < radius < inf:  # NaN included
@@ -303,16 +301,12 @@ class PowerSeries:
             raise DomainError("PowerSeries tail must be non-negative")
         for name, value in (
             ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
-            ("_rows", rows), ("_den", den), ("_encs", None), ("_sup", None), ("_square", None),
+            ("_rows", rows), ("_den", den), ("_encs", None),
         ):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
-
-    def _of_rows(self, acc: dict, den: int, degree: int, tail: float) -> "PowerSeries":
-        """A series of this radius from unreduced rows {pi power: numerators}."""
-        return PowerSeries(*_reduced(acc, den), degree, tail, self.radius)
 
     def coefficient(self, n: int) -> PiPoly:
         """The exact coefficient of u^n."""
@@ -329,114 +323,6 @@ class PowerSeries:
                 self, "_encs", tuple(_enclosures(self._rows, self._den, range(self.degree + 1)))
             )
         return self._encs
-
-    def _suffix_bounds(self) -> tuple:
-        """H[k] >= sum_{j>=k} |c_j| r^(j-k), r = radius, for k = 0 .. degree + 1
-        (H[degree + 1] = 0): `_suffix_sums` of the coefficient magnitudes, cached."""
-        if self._sup is None:
-            mags = [c.mag() for c in self.coefficient_enclosures()]
-            object.__setattr__(self, "_sup", tuple(_suffix_sums(mags, self.radius)))
-        return self._sup
-
-    def sup(self) -> float:
-        """Bound on |sum_k c_k u^k| over |u| <= r = radius, the tail left out:
-        H[0], bit for bit the magnitude of the interval Horner value on [-r, r],
-        whose every product [lo, hi] * [-r, r] is r * max(-lo, hi) * [-1, 1]."""
-        return self._suffix_bounds()[0]
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_compatible(self, other: "PowerSeries") -> None:
-        if self.degree != other.degree or self.radius != other.radius:
-            raise DomainError("PowerSeries degree/radius mismatch")
-
-    def _plus(self, other: "PowerSeries", sign: int) -> "PowerSeries":
-        self._check_compatible(other)
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        acc = {k: [fa * x for x in row] for k, row in self._rows}
-        for k, row in other._rows:
-            mine = acc.get(k)
-            acc[k] = [fb * y for y in row] if mine is None else [x + fb * y for x, y in zip(mine, row)]
-        return self._of_rows(acc, den, self.degree, _add_up(self.tail, other.tail))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self._plus(other, -1)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_compatible(other)
-        d, r = self.degree, self.radius
-        # integer convolution through u^d, one row per pair of pi powers,
-        # over the product of the two common denominators, zero numerators
-        # skipped; the sorted terms of b stop at the first power past d
-        sparse_b = [(kb, [(j, y) for j, y in enumerate(row) if y]) for kb, row in other._rows]
-        sums = {}
-        for ka, row_a in self._rows:
-            terms_a = [(i, x) for i, x in enumerate(row_a) if x]
-            for kb, terms_b in sparse_b:
-                acc = sums.setdefault(ka + kb, [0] * (d + 1))
-                for i, x in terms_a:
-                    for j, y in terms_b:
-                        if i + j > d:
-                            break
-                        acc[i + j] += x * y
-        # the dropped terms a_i b_j u^(i+j), i + j > d: sum_i |a_i| H_b[d+1-i]
-        h_b = other._suffix_bounds()
-        tail = 0.0
-        for i, e in enumerate(self.coefficient_enclosures()[1:], 1):
-            if e.hi or e.lo:  # a zero coefficient adds 0 * H exactly
-                tail = _add_up(tail, _mul_up(e.mag(), h_b[d + 1 - i]))
-        # a zero tail contributes sup * 0 = 0, so its partner's sup is not needed
-        tail = _add_up(tail, _mul_up(self.sup(), other.tail) if other.tail else 0.0)
-        tail = _add_up(tail, _mul_up(h_b[0], self.tail) if self.tail else 0.0)
-        tail = _add_up(tail, _mul_up(_mul_up(self.tail, other.tail), _pow_up(r, d + 1)))
-        return self._of_rows(sums, self._den * other._den, d, tail)
-
-    def int_pow(self, k: int) -> "PowerSeries":
-        if k < 0:
-            raise DomainError("PowerSeries.int_pow exponent must be non-negative")
-        if k == 0:
-            return ps_poly({0: 1}, self.degree, self.radius)
-        # square-and-multiply from the first factor: the unit series times
-        # base is base itself, coefficients and tail alike; each square is
-        # cached on its base, so powers of one base share their lower powers
-        result, base = None, self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            if base._square is None:
-                object.__setattr__(base, "_square", base * base)
-            base = base._square
-
-    def mul_term(self, c, j: int) -> "PowerSeries":
-        """Multiply by the exact monomial c u^j, 0 <= j <= degree + 1, c a
-        PiPoly, Fraction or int, keeping the degree fixed: the shift first,
-        its overflow folded into the tail, then the scaling by c."""
-        d, r = self.degree, self.radius
-        if not 0 <= j <= d + 1:
-            raise DomainError(f"mul_term needs 0 <= j <= {d + 1}, got {j}")
-        over = [e.mag() for e in _enclosures(self._rows, self._den, range(d + 1 - j, d + 1))]
-        tail = _add_up(_suffix_sums(over, r)[0], _mul_up(self.tail, _pow_up(r, j)))
-        shifted = [(k, [0] * j + row[: d + 1 - j]) for k, row in self._rows]
-        if c == 1:  # the shift alone, with no PiPoly or enclosure of the unit
-            return self._of_rows(dict(shifted), self._den, d, tail)
-        c = c if isinstance(c, PiPoly) else PiPoly.rational(c)
-        c_rows, c_den = _rows_of([c.terms])
-        acc = {}
-        for kc, (m,) in c_rows:
-            for k, row in shifted:
-                term = [m * x for x in row]
-                mine = acc.get(k + kc)
-                acc[k + kc] = term if mine is None else [x + y for x, y in zip(mine, term)]
-        return self._of_rows(acc, self._den * c_den, d, _mul_up(tail, c.enclosure().mag()))
-
-    # -- endpoint-proof operations ------------------------------------------
 
     def divide_power(self, k: int) -> "PowerSeries":
         """Exact division by u^k, k <= degree; the first k coefficients must vanish exactly."""
@@ -465,7 +351,7 @@ class PowerSeries:
         value = poly + Interval(-t, t)
         if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
             return value
-        s = _mul_up(_suffix_sums([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m)[0],
+        s = _mul_up(_horner_sum([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m),
                     _pow_up(m, _BERNSTEIN_DEGREE + 1))
         lo, hi = _bernstein_range(encs[: _BERNSTEIN_DEGREE + 1], u.lo, u.hi)
         # both contain the range of P over u, so they meet; an empty meet
@@ -495,26 +381,52 @@ def ps_poly(terms: dict, degree: int, radius: float, tail: float = 0.0) -> Power
     return PowerSeries(*_rows_of(coeffs), degree, tail, radius)
 
 
-def _entire_series(coeff, odd: bool, degree: int, radius: float) -> PowerSeries:
-    """coeff(m) at the power 2m (2m + 1 if odd), zeros elsewhere.  The tail
-    coefficient needs every coefficient of u^k to be at most 1/k! in magnitude."""
-    terms = [{}] * (degree + 1)
-    for k in range(int(odd), degree + 1, 2):
-        terms[k] = {0: coeff(k // 2)}
-    return PowerSeries(*_rows_of(terms), degree, exp_tail_bound(degree + 1, radius), radius)
+# E: a series of degree D takes the exact coefficients of u^(D+1) .. u^(D+E)
+# into its tail and bounds every power past them in closed form
+_EXACT_TAIL = 8
 
 
-def ps_cos(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(cos_coeff, False, degree, radius)
-
-
-def ps_sin(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(sinc_coeff, True, degree, radius)
-
-
-def ps_sinc(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(sinc_coeff, False, degree, radius)
-
-
-def ps_p(degree: int, radius: float) -> PowerSeries:
-    return _entire_series(p_coeff, False, degree, radius)
+def ps_trig(terms, den: int, degree: int, radius: float) -> PowerSeries:
+    """The series on |u| <= radius of sum_t c_t u^j cos(k u) or sin(k u)
+    over the terms t = (j, k, s, ((q, n), ...)): s is 0 for cos and 1 for
+    sin, k >= 0, and c_t = sum n pi^q / den.  A term adds c_t (-1)^(m//2)
+    k^m / m! to the coefficient of u^(j+m), m of its parity, all summed as
+    integers over den * M!, M the largest m taken, and then reduced.  A
+    negative j is allowed where the terms cancel below u^0.  The tail is
+    the exact coefficients of u^(D+1) .. u^(D+E) by `_horner_sum`, plus
+    r^E sum_t |c_t| `_exp_tail`(k, D+E+1-j, r) for the powers past them."""
+    d, r, top = degree, radius, degree + _EXACT_TAIL
+    low = min([0, *(t[0] for t in terms)])
+    m_top = top - low
+    # fact[m] = m_top!/m!, and each k's weights (-1)^(m//2) k^m m_top!/m!
+    fact = [1] * (m_top + 1)
+    for m in range(m_top, 0, -1):
+        fact[m - 1] = fact[m] * m
+    weights, acc, rest = {}, {}, 0.0
+    for j, k, s, coeffs in terms:
+        w = weights.get(k)
+        if w is None:
+            w = weights[k] = [k**m * f if m % 4 < 2 else -(k**m) * f for m, f in enumerate(fact)]
+        stop = top - j if k else min(top - j, 0)  # cos(0 u) = 1 has u^0 alone
+        lo, hi = j + s - low, j + stop - low + 1
+        for q, n in coeffs:
+            row = acc.get(q) or acc.setdefault(q, [0] * (m_top + 1))
+            row[lo:hi:2] = [x + n * y for x, y in zip(row[lo:hi:2], w[s : stop + 1 : 2])]
+        if k or j > top:  # the powers past u^top, from u^(j+m)
+            m = max(top + 1, j) - j
+            # |c_t| <= sum |n| pi^q / den, each quotient rounded to nearest and
+            # then stepped up
+            bound = 0.0
+            for q, n in coeffs:
+                bound = _add_up(bound, _mul_up(nextafter(abs(n) / den, inf), _pi_power_up(q)))
+            bound = _mul_up(bound, _exp_tail(k, m, r))
+            if j > top + 1:  # r^(j+m-D-1) = r^E r^(j-top-1) when m = 0
+                bound = _mul_up(bound, _pow_up(r, j - top - 1))
+            rest = _add_up(rest, bound)
+    if any(row[n] for row in acc.values() for n in range(-low)):
+        raise DomainError("the terms leave a negative power of u")
+    den *= fact[0]
+    rows = tuple(sorted(acc.items()))
+    over = [e.mag() for e in _enclosures(rows, den, range(d + 1 - low, top + 1 - low))]
+    tail = _add_up(_horner_sum(over, r), _mul_up(rest, _pow_up(r, _EXACT_TAIL)))
+    return PowerSeries(*_reduced({q: row[-low : d + 1 - low] for q, row in rows}, den), d, tail, r)

@@ -1,16 +1,20 @@
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 import sympy as sp
 
 from tancert import certifier, cli, series
+from tancert.analysis import GAP_DEGREE, GAP_FORMS
 from tancert.certifier import (
     CATALOG,
     MAX_DEGREE,
+    MAX_EPSILON,
     MAX_FAILED_LEAVES,
     BoxRecord,
     CertifyConfig,
@@ -731,6 +735,91 @@ def test_leaf_without_a_series_at_the_center_is_refused():
     # sinc and p have no series at pi/2 (they would need a division there)
     with pytest.raises(DomainError, match="no series of 'p' at half_pi"):
         series_of("3*p - sinc", "half_pi", 16, 0.25)
+
+
+_RADIUS = {"zero": _HALF_PI_HI, "half_pi": MAX_EPSILON}
+
+
+def _centers(spec):
+    """The centers where a catalog form has a series."""
+    return ("zero", "half_pi") if spec.vanish_order_half_pi else ("zero",)
+
+
+# every form whose series certification or a crossover builds, at each
+# center where it has one
+_FORMS_AT_CENTERS = [
+    *((spec.entire_form, center) for spec in CATALOG.values() for center in _centers(spec)),
+    *((text, "zero") for text in GAP_FORMS.values()),
+]
+
+
+@pytest.fixture(scope="module")
+def sympy_leaf_series():
+    """Each leaf as a sympy Poly in u through u^24, at each center, from
+    sympy's own Taylor series: at pi/2, x = pi/2 - u."""
+    u, n = sp.symbols("u"), 24
+
+    def poly(expr):
+        return sp.Poly(sp.series(expr, u, 0, n + 1).removeO(), u)
+
+    x = {"zero": u, "half_pi": sp.pi / 2 - u}
+    return {
+        center: {
+            "x": sp.Poly(x[center], u), "pi": sp.pi,
+            "cos": poly(sp.cos(x[center])), "sin": poly(sp.sin(x[center])),
+            **({"sinc": poly(sp.sin(u) / u), "p": poly((sp.sin(u) - u * sp.cos(u)) / u**3)}
+               if center == "zero" else {}),
+        }
+        for center in x
+    }
+
+
+@pytest.mark.parametrize("text,center", _FORMS_AT_CENTERS)
+def test_series_coefficients_equal_sympy_taylor_coefficients(text, center, sympy_leaf_series):
+    # the truncated products of sympy's leaf series give the exact Taylor
+    # coefficients through u^24, pi kept symbolic
+    leaves = sympy_leaf_series[center]
+    reference = sp.sympify(text.replace("^", "**"), locals=leaves)
+    built = series_of(text, center, 24, _RADIUS[center])
+    u = reference.gens[0]
+    for n in range(25):
+        diff = reference.coeff_monomial(u**n) - _pipoly_to_sympy(built.coefficient(n))
+        assert sp.expand(diff) == 0, (text, center, n)
+
+
+# sha256 of repr((rows, den)) of each series on a grid of degrees, as the
+# products of leaf series built them before the closed form replaced them
+# (tests/data/series_rows.json): the exact coefficients are one set of
+# values, so their reduced rows must not move.
+SERIES_ROWS = json.loads((Path(__file__).parent / "data" / "series_rows.json").read_text())
+
+
+def test_series_rows_equal_the_pinned_rows():
+    built = {f"{name} zero {GAP_DEGREE}": series_of(text, "zero", GAP_DEGREE, _HALF_PI_HI)
+             for name, text in GAP_FORMS.items()}
+    for cid, spec in CATALOG.items():
+        for center in _centers(spec):
+            for d in (16, 24, 48, 96, 128):
+                built[f"{cid} {center} {d}"] = form_series(cid, center, d, _RADIUS[center])
+    got = {key: hashlib.sha256(repr((s._rows, s._den)).encode()).hexdigest() for key, s in built.items()}
+    assert got == SERIES_ROWS
+
+
+@pytest.mark.parametrize(
+    "a,b,centers",
+    [
+        ("sin*(4*cos^2 - 1)", "3*sin - 4*sin^3", ("zero", "half_pi")),  # sin 3x
+        ("sinc*cos^2", "cos*cos*sinc", ("zero",)),
+        ("x*(sinc*cos)", "(x*sinc)*cos", ("zero",)),
+    ],
+)
+def test_strings_of_one_function_build_one_series(a, b, centers):
+    # a form is linearized into cos(kx) and sin(kx) terms, so the order and
+    # grouping of its products move neither its rows nor its tail
+    for center in centers:
+        for degree in (16, 96):
+            sa, sb = (series_of(t, center, degree, _RADIUS[center]) for t in (a, b))
+            assert (sa._rows, sa._den, sa.tail.hex()) == (sb._rows, sb._den, sb.tail.hex())
 
 
 def test_new_catalog_entry_needs_no_evaluator_code(monkeypatch):

@@ -6,7 +6,7 @@ the series backends, bisection or serialization that alters any box or
 depth shows up here as a byte difference.
 `tests/data/golden/wide_endpoints/cert-<id>.json` pins the same nine
 certificates at `--delta 0.5 --epsilon-max 0.25 --degree 96`, where the
-exact series products and the pi-power coefficients at pi/2 do the most
+exact series builds and the pi-power coefficients at pi/2 do the most
 work, and `tests/data/golden/deep_cover/cert-<id>.json` pins them at
 `--delta 0.125 --epsilon-max 0.0625`, where the middle cover is widest and
 the near-pi/2 series are built at the smallest radius.

@@ -10,29 +10,20 @@ from hypothesis import strategies as st
 
 from tancert import series
 from tancert.errors import DomainError, OrderMismatch
-from tancert.certifier import CATALOG
+from tancert.certifier import CATALOG, MAX_EPSILON, form_series, series_of
 from tancert.interval import (
     _HALF_PI_HI,
     _PI_HI,
     _PI_LO,
     Interval,
-    _add_up,
     _mul_up,
     _pow_up,
     horner,
     rational_enclosure,
 )
-from tancert.series import (
-    PiPoly,
-    exp_tail_bound,
-    ps_cos,
-    ps_p,
-    ps_poly,
-    ps_sin,
-    ps_sinc,
-)
+from tancert.series import PiPoly, ps_poly
 
-from conftest import contains, count_calls, interval_horner, mp_p, mp_sinc
+from conftest import contains, count_calls, mp_p, mp_sinc
 
 
 def test_pipoly_arithmetic_exact():
@@ -52,11 +43,11 @@ def test_pipoly_enclosures(oracle):
 
 
 @pytest.mark.parametrize(
-    "builder,fn",
-    [(ps_cos, mp.cos), (ps_sin, mp.sin), (ps_sinc, mp_sinc), (ps_p, mp_p)],
+    "leaf,fn", [("cos", mp.cos), ("sin", mp.sin), ("sinc", mp_sinc), ("p", mp_p)],
+    ids=["cos", "sin", "sinc", "p"],
 )
-def test_primitive_series_contain_oracle(builder, fn, oracle):
-    ps = builder(24, 1.5707963267948968)
+def test_primitive_series_contain_oracle(leaf, fn, oracle):
+    ps = series_of(leaf, "zero", 24, 1.5707963267948968)
     rng = random.Random(11)
     for _ in range(60):
         x = rng.uniform(0.0, 1.5707963)
@@ -65,14 +56,14 @@ def test_primitive_series_contain_oracle(builder, fn, oracle):
     # tail's value at the radius
     for degree in (4, 8):
         for r in (0.5, 0.125):
-            ps = builder(degree, r)
+            ps = series_of(leaf, "zero", degree, r)
             for x in (-r, r):
                 assert contains(ps.eval(Interval.point(x)), fn(mp.mpf(x))), (degree, x)
 
 
 def test_series_products_contain_oracle(oracle):
     r = 1.2
-    prod = ps_sinc(24, r) * ps_cos(24, r)
+    prod = series_of("sinc*cos", "zero", 24, r)
     for x in (0.0, 0.3, 0.9, 1.2):
         assert contains(prod.eval(Interval.point(x)), mp_sinc(mp.mpf(x)) * mp.cos(mp.mpf(x)))
 
@@ -80,7 +71,7 @@ def test_series_products_contain_oracle(oracle):
 def test_monomial_shift_and_poly(oracle):
     r = 1.0
     # x * sinc = sin
-    shifted = ps_sinc(20, r).mul_term(1, 1)
+    shifted = series_of("x*sinc", "zero", 20, r)
     for x in (0.1, 0.7, 1.0):
         assert contains(shifted.eval(Interval.point(x)), mp.sin(mp.mpf(x)))
     poly = ps_poly({0: PiPoly({2: 1}), 2: -4}, 20, r)  # pi^2 - 4x^2
@@ -94,34 +85,35 @@ def test_monomial_shift_and_poly(oracle):
 
 def test_divide_power_shifts_exactly(oracle):
     r = 1.0
-    sin = ps_sin(20, r)
+    sin = series_of("sin", "zero", 20, r)
     sinc_again = sin.divide_power(1)
     for x in (0.2, 0.9):
         assert contains(sinc_again.eval(Interval.point(x)), mp_sinc(mp.mpf(x)))
     with pytest.raises(OrderMismatch):
-        ps_cos(20, r).divide_power(1)
-    # a shift or division past the degree would change the degree
-    for op in (lambda k: sin.mul_term(1, k), sin.divide_power):
-        with pytest.raises(DomainError):
-            op(22)
+        series_of("cos", "zero", 20, r).divide_power(1)
+    # a division past the degree would change the degree
+    with pytest.raises(DomainError):
+        sin.divide_power(22)
 
 
 def test_tail_respects_radius():
-    ps = ps_cos(16, 0.5)
+    ps = series_of("cos", "zero", 16, 0.5)
     with pytest.raises(DomainError):
         ps.eval(Interval.point(0.75))
 
 
 def test_exp_tail_bound_dominates_true_tail(oracle):
-    # the tail coefficient of u^K for |c_k| <= 1/k! on |u| <= r is
-    # sum_{k>=K} r^(k-K)/k!; the bound covers it, and within 1%, so no
-    # factor r^K rides along above r = 1
-    for r in (1.25, _HALF_PI_HI):
+    # the closed-form remainder of one term c u^j trig(k u) past u^(D+E) is
+    # |c| r^E sum_{i>=m} k^i r^(i-m)/i!; the bound covers that sum, within
+    # 10%, so no factor r^m rides along above r = 1
+    for r in (0.25, 1.25, _HALF_PI_HI):
         x = mp.mpf(r)
-        for k in (10, 17, 97):
-            coefficient = mp.nsum(lambda j: x**j / mp.factorial(k + j), [0, mp.inf])
-            bound = exp_tail_bound(k, r)
-            assert coefficient <= bound <= coefficient * 1.01, (r, k)
+        for k, m in [(1, 10), (1, 17), (1, 97), (2, 25), (6, 25), (6, 41), (6, 120)]:
+            total = mp.nsum(lambda i: mp.mpf(k) ** (m + i) * x**i / mp.factorial(m + i), [0, mp.inf])
+            bound = series._exp_tail(k, m, r)
+            assert total <= bound <= total * 1.1, (r, k, m)
+    # cos(0 u) = 1 has no terms past u^0
+    assert series._exp_tail(0, 0, 1.5) == 1.0 and series._exp_tail(0, 9, 1.5) == 0.0
 
 
 def test_nan_tail_or_radius_is_refused():
@@ -138,68 +130,60 @@ def test_shapes_a_series_cannot_serve_are_refused():
     for degree, radius in [(-1, 1.0), (3, math.inf)]:
         with pytest.raises(DomainError):
             ps_poly({}, degree, radius)
-    for first_index, radius in [(5, math.inf), (5, math.nan), (-1, 0.5)]:
+    # the remainder's geometric bound needs k r < m + 1
+    for k, m, radius in [(1, 5, math.inf), (1, 5, math.nan), (6, 2, 0.5)]:
         with pytest.raises(DomainError):
-            exp_tail_bound(first_index, radius)
-    for builder in (ps_cos, ps_sin, ps_sinc, ps_p):
+            series._exp_tail(k, m, radius)
+    for leaf in ("cos", "sin", "sinc", "p"):
         with pytest.raises(DomainError):
-            builder(16, math.inf)
+            series_of(leaf, "zero", 16, math.inf)
         with pytest.raises(DomainError):
-            builder(-2, 1.0)
+            series_of(leaf, "zero", -2, 1.0)
 
 
-def test_compatibility_checks():
-    with pytest.raises(DomainError):
-        ps_cos(10, 0.5) + ps_cos(12, 0.5)
-    with pytest.raises(DomainError):
-        ps_cos(10, 0.5) * ps_cos(10, 0.25)
+def _cauchy_power(s, k):
+    """Reference: the coefficients of s^k through u^degree, k-fold Cauchy
+    products of the PiPoly coefficients of s from the unit series."""
+    d = s.degree
+    result = [PiPoly.rational(1)] + [PiPoly()] * d
+    for _ in range(k):
+        result = [sum((result[i] * s.coeffs[n - i] for i in range(n + 1)), PiPoly()) for n in range(d + 1)]
+    return tuple(result)
 
 
 def test_int_pow_matches_repeated_mul(oracle):
+    # a power in a form string is its product written out, bit for bit
     r = 1.0
-    s = ps_sinc(18, r)
-    cubed = s.int_pow(3)
-    ref = s * s * s
+    cubed = series_of("sinc^3", "zero", 18, r)
+    ref = series_of("sinc*sinc*sinc", "zero", 18, r)
+    assert cubed.coeffs == ref.coeffs and cubed.tail.hex() == ref.tail.hex()
     for x in (0.25, 0.8):
-        a = cubed.eval(Interval.point(x))
-        b = ref.eval(Interval.point(x))
-        assert a.lo <= b.hi and b.lo <= a.hi
-        assert contains(a, mp_sinc(mp.mpf(x)) ** 3)
-
-
-def _unit_square_and_multiply(s, k):
-    """Reference power: square-and-multiply from the unit series."""
-    result = ps_poly({0: 1}, s.degree, s.radius)
-    base = s
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
+        assert contains(cubed.eval(Interval.point(x)), mp_sinc(mp.mpf(x)) ** 3)
 
 
 @pytest.mark.parametrize(
-    "series",
+    "base,center,degree,radius",
     [
-        ps_sinc(24, _HALF_PI_HI),
-        ps_cos(16, 0.25) + ps_poly({0: PiPoly({1: Fraction(1, 2)}), 1: -1}, 16, 0.25),
-        ps_poly({0: PiPoly({-1: 3, 2: Fraction(-1, 7)}), 1: 5}, 1, 1.5, 0.75),
+        ("sinc", "zero", 24, _HALF_PI_HI),
+        # cos u + pi/2 - u in u = pi/2 - x
+        ("(sin + x)", "half_pi", 16, 0.25),
+        ("(3/pi - pi^2/7 + 5*x)", "zero", 1, 1.5),
     ],
     ids=["sinc-at-zero", "pi-coefficients", "degree-1"],
 )
-def test_int_pow_bitwise_equals_unit_reference(series):
+def test_int_pow_bitwise_equals_unit_reference(base, center, degree, radius):
+    # the closed form of base^k has exactly the coefficients of the k-fold
+    # Cauchy product of the series of base
+    s = series_of(base, center, degree, radius)
     for k in range(8):
-        got, ref = series.int_pow(k), _unit_square_and_multiply(series, k)
-        assert got.coeffs == ref.coeffs
-        assert got.tail.hex() == ref.tail.hex()
-        assert got.radius == ref.radius
+        got = series_of(f"{base}^{k}", center, degree, radius)
+        assert got.coeffs == _cauchy_power(s, k), k
+        assert got.radius == radius
 
 
 def test_scale_by_pipoly(oracle):
     r = 0.5
-    scaled = ps_cos(16, r).mul_term(PiPoly({2: 1}), 0)
+    scaled = series_of("pi^2*cos", "zero", 16, r)
     assert contains(scaled.eval(Interval.point(0.3)), mp.pi**2 * mp.cos(mp.mpf("0.3")))
 
 
@@ -264,139 +248,93 @@ def test_coefficient_enclosures_round_the_exact_pi_bracket_once(coeffs, oracle):
     _assert_bracket_enclosures(coeffs)
 
 
-def _suffix_bounds(s):
-    """H[k] >= sum_{j>=k} |c_j| r^(j-k) by an upward Horner pass over the
-    magnitudes of the PiPoly enclosures of the coefficients."""
-    h, acc = [], 0.0
-    for c in reversed(s.coeffs):
-        acc = _add_up(_mul_up(acc, s.radius), c.enclosure().mag())
-        h.append(acc)
-    return h[::-1]
+# form strings for products: sums of at most three products of at most two
+# factors, a factor a leaf, pi or a rational constant, or a leaf squared;
+# at degrees 4 to 10 on radii up to 1/2 every closed-form remainder exists
+FACTORS = st.sampled_from(
+    ["x", "cos", "sin", "sinc", "p", "pi", "3", "(2/pi)^2", "1/7", "x^2", "cos^2", "sin^2", "p^2"]
+)
+PRODUCTS = st.lists(FACTORS, min_size=1, max_size=2).map("*".join)
 
 
-def _fraction_product(a, b):
-    """Reference: the PiPoly (Fraction) convolution through u^d; the dropped
-    products a_i b_j u^(i+j), i + j > d, folded into the tail as
-    sum_i |a_i| H_b[d+1-i] with H_b the suffix bounds of b, plus the
-    operands' tails."""
-    d, r = a.degree, a.radius
-    conv = [PiPoly()] * (d + 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs[: d + 1 - i]):
-            conv[i + j] = conv[i + j] + ca * cb
-    h_b = _suffix_bounds(b)
-    tail = 0.0
-    for i in range(1, d + 1):
-        tail = _add_up(tail, _mul_up(a.coeffs[i].enclosure().mag(), h_b[d + 1 - i]))
-    sup_a = horner(a.coefficient_enclosures(), Interval(-r, r)).mag()
-    sup_b = horner(b.coefficient_enclosures(), Interval(-r, r)).mag()
-    tail = _add_up(tail, _mul_up(sup_a, b.tail))
-    tail = _add_up(tail, _mul_up(sup_b, a.tail))
-    tail = _add_up(tail, _mul_up(_mul_up(a.tail, b.tail), _pow_up(r, d + 1)))
-    return conv, tail
+@st.composite
+def product_forms(draw):
+    """Two form strings, a degree and a radius: the product's series is
+    compared with its factors' series."""
+    sign = st.sampled_from(["+", "-"])
+    terms = st.lists(st.tuples(sign, PRODUCTS), min_size=1, max_size=3)
+    a, b = ("0 " + " ".join(f"{op} {t}" for op, t in draw(terms)) for _ in range(2))
+    return a, b, draw(st.integers(4, 10)), draw(st.floats(0.125, 0.5))
 
 
-def _exact_overflow_fold(a, b):
-    """A lower bound, exact in Q, on sum_{k>d} |c_k| r^(k-d-1), c_k the
-    coefficients of the full product of the polynomial parts: the tail that
-    folding the exact overflow coefficients would give.  For rational
-    coefficients it is that sum exactly."""
-    d, r = a.degree, Fraction(a.radius)
-    conv = [PiPoly()] * (2 * d + 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            conv[i + j] = conv[i + j] + ca * cb
+def _overflow(text, center, degree, radius, extra=60):
+    """A lower bound, exact in Q, on sum_{n=D+1}^{D+extra} |f_n| r^(n-D-1),
+    the f_n read from the builder's own rows at degree D + extra: |f_n|
+    exactly for a rational coefficient, the float lower end of its
+    magnitude otherwise."""
+    big, r = series_of(text, center, degree + extra, radius), Fraction(radius)
     total = Fraction(0)
-    for k in range(d + 1, 2 * d + 1):
-        c = conv[k].terms
-        mag = abs(c[0]) if set(c) == {0} else Fraction(conv[k].enclosure().mig())
-        total += mag * r ** (k - d - 1)
+    for n in range(degree + 1, degree + extra + 1):
+        c = big.coefficient(n)
+        mag = abs(c.terms.get(0, 0)) if set(c.terms) <= {0} else Fraction(c.enclosure().mig())
+        total += mag * r ** (n - degree - 1)
     return total
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(series_pairs())
-def test_integer_product_equals_fraction_convolution(pair):
-    a, b = pair
-    coeffs, tail = _fraction_product(a, b)
-    prod = a * b
-    assert prod.coeffs == tuple(coeffs)
-    assert prod.tail == tail
+@given(product_forms())
+def test_integer_product_equals_fraction_convolution(forms):
+    # the closed form of a product has exactly the coefficients of the
+    # Cauchy product of its factors' series, in PiPoly (Fraction) arithmetic
+    a, b, d, r = forms
+    fa, fb = (series_of(t, "zero", d, r).coeffs for t in (a, b))
+    conv = [sum((fa[i] * fb[n - i] for i in range(n + 1)), PiPoly()) for n in range(d + 1)]
+    assert series_of(f"({a})*({b})", "zero", d, r).coeffs == tuple(conv)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(series_pairs(tails=st.just(0.0)))
-def test_product_tail_covers_the_exact_overflow(pair):
-    # with untailed operands the product's tail is its overflow bound alone,
-    # and the suffix sums never undercut folding the exact coefficients
-    a, b = pair
-    assert Fraction((a * b).tail) >= _exact_overflow_fold(a, b)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(product_forms())
+def test_product_tail_covers_the_exact_overflow(forms):
+    # the tail of a product never undercuts its exact overflow
+    a, b, d, r = forms
+    text = f"({a})*({b})"
+    assert Fraction(series_of(text, "zero", d, r).tail) >= _overflow(text, "zero", d, r, 30)
 
 
-def _untailed(s):
-    return ps_poly(dict(enumerate(s.coeffs)), s.degree, s.radius)
-
-
-@pytest.mark.parametrize(
-    "factors",
-    [
-        lambda: (ps_sinc(96, _HALF_PI_HI), ps_sinc(96, _HALF_PI_HI)),
-        lambda: (ps_p(96, _HALF_PI_HI).int_pow(5), ps_cos(96, _HALF_PI_HI)),
-    ],
-    ids=["sinc^2", "p^5*cos"],
-)
-def test_product_tail_covers_the_exact_overflow_at_degree_96(factors):
-    a, b = (_untailed(s) for s in factors())
-    prod = a * b
-    assert prod.coeffs == tuple(_fraction_product(a, b)[0])
-    fold = _exact_overflow_fold(a, b)
-    assert 0 < fold <= Fraction(prod.tail)
-    # the products a_i b_j of one power share its sign, so the suffix sums
-    # cancel nothing that the exact coefficients would: only rounding is lost
-    assert Fraction(prod.tail) <= fold * (1 + Fraction(1, 10**12))
+@pytest.mark.parametrize("text", ["sinc^2", "p^5*cos"])
+def test_product_tail_covers_the_exact_overflow_at_degree_96(text):
+    s = series_of(text, "zero", 96, _HALF_PI_HI)
+    fold = _overflow(text, "zero", 96, _HALF_PI_HI)
+    assert 0 < fold <= Fraction(s.tail)
+    # the tail holds the first eight overflow coefficients exactly, so only
+    # rounding and the closed-form remainder past them are lost
+    assert Fraction(s.tail) <= fold * (1 + Fraction(1, 10**6))
     # and the tail moves no margin: its term at pi/2 is far below a float ulp of 1
-    assert _mul_up(prod.tail, _pow_up(_HALF_PI_HI, 97)) < 1e-60
+    assert _mul_up(s.tail, _pow_up(_HALF_PI_HI, 97)) < 1e-60
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(series_pairs())
-def test_sup_equals_interval_horner_on_the_disc(pair):
-    for s in pair:
-        r = s.radius
-        assert s.sup().hex() == interval_horner(s.coefficient_enclosures(), Interval(-r, r)).mag().hex()
+@pytest.mark.parametrize("degree", [16, 96])
+def test_tail_covers_the_exact_overflow(degree):
+    # every catalog quotient Q = F/u^k of the certifier, at both centers: the
+    # tail of F, which Q carries, is at least sum_{n=D+1}^{D+60} |f_n| r^(n-D-1)
+    for cid, spec in CATALOG.items():
+        for center, radius in [("zero", _HALF_PI_HI), ("half_pi", MAX_EPSILON)]:
+            if center == "half_pi" and not spec.vanish_order_half_pi:
+                continue
+            tail = form_series(cid, center, degree, radius).tail
+            assert Fraction(tail) >= _overflow(spec.entire_form, center, degree, radius), (cid, center)
 
 
 @st.composite
-def operand_pairs(draw):
-    """Two series of one degree and radius, each sometimes all zero."""
+def operands(draw):
+    """A series of rows from exact values, sometimes all zero, with leading
+    zeros where a form vanishing at its center has them."""
     degree = draw(st.integers(0, 7))
-    radius = draw(st.floats(0.125, 2.0))
     zero = [PiPoly()] * (degree + 1)
-    coeffs = st.one_of(st.just(zero), st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1))
-    return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(TAILS)) for _ in range(2))
-
-
-def _fraction_shift(a, j):
-    """Reference u^j * a: the coefficients shifted, those past the degree
-    folded into the tail as sum_k |c_k| r^(k-d-1) by an upward Horner pass
-    from the last, plus the tail times r^j."""
-    d, r = a.degree, a.radius
-    tail = 0.0
-    for c in reversed(a.coeffs[d + 1 - j:]):
-        tail = _add_up(_mul_up(tail, r), c.enclosure().mag())
-    return [PiPoly()] * j + list(a.coeffs[: d + 1 - j]), _add_up(tail, _mul_up(a.tail, _pow_up(r, j)))
-
-
-def _fraction_term(a, c, j):
-    """Reference c u^j * a: the shift by u^j, then every coefficient and the
-    tail scaled by c."""
-    c = c if isinstance(c, PiPoly) else PiPoly.rational(c)
-    coeffs, tail = _fraction_shift(a, j)
-    return [c * x for x in coeffs], _mul_up(tail, c.enclosure().mag())
-
-
-# a constant of the forms: 2/15 and (2/pi)^4 together
-_PI_CONST = PiPoly({-4: 16, 0: Fraction(-2, 15)})
+    coeffs = draw(st.one_of(st.just(zero), st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1)))
+    zeros = draw(st.integers(0, degree + 1))
+    coeffs = zero[:zeros] + coeffs[zeros:]
+    return ps_poly(dict(enumerate(coeffs)), degree, draw(st.floats(0.125, 2.0)), draw(TAILS)), coeffs
 
 
 def _assert_exact(got, coeffs, tail):
@@ -408,42 +346,36 @@ def _assert_exact(got, coeffs, tail):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(operand_pairs(), st.one_of(PIPOLYS, st.integers(-6, 6)), st.data())
-def test_row_operations_equal_fraction_reference(pair, c, data):
-    # the integer-row operations against one Fraction (PiPoly) per coefficient
-    a, b = pair
-    d = a.degree
-    _assert_exact(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
-    _assert_exact(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)], _add_up(a.tail, b.tail))
-    _assert_exact(a * b, *_fraction_product(a, b))
-    j = data.draw(st.integers(0, d + 1))
-    for cj in ((c, 0), (1, j), (c, j), (_PI_CONST, d + 1)):
-        _assert_exact(a.mul_term(*cj), *_fraction_term(a, *cj))
-    shifted = a.mul_term(1, j)
+@given(operands(), st.data())
+def test_row_operations_equal_fraction_reference(operand, data):
+    # the integer rows of ps_poly and of divide_power against one Fraction
+    # (PiPoly) per coefficient
+    s, coeffs = operand
+    d = s.degree
+    _assert_exact(s, coeffs, s.tail)
     # division by u^k up to the count of exactly vanishing leading
     # coefficients, and at most the degree, so that a coefficient remains
-    coeffs = shifted.coeffs
     zeros = next((n for n, x in enumerate(coeffs) if x.terms), d + 1)
     k = data.draw(st.integers(0, min(zeros, d)))
-    _assert_exact(shifted.divide_power(k), coeffs[k:], shifted.tail)
+    _assert_exact(s.divide_power(k), coeffs[k:], s.tail)
     if zeros < d:
         with pytest.raises(OrderMismatch):
-            shifted.divide_power(zeros + 1)
+            s.divide_power(zeros + 1)
     with pytest.raises(DomainError):
-        shifted.divide_power(d + 1)
+        s.divide_power(d + 1)
 
 
 # Leaf series and products at degree 16 on the disc of Q0's radius, each with
 # its mpmath reference; 3p - sinc vanishes to second order at 0.
 _R = _HALF_PI_HI
 _NARROWED = {
-    "cos": (ps_cos(16, _R), mp.cos),
-    "sin": (ps_sin(16, _R), mp.sin),
-    "sinc": (ps_sinc(16, _R), mp_sinc),
-    "p": (ps_p(16, _R), mp_p),
-    "sinc*cos": (ps_sinc(16, _R) * ps_cos(16, _R), lambda x: mp_sinc(x) * mp.cos(x)),
-    "sin*cos^2": (ps_sin(16, _R) * ps_cos(16, _R).int_pow(2), lambda x: mp.sin(x) * mp.cos(x) ** 2),
-    "3p - sinc": (ps_p(16, _R).mul_term(3, 0) - ps_sinc(16, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
+    "cos": (series_of("cos", "zero", 16, _R), mp.cos),
+    "sin": (series_of("sin", "zero", 16, _R), mp.sin),
+    "sinc": (series_of("sinc", "zero", 16, _R), mp_sinc),
+    "p": (series_of("p", "zero", 16, _R), mp_p),
+    "sinc*cos": (series_of("sinc*cos", "zero", 16, _R), lambda x: mp_sinc(x) * mp.cos(x)),
+    "sin*cos^2": (series_of("sin*cos^2", "zero", 16, _R), lambda x: mp.sin(x) * mp.cos(x) ** 2),
+    "3p - sinc": (series_of("3*p - sinc", "zero", 16, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
 }
 
 
@@ -502,7 +434,7 @@ def test_eval_contains_the_function_and_narrows_horner(name, u, oracle):
 
 
 def test_eval_narrows_only_where_horner_leaves_the_sign_open(monkeypatch):
-    s = ps_sin(16, _R) * ps_cos(16, _R).int_pow(2)
+    s = series_of("sin*cos^2", "zero", 16, _R)
     calls = count_calls(monkeypatch, series, "horner")
     # signed by Horner: returned as it is, after one Horner evaluation
     signed = Interval(0.5, 0.75)
@@ -540,9 +472,9 @@ def test_eval_of_degree_below_two_is_the_range_at_the_box_ends(degree):
 # the Bernstein form and the rest are bounded by |c_j| |u|^j, with their
 # mpmath references, and boxes that Horner leaves open on them.
 _DEGREE_96 = {
-    "sin*cos^2": (ps_sin(96, _R) * ps_cos(96, _R).int_pow(2), lambda x: mp.sin(x) * mp.cos(x) ** 2),
-    "3p - sinc": (ps_p(96, _R).mul_term(3, 0) - ps_sinc(96, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
-    "cos - 1/2": (ps_cos(96, _R) - ps_poly({0: Fraction(1, 2)}, 96, _R), lambda x: mp.cos(x) - 0.5),
+    "sin*cos^2": (series_of("sin*cos^2", "zero", 96, _R), lambda x: mp.sin(x) * mp.cos(x) ** 2),
+    "3p - sinc": (series_of("3*p - sinc", "zero", 96, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
+    "cos - 1/2": (series_of("cos - 1/2", "zero", 96, _R), lambda x: mp.cos(x) - 0.5),
     # all of its variation lies past the first 25 terms
     "u^40 - 1/2": (ps_poly({0: Fraction(-1, 2), 40: 1}, 96, _R), lambda x: x**40 - 0.5),
 }

@@ -1,22 +1,21 @@
 """The exact-series engine shares work between forms without changing bytes.
 
-The series of every subtree is cached per (node, center, degree, radius),
-and every `PowerSeries` caches its coefficient enclosures, its suffix
-bounds (the first is its sup bound) and its square, so the nine forms of
-one process share work.  The first
-two tests run fresh interpreters, so no cache of this suite's process is
-warm:
+Each form string is linearized once per process (`certifier._linearized`,
+cached), each series is written once per (form, center, degree) from that
+linearization, and every `PowerSeries` caches its coefficient enclosures.
+The first two tests run fresh interpreters, so no cache of this suite's
+process is warm:
 
   * the certificates do not depend on the order in which the forms are
     certified, nor on whether other forms were certified first;
   * the work of certifying all nine forms at the `wide_endpoints` flags
-    stays within fixed counts of series products, interval Horner calls,
-    rational enclosures, `PiPoly` constructions and series constructions,
-    which do not depend on the machine.
+    is exactly one linearization per form and one series build per
+    (form, center), and stays within fixed counts of interval Horner
+    calls, rational enclosures, `PiPoly` constructions and series
+    constructions, which do not depend on the machine.
 
-The others clear the caches in process: a form's series built beside the
-other forms is bit for bit the one built alone, and the disc bound of every
-series that certification builds is the interval Horner value.
+The last clears the caches in process: a form's series built beside the
+other forms is bit for bit the one built alone.
 """
 
 import json
@@ -28,11 +27,8 @@ import pytest
 
 import tancert
 from tancert import certifier
-from tancert.certifier import CATALOG, MAX_EPSILON, CertifyConfig, certify, form_series
-from tancert.interval import _HALF_PI_HI, Interval
-from tancert.series import PowerSeries
-
-from conftest import interval_horner
+from tancert.certifier import CATALOG, MAX_EPSILON, form_series
+from tancert.interval import _HALF_PI_HI
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
 PACKAGE_ROOT = Path(tancert.__file__).resolve().parents[1]
@@ -47,9 +43,9 @@ print(json.dumps([[cid, certificate_to_json(certify(cid, cfg))] for cid in sys.a
 
 COUNT = f"""
 import json
-from tancert import series
+from tancert import certifier, series
 from tancert.certifier import CATALOG, CertifyConfig, certify
-counts = {{"products": 0, "horner": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
+counts = {{"builds": 0, "horner": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
 
 def counted(key, fn):
     def wrapper(*args):
@@ -57,7 +53,7 @@ def counted(key, fn):
         return fn(*args)
     return wrapper
 
-series.PowerSeries.__mul__ = counted("products", series.PowerSeries.__mul__)
+certifier.ps_trig = counted("builds", certifier.ps_trig)
 series.rational_enclosure = counted("enclosures", series.rational_enclosure)
 series.PiPoly.__init__ = counted("pipolys", series.PiPoly.__init__)
 series.PowerSeries.__init__ = counted("series", series.PowerSeries.__init__)
@@ -65,28 +61,25 @@ series.horner = counted("horner", series.horner)
 cfg = {WIDE}
 for cid in CATALOG:
     certify(cid, cfg)
+counts["linearizations"] = certifier._linearized.cache_info().misses
 print(json.dumps(counts))
 """
 
-# at the wide_endpoints flags; products count PowerSeries.__mul__, horner the
-# interval Horner evaluations of series (sup bounds do not call it, and a box
-# or proof whose sign Horner leaves open takes none more: its Bernstein bound
-# is no Horner call), so one per box and endpoint proof, 9 + 9 + 3;
-# enclosures the rational enclosures that series take (the Bernstein bound
-# builds none), pipolys the PiPoly built after import (series keep integer
-# rows and build PiPoly only when their coefficients are read) and series the
-# PowerSeries built.  A product's constants and powers of x at 0 apply as one
-# monomial, which builds one series, and a product of monomials alone is built
-# by ps_poly, so series fell from 116 to 103; a product with no constant
-# shifts without building the unit c = 1, so enclosures fell from 2469 to
-# 2465 and pipolys from 65 to 61.  A product no longer encloses its
-# coefficients past the degree: it computes none of them, and bounds the
-# terms it drops by the factors' cached coefficient enclosures, so
-# enclosures fell from 2465 to 2023.  A coefficient in Q[pi, 1/pi] takes
-# two, one per end of its exact integer bracket, where it took one per
-# power of pi that it holds, so enclosures fell from 2023 to 1895; a
-# rational coefficient still takes one
-MAX_WORK = {"products": 25, "horner": 21, "enclosures": 1895, "pipolys": 61, "series": 103}
+# at the wide_endpoints flags: one linearization per form and one closed-form
+# build per (form, center), 9 at 0 and 3 at pi/2, are exact counts; the rest
+# are ceilings.  horner counts the interval Horner evaluations of series (a
+# box or proof whose sign Horner leaves open takes none more: its Bernstein
+# bound is no Horner call), so one per box and endpoint proof, 9 + 9 + 3;
+# enclosures the rational enclosures that series take: the eight exact
+# coefficients past the degree that each build folds into its tail, the
+# coefficient enclosures of the twelve quotients, and one per cached
+# closed-form remainder factor; pipolys the PiPoly built after import
+# (series keep integer rows and build PiPoly only when their coefficients
+# are read); series the PowerSeries built, a build and its quotient each.
+# When each series was the product of leaf series, they were 25 products,
+# 1895 enclosures, 61 PiPoly and 103 series.
+EXACT_WORK = {"linearizations": 9, "builds": 12}
+MAX_WORK = {"horner": 21, "enclosures": 1214, "pipolys": 58, "series": 24}
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -118,13 +111,14 @@ def test_certificates_do_not_depend_on_call_order():
 
 def test_wide_endpoints_work_counts():
     counts = json.loads(_fresh(COUNT))
+    assert {k: counts[k] for k in EXACT_WORK} == EXACT_WORK
     over = {k: (counts[k], top) for k, top in MAX_WORK.items() if counts[k] > top}
     assert not over, f"work above its ceiling (count, ceiling): {over}"
 
 
 def _clear_series_caches():
     certifier._quotient.cache_clear()
-    certifier._node_series.cache_clear()
+    certifier._linearized.cache_clear()
 
 
 @pytest.mark.parametrize("degree", [16, 40, 96])
@@ -138,24 +132,3 @@ def test_shared_subtree_build_equals_fresh_build(center, radius, degree):
         fresh = form_series(cid, center, degree, radius)
         assert fresh.coeffs == shared[cid].coeffs, cid
         assert fresh.tail.hex() == shared[cid].tail.hex(), cid
-
-
-@pytest.mark.parametrize(
-    "cfg", [CertifyConfig(), CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)],
-    ids=["degree-16", "degree-96"],
-)
-def test_disc_bound_of_every_certify_series(cfg, monkeypatch):
-    built, init = [], PowerSeries.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(PowerSeries, "__init__", recording_init)
-    _clear_series_caches()
-    for cid in CATALOG:
-        certify(cid, cfg)
-    assert len(built) > 100
-    for s in built:
-        disc = Interval(-s.radius, s.radius)
-        assert s.sup().hex() == interval_horner(s.coefficient_enclosures(), disc).mag().hex()
