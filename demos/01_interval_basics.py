@@ -1,7 +1,9 @@
-"""A tour of the outward-rounded interval kernel.
+"""A tour of intervals and of the one rounding from exact to float.
 
-Every rigorous number in this package is an Interval: a pair of binary64
-floats guaranteed to bracket the exact real value.  Run:
+Every rigorous number in this package ends as an Interval: a pair of
+binary64 floats guaranteed to bracket the exact real value.  The margins
+that certify and check compute are exact rationals until
+`rational_enclosure` rounds them outward once.  Run:
 
     python demos/01_interval_basics.py
 """
@@ -16,18 +18,19 @@ b = Interval(-3, 4)
 print(f"[1,2] * [-3,4]          = {a * b}   (endpoint products are exact)")
 print(f"[0,0] + [0.1, 0.7]      = {Interval(0, 0) + Interval(0.1, 0.7)}")
 
-print("\n== inexact results round outward ==")
-third = Interval(1, 1) / Interval(3, 3)
+print("\n== an exact rational rounds outward once ==")
+third = rational_enclosure(Fraction(1, 3))
 print(f"1/3 encloses the true value in {third}")
 print(f"   width = {third.width:.3e} (<= 2 ulp); contains Fraction(1,3): "
       f"{third.lo <= Fraction(1, 3) <= third.hi}")
+print(f"   past the largest float: {rational_enclosure(10**400)}")
 
 print("\n== constants are stored validated enclosures ==")
 pi = pi_enclosure()
 print(f"pi  = {pi}  (width {pi.width:.2e})")
 print(f"2/15 -> {rational_enclosure(Fraction(2, 15))}")
 
-print("\n== powers and splitting drive the certifier ==")
+print("\n== powers fold signs; splitting drives bisection ==")
 print(f"[-2,1]^2 = {int_pow(Interval(-2, 1), 2)}   (even powers fold the sign)")
 left, right = split(Interval(0, 2))
 print(f"split([0,2]) = {left}, {right}")

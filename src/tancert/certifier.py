@@ -28,9 +28,9 @@ A proof of F > 0 has three parts:
                    valid on |eps| <= MAX_EPSILON, where F vanishes (k1 > 0);
   * the middle:    adaptive bisection into boxes X in (0, end] whose
                    margins Q(X) are certainly positive.  Q(X) is interval
-                   Horner plus the tail, its polynomial part narrowed by its
-                   Bernstein bound where Horner leaves the sign open
-                   (`PowerSeries.eval`).
+                   Horner plus the tail, narrowed by the Bernstein bound
+                   where Horner leaves the sign open, exact until its two
+                   ends are rounded outward (`PowerSeries.eval`).
 
 A certificate (schema tancert-cert-v6) holds the config and the boxes of
 the middle cover with their depths, nothing else.  The checker derives
@@ -38,8 +38,7 @@ the endpoint proofs afresh from the catalog and the config, evaluates
 every box once on Q rebuilt at config.degree to test its margin's sign,
 and ties the config to the boxes by requiring them to chain across
 exactly the cover [delta, end] that the config fixes.  Since no margin is
-stored, a tighter evaluation leaves earlier files valid: a box that
-Horner signs keeps its Horner value bit for bit, and the finer covers
+stored, a tighter evaluation leaves earlier files valid: the finer covers
 that the mean-value and slope forms wrote still check.  Files of the
 earlier schemas are refused as an unknown schema (README, "Certificate
 schema").
@@ -62,9 +61,9 @@ from .errors import DomainError, Falsified, NotPositive, OrderMismatch
 from .interval import (
     Interval,
     _HALF_PI_HI,
-    _sub_up,
     certainly_negative,
     certainly_positive,
+    rational_enclosure,
     split,
 )
 from .series import PiPoly, PowerSeries, ps_trig
@@ -462,8 +461,8 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "
             "shrink the bound or raise the degree"
         )
-    # the enclosure of Q(0), the u^k coefficient, cached by eval
-    return EndpointProof(k, lb, quotient.coefficient_enclosures()[0])
+    # the enclosure of Q(0), the u^k coefficient
+    return EndpointProof(k, lb, quotient.coefficient(0).enclosure())
 
 
 def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:
@@ -588,7 +587,8 @@ def _prove_ends(spec: InequalitySpec, cfg: CertifyConfig) -> tuple[float, float]
     if spec.vanish_order_half_pi == 0:
         return cfg.delta, _HALF_PI_HI
     near_half_pi_proof(spec.id, cfg.epsilon_max, cfg.degree)
-    return cfg.delta, _sub_up(_HALF_PI_HI, cfg.epsilon_max)
+    # the exact difference, rounded up once
+    return cfg.delta, rational_enclosure(Fraction(_HALF_PI_HI) - Fraction(cfg.epsilon_max)).hi
 
 
 def certify(inequality_id: str, cfg: CertifyConfig = CertifyConfig()) -> Certificate:

@@ -1,16 +1,16 @@
-"""Outward-rounded interval arithmetic kernel.
+"""Intervals of binary64 floats, and the one rounding from exact to float.
 
-Every rigorous computation in the package flows through the `Interval`
-type defined here.  Endpoints are binary64 floats and every operation
-keeps the enclosure contract: if a is in A and b is in B then the exact
-real op(a, b) lies in op_interval(A, B).
-
-Directed rounding is realized by next-representable adjustment, made
-tight through error-free transformations: TwoSum for addition, Dekker's
-two-product for multiplication, and an exact integer comparison for
-division.  Each endpoint is therefore the correctly rounded-down (or
-rounded-up) value of the exact endpoint, so exact operations (adding
-zero, products of small integers) stay exact.
+An `Interval` is a closed pair of floats.  `rational_enclosure` rounds an
+exact rational outward once, to the tightest Interval around it; the
+margins and the cover end that certify and check compute are exact until
+then.  The outward-rounded kernel on float endpoints (`+`, `*`,
+`int_pow`, `horner`) serves only `enclosures` and the benchmark harness.
+It keeps the enclosure contract (if a is in A and b in B then op(a, b)
+lies in op_interval(A, B)) by next-representable adjustment, made tight
+through error-free transformations: TwoSum for addition and Dekker's
+two-product for multiplication.  Each endpoint is therefore the correctly
+rounded-down (or rounded-up) value of the exact endpoint, so exact
+operations (adding zero, products of small integers) stay exact.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ def _add_up(a: float, b: float) -> float:
     if err > 0.0:
         return math.nextafter(s, _INF)
     return s
-
-
-def _sub_down(a: float, b: float) -> float:
-    return _add_down(a, -b)
 
 
 def _sub_up(a: float, b: float) -> float:
@@ -112,40 +108,6 @@ def _mul_up(a: float, b: float) -> float:
     return p
 
 
-def _div_down(a: float, b: float) -> float:
-    q = a / b
-    if math.isinf(q):
-        return _MAX if q > 0.0 else q
-    if math.isinf(a) or math.isinf(b):
-        return q
-    return math.nextafter(q, -_INF) if _quotient_offset(q, a, b) > 0 else q
-
-
-def _div_up(a: float, b: float) -> float:
-    q = a / b
-    if math.isinf(q):
-        return -_MAX if q < 0.0 else q
-    if math.isinf(a) or math.isinf(b):
-        return q
-    return math.nextafter(q, _INF) if _quotient_offset(q, a, b) < 0 else q
-
-
-def _quotient_offset(q: float, a: float, b: float) -> int:
-    """An integer with the sign of q - a/b, for finite a and b != 0."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    # a/b = (an * bd) / (ad * bn)
-    return _offset(q, an * bd, ad * bn)
-
-
-def _offset(f: float, n: int, d: int) -> int:
-    """An integer with the sign of f - n/d, exactly, for integers d != 0:
-    with f = fn/fd (fd > 0) it is that of (fn * d - n * fd) * d."""
-    fn, fd = f.as_integer_ratio()
-    diff = fn * d - n * fd
-    return diff if d > 0 else -diff
-
-
 def _pow(mul, x: float, k: int) -> float:
     # square-and-multiply with one directed product; x >= 0, so the
     # directed bounds compose monotonically
@@ -171,9 +133,9 @@ _pow_up = partial(_pow, _mul_up)
 class Interval:
     """Closed interval [lo, hi] of binary64 floats; immutable by convention.
 
-    NaN endpoints are rejected; lo <= hi always.  An infinite hi is
-    representable (the tangent quotient can legitimately explode near
-    pi/2) but no kernel operation manufactures one from finite input.
+    NaN endpoints are rejected; lo <= hi always.  An infinite end is
+    representable; the float kernel manufactures none from finite input,
+    and `rational_enclosure` only for a rational past the largest float.
     """
 
     __slots__ = ("lo", "hi")
@@ -237,31 +199,11 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
 
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_sub_down(self.lo, other.hi), _sub_up(self.hi, other.lo))
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
         return Interval(*_mul_bounds(self.lo, self.hi, other.lo, other.hi))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        a, b = self.lo, self.hi
-        c, d = other.lo, other.hi
-        if c > 0.0:
-            if a >= 0.0:
-                return Interval(_div_down(a, d), _div_up(b, c))
-            if b <= 0.0:
-                return Interval(_div_down(a, c), _div_up(b, d))
-            return Interval(_div_down(a, c), _div_up(b, c))
-        if d < 0.0:
-            if a >= 0.0:
-                return Interval(_div_down(b, d), _div_up(a, c))
-            if b <= 0.0:
-                return Interval(_div_down(b, c), _div_up(a, d))
-            return Interval(_div_down(b, d), _div_up(a, d))
-        raise DomainError(f"division by interval containing 0: {other}")
 
     # -- misc ----------------------------------------------------------------
 
@@ -372,14 +314,17 @@ def half_pi_enclosure() -> Interval:
 def rational_enclosure(q, den: int = 1) -> Interval:
     """Tightest Interval containing the exact rational q / den, for q an int,
     float or Fraction and den a positive int (not necessarily coprime to q):
-    round to nearest, then one outward step if that moved."""
+    round to nearest, then one outward step if that moved.  A value beyond
+    the largest float reaches to infinity on its side."""
+    n, d = q.as_integer_ratio()
+    d *= den
     try:
-        n, d = q.as_integer_ratio()
-        d *= den
         f = n / d  # correctly rounded to nearest
     except OverflowError:
-        raise DomainError("rational overflows binary64 range") from None
-    side = _offset(f, n, d)
+        return Interval(_MAX, _INF) if n > 0 else Interval(-_INF, -_MAX)
+    # f - n/d, f = fn/fd, has the sign of fn * d - n * fd, as d > 0
+    fn, fd = f.as_integer_ratio()
+    side = fn * d - n * fd
     if side == 0:
         return Interval(f, f)
     if side < 0:

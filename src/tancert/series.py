@@ -7,21 +7,21 @@ Horner leaves the sign open.  A `PowerSeries` represents, on |u| <= radius,
     f(u)  in  sum_{k<=D} c_k u^k  +  [-tail, tail] * u^(D+1),
 
 where the polynomial coefficients c_k are EXACT elements of Q[pi, 1/pi]
-and only the scalar `tail` is a rounded-up float.  The tail is a
-coefficient of u^(D+1), valid on |u| <= radius, so a remainder's value
-at the radius is never stored where a coefficient is meant.  The crucial
-property over an additive-remainder model: dividing by u^k is a plain
-coefficient shift, because the error term carries its own power of u.
-That is what makes "divide out the vanishing order, then bound the
+and only the scalar `tail` is a float, its exact value rounded up.  The
+tail is a coefficient of u^(D+1), valid on |u| <= radius, so a remainder's
+value at the radius is never stored where a coefficient is meant.  The
+crucial property over an additive-remainder model: dividing by u^k is a
+plain coefficient shift, because the error term carries its own power of
+u.  That is what makes "divide out the vanishing order, then bound the
 quotient below" sound on a half-open interval (0, b].
 
 The coefficients are kept as integer numerator rows, one row per power
 of pi, over one positive common denominator, reduced by the gcd (so it
-is the lcm of the coefficients' denominators); each coefficient
-enclosure is the tightest one over pi's float bracket (see
-`_enclosures`).  Exact coefficients mean that structurally zero
+is the lcm of the coefficients' denominators), so structurally zero
 coefficients cancel exactly, even when pi enters the expansion (the
 endpoint pi/2 is not a float, so expansions there live in Q[pi, 1/pi]).
+`eval` bounds a series in integers from the coefficients' exact brackets
+over pi's float bracket (`_brackets`), and rounds only its two ends.
 
 Every series of a form is written in closed form by `ps_trig`.  A form
 cleared of its denominators is a finite sum of terms c u^j cos(k u) and
@@ -47,27 +47,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, inf, lcm, nextafter
+from math import factorial, gcd, inf, lcm
 
 from .errors import DomainError, OrderMismatch
-from .interval import (
-    Interval,
-    certainly_negative,
-    certainly_positive,
-    horner,
-    rational_enclosure,
-    _PI_HI,
-    _PI_LO,
-    _add_down,
-    _add_up,
-    _div_down,
-    _div_up,
-    _mul_bounds,
-    _mul_up,
-    _pow_down,
-    _pow_up,
-    _sub_down,
-)
+from .interval import Interval, rational_enclosure, _PI_HI, _PI_LO
 
 
 def cos_coeff(m: int) -> Fraction:
@@ -147,8 +130,9 @@ class PiPoly:
 
     def enclosure(self) -> Interval:
         """The tightest interval around the exact bracket of the value over
-        pi's float bracket (see `_enclosures`)."""
-        return _enclosures(*_rows_of([self.terms]), (0,))[0]
+        pi's float bracket (see `_brackets`)."""
+        (lo,), (hi,), d = _brackets(*_rows_of([self.terms]), (0,))
+        return Interval(rational_enclosure(lo, d).lo, rational_enclosure(hi, d).hi)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -161,9 +145,6 @@ class PiPoly:
             else:
                 bits.append(f"{v}*pi^{k}")
         return "PiPoly(" + " + ".join(bits) + ")"
-
-
-_ZERO_ENC = Interval(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,81 +186,116 @@ def _pi_scale(powers: tuple) -> tuple:
     return scale, [[e.numerator * (scale // e.denominator) for e in pair] for pair in ends]
 
 
-def _enclosures(rows, den: int, indices) -> list:
-    """Enclosures of the coefficients at `indices`: each sum_k n_k pi^k / den
-    is bounded below and above exactly, as integers over den * scale, each
-    pi^k taken at the end of [_PI_LO, _PI_HI] that lowers (raises) its term,
-    and only those two bounds are rounded, outward, so a rational
-    coefficient takes the tightest enclosure of its value; 0 is [0, 0]."""
+def _brackets(rows, den: int, indices) -> tuple:
+    """(lower, upper, d): integers lower[i] <= d * c_n <= upper[i] for each
+    coefficient c_n = sum_k n_k pi^k / den, n = indices[i], each pi^k taken
+    at the end of [_PI_LO, _PI_HI] that lowers (raises) its term; d is
+    den * scale (see `_pi_scale`), and a rational c_n has lower = upper."""
     scale, ends = _pi_scale(tuple(k for k, _ in rows))
     terms = [(row, pair) for (_, row), pair in zip(rows, ends)]
-    d, encs = den * scale, []
+    lower, upper = [], []
     for n in indices:
         lo = hi = 0
         for row, (small, large) in terms:
             x = row[n]
             lo, hi = (lo + x * small, hi + x * large) if x > 0 else (lo + x * large, hi + x * small)
-        if lo == hi:
-            encs.append(rational_enclosure(lo, d) if lo else _ZERO_ENC)
-        else:
-            encs.append(Interval(rational_enclosure(lo, d).lo, rational_enclosure(hi, d).hi))
-    return encs
+        lower.append(lo)
+        upper.append(hi)
+    return lower, upper, den * scale
 
 
 # ---------------------------------------------------------------------------
-# tail-bound helpers
+# exact range bounds
 # ---------------------------------------------------------------------------
-
-def _horner_sum(mags, r: float) -> float:
-    """An upper bound on sum_i mags[i] r^i, mags[i] >= 0: one upward Horner
-    pass from the last magnitude."""
-    h = 0.0
-    for m in reversed(mags):
-        h = _add_up(_mul_up(h, r), m)
-    return h
-
 
 @lru_cache(maxsize=1024)
-def _exp_tail(k: int, m: int, r: float) -> float:
-    """Upper bound on sum_{i>=m} k^i r^(i-m) / i!, k >= 0, rounded up: the
-    ratio of consecutive terms is at most k r / (m + 1), so the sum is at
-    most k^m/m! / (1 - k r/(m + 1)), which needs k r < m + 1."""
-    gap = _sub_down(m + 1.0, _mul_up(float(k), r))
-    if not gap > 0.0:  # NaN included
+def _exp_tail(k: int, m: int, r: float) -> Fraction:
+    """Exact upper bound on sum_{i>=m} k^i r^(i-m) / i!, k >= 0: the ratio of
+    consecutive terms is at most k r / (m + 1), so the sum is at most
+    k^m/m! / (1 - k r/(m + 1)), which needs k r < m + 1."""
+    # rounding is monotone and m + 1 is a float, so the float test is exact
+    if not k * r < m + 1:  # NaN included
         raise DomainError(f"cos/sin({k} u) has no closed-form tail on |u| <= {r}; raise the degree")
-    return _div_up(_mul_up(rational_enclosure(k**m, factorial(m)).hi, m + 1.0), gap)
-
-
-@lru_cache(maxsize=64)
-def _pi_power_up(q: int) -> float:
-    """pi^q rounded up, from the end of pi's float bracket that raises it."""
-    return _pow_up(_PI_HI, q) if q >= 0 else _div_up(1.0, _pow_down(_PI_LO, -q))
+    n, d = r.as_integer_ratio()
+    return Fraction(k**m * (m + 1) * d, factorial(m) * ((m + 1) * d - k * n))
 
 
 _BERNSTEIN_DEGREE = 24  # N: the Bernstein form of eval takes N + 1 coefficients
 
 
-def _bernstein_range(encs, lo: float, hi: float) -> tuple:
-    """Least and greatest Bernstein coefficient on [lo, hi], lo < hi, of the
-    polynomial of coefficient enclosures encs, which bound its range there
-    (Garloff 1985): a Taylor shift to lo, a scaling by w^j / C(n, j) with
-    w = hi - lo, and n rounds of forward sums, on float endpoint pairs."""
-    n = len(encs) - 1  # at most 24, so each C(n, j) is an exact float
-    c = [(e.lo, e.hi) for e in encs]
-    for i in range(n if lo else 0):  # the shift, skipped when lo is 0
+def _bernstein(coeffs, a: int, w: int, e: int) -> list:
+    """n! d 2^(e n) times the Bernstein coefficients on [a, a + w] / 2^e,
+    a >= 0, of the polynomial sum_j coeffs[j] u^j / d, n = len(coeffs) - 1,
+    which bound its range there (Garloff 1985): a Taylor shift by a, a
+    scaling by w^j j! (n - j)!, and n rounds of forward sums, in integers."""
+    n = len(coeffs) - 1
+    c = [x << e * (n - j) for j, x in enumerate(coeffs)]
+    for i in range(n if a else 0):  # the shift, skipped when a is 0
         for j in range(n - 1, i - 1, -1):
-            a, b = _mul_bounds(c[j + 1][0], c[j + 1][1], lo, lo)
-            c[j] = _add_down(c[j][0], a), _add_up(c[j][1], b)
-    w_lo, w_hi = _add_down(hi, -lo), _add_up(hi, -lo)
-    p_lo = p_hi = 1.0
+            c[j] += a * c[j + 1]
+    p = 1
     for j in range(n + 1):
-        a, b = _mul_bounds(c[j][0], c[j][1], p_lo, p_hi)
-        c[j] = _div_down(a, float(comb(n, j))), _div_up(b, float(comb(n, j)))
-        p_lo, p_hi = _mul_bounds(p_lo, p_hi, w_lo, w_hi)
+        c[j] *= p * factorial(j) * factorial(n - j)
+        p *= w
     for r in range(1, n + 1):
         for j in range(n, r - 1, -1):
-            c[j] = _add_down(c[j][0], c[j - 1][0]), _add_up(c[j][1], c[j - 1][1])
-    return min(a for a, _ in c), max(b for _, b in c)
+            c[j] += c[j - 1]
+    return c
+
+
+def _horner_end(coeffs, pos: tuple, neg: tuple) -> tuple:
+    """One end (x, s), x / 2^s, of interval Horner over u >= 0 on one end of
+    each coefficient: the accumulator is multiplied by pos = (m, g), the end
+    m / 2^g of u that keeps it outermost when it is positive, and by neg
+    when it is negative, so each end carries only its own powers of 2."""
+    x = s = 0
+    for c in reversed(coeffs):
+        if x:
+            m, g = pos if x > 0 else neg
+            x, s = x * m, s + g
+        x += c << s
+    return x, s
+
+
+def _rounded(terms, d: int) -> Interval:
+    """The tightest Interval around sum x / (d 2^s) over the (x, s) in terms:
+    the exact sum, rounded outward once."""
+    top = max(s for _, s in terms)
+    return rational_enclosure(sum(x << top - s for x, s in terms), d << top)
+
+
+def _range(lower, upper, d: int, tail: float, a: float, b: float) -> Interval:
+    """Enclosure over [a, b], 0 <= a <= b, of sum_n c_n u^n + [-tail, tail]
+    u^(N+1), c_n in [lower[n], upper[n]] / d: interval Horner plus the tail,
+    where that leaves the sign open met with the Bernstein bound of the first
+    _BERNSTEIN_DEGREE + 1 terms plus a bound on the rest and the tail, all
+    exact as integers x over d 2^s, and each end rounded outward once."""
+    if tail == inf and b:
+        return Interval(-inf, inf)
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    ga, gb = da.bit_length() - 1, db.bit_length() - 1
+    N = len(lower) - 1
+    lo, hi = _horner_end(lower, (na, ga), (nb, gb)), _horner_end(upper, (nb, gb), (na, ga))
+    # t = tail b^(N+1), tail = T / 2^f
+    T, F = tail.as_integer_ratio() if b else (0, 1)
+    f = F.bit_length() - 1
+    t = T * nb ** (N + 1) * d, f + gb * (N + 1)
+    value = Interval(_rounded([lo, (-t[0], t[1])], d).lo, _rounded([hi, t], d).hi)
+    if value.lo > 0.0 or value.hi < 0.0:
+        return value
+    n = min(N, _BERNSTEIN_DEGREE)
+    # x / (d 2^(g+f)) >= sum_{j>n} |c_j| b^j + t, tail taken as coefficient N + 1
+    mags = [max(-y, z) << f for y, z in zip(lower[n + 1 :], upper[n + 1 :])]
+    x, g = _horner_end([0] * (n + 1) + mags + [T * d], (nb, gb), None)
+    # the Bernstein coefficients are over n! d 2^(e n), so the rest takes n!
+    e, k = max(ga, gb), factorial(n)
+    A, B = na << e - ga, nb << e - gb
+    low, high = (_bernstein(c[: n + 1], A, B - A, e) for c in (lower, upper))
+    low = _rounded([(min(low), e * n), (-k * x, g + f)], k * d).lo
+    high = _rounded([(max(high), e * n), (k * x, g + f)], k * d).hi
+    # both contain the range, so they meet; an empty meet is a fault, and
+    # Interval refuses it
+    return Interval(max(value.lo, low), min(value.hi, high))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +308,7 @@ class PowerSeries:
     "coefficients as integer rows" above).
     Build one from exact values with `ps_poly`."""
 
-    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_encs")
+    __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_bounds")
 
     def __init__(self, rows: tuple, den: int, degree: int, tail: float, radius: float):
         if degree < 0 or not 0.0 < radius < inf:  # NaN included
@@ -301,7 +317,7 @@ class PowerSeries:
             raise DomainError("PowerSeries tail must be non-negative")
         for name, value in (
             ("degree", degree), ("tail", float(tail)), ("radius", float(radius)),
-            ("_rows", rows), ("_den", den), ("_encs", None),
+            ("_rows", rows), ("_den", den), ("_bounds", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -317,13 +333,6 @@ class PowerSeries:
         """The exact coefficients of u^0 .. u^degree as PiPoly."""
         return tuple(self.coefficient(n) for n in range(self.degree + 1))
 
-    def coefficient_enclosures(self):
-        if self._encs is None:
-            object.__setattr__(
-                self, "_encs", tuple(_enclosures(self._rows, self._den, range(self.degree + 1)))
-            )
-        return self._encs
-
     def divide_power(self, k: int) -> "PowerSeries":
         """Exact division by u^k, k <= degree; the first k coefficients must vanish exactly."""
         if not 0 <= k <= self.degree:
@@ -338,26 +347,22 @@ class PowerSeries:
         return PowerSeries(rows, self._den, self.degree - k, self.tail, self.radius)
 
     def eval(self, u: Interval) -> Interval:
-        """Enclosure of the series over u: interval Horner on the polynomial
-        part P plus the tail [-t, t], t = tail * |u|^(degree+1), P narrowed where
-        that leaves the sign open by the Bernstein bound on u of its first N + 1
-        terms, N = _BERNSTEIN_DEGREE, plus [-s, s], s >= sum |c_j| |u|^j of the rest."""
-        m = u.mag()
-        if m > self.radius:
+        """Enclosure of the series over u, computed exactly from the
+        coefficient brackets and rounded outward once (see `_range`).  A box
+        reaching below 0 is split there, and its negative part is the series
+        in -u, whose odd coefficients change sign, over -u."""
+        if u.mag() > self.radius:
             raise DomainError("PowerSeries evaluated outside its radius")
-        t = _mul_up(self.tail, _pow_up(m, self.degree + 1))
-        encs = self.coefficient_enclosures()
-        poly = horner(encs, u)
-        value = poly + Interval(-t, t)
-        if certainly_positive(value) or certainly_negative(value) or u.lo == u.hi:
-            return value
-        s = _mul_up(_horner_sum([e.mag() for e in encs[_BERNSTEIN_DEGREE + 1:]], m),
-                    _pow_up(m, _BERNSTEIN_DEGREE + 1))
-        lo, hi = _bernstein_range(encs[: _BERNSTEIN_DEGREE + 1], u.lo, u.hi)
-        # both contain the range of P over u, so they meet; an empty meet
-        # is a kernel fault, and Interval refuses it
-        bound = Interval(max(poly.lo, _add_down(lo, -s)), min(poly.hi, _add_up(hi, s)))
-        return bound + Interval(-t, t)
+        if self._bounds is None:  # the brackets of every coefficient, computed once
+            object.__setattr__(self, "_bounds", _brackets(self._rows, self._den, range(self.degree + 1)))
+        lower, upper, d = self._bounds
+        parts = []
+        if u.hi >= 0.0:
+            parts.append(_range(lower, upper, d, self.tail, max(u.lo, 0.0), u.hi))
+        if u.lo < 0.0:
+            flipped = [(-hi, -lo) if n % 2 else (lo, hi) for n, (lo, hi) in enumerate(zip(lower, upper))]
+            parts.append(_range(*zip(*flipped), d, self.tail, max(-u.hi, 0.0), -u.lo))
+        return Interval(min(p.lo for p in parts), max(p.hi for p in parts))
 
     def __repr__(self) -> str:
         return (
@@ -393,16 +398,25 @@ def ps_trig(terms, den: int, degree: int, radius: float) -> PowerSeries:
     k^m / m! to the coefficient of u^(j+m), m of its parity, all summed as
     integers over den * M!, M the largest m taken, and then reduced.  A
     negative j is allowed where the terms cancel below u^0.  The tail is
-    the exact coefficients of u^(D+1) .. u^(D+E) by `_horner_sum`, plus
-    r^E sum_t |c_t| `_exp_tail`(k, D+E+1-j, r) for the powers past them."""
-    d, r, top = degree, radius, degree + _EXACT_TAIL
+    the sum of |c_n| r^(n-D-1) over the exact coefficients of u^(D+1) ..
+    u^(D+E), plus r^E sum_t |c_t| `_exp_tail`(k, D+E+1-j, r) for the powers
+    past them, all exact over pi's float bracket and rounded up once."""
+    if not 0.0 < radius < inf:  # NaN included; the tail takes r exactly
+        raise DomainError("PowerSeries needs degree >= 0 and a positive finite radius")
+    d, top = degree, degree + _EXACT_TAIL
     low = min([0, *(t[0] for t in terms)])
     m_top = top - low
     # fact[m] = m_top!/m!, and each k's weights (-1)^(m//2) k^m m_top!/m!
     fact = [1] * (m_top + 1)
     for m in range(m_top, 0, -1):
         fact[m - 1] = fact[m] * m
-    weights, acc, rest = {}, {}, 0.0
+    # |c_t| <= sum |n| pi^q / den, each pi^q at the end of pi's bracket that
+    # raises it, as integers over den * scale
+    powers = sorted({q for *_, coeffs in terms for q, _ in coeffs})
+    scale, ends = _pi_scale(tuple(powers))
+    large = {q: pair[1] for q, pair in zip(powers, ends)}
+    R, G = radius.as_integer_ratio()  # r = R / G
+    weights, acc, parts = {}, {}, []
     for j, k, s, coeffs in terms:
         w = weights.get(k)
         if w is None:
@@ -413,20 +427,20 @@ def ps_trig(terms, den: int, degree: int, radius: float) -> PowerSeries:
             row = acc.get(q) or acc.setdefault(q, [0] * (m_top + 1))
             row[lo:hi:2] = [x + n * y for x, y in zip(row[lo:hi:2], w[s : stop + 1 : 2])]
         if k or j > top:  # the powers past u^top, from u^(j+m)
-            m = max(top + 1, j) - j
-            # |c_t| <= sum |n| pi^q / den, each quotient rounded to nearest and
-            # then stepped up
-            bound = 0.0
-            for q, n in coeffs:
-                bound = _add_up(bound, _mul_up(nextafter(abs(n) / den, inf), _pi_power_up(q)))
-            bound = _mul_up(bound, _exp_tail(k, m, r))
-            if j > top + 1:  # r^(j+m-D-1) = r^E r^(j-top-1) when m = 0
-                bound = _mul_up(bound, _pow_up(r, j - top - 1))
-            rest = _add_up(rest, bound)
+            # |c_t| e(k, m) r^p as a fraction: r^(j+m-D-1) = r^E r^p
+            e, p = _exp_tail(k, max(top + 1, j) - j, radius), max(j - top - 1, 0)
+            mag = sum(abs(n) * large[q] for q, n in coeffs)
+            parts.append((mag * e.numerator * R**p, e.denominator * G**p))
     if any(row[n] for row in acc.values() for n in range(-low)):
         raise DomainError("the terms leave a negative power of u")
+    # r^E times their sum, over the lcm of their denominators
+    common = lcm(*(b for _, b in parts))
+    total = sum(a * (common // b) for a, b in parts) * R**_EXACT_TAIL
+    rest = Fraction(total, common * G**_EXACT_TAIL * den * scale)
     den *= fact[0]
     rows = tuple(sorted(acc.items()))
-    over = [e.mag() for e in _enclosures(rows, den, range(d + 1 - low, top + 1 - low))]
-    tail = _add_up(_horner_sum(over, r), _mul_up(rest, _pow_up(r, _EXACT_TAIL)))
-    return PowerSeries(*_reduced({q: row[-low : d + 1 - low] for q, row in rows}, den), d, tail, r)
+    # sum |c_n| r^(n-D-1) over u^(D+1) .. u^(D+E) by Horner, as x / (scaled 2^s)
+    lower, upper, scaled = _brackets(rows, den, range(d + 1 - low, top + 1 - low))
+    x, s = _horner_end([max(-lo, hi) for lo, hi in zip(lower, upper)], (R, G.bit_length() - 1), None)
+    tail = rational_enclosure(Fraction(x, scaled << s) + rest).hi
+    return PowerSeries(*_reduced({q: row[-low : d + 1 - low] for q, row in rows}, den), d, tail, radius)

@@ -7,12 +7,14 @@ is itself exact.
 """
 
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
 
 from tancert import sequences
-from tancert.interval import Interval
+from tancert.interval import _PI_HI, _PI_LO, Interval, rational_enclosure
+from tancert.series import _BERNSTEIN_DEGREE
 from tancert.sequences import _C, _COT, _H, _PHI, _S, _TAN, _X
 
 # One perturbation of each identity of sequences._IDENTITIES, which
@@ -49,6 +51,78 @@ def interval_horner(coeffs, u):
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
+
+
+def pi_bracket(c):
+    """[L, U] around the PiPoly c over pi's float bracket, in Fraction: each
+    term q pi^k at the end of [_PI_LO, _PI_HI] that lowers (raises) it."""
+    ends = (Fraction(_PI_LO), Fraction(_PI_HI))
+    terms = [[q * p**k for p in ends] for k, q in c.terms.items()]
+    return sum(map(min, terms), Fraction(0)), sum(map(max, terms), Fraction(0))
+
+
+def _fraction_bernstein(coeffs, a, b):
+    """Bernstein coefficients on [a, b] of sum_k coeffs[k] u^k, by their
+    definition: the Taylor coefficients at a, each times w^j / C(n, j),
+    w = b - a, summed as sum_{j<=i} C(i, j) d_j for i = 0..n."""
+    n, w = len(coeffs) - 1, b - a
+    shifted = [sum(comb(k, j) * coeffs[k] * a ** (k - j) for k in range(j, n + 1)) for j in range(n + 1)]
+    d = [shifted[j] * w**j / comb(n, j) for j in range(n + 1)]
+    return [sum(comb(i, j) * d[j] for j in range(i + 1)) for i in range(n + 1)]
+
+
+def _fraction_range(brackets, tail, a, b):
+    """(value, horner) on [a, b], 0 <= a <= b, as PowerSeries.eval rules it,
+    in Fraction: horner is interval Horner plus the tail, each product the
+    hull of its four end products; where that leaves the sign open, value
+    meets it with the least (greatest) Bernstein coefficient of the lower
+    (upper) bracket polynomial of the first _BERNSTEIN_DEGREE + 1 terms,
+    minus (plus) sum_j max|bracket| b^j of the rest and the tail."""
+    a, b, N = Fraction(a), Fraction(b), len(brackets) - 1
+    lo = hi = Fraction(0)
+    for c_lo, c_hi in reversed(brackets):
+        ends = [lo * a, lo * b, hi * a, hi * b]
+        lo, hi = min(ends) + c_lo, max(ends) + c_hi
+    t = Fraction(tail) * b ** (N + 1)
+    horner = Interval(rational_enclosure(lo - t).lo, rational_enclosure(hi + t).hi)
+    if horner.lo > 0.0 or horner.hi < 0.0:
+        return horner, horner
+    n = min(N, _BERNSTEIN_DEGREE)
+    rest = t + sum(max(abs(x), abs(y)) * b**j for j, (x, y) in enumerate(brackets) if j > n)
+    low = min(_fraction_bernstein([x for x, _ in brackets[: n + 1]], a, b)) - rest
+    high = max(_fraction_bernstein([y for _, y in brackets[: n + 1]], a, b)) + rest
+    value = Interval(max(horner.lo, rational_enclosure(low).lo), min(horner.hi, rational_enclosure(high).hi))
+    return value, horner
+
+
+def exact_eval(s, u):
+    """Reference for s.eval(u), in Fraction from the exact brackets of the
+    coefficients of s (see `pi_bracket`): (value, horner), hulls over the
+    parts of u at and above 0 and below 0, the latter as the series in -u
+    (odd coefficients negated) over -u; horner is interval Horner plus the
+    tail, rounded outward once, and value is what eval returns."""
+    brackets = [pi_bracket(c) for c in s.coeffs]
+    parts = []
+    if u.hi >= 0.0:
+        parts.append(_fraction_range(brackets, s.tail, max(u.lo, 0.0), u.hi))
+    if u.lo < 0.0:
+        flipped = [(-y, -x) if n % 2 else (x, y) for n, (x, y) in enumerate(brackets)]
+        parts.append(_fraction_range(flipped, s.tail, max(-u.hi, 0.0), -u.lo))
+    return tuple(Interval(min(p[i].lo for p in parts), max(p[i].hi for p in parts)) for i in (0, 1))
+
+
+def exact_sub(a, b):
+    """a - b as certify takes a difference (the cover end): each end the
+    exact difference of floats, rounded outward once."""
+    return Interval(rational_enclosure(Fraction(a.lo) - Fraction(b.hi)).lo,
+                    rational_enclosure(Fraction(a.hi) - Fraction(b.lo)).hi)
+
+
+def exact_div(a, b):
+    """a / b for b clear of 0, by the same rule: the least and greatest of
+    the four exact end quotients, rounded outward once."""
+    quotients = [Fraction(x) / Fraction(y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(rational_enclosure(min(quotients)).lo, rational_enclosure(max(quotients)).hi)
 
 
 def count_calls(monkeypatch, owner, name) -> list:

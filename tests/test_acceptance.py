@@ -30,7 +30,7 @@ from tancert.errors import DomainError
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
 from tancert.sequences import t_seq, u_seq, verify_shift_identities
 
-from conftest import contains, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
+from conftest import contains, exact_div, exact_sub, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
 
 # frozen 60-digit oracle references (mpmath, this repository's test oracle)
 TAN_1 = mp.mpf("1.55740772465490223050697480745836017308725077238152003838395")
@@ -206,7 +206,9 @@ def test_criterion_8_comparison_inequalities():
     )
 
 
-_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+# + and * of the float kernel; - and / as exact differences and quotients of
+# the ends, each rounded outward once by rational_enclosure
+_OPS = {"add": operator.add, "sub": exact_sub, "mul": operator.mul, "div": exact_div}
 
 
 def _exact_op(op, a, b):

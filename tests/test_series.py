@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -13,8 +14,6 @@ from tancert.errors import DomainError, OrderMismatch
 from tancert.certifier import CATALOG, MAX_EPSILON, form_series, series_of
 from tancert.interval import (
     _HALF_PI_HI,
-    _PI_HI,
-    _PI_LO,
     Interval,
     _mul_up,
     _pow_up,
@@ -23,7 +22,7 @@ from tancert.interval import (
 )
 from tancert.series import PiPoly, ps_poly
 
-from conftest import contains, count_calls, mp_p, mp_sinc
+from conftest import contains, count_calls, exact_eval, mp_p, mp_sinc, pi_bracket
 
 
 def test_pipoly_arithmetic_exact():
@@ -111,7 +110,7 @@ def test_exp_tail_bound_dominates_true_tail(oracle):
         for k, m in [(1, 10), (1, 17), (1, 97), (2, 25), (6, 25), (6, 41), (6, 120)]:
             total = mp.nsum(lambda i: mp.mpf(k) ** (m + i) * x**i / mp.factorial(m + i), [0, mp.inf])
             bound = series._exp_tail(k, m, r)
-            assert total <= bound <= total * 1.1, (r, k, m)
+            assert total <= mp.mpf(bound.numerator) / bound.denominator <= total * 1.1, (r, k, m)
     # cos(0 u) = 1 has no terms past u^0
     assert series._exp_tail(0, 0, 1.5) == 1.0 and series._exp_tail(0, 9, 1.5) == 0.0
 
@@ -122,6 +121,17 @@ def test_nan_tail_or_radius_is_refused():
         with pytest.raises(DomainError):
             ps_poly({0: 1}, 0, radius, tail)
     assert ps_poly({0: 1}, 0, 1.0, math.inf).eval(Interval(0.0, 0.5)) == Interval(-math.inf, math.inf)
+
+
+def test_eval_beyond_the_largest_float_reaches_infinity():
+    # an exact end past the binary64 range rounds outward to +-inf, on a
+    # box Horner signs and on one it leaves open, at and below 0
+    top = sys.float_info.max
+    big = Fraction(10**400, 3)
+    assert ps_poly({0: big}, 0, 1.0).eval(Interval(0.0, 0.5)) == Interval(top, math.inf)
+    assert ps_poly({0: -big}, 0, 1.0).eval(Interval(-0.5, 0.25)) == Interval(-math.inf, -top)
+    assert ps_poly({0: 1, 1: big}, 1, 1.0).eval(Interval(-0.5, 0.5)) == Interval(-math.inf, math.inf)
+    assert ps_poly({0: 1, 2: -big}, 2, 1.0).eval(Interval(0.0, 0.5)) == Interval(-math.inf, 1.0)
 
 
 def test_shapes_a_series_cannot_serve_are_refused():
@@ -205,26 +215,27 @@ def series_pairs(draw, tails=TAILS):
     return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(tails)) for _ in range(2))
 
 
-def _pi_bracket(c):
-    """[L, U] around the PiPoly c over pi's float bracket, in Fraction: each
-    term q pi^k at the end of [_PI_LO, _PI_HI] that lowers (raises) it."""
-    ends = (Fraction(_PI_LO), Fraction(_PI_HI))
-    terms = [[q * p**k for p in ends] for k, q in c.terms.items()]
-    return sum(map(min, terms), Fraction(0)), sum(map(max, terms), Fraction(0))
-
-
 def _mp_value(c):
     return mp.fsum(mp.mpf(q.numerator) / q.denominator * mp.pi**k for k, q in c.terms.items())
 
 
+def _brackets_of(s):
+    """The exact brackets that s.eval takes its coefficients from, as Fractions."""
+    lower, upper, d = series._brackets(s._rows, s._den, range(s.degree + 1))
+    return [(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(lower, upper)]
+
+
 def _assert_bracket_enclosures(coeffs):
-    # one series holds all the coefficients, so their rows share one scale
-    encs = ps_poly(dict(enumerate(coeffs)), len(coeffs) - 1, 1.0).coefficient_enclosures()
-    for c, enc in zip(coeffs, encs):
-        lo, hi = _pi_bracket(c)
+    # one series holds all the coefficients, so their rows share one scale;
+    # its integer brackets are the Fraction ones, and PiPoly.enclosure rounds
+    # each end of them once
+    s = ps_poly(dict(enumerate(coeffs)), len(coeffs) - 1, 1.0)
+    for c, bracket in zip(coeffs, _brackets_of(s)):
+        lo, hi = pi_bracket(c)
+        assert bracket == (lo, hi), c
         want = Interval(rational_enclosure(lo).lo, rational_enclosure(hi).hi)
-        assert c.enclosure().to_hex() == enc.to_hex() == want.to_hex(), c
-        assert contains(enc, _mp_value(c)), c
+        assert c.enclosure().to_hex() == want.to_hex(), c
+        assert contains(want, _mp_value(c)), c
 
 
 _CATALOG_PI_COEFFS = [
@@ -340,7 +351,7 @@ def operands(draw):
 def _assert_exact(got, coeffs, tail):
     assert got.coeffs == tuple(coeffs)
     assert got.tail.hex() == tail.hex()
-    assert [e.to_hex() for e in got.coefficient_enclosures()] == [c.enclosure().to_hex() for c in coeffs]
+    assert _brackets_of(got) == [pi_bracket(c) for c in coeffs]
     # the rows are reduced: their denominator is the lcm of the coefficients'
     assert got._den == lcm(*(v.denominator for c in coeffs for v in c.terms.values()))
 
@@ -389,83 +400,63 @@ def sub_boxes(draw):
     return Interval(max(centre - width / 2, -_R), min(centre + width / 2, _R))
 
 
-def _horner_plus_tail(s, u):
+def _float_horner_plus_tail(s, u):
+    """Interval Horner plus the tail on the float kernel, from the rounded
+    coefficient brackets: a bound that the exact one must lie inside."""
     t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
-    return horner(s.coefficient_enclosures(), u) + Interval(-t, t)
-
-
-def _exact_bernstein(s, u):
-    """Least and greatest Bernstein coefficient of the polynomial part of s
-    on u, in Fractions from the exact rational coefficients: the Taylor
-    coefficients at u.lo, each times w^j / C(n, j), w = u.hi - u.lo, summed
-    as sum_{j<=i} C(i, j) d_j for i = 0..n."""
-    assert s.degree <= series._BERNSTEIN_DEGREE
-    assert all(set(c.terms) <= {0} for c in s.coeffs)
-    coeffs = [c.terms.get(0, Fraction(0)) for c in s.coeffs]
-    n, a, w = s.degree, Fraction(u.lo), Fraction(u.hi) - Fraction(u.lo)
-    shifted = [sum(math.comb(k, j) * coeffs[k] * a ** (k - j) for k in range(j, n + 1))
-               for j in range(n + 1)]
-    d = [shifted[j] * w**j / math.comb(n, j) for j in range(n + 1)]
-    b = [sum(math.comb(i, j) * d[j] for j in range(i + 1)) for i in range(n + 1)]
-    return min(b), max(b)
+    return horner([c.enclosure() for c in s.coeffs], u) + Interval(-t, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_NARROWED)), u=sub_boxes())
 def test_eval_contains_the_function_and_narrows_horner(name, u, oracle):
     s, fn = _NARROWED[name]
-    value, horner_value = s.eval(u), _horner_plus_tail(s, u)
+    value, horner_value = s.eval(u), _float_horner_plus_tail(s, u)
     for x in (u.lo, u.mid, u.hi):
         # 3p - sinc cancels about 2 log10(1/|x|) digits near 0
         extra = int(-2 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
         with mp.workdps(mp.mp.dps + extra):
             assert contains(value, fn(mp.mpf(x))), (name, u, x)
+    # the exact bound rounded once, bit for bit, which the float kernel's
+    # Horner contains
+    assert value.to_hex() == exact_eval(s, u)[0].to_hex(), (name, u)
     assert horner_value.lo <= value.lo and value.hi <= horner_value.hi
-    if horner_value.lo <= 0.0 <= horner_value.hi:
-        # inside the exact Bernstein bound, up to the tail and the rounding
-        # of the kernel's coefficient enclosures and multiply-adds: relative
-        # 2^-53 each, fewer than 2^13 of them, on sums below b
-        lo, hi = _exact_bernstein(s, u)
-        t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
-        b = sum(abs(c.enclosure().mag()) * (1 + 3 * _R) ** k for k, c in enumerate(s.coeffs))
-        slack = t + b * 2.0**-40
-        assert lo - Fraction(slack) <= Fraction(value.lo), (name, u)
-        assert Fraction(value.hi) <= hi + Fraction(slack), (name, u)
 
 
 def test_eval_narrows_only_where_horner_leaves_the_sign_open(monkeypatch):
     s = series_of("sin*cos^2", "zero", 16, _R)
-    calls = count_calls(monkeypatch, series, "horner")
-    # signed by Horner: returned as it is, after one Horner evaluation
+    calls = count_calls(monkeypatch, series, "_bernstein")
+    # signed by Horner: returned as it is, with no Bernstein bound
     signed = Interval(0.5, 0.75)
-    assert s.eval(signed) == _horner_plus_tail(s, signed) and len(calls) == 1
+    value, horner_value = exact_eval(s, signed)
+    assert s.eval(signed) == value == horner_value and not calls
     # near the zero at pi/2 Horner's dependency loss leaves about [-0.27, 0.26]
-    # and the Bernstein bound, which calls no Horner, about [-0.0003, 0.0051]
-    calls.clear()
+    # and the Bernstein bounds of the lower and upper bracket polynomials,
+    # one call each, about [-0.0003, 0.0051]
     near = Interval(1.5, 1.5625)
-    value, horner_value = s.eval(near), _horner_plus_tail(s, near)
-    assert value.width < horner_value.width / 80 and len(calls) == 1
+    value, horner_value = exact_eval(s, near)
+    assert s.eval(near) == value and len(calls) == 2
+    assert value.width < horner_value.width / 80
 
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_eval_of_degree_below_two_is_the_range_at_the_box_ends(degree):
-    # the Bernstein coefficients of a polynomial of degree <= 1 are its values
-    # at the box ends, so where Horner leaves the sign open eval is their
-    # hull, up to a few roundings, plus the tail; 1/3 - 7u/5 at degree 1
+    # a polynomial of degree <= 1 takes its range on each part of the box,
+    # at and above 0 or below it, at the part's ends, where its Horner and
+    # Bernstein bounds agree with the range; so eval is the hull over the
+    # parts of those values plus the part's tail, rounded once; 1/3 - 7u/5
+    # at degree 1
     coeffs = [Fraction(1, 3), Fraction(-7, 5)][: degree + 1]
     s = ps_poly(dict(enumerate(coeffs)), degree, 2.0, 0.25)
-    narrowed = 0
     for u in (Interval(-1.5, 1.25), Interval(0.125, 0.5), Interval(0.5, 1.0)):
-        value, horner_value = s.eval(u), _horner_plus_tail(s, u)
-        if horner_value.lo <= 0.0 <= horner_value.hi:
-            t = Fraction(_mul_up(s.tail, _pow_up(u.mag(), degree + 1)))
-            ends = [sum(c * Fraction(x) ** k for k, c in enumerate(coeffs)) for x in (u.lo, u.hi)]
-            assert min(ends) - t - Fraction(2.0**-50) <= Fraction(value.lo) <= min(ends) - t, u
-            assert max(ends) + t <= Fraction(value.hi) <= max(ends) + t + Fraction(2.0**-50), u
-            narrowed += 1
-        else:
-            assert value == horner_value, u
-    assert narrowed
+        lows, highs = [], []
+        for a, b in ((max(u.lo, 0.0), u.hi), (u.lo, min(u.hi, 0.0))):
+            if a <= b:
+                t = Fraction(s.tail) * Fraction(max(-a, b)) ** (degree + 1)
+                ends = [sum(c * Fraction(x) ** k for k, c in enumerate(coeffs)) for x in (a, b)]
+                lows.append(min(ends) - t)
+                highs.append(max(ends) + t)
+        assert s.eval(u) == Interval(rational_enclosure(min(lows)).lo, rational_enclosure(max(highs)).hi), u
 
 
 # Series of degree 96, where only the first _BERNSTEIN_DEGREE + 1 terms enter
@@ -483,15 +474,17 @@ _DEGREE_96 = {
 @pytest.mark.parametrize("name", sorted(_DEGREE_96))
 def test_eval_at_degree_96_folds_the_terms_past_the_bernstein_form(name, monkeypatch, oracle):
     s, fn = _DEGREE_96[name]
-    calls = count_calls(monkeypatch, series, "_bernstein_range")
+    calls = count_calls(monkeypatch, series, "_bernstein")
     rng, boxes = random.Random(96), [Interval(-_R, _R), Interval(0.5, _R), Interval(-1.0, 1.25)]
     boxes += [Interval(*sorted(rng.uniform(-_R, _R) for _ in range(2))) for _ in range(40)]
     for u in boxes:
         value = s.eval(u)
+        assert value.to_hex() == exact_eval(s, u)[0].to_hex(), (name, u)
         for x in (u.lo, u.lo + (u.hi - u.lo) / 3, u.mid, u.hi):
             extra = int(-2 * mp.log10(abs(x))) + 10 if 0 < abs(x) < 1 else 0
             with mp.workdps(mp.mp.dps + extra):
                 assert contains(value, fn(mp.mpf(x))), (name, u, x)
-    # the wide boxes reach the Bernstein stage, on the first 25 of 97 terms
-    assert len(calls) >= 3
-    assert all(len(encs) == series._BERNSTEIN_DEGREE + 1 < s.degree + 1 for encs, _, _ in calls)
+    # the wide boxes reach the Bernstein stage, two bounds (lower and upper
+    # bracket polynomial) per part, on the first 25 of 97 terms
+    assert len(calls) >= 6
+    assert all(len(coeffs) == series._BERNSTEIN_DEGREE + 1 < s.degree + 1 for coeffs, *_ in calls)

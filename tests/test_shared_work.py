@@ -2,17 +2,20 @@
 
 Each form string is linearized once per process (`certifier._linearized`,
 cached), each series is written once per (form, center, degree) from that
-linearization, and every `PowerSeries` caches its coefficient enclosures.
-The first two tests run fresh interpreters, so no cache of this suite's
+linearization, and every `PowerSeries` caches its coefficient brackets.
+The first three tests run fresh interpreters, so no cache of this suite's
 process is warm:
 
   * the certificates do not depend on the order in which the forms are
     certified, nor on whether other forms were certified first;
   * the work of certifying all nine forms at the `wide_endpoints` flags
-    is exactly one linearization per form and one series build per
-    (form, center), and stays within fixed counts of interval Horner
-    calls, rational enclosures, `PiPoly` constructions and series
-    constructions, which do not depend on the machine.
+    is exactly one linearization per form, one series build per (form,
+    center) and one exact evaluation per box and endpoint proof, and stays
+    within fixed counts of rational enclosures, `PiPoly` constructions and
+    series constructions, which do not depend on the machine;
+  * `tancert certify all` and `tancert check` on the nine files, at each
+    benchmark workload's flags, write the goldens and call none of the
+    directed-rounding primitives of `interval`: their margins are exact.
 
 The last clears the caches in process: a form's series built beside the
 other forms is bit for bit the one built alone.
@@ -30,6 +33,8 @@ from tancert import certifier
 from tancert.certifier import CATALOG, MAX_EPSILON, form_series
 from tancert.interval import _HALF_PI_HI
 
+from test_bench_calls import WORKLOADS
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "wide_endpoints"
 PACKAGE_ROOT = Path(tancert.__file__).resolve().parents[1]
 WIDE = "CertifyConfig(delta=0.5, epsilon_max=0.25, degree=96)"
@@ -45,7 +50,7 @@ COUNT = f"""
 import json
 from tancert import certifier, series
 from tancert.certifier import CATALOG, CertifyConfig, certify
-counts = {{"builds": 0, "horner": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
+counts = {{"builds": 0, "evaluations": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
 
 def counted(key, fn):
     def wrapper(*args):
@@ -57,7 +62,7 @@ certifier.ps_trig = counted("builds", certifier.ps_trig)
 series.rational_enclosure = counted("enclosures", series.rational_enclosure)
 series.PiPoly.__init__ = counted("pipolys", series.PiPoly.__init__)
 series.PowerSeries.__init__ = counted("series", series.PowerSeries.__init__)
-series.horner = counted("horner", series.horner)
+series._range = counted("evaluations", series._range)
 cfg = {WIDE}
 for cid in CATALOG:
     certify(cid, cfg)
@@ -65,21 +70,60 @@ counts["linearizations"] = certifier._linearized.cache_info().misses
 print(json.dumps(counts))
 """
 
-# at the wide_endpoints flags: one linearization per form and one closed-form
-# build per (form, center), 9 at 0 and 3 at pi/2, are exact counts; the rest
-# are ceilings.  horner counts the interval Horner evaluations of series (a
-# box or proof whose sign Horner leaves open takes none more: its Bernstein
-# bound is no Horner call), so one per box and endpoint proof, 9 + 9 + 3;
-# enclosures the rational enclosures that series take: the eight exact
-# coefficients past the degree that each build folds into its tail, the
-# coefficient enclosures of the twelve quotients, and one per cached
-# closed-form remainder factor; pipolys the PiPoly built after import
-# (series keep integer rows and build PiPoly only when their coefficients
-# are read); series the PowerSeries built, a build and its quotient each.
-# When each series was the product of leaf series, they were 25 products,
-# 1895 enclosures, 61 PiPoly and 103 series.
-EXACT_WORK = {"linearizations": 9, "builds": 12}
-MAX_WORK = {"horner": 21, "enclosures": 1214, "pipolys": 58, "series": 24}
+# at the wide_endpoints flags: one linearization per form, one closed-form
+# build per (form, center), 9 at 0 and 3 at pi/2, and one exact evaluation
+# of a quotient (series._range) per box and endpoint proof, 9 + 9 + 3, are
+# exact counts; the rest are ceilings.  enclosures counts the rational
+# enclosures that series take, the only roundings from exact to float: one
+# per build for its tail, two per evaluation (its two ends) and two more for
+# each of the three whose sign Horner leaves open (the Bernstein bound's
+# ends), and two per endpoint proof for its leading coefficient; pipolys the
+# PiPoly built after import (series keep integer rows and build PiPoly only
+# when their coefficients are read, as each endpoint proof reads its leading
+# one); series the PowerSeries built, a build and its quotient each.  When
+# each series was the product of leaf series, they were 25 products, 1895
+# enclosures, 61 PiPoly and 103 series; when eval ran interval Horner on
+# float coefficient enclosures, 1214 enclosures and 58 PiPoly.
+EXACT_WORK = {"linearizations": 9, "builds": 12, "evaluations": 21}
+MAX_WORK = {"enclosures": 84, "pipolys": 70, "series": 24}
+
+
+# The directed-rounding primitives of the float kernel, each wrapped wherever
+# a tancert module holds it; certify and check must call none of them.
+GUARD = """
+import contextlib, io, json, os, sys
+import tancert
+from tancert import cli, enclosures, interval
+
+PRIMITIVES = ("_add_down", "_add_up", "_sub_up", "_mul_down", "_mul_up", "_product_error",
+              "_pow_down", "_pow_up", "_mul_bounds", "horner")
+calls = dict.fromkeys(PRIMITIVES, 0)
+originals = {name: getattr(interval, name) for name in PRIMITIVES}
+
+def counted(name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "tancert"]:
+    for name, fn in originals.items():
+        if getattr(module, name, None) is fn:
+            setattr(module, name, counted(name, fn))
+
+out, flags = sys.argv[1], sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["--out", out, "certify", "all", *flags])]
+    files = sorted(os.path.join(out, f) for f in os.listdir(out))
+    codes.append(cli.main(["check", *files]))
+used = dict(calls)
+# the wrappers do count where the kernel runs: one direct enclosure
+enclosures.cos_enc(interval.Interval(0.25, 0.5))
+print(json.dumps({"codes": codes, "files": files, "calls": used, "control": calls}))
+"""
+
+GOLDEN_DIRS = {"catalog_default": GOLDEN.parent, "deep_cover": GOLDEN.parent / "deep_cover",
+               "wide_endpoints": GOLDEN}
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -114,6 +158,19 @@ def test_wide_endpoints_work_counts():
     assert {k: counts[k] for k in EXACT_WORK} == EXACT_WORK
     over = {k: (counts[k], top) for k, top in MAX_WORK.items() if counts[k] > top}
     assert not over, f"work above its ceiling (count, ceiling): {over}"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_certify_and_check_call_no_directed_rounding(name, tmp_path):
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in WORKLOADS[name].items()]
+    result = json.loads(_fresh(GUARD, str(tmp_path), *flags))
+    assert result["codes"] == [0, 0]
+    assert [Path(f).name for f in result["files"]] == sorted(f"cert-{cid}.json" for cid in CATALOG)
+    for f in result["files"]:
+        assert Path(f).read_bytes() == (GOLDEN_DIRS[name] / Path(f).name).read_bytes(), f
+    assert not any(result["calls"].values()), result["calls"]
+    control = result["control"]
+    assert control["horner"] and control["_add_up"] and control["_mul_up"] and control["_pow_up"]
 
 
 def _clear_series_caches():
