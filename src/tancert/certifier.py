@@ -8,14 +8,13 @@ x^k > 0, or raising two positive sides to the 5th power); each catalog
 entry records its own derivation.
 
 The catalog string `entire_form` is the only definition of F.  It is
-compiled once into an expression tree and linearized once: expanded into
-sum c pi^q x^j sin^a cos^b (sinc = sin/x, p = sin/x^3 - cos/x^2), each
-sin^a cos^b rewritten by the product-to-sum formulas, so that F is a
-finite sum of terms c x^j cos(k x) and c x^j sin(k x).  At pi/2 the same
-terms are rewritten in u = pi/2 - x by the binomial theorem and the
-angle-difference formulas.  `series.ps_trig` writes the exact power series
-at either center from those terms in closed form.  F vanishes to order
-k0 at 0, and one object carries the whole proof on
+compiled once, straight into a finite sum of terms c x^j cos(k x) and
+c x^j sin(k x), c in Q[pi, 1/pi] (sinc = sin/x, p = sin/x^3 - cos/x^2),
+each product rewritten by the product-to-sum formulas as it is met.  At
+pi/2 the same terms are rewritten in u = pi/2 - x by the binomial theorem
+and the angle-difference formulas.  `series.ps_trig` writes the exact
+power series at either center from those terms in closed form.  F
+vanishes to order k0 at 0, and one object carries the whole proof on
 [0, pi/2 - epsilon_max]: the exact series of F at 0 divided by x^k0,
 
     Q = F / x^k0,  through x^(degree - k0), with a rigorous tail on
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import _ast
 import json
-import operator
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -214,15 +212,25 @@ CATALOG: dict[str, InequalitySpec] = {
 
 
 # ---------------------------------------------------------------------------
-# the form language
+# the form language, compiled to terms
 # ---------------------------------------------------------------------------
 # With ^ read as **, a form uses the leaves x, pi, integer literals, cos,
 # sin, sinc and p; +, - and *; powers by non-negative integer literals; and
-# division by a constant c*pi^k.  Constant parts fold exactly into PiPoly,
-# so a tree node is ("const", PiPoly), ("leaf", name), ("pow", node, k) or
-# (op, node, node) with op one of operator.add/sub/mul; a/c is a * (1/c).
+# division by a part whose value is one nonzero c*pi^k.  It compiles
+# straight into terms ({(j, k, s, q): n}, den): the sum of n/den pi^q x^j
+# cos(k x) (s = 0) or sin(k x) (s = 1), k >= 0, over an integer den > 0,
+# with no zero n and no sin(0 x).  These functions are linearly independent
+# over Q (pi is transcendental), so a form has exactly one set of terms.
 
-_OPS = {_ast.Add: operator.add, _ast.Sub: operator.sub, _ast.Mult: operator.mul}
+# sinc = x^-1 sin and p = x^-3 sin - x^-2 cos
+_LEAVES = {
+    "x": ({(1, 0, 0, 0): 1}, 1),
+    "pi": ({(0, 0, 0, 1): 1}, 1),
+    "cos": ({(0, 1, 0, 0): 1}, 1),
+    "sin": ({(0, 1, 1, 0): 1}, 1),
+    "sinc": ({(-1, 1, 1, 0): 1}, 1),
+    "p": ({(-3, 1, 1, 0): 1, (-2, 1, 0, 0): -1}, 1),
+}
 
 
 def _unparse(e: _ast.AST) -> str:
@@ -232,99 +240,74 @@ def _unparse(e: _ast.AST) -> str:
     return ast.unparse(e)
 
 
-def _tree(e: _ast.expr) -> tuple:
-    if isinstance(e, _ast.Name) and (e.id == "pi" or e.id in _LEAVES):
-        return ("const", PiPoly.pi_power(1)) if e.id == "pi" else ("leaf", e.id)
+def _add(out: dict, key: tuple, n: int) -> None:
+    out[key] = out.get(key, 0) + n
+
+
+def _times(f: tuple, g: tuple) -> tuple:
+    """The product of two term sets by the product-to-sum formulas, each
+    over 2: cos a cos b = cos(a - b) + cos(a + b), sin a sin b = cos(a - b)
+    - cos(a + b) and sin a cos b = sin(a + b) + sin(a - b)."""
+    (tf, df), (tg, dg) = f, g
+    out = {}
+    for (j, k, s, q), n in tf.items():
+        for (j2, k2, s2, q2), n2 in tg.items():
+            jj, qq, c, d = j + j2, q + q2, n * n2, k - k2
+            _add(out, (jj, k + k2, s ^ s2, qq), -c if s & s2 else c)
+            if s == s2:
+                _add(out, (jj, abs(d), 0, qq), c)
+            elif d:
+                # sin(a - b) with a the angle of the sin factor, sin(-y) = -sin(y)
+                _add(out, (jj, abs(d), 1, qq), c if (d > 0) == (s > s2) else -c)
+    return {key: n for key, n in out.items() if n}, 2 * df * dg
+
+
+def _terms(e: _ast.expr) -> tuple:
+    """The terms of a parsed form, built bottom-up."""
+    if isinstance(e, _ast.Name) and e.id in _LEAVES:
+        return _LEAVES[e.id]
     if isinstance(e, _ast.Constant) and type(e.value) is int:
-        return ("const", PiPoly.rational(e.value))
+        return ({(0, 0, 0, 0): e.value} if e.value else {}), 1
     if isinstance(e, _ast.BinOp) and isinstance(e.op, _ast.Pow):
-        a, k = _tree(e.left), e.right
+        f, k = _terms(e.left), e.right
         if not (isinstance(k, _ast.Constant) and type(k.value) is int and k.value >= 0):
             raise DomainError(f"exponent {_unparse(k)!r} is not a non-negative integer")
-        if a[0] == "const":
-            return ("const", reduce(operator.mul, [a[1]] * k.value, PiPoly.rational(1)))
-        return ("pow", a, k.value)
-    if isinstance(e, _ast.BinOp) and type(e.op) in (_ast.Div, *_OPS):
-        a, b = _tree(e.left), _tree(e.right)
-        op = _OPS.get(type(e.op), operator.mul)
+        return reduce(_times, [f] * k.value, ({(0, 0, 0, 0): 1}, 1))
+    if isinstance(e, _ast.BinOp) and isinstance(e.op, (_ast.Add, _ast.Sub, _ast.Mult, _ast.Div)):
+        f, g = _terms(e.left), _terms(e.right)
+        if isinstance(e.op, _ast.Mult):
+            return _times(f, g)
+        (tf, df), (tg, dg) = f, g
         if isinstance(e.op, _ast.Div):
-            if b[0] != "const" or len(b[1].terms) != 1:
+            if len(tg) != 1 or next(iter(tg))[:3] != (0, 0, 0):
                 raise DomainError(f"divisor {_unparse(e.right)!r} is not a nonzero c*pi^k")
-            ((k, c),) = b[1].terms.items()
-            b = ("const", PiPoly.pi_power(-k, 1 / c))
-        return ("const", op(a[1], b[1])) if a[0] == b[0] == "const" else (op, a, b)
+            (((*_, p), c),) = tg.items()
+            # f / (c/dg pi^p) = (f dg/c) pi^-p, the sign of c moved onto f
+            m = dg if c > 0 else -dg
+            return {(j, k, s, q - p): m * n for (j, k, s, q), n in tf.items()}, df * abs(c)
+        den = lcm(df, dg)
+        out = {key: n * (den // df) for key, n in tf.items()}
+        m = den // dg if isinstance(e.op, _ast.Add) else -(den // dg)
+        for key, n in tg.items():
+            _add(out, key, m * n)
+        return {key: n for key, n in out.items() if n}, den
     raise DomainError(f"{_unparse(e)!r} is outside the form language")
 
 
-@cache
 def compile_form(text: str) -> tuple:
-    """The tree of an entire_form string, parsed once; raises DomainError
-    outside the language."""
+    """The terms (terms, den) of an entire_form string (see _LEAVES); raises
+    DomainError outside the language."""
     try:
         # the builtin compile, so that parsing needs `_ast` but not `ast`
         expr = compile(text.replace("^", "**"), "<form>", "eval", _ast.PyCF_ONLY_AST).body
     except SyntaxError as exc:
         raise DomainError(f"form {text!r}: {exc.msg}") from None
-    return _tree(expr)
+    return _terms(expr)
 
 
 # ---------------------------------------------------------------------------
 # exact series backend, at both endpoints
 # ---------------------------------------------------------------------------
-
-# Each leaf as a polynomial in x, sin and cos over Q[pi, 1/pi]: {(q, j, a, b): c}
-# holds c pi^q x^j sin^a cos^b, so sinc = x^-1 sin and p = x^-3 sin - x^-2 cos.
-_LEAVES = {
-    "x": {(0, 1, 0, 0): 1},
-    "sin": {(0, 0, 1, 0): 1},
-    "cos": {(0, 0, 0, 1): 1},
-    "sinc": {(0, -1, 1, 0): 1},
-    "p": {(0, -3, 1, 0): 1, (0, -2, 0, 1): -1},
-}
-
-
-def _times(f: dict, g: dict) -> dict:
-    out = {}
-    for (q, j, a, b), c in f.items():
-        for (q2, j2, a2, b2), c2 in g.items():
-            key = (q + q2, j + j2, a + a2, b + b2)
-            out[key] = out.get(key, 0) + c * c2
-    return out
-
-
-def _expand(node: tuple) -> dict:
-    """The tree as a polynomial in x, sin and cos (see _LEAVES); an integer
-    coefficient stays an int, so that only true fractions cost a Fraction."""
-    kind = node[0]
-    if kind == "const":
-        return {(q, 0, 0, 0): v.numerator if v.denominator == 1 else v for q, v in node[1].terms.items()}
-    if kind == "leaf":
-        return _LEAVES[node[1]]
-    if kind == "pow":
-        return reduce(_times, [_expand(node[1])] * node[2], {(0, 0, 0, 0): 1})
-    f, g = _expand(node[1]), _expand(node[2])
-    if kind is operator.mul:
-        return _times(f, g)
-    sign = 1 if kind is operator.add else -1
-    out = dict(f)
-    for key, c in g.items():
-        out[key] = out.get(key, 0) + sign * c
-    return out
-
-
-@cache
-def _to_sum(a: int, b: int) -> tuple:
-    """sin^a cos^b = sum_k e cos(k x) (a even) or sum_k e sin(k x) (a odd)
-    over 2^(a+b), as ((k, e), ...): with z = e^(ix), 2^(a+b) sin^a cos^b =
-    i^-a (z - 1/z)^a (z + 1/z)^b, whose z^k and z^-k pair into a cos or sin."""
-    e = {}
-    for i in range(a + 1):
-        for l in range(b + 1):
-            k = a + b - 2 * (i + l)
-            e[k] = e.get(k, 0) + (-1) ** i * comb(a, i) * comb(b, l)
-    sign = -1 if a // 2 % 2 else 1
-    return tuple((k, sign * (v if k == 0 else 2 * v)) for k, v in sorted(e.items()) if k >= 0 and v)
-
 
 def _grouped(acc: dict) -> tuple:
     """Terms (j, k, s, ((q, n), ...)) for series.ps_trig from {(j, k, s, q): n}."""
@@ -337,18 +320,10 @@ def _grouped(acc: dict) -> tuple:
 
 @cache
 def _linearized(text: str) -> tuple:
-    """(terms, den) of a form string at 0, linearized once: the tree expanded
-    into c pi^q x^j sin^a cos^b, and each sin^a cos^b rewritten by the
-    product-to-sum formulas, all over one integer denominator."""
-    poly = {key: c.as_integer_ratio() for key, c in _expand(compile_form(text)).items() if c}
-    scale = lcm(*(d for _, d in poly.values()))
-    top = max((a + b for _, _, a, b in poly), default=0)
-    acc = {}
-    for (q, j, a, b), (n, d) in poly.items():
-        n *= scale // d << top - a - b
-        for k, e in _to_sum(a, b):
-            acc[j, k, a % 2, q] = acc.get((j, k, a % 2, q), 0) + n * e
-    return _grouped(acc), scale << top
+    """(terms, den) of a form string at 0, compiled once and grouped for
+    series.ps_trig."""
+    terms, den = compile_form(text)
+    return _grouped(terms), den
 
 
 # trig(k pi/2 - k u) for trig = cos (s = 0) and sin (s = 1), by k mod 4, as
@@ -362,7 +337,8 @@ def _at_half_pi(text: str) -> tuple:
     x^j with j < 0 (from sinc or p) would need a division, and is refused."""
     terms, den = _linearized(text)
     if any(j < 0 for j, *_ in terms):
-        leaf = next(name for name in _leaves(compile_form(text)) if name in ("sinc", "p"))
+        names = "".join(c if c.isalpha() else " " for c in text).split()
+        leaf = next(name for name in names if name in ("sinc", "p"))
         raise DomainError(f"no series of {leaf!r} at half_pi")
     top = max((j for j, *_ in terms), default=0)
     acc = {}
@@ -372,18 +348,8 @@ def _at_half_pi(text: str) -> tuple:
             # C(j, i) (pi/2)^(j-i) (-u)^i, over 2^top
             f = (-sign if i % 2 else sign) * comb(j, i) << top - j + i
             for q, n in coeffs:
-                key = (i, k, s2, q + j - i)
-                acc[key] = acc.get(key, 0) + n * f
+                _add(acc, (i, k, s2, q + j - i), n * f)
     return _grouped(acc), den << top
-
-
-def _leaves(node: tuple):
-    """The leaf names of a tree, left to right."""
-    if node[0] == "leaf":
-        yield node[1]
-    for child in node[1:]:
-        if type(child) is tuple:
-            yield from _leaves(child)
 
 
 def form_series(inequality_id: str, center: str, degree: int, radius: float) -> PowerSeries:
@@ -414,7 +380,7 @@ def series_of(text: str, center: str, degree: int, radius: float) -> PowerSeries
 # ---------------------------------------------------------------------------
 
 # F > 0 on the config's endpoint region, from the series at config.degree
-EndpointProof = namedtuple("EndpointProof", "order normalized_lower_bound leading_coefficient")
+EndpointProof = namedtuple("EndpointProof", "order normalized_lower_bound")
 
 
 @cache
@@ -461,8 +427,7 @@ def _endpoint_proof(inequality_id: str, kind: str, bound: float, degree: int) ->
             f"{inequality_id}: quotient bound {lb} on (0, {bound}] at {kind}; "
             "shrink the bound or raise the degree"
         )
-    # the enclosure of Q(0), the u^k coefficient
-    return EndpointProof(k, lb, quotient.coefficient(0).enclosure())
+    return EndpointProof(k, lb)
 
 
 def near_zero_proof(inequality_id: str, delta: float, degree: int) -> EndpointProof:

@@ -94,20 +94,10 @@ class PiPoly:
     def rational(cls, q) -> "PiPoly":
         return cls({0: Fraction(q)})
 
-    @classmethod
-    def pi_power(cls, k: int, coeff=1) -> "PiPoly":
-        return cls({k: Fraction(coeff)})
-
     def __add__(self, other: "PiPoly") -> "PiPoly":
         t = dict(self.terms)
         for k, v in other.terms.items():
             t[k] = t[k] + v if k in t else v
-        return PiPoly(t)
-
-    def __sub__(self, other: "PiPoly") -> "PiPoly":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t[k] - v if k in t else -v
         return PiPoly(t)
 
     def __mul__(self, other) -> "PiPoly":

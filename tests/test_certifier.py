@@ -123,26 +123,31 @@ def test_half_pi_leads_match_sympy_oracle():
         assert sp.simplify(lead - _pipoly_to_sympy(spec.leading_coeff_half_pi)) == 0, cid
 
 
+def _lead(cid, center, order):
+    """The exact u^order coefficient of a form's series at degree 16."""
+    return form_series(cid, center, 16, _RADIUS[center]).divide_power(order).coefficient(0)
+
+
 def test_near_zero_proofs_all_ids():
     for cid, spec in CATALOG.items():
         proof = near_zero_proof(cid, 0.25, 16)
         assert proof.order == spec.vanish_order_zero
         assert proof.normalized_lower_bound > 0
-        assert proof.leading_coefficient.width < 1e-12
-        exact = spec.leading_coeff_zero
-        if set(exact.terms) == {0}:
-            assert contains(proof.leading_coefficient, exact.terms[0])
+        lead = _lead(cid, "zero", proof.order)
+        assert lead == spec.leading_coeff_zero
+        assert lead.enclosure().width < 1e-12
 
 
 def test_near_half_pi_proofs(oracle):
     p = near_half_pi_proof("bs_lower", 0.125, 16)
-    assert p.order == 2 and contains(p.leading_coefficient, 4)
+    assert p.order == 2 and _lead("bs_lower", "half_pi", 2) == PiPoly.rational(4)
     p = near_half_pi_proof("bs_upper", 0.125, 16)
     assert p.order == 1
-    assert contains(p.leading_coefficient, mp.pi * (mp.pi**2 / 2 - 4))
+    assert contains(_lead("bs_upper", "half_pi", 1).enclosure(), mp.pi * (mp.pi**2 / 2 - 4))
     p = near_half_pi_proof("qi_upper", 0.125, 16)
     assert p.order == 1
-    assert contains(p.leading_coefficient, mp.pi / 2 + mp.pi**3 / 24 - 8 / mp.pi)
+    lead = _lead("qi_upper", "half_pi", 1).enclosure()
+    assert contains(lead, mp.pi / 2 + mp.pi**3 / 24 - 8 / mp.pi)
 
 
 def test_near_half_pi_rejected_where_margin_positive():
@@ -740,7 +745,9 @@ def test_catalog_string_is_the_sympy_form(cid):
 
 
 @pytest.mark.parametrize(
-    "text", ["3*tan - cos", "x^(1/2)", "x^-1", "sinc/cos", "x/(2 - 2)", "cos(3*x)", "3*p -", "x < 1"]
+    "text",
+    ["3*tan - cos", "x^(1/2)", "x^-1", "sinc/cos", "x/(2 - 2)", "cos(3*x)", "3*p -", "x < 1",
+     "x/(1 + pi)", "x/(pi - pi)"],
 )
 def test_compile_form_rejects_text_outside_the_language(text):
     with pytest.raises(DomainError):
@@ -827,6 +834,9 @@ def test_series_rows_equal_the_pinned_rows():
         ("sin*(4*cos^2 - 1)", "3*sin - 4*sin^3", ("zero", "half_pi")),  # sin 3x
         ("sinc*cos^2", "cos*cos*sinc", ("zero",)),
         ("x*(sinc*cos)", "(x*sinc)*cos", ("zero",)),
+        ("cos^2 + sin^2", "1", ("zero", "half_pi")),
+        ("(2/pi)^4*x^4*sin", "16*(x^4*sin)/pi^4", ("zero", "half_pi")),
+        ("x^3*p", "sin - x*cos", ("zero", "half_pi")),
     ],
 )
 def test_strings_of_one_function_build_one_series(a, b, centers):

@@ -73,19 +73,21 @@ print(json.dumps(counts))
 # at the wide_endpoints flags: one linearization per form, one closed-form
 # build per (form, center), 9 at 0 and 3 at pi/2, and one exact evaluation
 # of a quotient (series._range) per box and endpoint proof, 9 + 9 + 3, are
-# exact counts; the rest are ceilings.  enclosures counts the rational
-# enclosures that series take, the only roundings from exact to float: one
-# per build for its tail, two per evaluation (its two ends) and two more for
-# each of the three whose sign Horner leaves open (the Bernstein bound's
-# ends), and two per endpoint proof for its leading coefficient; pipolys the
-# PiPoly built after import (series keep integer rows and build PiPoly only
-# when their coefficients are read, as each endpoint proof reads its leading
-# one); series the PowerSeries built, a build and its quotient each.  When
+# exact counts; the rest are ceilings at their counts.  enclosures counts
+# the rational enclosures that series take, the only roundings from exact
+# to float: one per build for its tail, two per evaluation (its two ends)
+# and two more for each of the three whose sign Horner leaves open (the
+# Bernstein bound's ends), 12 + 42 + 6; pipolys the PiPoly built after
+# import, one per quotient for the u^k coefficient that `_quotient` compares
+# with the catalog (the form compiler builds none, and series keep integer
+# rows); series the PowerSeries built, a build and its quotient each.  When
 # each series was the product of leaf series, they were 25 products, 1895
 # enclosures, 61 PiPoly and 103 series; when eval ran interval Horner on
-# float coefficient enclosures, 1214 enclosures and 58 PiPoly.
+# float coefficient enclosures, 1214 enclosures and 58 PiPoly; while the
+# compiler folded constants into PiPoly and each endpoint proof enclosed its
+# leading coefficient, 84 enclosures and 70 PiPoly.
 EXACT_WORK = {"linearizations": 9, "builds": 12, "evaluations": 21}
-MAX_WORK = {"enclosures": 84, "pipolys": 70, "series": 24}
+MAX_WORK = {"enclosures": 60, "pipolys": 12, "series": 24}
 
 
 # The directed-rounding primitives of the float kernel, each wrapped wherever
