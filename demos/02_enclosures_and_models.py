@@ -33,8 +33,9 @@ print(f"  (the exact value is (2/pi)^3 = {(2 / math.pi) ** 3:.12f})")
 spec = CATALOG["main_upper"]
 series = form_series(spec.id, "zero", 16, hp.hi)
 print(f"\nthe exact series at 0 of main_upper's form {spec.entire_form}:")
+# each coefficient is a map {power of pi: Fraction}; main_upper's are rational
 for k in range(0, 9, 2):
-    print(f"  x^{k}: {series.coeffs[k]}")
+    print(f"  x^{k}: {series.coefficient(k).get(0, 0)}")
 print(f"  tail coefficient of x^17: {series.tail:.3e}, valid out to pi/2")
 box = Interval(1.0, 1.25)
 print(f"  a box margin, Q(X) with Q = F/x^4 > 0 where F > 0: over {box} it is {eval_form(spec.id, box)}")

@@ -64,7 +64,7 @@ from .interval import (
     rational_enclosure,
     split,
 )
-from .series import PiPoly, PowerSeries, ps_trig
+from .series import PowerSeries, ps_trig
 
 SCHEMA = "tancert-cert-v6"  # the one schema certify writes and check reads
 
@@ -100,7 +100,8 @@ MAX_BOXES = 2**16
 # check process would pay at start-up.  `_replace` makes a changed copy.
 
 # One catalog entry: entire_form is the normative division-free F, in the
-# form language, and the leading coefficients are PiPoly.
+# form language, and each leading coefficient is a constant of the same
+# language, a sum of terms c*pi^q.
 InequalitySpec = namedtuple(
     "InequalitySpec",
     "id statement entire_form derivation vanish_order_zero leading_coeff_zero "
@@ -121,7 +122,7 @@ CATALOG: dict[str, InequalitySpec] = {
                 "and scale by 3, with p = (sin x - x cos x)/x^3."
             ),
             vanish_order_zero=2,
-            leading_coeff_zero=PiPoly.rational(Fraction(2, 5)),
+            leading_coeff_zero="2/5",
         ),
         InequalitySpec(
             id="prop1_upper",
@@ -132,7 +133,7 @@ CATALOG: dict[str, InequalitySpec] = {
                 "sin = x sinc."
             ),
             vanish_order_zero=5,
-            leading_coeff_zero=PiPoly.rational(Fraction(3, 5)),
+            leading_coeff_zero="3/5",
         ),
         InequalitySpec(
             id="main_lower",
@@ -143,7 +144,7 @@ CATALOG: dict[str, InequalitySpec] = {
                 "x^3 > 0."
             ),
             vanish_order_zero=2,
-            leading_coeff_zero=PiPoly.rational(Fraction(1, 15)),
+            leading_coeff_zero="1/15",
         ),
         InequalitySpec(
             id="main_upper",
@@ -155,7 +156,7 @@ CATALOG: dict[str, InequalitySpec] = {
                 "divide by x^15 > 0."
             ),
             vanish_order_zero=4,
-            leading_coeff_zero=PiPoly.rational(Fraction(2, 35)),
+            leading_coeff_zero="2/35",
         ),
         InequalitySpec(
             id="bs_lower",
@@ -163,9 +164,9 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="8x / (pi^2 - 4x^2) < tan x",
             derivation="multiply by (pi^2 - 4x^2) cos x > 0.",
             vanish_order_zero=1,
-            leading_coeff_zero=PiPoly({2: 1, 0: -8}),
+            leading_coeff_zero="pi^2 - 8",
             vanish_order_half_pi=2,
-            leading_coeff_half_pi=PiPoly.rational(4),
+            leading_coeff_half_pi="4",
         ),
         InequalitySpec(
             id="bs_upper",
@@ -173,9 +174,9 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="tan x < pi^2 x / (pi^2 - 4x^2)",
             derivation="multiply by (pi^2 - 4x^2) cos x > 0.",
             vanish_order_zero=3,
-            leading_coeff_zero=PiPoly({0: 4, 2: Fraction(-1, 3)}),
+            leading_coeff_zero="4 - pi^2/3",
             vanish_order_half_pi=1,
-            leading_coeff_half_pi=PiPoly({3: Fraction(1, 2), 1: -4}),
+            leading_coeff_half_pi="pi^3/2 - 4*pi",
         ),
         InequalitySpec(
             id="qi_lower",
@@ -183,7 +184,7 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="x + x^3/3 + (2/15) x^4 tan x < tan x",
             derivation="multiply by cos x > 0 and write sin = x sinc.",
             vanish_order_zero=7,
-            leading_coeff_zero=PiPoly.rational(Fraction(1, 105)),
+            leading_coeff_zero="1/105",
         ),
         InequalitySpec(
             id="qi_upper",
@@ -191,9 +192,9 @@ CATALOG: dict[str, InequalitySpec] = {
             statement="tan x < x + x^3/3 + (2/pi)^4 x^4 tan x",
             derivation="multiply by cos x > 0.",
             vanish_order_zero=5,
-            leading_coeff_zero=PiPoly({-4: 16, 0: Fraction(-2, 15)}),
+            leading_coeff_zero="16/pi^4 - 2/15",
             vanish_order_half_pi=1,
-            leading_coeff_half_pi=PiPoly({1: Fraction(1, 2), 3: Fraction(1, 24), -1: -8}),
+            leading_coeff_half_pi="pi/2 + pi^3/24 - 8/pi",
         ),
         InequalitySpec(
             id="lemma_phi",
@@ -205,7 +206,7 @@ CATALOG: dict[str, InequalitySpec] = {
                 "lemma's coefficients 3 (-1)^n T_n/(2n)! of x^(2n), n >= 4."
             ),
             vanish_order_zero=8,
-            leading_coeff_zero=PiPoly.rational(Fraction(32, 105)),
+            leading_coeff_zero="32/105",
         ),
     ]
 }
@@ -390,7 +391,7 @@ def _quotient(spec: InequalitySpec, center: str, degree: int) -> PowerSeries:
     box margin, and Q1 at pi/2, valid on |eps| <= MAX_EPSILON for every
     epsilon_max.  Checks k + 8 <= degree <= MAX_DEGREE, the exact vanishing
     below u^k (divide_power raises OrderMismatch) and the catalog's u^k
-    coefficient."""
+    coefficient, a constant string of the form language."""
     if center == "zero":
         k, expected, radius = spec.vanish_order_zero, spec.leading_coeff_zero, _HALF_PI_HI
     else:
@@ -398,8 +399,11 @@ def _quotient(spec: InequalitySpec, center: str, degree: int) -> PowerSeries:
     if not k + 8 <= degree <= MAX_DEGREE:
         raise DomainError(f"a series of order {k} needs {k + 8} <= degree <= {MAX_DEGREE}")
     quotient = form_series(spec.id, center, degree, radius).divide_power(k)
+    terms, den = compile_form(expected)
+    if any(key[:3] != (0, 0, 0) for key in terms):
+        raise DomainError(f"{spec.id}: catalog coefficient {expected!r} is not a sum of c*pi^q")
     lead = quotient.coefficient(0)
-    if lead != expected:
+    if lead != {q: Fraction(n, den) for (*_, q), n in terms.items()}:
         raise OrderMismatch(f"{spec.id}: u^{k} coefficient {lead!r} != catalog {expected!r}")
     return quotient
 

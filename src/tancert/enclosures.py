@@ -1,10 +1,12 @@
 """Direct enclosures of the entire building blocks cos, sinc and p.
 
 The direct enclosures cos_enc, sinc_enc and p_enc evaluate the truncated
-Taylor series (whose coefficients `series` writes once) in interval
-arithmetic with a certified remainder.  No certificate and no other module
-uses them: they serve the benchmark harness alone, and neither certify nor
-check loads this module.
+Taylor series, whose coefficients `cos_coeff`, `sinc_coeff` and `p_coeff`
+write once, in interval arithmetic with a certified remainder; the test
+suite re-derives p's from an exact rational subtraction of the sin and
+x*cos series.  No certificate and no other module uses them: they serve
+the benchmark harness alone, and neither certify nor check loads this
+module.
 
 cos and sinc use the Lagrange-style tail bound |x|^K / K!; p is an
 alternating series with provably decreasing terms on the call domain, so
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import factorial
 
 from .errors import DomainError
 from .interval import (
@@ -25,7 +28,22 @@ from .interval import (
     int_pow,
     rational_enclosure,
 )
-from .series import cos_coeff, p_coeff, sinc_coeff
+
+
+def cos_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m)! of x^(2m) in cos x."""
+    return Fraction((-1) ** m, factorial(2 * m))
+
+
+def sinc_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m/(2m+1)! of x^(2m) in sinc x (and of x^(2m+1) in sin x)."""
+    return Fraction((-1) ** m, factorial(2 * m + 1))
+
+
+def p_coeff(m: int) -> Fraction:
+    """Coefficient (-1)^m 2(m+1)/(2m+3)! of x^(2m) in p x = (sin x - x cos x)/x^3."""
+    return Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
+
 
 N_TERMS = 20  # series terms per direct enclosure; tails < 1e-36 on |x| <= 2
 

@@ -33,14 +33,8 @@ c u^j sin(k u) (the certifier linearizes it), and the Taylor series
 give each term's coefficient of u^(j+m) directly: no series is
 multiplied by another.  The tail holds the exact coefficients of
 u^(D+1) .. u^(D+E), E = _EXACT_TAIL, and bounds each term past u^(D+E)
-by its closed-form exponential remainder (`_exp_tail`).  `ps_poly`
-builds a series from exact values, and `coefficient(n)` and `coeffs`
-read the rows back as `PiPoly`.
-
-`cos_coeff`, `sinc_coeff` and `p_coeff` write the Taylor coefficients of
-cos, sinc x = sin x / x and p x = (sin x - x cos x) / x^3 once for the
-direct enclosures of `enclosures`; the test suite re-derives p's from an
-exact rational subtraction of the sin and x*cos series.
+by its closed-form exponential remainder (`_exp_tail`).
+`coefficient(n)` reads one coefficient back as {power of pi: Fraction}.
 """
 
 from __future__ import annotations
@@ -53,90 +47,6 @@ from .errors import DomainError, OrderMismatch
 from .interval import Interval, rational_enclosure, _PI_HI, _PI_LO
 
 
-def cos_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m/(2m)! of x^(2m) in cos x."""
-    return Fraction((-1) ** m, factorial(2 * m))
-
-
-def sinc_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m/(2m+1)! of x^(2m) in sinc x (and of x^(2m+1) in sin x)."""
-    return Fraction((-1) ** m, factorial(2 * m + 1))
-
-
-def p_coeff(m: int) -> Fraction:
-    """Coefficient (-1)^m 2(m+1)/(2m+3)! of x^(2m) in p x."""
-    return Fraction((-1) ** m * 2 * (m + 1), factorial(2 * m + 3))
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in pi over Q
-# ---------------------------------------------------------------------------
-
-class PiPoly:
-    """Exact element of Q[pi, 1/pi]: a map {power of pi -> Fraction}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, v in terms.items():
-                if type(v) is not Fraction:
-                    v = Fraction(v)
-                if v:
-                    clean[int(k)] = v
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiPoly is immutable")
-
-    @classmethod
-    def rational(cls, q) -> "PiPoly":
-        return cls({0: Fraction(q)})
-
-    def __add__(self, other: "PiPoly") -> "PiPoly":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t[k] + v if k in t else v
-        return PiPoly(t)
-
-    def __mul__(self, other) -> "PiPoly":
-        if not isinstance(other, PiPoly):
-            other = PiPoly.rational(other)
-        t = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = ka + kb
-                t[k] = t[k] + va * vb if k in t else va * vb
-        return PiPoly(t)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PiPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def enclosure(self) -> Interval:
-        """The tightest interval around the exact bracket of the value over
-        pi's float bracket (see `_brackets`)."""
-        (lo,), (hi,), d = _brackets(*_rows_of([self.terms]), (0,))
-        return Interval(rational_enclosure(lo, d).lo, rational_enclosure(hi, d).hi)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "PiPoly(0)"
-        bits = []
-        for k in sorted(self.terms):
-            v = self.terms[k]
-            if k == 0:
-                bits.append(f"{v}")
-            else:
-                bits.append(f"{v}*pi^{k}")
-        return "PiPoly(" + " + ".join(bits) + ")"
-
-
 # ---------------------------------------------------------------------------
 # coefficients as integer rows
 # ---------------------------------------------------------------------------
@@ -144,17 +54,6 @@ class PiPoly:
 # tuple of (power of pi, list of D + 1 integer numerators) in increasing
 # power with no all-zero row, and den > 0 is the common denominator, so the
 # coefficient of u^n is sum_k rows[k][n] pi^k / den.
-
-def _rows_of(terms) -> tuple:
-    """(rows, den) of coefficients given as {pi power: nonzero Fraction} maps,
-    over the lcm of their denominators."""
-    den = lcm(*(v.denominator for t in terms for v in t.values()))
-    acc = {}
-    for n, t in enumerate(terms):
-        for k, v in t.items():
-            acc.setdefault(k, [0] * len(terms))[n] = v.numerator * (den // v.denominator)
-    return tuple(sorted(acc.items())), den
-
 
 def _reduced(acc: dict, den: int) -> tuple:
     """(rows, den) from rows {pi power: numerators} over den: zero rows
@@ -295,8 +194,7 @@ def _range(lower, upper, d: int, tail: float, a: float, b: float) -> Interval:
 class PowerSeries:
     """The series sum_n c_n u^n + [-tail, tail] u^(degree+1) on |u| <= radius,
     its coefficients c_n given as reduced integer rows over den (see
-    "coefficients as integer rows" above).
-    Build one from exact values with `ps_poly`."""
+    "coefficients as integer rows" above)."""
 
     __slots__ = ("degree", "tail", "radius", "_rows", "_den", "_bounds")
 
@@ -314,14 +212,9 @@ class PowerSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
-    def coefficient(self, n: int) -> PiPoly:
-        """The exact coefficient of u^n."""
-        return PiPoly({k: Fraction(row[n], self._den) for k, row in self._rows if row[n]})
-
-    @property
-    def coeffs(self) -> tuple:
-        """The exact coefficients of u^0 .. u^degree as PiPoly."""
-        return tuple(self.coefficient(n) for n in range(self.degree + 1))
+    def coefficient(self, n: int) -> dict:
+        """The exact coefficient of u^n as {power of pi: nonzero Fraction}."""
+        return {k: Fraction(row[n], self._den) for k, row in self._rows if row[n]}
 
     def divide_power(self, k: int) -> "PowerSeries":
         """Exact division by u^k, k <= degree; the first k coefficients must vanish exactly."""
@@ -359,21 +252,6 @@ class PowerSeries:
             f"PowerSeries(degree={self.degree}, tail={self.tail:.3e}, "
             f"radius={self.radius})"
         )
-
-
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def ps_poly(terms: dict, degree: int, radius: float, tail: float = 0.0) -> PowerSeries:
-    """sum_k terms[k] u^k + [-tail, tail] u^(degree+1) on |u| <= radius;
-    `terms` maps a power in [0, degree] to a PiPoly, Fraction or int."""
-    coeffs = [{}] * (degree + 1)
-    for k, v in terms.items():
-        if not 0 <= k <= degree:
-            raise DomainError(f"ps_poly power {k} is outside [0, {degree}]")
-        coeffs[k] = (v if isinstance(v, PiPoly) else PiPoly.rational(v)).terms
-    return PowerSeries(*_rows_of(coeffs), degree, tail, radius)
 
 
 # E: a series of degree D takes the exact coefficients of u^(D+1) .. u^(D+E)

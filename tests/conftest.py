@@ -7,14 +7,14 @@ is itself exact.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import mpmath as mp
 import pytest
 
 from tancert import sequences
 from tancert.interval import _PI_HI, _PI_LO, Interval, rational_enclosure
-from tancert.series import _BERNSTEIN_DEGREE
+from tancert.series import _BERNSTEIN_DEGREE, PowerSeries
 from tancert.sequences import _C, _COT, _H, _PHI, _S, _TAN, _X
 
 # One perturbation of each identity of sequences._IDENTITIES, which
@@ -53,12 +53,39 @@ def interval_horner(coeffs, u):
     return acc
 
 
+def coefficients(s):
+    """The exact coefficients of u^0 .. u^degree of s, each a map
+    {power of pi: nonzero Fraction}."""
+    return [s.coefficient(n) for n in range(s.degree + 1)]
+
+
+def rows_series(coeffs, radius, tail=0.0):
+    """The PowerSeries sum_n coeffs[n] u^n + [-tail, tail] u^(D+1) on
+    |u| <= radius, D = len(coeffs) - 1, each coefficient a map {power of
+    pi: Fraction or int}: integer rows over the lcm of their denominators,
+    which leaves them reduced."""
+    coeffs = [{k: Fraction(v) for k, v in c.items() if v} for c in coeffs]
+    den = lcm(*(v.denominator for c in coeffs for v in c.values()))
+    rows = {}
+    for n, c in enumerate(coeffs):
+        for k, v in c.items():
+            rows.setdefault(k, [0] * len(coeffs))[n] = v.numerator * (den // v.denominator)
+    return PowerSeries(tuple(sorted(rows.items())), den, len(coeffs) - 1, tail, radius)
+
+
 def pi_bracket(c):
-    """[L, U] around the PiPoly c over pi's float bracket, in Fraction: each
-    term q pi^k at the end of [_PI_LO, _PI_HI] that lowers (raises) it."""
+    """[L, U] around the coefficient c, a map {power of pi: Fraction}, over
+    pi's float bracket, in Fraction: each term q pi^k at the end of
+    [_PI_LO, _PI_HI] that lowers (raises) it."""
     ends = (Fraction(_PI_LO), Fraction(_PI_HI))
-    terms = [[q * p**k for p in ends] for k, q in c.terms.items()]
+    terms = [[q * p**k for p in ends] for k, q in c.items()]
     return sum(map(min, terms), Fraction(0)), sum(map(max, terms), Fraction(0))
+
+
+def pi_enclosure(c):
+    """The tightest Interval around pi_bracket(c): each end rounded once."""
+    lo, hi = pi_bracket(c)
+    return Interval(rational_enclosure(lo).lo, rational_enclosure(hi).hi)
 
 
 def _fraction_bernstein(coeffs, a, b):
@@ -101,7 +128,7 @@ def exact_eval(s, u):
     parts of u at and above 0 and below 0, the latter as the series in -u
     (odd coefficients negated) over -u; horner is interval Horner plus the
     tail, rounded outward once, and value is what eval returns."""
-    brackets = [pi_bracket(c) for c in s.coeffs]
+    brackets = [pi_bracket(c) for c in coefficients(s)]
     parts = []
     if u.hi >= 0.0:
         parts.append(_fraction_range(brackets, s.tail, max(u.lo, 0.0), u.hi))

@@ -29,9 +29,17 @@ from tancert.enclosures import cos_enc, p_enc, sinc_enc
 from tancert.errors import DomainError
 from tancert.interval import Interval, _HALF_PI_HI, half_pi_enclosure
 from tancert.sequences import t_seq, u_seq, verify_shift_identities
-from tancert.series import PiPoly
 
-from conftest import contains, exact_div, exact_sub, mp_lower_gap, mp_p, mp_sinc, mp_upper_gap
+from conftest import (
+    contains,
+    exact_div,
+    exact_sub,
+    mp_lower_gap,
+    mp_p,
+    mp_sinc,
+    mp_upper_gap,
+    pi_enclosure,
+)
 
 # frozen 60-digit oracle references (mpmath, this repository's test oracle)
 TAN_1 = mp.mpf("1.55740772465490223050697480745836017308725077238152003838395")
@@ -141,9 +149,9 @@ def test_criterion_5_near_zero_leading_coefficients():
         assert lead == sp.Rational(stated.numerator, stated.denominator), cid
         assert near_zero_proof(cid, 0.25, 16).order == k0
         exact = form_series(cid, "zero", 16, _HALF_PI_HI).divide_power(k0).coefficient(0)
-        assert exact == PiPoly.rational(stated)
-        assert contains(exact.enclosure(), stated)
-        assert exact.enclosure().width < 1e-12
+        assert exact == {0: stated}
+        assert contains(pi_enclosure(exact), stated)
+        assert pi_enclosure(exact).width < 1e-12
     _report(
         5,
         "independent series oracle gives 2/5, 1/15, 2/35, 1/105, 3/5; "

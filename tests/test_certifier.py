@@ -45,9 +45,8 @@ from tancert.interval import (
     certainly_positive,
     split,
 )
-from tancert.series import PiPoly, ps_poly
 
-from conftest import contains, count_calls, exact_eval, mp_form
+from conftest import contains, count_calls, exact_eval, mp_form, pi_enclosure
 
 _X = sp.symbols("x")
 _SINC = sp.sin(_X) / _X
@@ -73,8 +72,9 @@ SYMPY_FORMS = {
 }
 
 
-def _pipoly_to_sympy(p: PiPoly):
-    return sum(sp.Rational(v) * sp.pi**k for k, v in p.terms.items())
+def _coefficient_to_sympy(c: dict):
+    """A coefficient {power of pi: Fraction} as a sympy number."""
+    return sum(sp.Rational(v) * sp.pi**k for k, v in c.items())
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +93,19 @@ def sympy_leads():
 
 def test_catalog_leads_match_sympy_oracle(sympy_leads):
     for cid, spec in CATALOG.items():
-        diff = sp.simplify(sympy_leads[cid] - _pipoly_to_sympy(spec.leading_coeff_zero))
+        diff = sp.simplify(sympy_leads[cid] - _sympify_form(spec.leading_coeff_zero))
         assert diff == 0, cid
+
+
+def test_catalog_leads_are_constant_strings():
+    # each leading coefficient is written in the form language; an entry
+    # that does not vanish at pi/2 states none there
+    for cid, spec in CATALOG.items():
+        assert type(spec.leading_coeff_zero) is str, cid
+        if spec.vanish_order_half_pi:
+            assert type(spec.leading_coeff_half_pi) is str, cid
+        else:
+            assert spec.leading_coeff_half_pi is None, cid
 
 
 def test_rational_leads_are_the_expected_constants(sympy_leads):
@@ -120,7 +131,7 @@ def test_half_pi_leads_match_sympy_oracle():
         for k in range(k1):
             assert sp.simplify(poly.coeff(eps, k)) == 0, (cid, k)
         lead = sp.simplify(poly.coeff(eps, k1))
-        assert sp.simplify(lead - _pipoly_to_sympy(spec.leading_coeff_half_pi)) == 0, cid
+        assert sp.simplify(lead - _sympify_form(spec.leading_coeff_half_pi)) == 0, cid
 
 
 def _lead(cid, center, order):
@@ -134,19 +145,19 @@ def test_near_zero_proofs_all_ids():
         assert proof.order == spec.vanish_order_zero
         assert proof.normalized_lower_bound > 0
         lead = _lead(cid, "zero", proof.order)
-        assert lead == spec.leading_coeff_zero
-        assert lead.enclosure().width < 1e-12
+        assert sp.expand(_coefficient_to_sympy(lead) - _sympify_form(spec.leading_coeff_zero)) == 0
+        assert pi_enclosure(lead).width < 1e-12
 
 
 def test_near_half_pi_proofs(oracle):
     p = near_half_pi_proof("bs_lower", 0.125, 16)
-    assert p.order == 2 and _lead("bs_lower", "half_pi", 2) == PiPoly.rational(4)
+    assert p.order == 2 and _lead("bs_lower", "half_pi", 2) == {0: 4}
     p = near_half_pi_proof("bs_upper", 0.125, 16)
     assert p.order == 1
-    assert contains(_lead("bs_upper", "half_pi", 1).enclosure(), mp.pi * (mp.pi**2 / 2 - 4))
+    assert contains(pi_enclosure(_lead("bs_upper", "half_pi", 1)), mp.pi * (mp.pi**2 / 2 - 4))
     p = near_half_pi_proof("qi_upper", 0.125, 16)
     assert p.order == 1
-    lead = _lead("qi_upper", "half_pi", 1).enclosure()
+    lead = pi_enclosure(_lead("qi_upper", "half_pi", 1))
     assert contains(lead, mp.pi / 2 + mp.pi**3 / 24 - 8 / mp.pi)
 
 
@@ -199,16 +210,26 @@ def test_order_mismatch_on_tampered_catalog(monkeypatch):
         entire_form=spec.entire_form,
         derivation=spec.derivation,
         vanish_order_zero=spec.vanish_order_zero,
-        leading_coeff_zero=PiPoly.rational(Fraction(1, 14)),
+        leading_coeff_zero="1/14",
     )
     monkeypatch.setitem(CATALOG, "main_lower", bad)
     with pytest.raises(OrderMismatch):
         near_zero_proof("main_lower", 0.25, 16)
 
 
+@pytest.mark.parametrize("lead", ["x/3", "cos/15"])
+def test_non_constant_catalog_coefficient_is_refused(monkeypatch, lead):
+    # a leading coefficient is a constant of the form language, a sum of
+    # terms c*pi^q; x/3 and cos/15 are forms, but not constants
+    bad = CATALOG["main_lower"]._replace(leading_coeff_zero=lead)
+    monkeypatch.setitem(CATALOG, "main_lower", bad)
+    with pytest.raises(DomainError, match=r"not a sum of c\*pi\^q"):
+        near_zero_proof("main_lower", 0.25, 16)
+
+
 def test_not_positive_when_series_goes_negative(monkeypatch, tmp_path):
     spec = _negative_spec(
-        "x^2/15 - 100*x^3", vanish_order_zero=2, leading_coeff_zero=PiPoly.rational(Fraction(1, 15))
+        "x^2/15 - 100*x^3", vanish_order_zero=2, leading_coeff_zero="1/15"
     )
     monkeypatch.setitem(CATALOG, spec.id, spec)
     # the quotient runs from 1/15 down to 1/15 - 25: positive at 0, unproven
@@ -228,7 +249,7 @@ def _negative_spec(form: str, **orders) -> InequalitySpec:
 
 def test_endpoint_proof_falsified_near_zero(monkeypatch, tmp_path, capsys):
     # x^4 - x^2 = x^2 (x^2 - 1): the quotient is below -15/16 on (0, 1/4]
-    spec = _negative_spec("x^4 - x^2", vanish_order_zero=2, leading_coeff_zero=PiPoly.rational(-1))
+    spec = _negative_spec("x^4 - x^2", vanish_order_zero=2, leading_coeff_zero="0 - 1")
     monkeypatch.setitem(CATALOG, spec.id, spec)
     with pytest.raises(Falsified, match=r"negative: F < 0 on \(0, 0.25\]"):
         near_zero_proof(spec.id, 0.25, 16)
@@ -241,8 +262,8 @@ def test_endpoint_proof_falsified_near_zero(monkeypatch, tmp_path, capsys):
 def test_endpoint_proof_falsified_near_half_pi(monkeypatch):
     # -cos = -u sinc u in u = pi/2 - x: the quotient is -sinc u < 0
     spec = _negative_spec(
-        "0 - cos", vanish_order_zero=0, leading_coeff_zero=PiPoly.rational(-1),
-        vanish_order_half_pi=1, leading_coeff_half_pi=PiPoly.rational(-1),
+        "0 - cos", vanish_order_zero=0, leading_coeff_zero="0 - 1",
+        vanish_order_half_pi=1, leading_coeff_half_pi="0 - 1",
     )
     monkeypatch.setitem(CATALOG, spec.id, spec)
     with pytest.raises(Falsified, match=r"F < 0 on \[pi/2 - 0.125, pi/2\)"):
@@ -250,7 +271,7 @@ def test_endpoint_proof_falsified_near_half_pi(monkeypatch):
 
 
 def test_divide_power_rejects_nonzero_low_coeff():
-    ps = ps_poly({0: 1}, 1, 0.5)
+    ps = series_of("1", "zero", 1, 0.5)
     with pytest.raises(OrderMismatch):
         ps.divide_power(1)
 
@@ -273,7 +294,7 @@ def test_eval_form_examples(oracle):
     assert contains(v, mp_form("main_upper", mp.mpf(0.5)) / mp.mpf(0.5) ** k0)
     # near 0, Q is its leading coefficient to far below an ulp; F/x^k0 is
     # undefined at 0, so a box touching 0 is refused
-    lead = CATALOG["main_upper"].leading_coeff_zero.terms[0]
+    lead = Fraction(CATALOG["main_upper"].leading_coeff_zero)
     assert contains(eval_form("main_upper", Interval.point(1e-90)), mp.mpf(lead.numerator) / lead.denominator)
     with pytest.raises(DomainError):
         eval_form("main_upper", Interval.point(0.0))
@@ -446,7 +467,7 @@ NEGATIVE = certifier.InequalitySpec(
     entire_form="x^2 - x^4",
     derivation="none; false on (1, pi/2)",
     vanish_order_zero=2,
-    leading_coeff_zero=PiPoly.rational(1),
+    leading_coeff_zero="1",
 )
 
 
@@ -718,8 +739,8 @@ SERIES_PARITY = {
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
 def test_form_series_has_one_parity(cid):
-    coeffs = form_series(cid, "zero", 24, _HALF_PI_HI).coeffs
-    parities = {("even", "odd")[k % 2] for k, c in enumerate(coeffs) if c.terms}
+    s = form_series(cid, "zero", 24, _HALF_PI_HI)
+    parities = {("even", "odd")[k % 2] for k in range(s.degree + 1) if s.coefficient(k)}
     assert parities == {SERIES_PARITY[cid]}
 
 
@@ -806,7 +827,7 @@ def test_series_coefficients_equal_sympy_taylor_coefficients(text, center, sympy
     built = series_of(text, center, 24, _RADIUS[center])
     u = reference.gens[0]
     for n in range(25):
-        diff = reference.coeff_monomial(u**n) - _pipoly_to_sympy(built.coefficient(n))
+        diff = reference.coeff_monomial(u**n) - _coefficient_to_sympy(built.coefficient(n))
         assert sp.expand(diff) == 0, (text, center, n)
 
 

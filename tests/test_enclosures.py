@@ -6,10 +6,9 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from tancert.enclosures import cos_enc, p_enc, sinc_enc
+from tancert.enclosures import cos_enc, p_coeff, p_enc, sinc_enc
 from tancert.errors import DomainError
 from tancert.interval import Interval, half_pi_enclosure
-from tancert.series import p_coeff
 
 from conftest import contains, mp_p, mp_sinc
 

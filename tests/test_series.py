@@ -20,25 +20,29 @@ from tancert.interval import (
     horner,
     rational_enclosure,
 )
-from tancert.series import PiPoly, ps_poly
+from tancert.series import PowerSeries
 
-from conftest import contains, count_calls, exact_eval, mp_p, mp_sinc, pi_bracket
+from conftest import (
+    coefficients,
+    contains,
+    count_calls,
+    exact_eval,
+    mp_p,
+    mp_sinc,
+    pi_bracket,
+    pi_enclosure,
+    rows_series,
+)
 
 
-def test_pipoly_arithmetic_exact():
-    a = PiPoly({2: 1, 0: -8})  # pi^2 - 8
-    b = PiPoly({2: -1, 0: 8})
-    assert not (a + b).terms
-    prod = PiPoly({1: 1}) * PiPoly({-1: Fraction(1, 2)})
-    assert prod == PiPoly.rational(Fraction(1, 2))
-    assert PiPoly.rational(Fraction(2, 5)).terms == {0: Fraction(2, 5)}
-    assert set(a.terms) == {0, 2}
-
-
-def test_pipoly_enclosures(oracle):
-    assert contains(PiPoly({2: 1, 0: -8}).enclosure(), mp.pi**2 - 8)
-    assert contains(PiPoly({-4: 16}).enclosure(), 16 / mp.pi**4)
-    assert PiPoly().enclosure() == Interval.point(0.0)
+def test_constant_series_enclose_their_value(oracle):
+    # a constant's series at 0 is its exact value, rounded once at u = 0
+    for text, value in [("pi^2 - 8", mp.pi**2 - 8), ("16/pi^4", 16 / mp.pi**4)]:
+        s = series_of(text, "zero", 0, 1.0)
+        at_zero = s.eval(Interval.point(0.0))
+        assert contains(at_zero, value) and at_zero == pi_enclosure(s.coefficient(0)), text
+        assert at_zero.width < 1e-14, text
+    assert series_of("0", "zero", 0, 1.0).eval(Interval.point(0.0)) == Interval.point(0.0)
 
 
 @pytest.mark.parametrize(
@@ -73,13 +77,9 @@ def test_monomial_shift_and_poly(oracle):
     shifted = series_of("x*sinc", "zero", 20, r)
     for x in (0.1, 0.7, 1.0):
         assert contains(shifted.eval(Interval.point(x)), mp.sin(mp.mpf(x)))
-    poly = ps_poly({0: PiPoly({2: 1}), 2: -4}, 20, r)  # pi^2 - 4x^2
+    poly = series_of("pi^2 - 4*x^2", "zero", 20, r)
+    assert poly.coefficient(0) == {2: 1} and poly.coefficient(2) == {0: -4}
     assert contains(poly.eval(Interval.point(0.5)), mp.pi**2 - 1)
-    # a power past the degree, or below 0 (which would index the list from
-    # its end), has no coefficient
-    for k in (21, -1):
-        with pytest.raises(DomainError):
-            ps_poly({k: 1}, 20, r)
 
 
 def test_divide_power_shifts_exactly(oracle):
@@ -119,19 +119,19 @@ def test_nan_tail_or_radius_is_refused():
     # a NaN tail would drop out of every bound: sup * NaN and NaN * r^(D+1)
     for tail, radius in [(math.nan, 1.0), (0.0, math.nan), (-1.0, 1.0), (0.0, 0.0), (0.0, -math.inf)]:
         with pytest.raises(DomainError):
-            ps_poly({0: 1}, 0, radius, tail)
-    assert ps_poly({0: 1}, 0, 1.0, math.inf).eval(Interval(0.0, 0.5)) == Interval(-math.inf, math.inf)
+            rows_series([{0: 1}], radius, tail)
+    assert rows_series([{0: 1}], 1.0, math.inf).eval(Interval(0.0, 0.5)) == Interval(-math.inf, math.inf)
 
 
 def test_eval_beyond_the_largest_float_reaches_infinity():
     # an exact end past the binary64 range rounds outward to +-inf, on a
     # box Horner signs and on one it leaves open, at and below 0
     top = sys.float_info.max
-    big = Fraction(10**400, 3)
-    assert ps_poly({0: big}, 0, 1.0).eval(Interval(0.0, 0.5)) == Interval(top, math.inf)
-    assert ps_poly({0: -big}, 0, 1.0).eval(Interval(-0.5, 0.25)) == Interval(-math.inf, -top)
-    assert ps_poly({0: 1, 1: big}, 1, 1.0).eval(Interval(-0.5, 0.5)) == Interval(-math.inf, math.inf)
-    assert ps_poly({0: 1, 2: -big}, 2, 1.0).eval(Interval(0.0, 0.5)) == Interval(-math.inf, 1.0)
+    big = "10^400/3"
+    assert series_of(big, "zero", 0, 1.0).eval(Interval(0.0, 0.5)) == Interval(top, math.inf)
+    assert series_of(f"0 - {big}", "zero", 0, 1.0).eval(Interval(-0.5, 0.25)) == Interval(-math.inf, -top)
+    assert series_of(f"1 + {big}*x", "zero", 1, 1.0).eval(Interval(-0.5, 0.5)) == Interval(-math.inf, math.inf)
+    assert series_of(f"1 - {big}*x^2", "zero", 2, 1.0).eval(Interval(0.0, 0.5)) == Interval(-math.inf, 1.0)
 
 
 def test_shapes_a_series_cannot_serve_are_refused():
@@ -139,7 +139,7 @@ def test_shapes_a_series_cannot_serve_are_refused():
     # every bound that multiplies by it infinite or NaN; neither is a series
     for degree, radius in [(-1, 1.0), (3, math.inf)]:
         with pytest.raises(DomainError):
-            ps_poly({}, degree, radius)
+            PowerSeries((), 1, degree, 0.0, radius)
     # the remainder's geometric bound needs k r < m + 1
     for k, m, radius in [(1, 5, math.inf), (1, 5, math.nan), (6, 2, 0.5)]:
         with pytest.raises(DomainError):
@@ -151,14 +151,27 @@ def test_shapes_a_series_cannot_serve_are_refused():
             series_of(leaf, "zero", -2, 1.0)
 
 
+def _convolution(f, g):
+    """Reference: the Cauchy product through u^(len(f) - 1) of two lists of
+    coefficients {power of pi: Fraction}, summed in Fraction arithmetic."""
+    result = []
+    for n in range(len(f)):
+        acc = {}
+        for i in range(n + 1):
+            for ka, va in f[i].items():
+                for kb, vb in g[n - i].items():
+                    acc[ka + kb] = acc.get(ka + kb, 0) + va * vb
+        result.append({k: v for k, v in acc.items() if v})
+    return result
+
+
 def _cauchy_power(s, k):
     """Reference: the coefficients of s^k through u^degree, k-fold Cauchy
-    products of the PiPoly coefficients of s from the unit series."""
-    d = s.degree
-    result = [PiPoly.rational(1)] + [PiPoly()] * d
+    products of the coefficients of s from the unit series."""
+    result = [{0: 1}] + [{}] * s.degree
     for _ in range(k):
-        result = [sum((result[i] * s.coeffs[n - i] for i in range(n + 1)), PiPoly()) for n in range(d + 1)]
-    return tuple(result)
+        result = _convolution(result, coefficients(s))
+    return result
 
 
 def test_int_pow_matches_repeated_mul(oracle):
@@ -166,7 +179,7 @@ def test_int_pow_matches_repeated_mul(oracle):
     r = 1.0
     cubed = series_of("sinc^3", "zero", 18, r)
     ref = series_of("sinc*sinc*sinc", "zero", 18, r)
-    assert cubed.coeffs == ref.coeffs and cubed.tail.hex() == ref.tail.hex()
+    assert coefficients(cubed) == coefficients(ref) and cubed.tail.hex() == ref.tail.hex()
     for x in (0.25, 0.8):
         assert contains(cubed.eval(Interval.point(x)), mp_sinc(mp.mpf(x)) ** 3)
 
@@ -187,7 +200,7 @@ def test_int_pow_bitwise_equals_unit_reference(base, center, degree, radius):
     s = series_of(base, center, degree, radius)
     for k in range(8):
         got = series_of(f"{base}^{k}", center, degree, radius)
-        assert got.coeffs == _cauchy_power(s, k), k
+        assert coefficients(got) == _cauchy_power(s, k), k
         assert got.radius == radius
 
 
@@ -203,7 +216,7 @@ PIPOLYS = st.dictionaries(
     st.integers(-3, 3),
     st.fractions(min_value=-50, max_value=50, max_denominator=40),
     max_size=3,
-).map(PiPoly)
+).map(lambda terms: {k: v for k, v in terms.items() if v})
 TAILS = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 
 
@@ -212,11 +225,11 @@ def series_pairs(draw, tails=TAILS):
     degree = draw(st.integers(0, 7))
     radius = draw(st.floats(0.125, 2.0))
     coeffs = st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1)
-    return tuple(ps_poly(dict(enumerate(draw(coeffs))), degree, radius, draw(tails)) for _ in range(2))
+    return tuple(rows_series(draw(coeffs), radius, draw(tails)) for _ in range(2))
 
 
 def _mp_value(c):
-    return mp.fsum(mp.mpf(q.numerator) / q.denominator * mp.pi**k for k, q in c.terms.items())
+    return mp.fsum(mp.mpf(q.numerator) / q.denominator * mp.pi**k for k, q in c.items())
 
 
 def _brackets_of(s):
@@ -227,22 +240,23 @@ def _brackets_of(s):
 
 def _assert_bracket_enclosures(coeffs):
     # one series holds all the coefficients, so their rows share one scale;
-    # its integer brackets are the Fraction ones, and PiPoly.enclosure rounds
-    # each end of them once
-    s = ps_poly(dict(enumerate(coeffs)), len(coeffs) - 1, 1.0)
+    # its integer brackets are the Fraction ones, and a series of the one
+    # coefficient at u = 0 rounds each end of them once
+    s = rows_series(coeffs, 1.0)
     for c, bracket in zip(coeffs, _brackets_of(s)):
-        lo, hi = pi_bracket(c)
-        assert bracket == (lo, hi), c
-        want = Interval(rational_enclosure(lo).lo, rational_enclosure(hi).hi)
-        assert c.enclosure().to_hex() == want.to_hex(), c
+        assert bracket == pi_bracket(c), c
+        want = pi_enclosure(c)
+        assert rows_series([c], 1.0).eval(Interval.point(0.0)).to_hex() == want.to_hex(), c
         assert contains(want, _mp_value(c)), c
 
 
 _CATALOG_PI_COEFFS = [
     c
     for spec in CATALOG.values()
-    for c in (spec.leading_coeff_zero, spec.leading_coeff_half_pi)
-    if c is not None and set(c.terms) - {0}
+    for text in (spec.leading_coeff_zero, spec.leading_coeff_half_pi)
+    if text is not None
+    for c in [series_of(text, "zero", 0, 1.0).coefficient(0)]
+    if set(c) - {0}
 ]
 
 
@@ -287,7 +301,7 @@ def _overflow(text, center, degree, radius, extra=60):
     total = Fraction(0)
     for n in range(degree + 1, degree + extra + 1):
         c = big.coefficient(n)
-        mag = abs(c.terms.get(0, 0)) if set(c.terms) <= {0} else Fraction(c.enclosure().mig())
+        mag = abs(c.get(0, 0)) if set(c) <= {0} else Fraction(pi_enclosure(c).mig())
         total += mag * r ** (n - degree - 1)
     return total
 
@@ -296,11 +310,10 @@ def _overflow(text, center, degree, radius, extra=60):
 @given(product_forms())
 def test_integer_product_equals_fraction_convolution(forms):
     # the closed form of a product has exactly the coefficients of the
-    # Cauchy product of its factors' series, in PiPoly (Fraction) arithmetic
+    # Cauchy product of its factors' series, in Fraction arithmetic
     a, b, d, r = forms
-    fa, fb = (series_of(t, "zero", d, r).coeffs for t in (a, b))
-    conv = [sum((fa[i] * fb[n - i] for i in range(n + 1)), PiPoly()) for n in range(d + 1)]
-    assert series_of(f"({a})*({b})", "zero", d, r).coeffs == tuple(conv)
+    fa, fb = (coefficients(series_of(t, "zero", d, r)) for t in (a, b))
+    assert coefficients(series_of(f"({a})*({b})", "zero", d, r)) == _convolution(fa, fb)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -341,32 +354,32 @@ def operands(draw):
     """A series of rows from exact values, sometimes all zero, with leading
     zeros where a form vanishing at its center has them."""
     degree = draw(st.integers(0, 7))
-    zero = [PiPoly()] * (degree + 1)
+    zero = [{}] * (degree + 1)
     coeffs = draw(st.one_of(st.just(zero), st.lists(PIPOLYS, min_size=degree + 1, max_size=degree + 1)))
     zeros = draw(st.integers(0, degree + 1))
     coeffs = zero[:zeros] + coeffs[zeros:]
-    return ps_poly(dict(enumerate(coeffs)), degree, draw(st.floats(0.125, 2.0)), draw(TAILS)), coeffs
+    return rows_series(coeffs, draw(st.floats(0.125, 2.0)), draw(TAILS)), coeffs
 
 
 def _assert_exact(got, coeffs, tail):
-    assert got.coeffs == tuple(coeffs)
+    assert coefficients(got) == list(coeffs)
     assert got.tail.hex() == tail.hex()
     assert _brackets_of(got) == [pi_bracket(c) for c in coeffs]
     # the rows are reduced: their denominator is the lcm of the coefficients'
-    assert got._den == lcm(*(v.denominator for c in coeffs for v in c.terms.values()))
+    assert got._den == lcm(*(v.denominator for c in coeffs for v in c.values()))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(operands(), st.data())
 def test_row_operations_equal_fraction_reference(operand, data):
-    # the integer rows of ps_poly and of divide_power against one Fraction
-    # (PiPoly) per coefficient
+    # the integer rows of a series and of divide_power against one Fraction
+    # map {power of pi: Fraction} per coefficient
     s, coeffs = operand
     d = s.degree
     _assert_exact(s, coeffs, s.tail)
     # division by u^k up to the count of exactly vanishing leading
     # coefficients, and at most the degree, so that a coefficient remains
-    zeros = next((n for n, x in enumerate(coeffs) if x.terms), d + 1)
+    zeros = next((n for n, x in enumerate(coeffs) if x), d + 1)
     k = data.draw(st.integers(0, min(zeros, d)))
     _assert_exact(s.divide_power(k), coeffs[k:], s.tail)
     if zeros < d:
@@ -404,7 +417,7 @@ def _float_horner_plus_tail(s, u):
     """Interval Horner plus the tail on the float kernel, from the rounded
     coefficient brackets: a bound that the exact one must lie inside."""
     t = _mul_up(s.tail, _pow_up(u.mag(), s.degree + 1))
-    return horner([c.enclosure() for c in s.coeffs], u) + Interval(-t, t)
+    return horner([pi_enclosure(c) for c in coefficients(s)], u) + Interval(-t, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -447,7 +460,7 @@ def test_eval_of_degree_below_two_is_the_range_at_the_box_ends(degree):
     # parts of those values plus the part's tail, rounded once; 1/3 - 7u/5
     # at degree 1
     coeffs = [Fraction(1, 3), Fraction(-7, 5)][: degree + 1]
-    s = ps_poly(dict(enumerate(coeffs)), degree, 2.0, 0.25)
+    s = rows_series([{0: c} for c in coeffs], 2.0, 0.25)
     for u in (Interval(-1.5, 1.25), Interval(0.125, 0.5), Interval(0.5, 1.0)):
         lows, highs = [], []
         for a, b in ((max(u.lo, 0.0), u.hi), (u.lo, min(u.hi, 0.0))):
@@ -467,7 +480,7 @@ _DEGREE_96 = {
     "3p - sinc": (series_of("3*p - sinc", "zero", 96, _R), lambda x: 3 * mp_p(x) - mp_sinc(x)),
     "cos - 1/2": (series_of("cos - 1/2", "zero", 96, _R), lambda x: mp.cos(x) - 0.5),
     # all of its variation lies past the first 25 terms
-    "u^40 - 1/2": (ps_poly({0: Fraction(-1, 2), 40: 1}, 96, _R), lambda x: x**40 - 0.5),
+    "u^40 - 1/2": (series_of("x^40 - 1/2", "zero", 96, _R), lambda x: x**40 - 0.5),
 }
 
 

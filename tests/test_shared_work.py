@@ -11,8 +11,8 @@ process is warm:
   * the work of certifying all nine forms at the `wide_endpoints` flags
     is exactly one linearization per form, one series build per (form,
     center) and one exact evaluation per box and endpoint proof, and stays
-    within fixed counts of rational enclosures, `PiPoly` constructions and
-    series constructions, which do not depend on the machine;
+    within fixed counts of rational enclosures and series constructions,
+    which do not depend on the machine;
   * `tancert certify all` and `tancert check` on the nine files, at each
     benchmark workload's flags, write the goldens and call none of the
     directed-rounding primitives of `interval`: their margins are exact.
@@ -50,7 +50,7 @@ COUNT = f"""
 import json
 from tancert import certifier, series
 from tancert.certifier import CATALOG, CertifyConfig, certify
-counts = {{"builds": 0, "evaluations": 0, "enclosures": 0, "pipolys": 0, "series": 0}}
+counts = {{"builds": 0, "evaluations": 0, "enclosures": 0, "series": 0}}
 
 def counted(key, fn):
     def wrapper(*args):
@@ -60,7 +60,6 @@ def counted(key, fn):
 
 certifier.ps_trig = counted("builds", certifier.ps_trig)
 series.rational_enclosure = counted("enclosures", series.rational_enclosure)
-series.PiPoly.__init__ = counted("pipolys", series.PiPoly.__init__)
 series.PowerSeries.__init__ = counted("series", series.PowerSeries.__init__)
 series._range = counted("evaluations", series._range)
 cfg = {WIDE}
@@ -77,17 +76,16 @@ print(json.dumps(counts))
 # the rational enclosures that series take, the only roundings from exact
 # to float: one per build for its tail, two per evaluation (its two ends)
 # and two more for each of the three whose sign Horner leaves open (the
-# Bernstein bound's ends), 12 + 42 + 6; pipolys the PiPoly built after
-# import, one per quotient for the u^k coefficient that `_quotient` compares
-# with the catalog (the form compiler builds none, and series keep integer
-# rows); series the PowerSeries built, a build and its quotient each.  When
-# each series was the product of leaf series, they were 25 products, 1895
-# enclosures, 61 PiPoly and 103 series; when eval ran interval Horner on
-# float coefficient enclosures, 1214 enclosures and 58 PiPoly; while the
-# compiler folded constants into PiPoly and each endpoint proof enclosed its
-# leading coefficient, 84 enclosures and 70 PiPoly.
+# Bernstein bound's ends), 12 + 42 + 6; series the PowerSeries built, a
+# build and its quotient each.  The catalog's leading coefficients are
+# strings that `_quotient` compiles and compares with the quotient's u^k
+# coefficient as exact Fractions, with no enclosure.  When each series was
+# the product of leaf series, they were 25 products, 1895 enclosures and
+# 103 series; when eval ran interval Horner on float coefficient
+# enclosures, 1214 enclosures; while each endpoint proof enclosed its
+# leading coefficient, 84 enclosures.
 EXACT_WORK = {"linearizations": 9, "builds": 12, "evaluations": 21}
-MAX_WORK = {"enclosures": 60, "pipolys": 12, "series": 24}
+MAX_WORK = {"enclosures": 60, "series": 24}
 
 
 # The directed-rounding primitives of the float kernel, each wrapped wherever
@@ -189,5 +187,5 @@ def test_shared_subtree_build_equals_fresh_build(center, radius, degree):
     for cid in ids:
         _clear_series_caches()
         fresh = form_series(cid, center, degree, radius)
-        assert fresh.coeffs == shared[cid].coeffs, cid
+        assert (fresh._rows, fresh._den) == (shared[cid]._rows, shared[cid]._den), cid
         assert fresh.tail.hex() == shared[cid].tail.hex(), cid
